@@ -15,7 +15,6 @@ use crate::problem::Problem;
 use crate::supervise::Budget;
 use mapzero_arch::PeId;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -204,7 +203,8 @@ impl<'n> MapZeroAgent<'n> {
     ) -> EpisodeResult {
         let mut env = MapEnv::new(problem);
         let mut probs_scratch: Vec<f32> = Vec::new();
-        let mut banned: Vec<HashSet<PeId>> = vec![HashSet::new(); problem.node_count() + 1];
+        // Actions banned per depth, as bitsets over PE ids.
+        let mut banned: Vec<Vec<u64>> = vec![vec![0; problem.words()]; problem.node_count() + 1];
         // Cached policy per depth: re-deciding after a backtrack walks
         // down the stored MCTS ranking instead of re-searching, so
         // backtracking costs O(1) network-free decisions (§3.6.2:
@@ -241,11 +241,11 @@ impl<'n> MapZeroAgent<'n> {
                     let parent_action = env.placement(parent_node).map(|p| p.pe);
                     if env.undo().is_some() {
                         backtracks += 1;
-                        banned[depth].clear();
+                        banned[depth].fill(0);
                         cached[depth] = None;
                         trajectory.pop();
                         if let Some(prev) = parent_action {
-                            banned[depth - 1].insert(prev);
+                            ban(&mut banned[depth - 1], prev);
                         }
                         continue;
                     }
@@ -282,7 +282,7 @@ impl<'n> MapZeroAgent<'n> {
                 // Undesirable reward: unmap and try a different action.
                 env.undo();
                 backtracks += 1;
-                banned[depth].insert(action);
+                ban(&mut banned[depth], action);
                 trajectory.pop();
             }
         }
@@ -313,7 +313,7 @@ impl<'n> MapZeroAgent<'n> {
         &self,
         mcts: &mut Mcts<'_>,
         env: &MapEnv<'_>,
-        banned: &HashSet<PeId>,
+        banned: &[u64],
         cached: &mut Option<Vec<f32>>,
         cheap_mode: bool,
         budget: &Budget,
@@ -325,8 +325,7 @@ impl<'n> MapZeroAgent<'n> {
             mapzero_obs::counter!("search.prune.dead_state");
             return None;
         }
-        let legal: Vec<PeId> =
-            env.search_actions().into_iter().filter(|a| !banned.contains(a)).collect();
+        let legal = env.search_actions_except(banned);
         if legal.is_empty() {
             return None;
         }
@@ -365,6 +364,11 @@ impl<'n> MapZeroAgent<'n> {
             Some((action, policy, None))
         }
     }
+}
+
+/// Add `pe` to a per-depth ban bitset.
+fn ban(banned: &mut [u64], pe: PeId) {
+    banned[pe.index() / 64] |= 1u64 << (pe.index() % 64);
 }
 
 /// Highest-scoring action among `legal` under a per-PE score vector,

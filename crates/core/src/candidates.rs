@@ -94,6 +94,32 @@ fn clear_bit(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1u64 << (i % 64));
 }
 
+/// Static capability filter as node-major bitsets of
+/// `pe_count.div_ceil(64)` words: bit `p` of node `u` is set iff PE `p`'s
+/// functional unit supports `u`'s opcode.
+pub(crate) fn capability_sets(dfg: &Dfg, cgra: &Cgra) -> Vec<u64> {
+    let words = cgra.pe_count().div_ceil(64);
+    let mut sets = vec![0u64; dfg.node_count() * words];
+    for u in dfg.node_ids() {
+        let op = dfg.node(u).opcode;
+        for p in cgra.pe_ids() {
+            if cgra.pe(p).capability.supports(op) {
+                set_bit(&mut sets[u.index() * words..(u.index() + 1) * words], p.index());
+            }
+        }
+    }
+    sets
+}
+
+/// The PEs of each fabric row, as bitsets (the row-shared memory bus).
+pub(crate) fn row_sets(cgra: &Cgra) -> Vec<Vec<u64>> {
+    let mut rows = vec![vec![0u64; cgra.pe_count().div_ceil(64)]; cgra.rows()];
+    for p in cgra.pe_ids() {
+        set_bit(&mut rows[cgra.pe(p).row], p.index());
+    }
+    rows
+}
+
 impl CandidateMap {
     /// Precompute the candidate sets for `(dfg, cgra, schedule)`.
     ///
@@ -135,16 +161,7 @@ impl CandidateMap {
             }
         }
 
-        // Static capability filter.
-        let mut sets = vec![0u64; n * words];
-        for u in dfg.node_ids() {
-            let op = dfg.node(u).opcode;
-            for p in cgra.pe_ids() {
-                if cgra.pe(p).capability.supports(op) {
-                    set_bit(&mut sets[u.index() * words..(u.index() + 1) * words], p.index());
-                }
-            }
-        }
+        let sets = capability_sets(dfg, cgra);
 
         // Per-edge hop bounds. A placement of `u` at `p_u` and `v` at
         // `p_v` can only route conflict-free when `hops(p_u→p_v)` fits
@@ -183,13 +200,7 @@ impl CandidateMap {
         let is_mem: Vec<bool> =
             dfg.node_ids().map(|u| dfg.node(u).opcode.class() == OpClass::Memory).collect();
         let row_of: Vec<u32> = cgra.pe_ids().map(|p| cgra.pe(p).row as u32).collect();
-        let row_sets = cgra.row_shared_mem_bus().then(|| {
-            let mut rows = vec![vec![0u64; words]; cgra.rows()];
-            for p in cgra.pe_ids() {
-                set_bit(&mut rows[cgra.pe(p).row], p.index());
-            }
-            rows
-        });
+        let row_sets = cgra.row_shared_mem_bus().then(|| row_sets(cgra));
 
         let mut map = CandidateMap {
             pe_count,
@@ -285,8 +296,14 @@ impl CandidateMap {
     }
 }
 
-/// One candidate removal on the trail: `(node, pe)`.
-type Removal = (u32, u32);
+/// One forward-checking removal on the trail: the bits `cleared` of
+/// word `word` in `node`'s live set.
+#[derive(Debug, Clone, Copy)]
+struct Removal {
+    node: u32,
+    word: u32,
+    cleared: u64,
+}
 
 /// Live candidate sets during an episode: the static [`CandidateMap`]
 /// narrowed by forward checking from every committed placement, with a
@@ -295,6 +312,8 @@ type Removal = (u32, u32);
 /// env), so all bookkeeping lives in flat vectors.
 #[derive(Debug, Clone)]
 pub struct CandidateState {
+    /// Bitset words per node.
+    words: usize,
     sets: Vec<u64>,
     counts: Vec<u32>,
     placed: Vec<bool>,
@@ -312,6 +331,7 @@ impl CandidateState {
     pub fn new(map: &CandidateMap) -> Self {
         let n = map.counts.len();
         CandidateState {
+            words: map.words,
             sets: map.sets.clone(),
             counts: map.counts.clone(),
             placed: vec![false; n],
@@ -321,18 +341,20 @@ impl CandidateState {
         }
     }
 
-    fn remove(&mut self, map: &CandidateMap, node: usize, pe: usize) {
-        let words = map.words;
-        let set = &mut self.sets[node * words..(node + 1) * words];
-        if !test_bit(set, pe) {
+    /// Clear the bits of `mask` from word `word` of `node`'s live set,
+    /// recording the bits that were actually set.
+    fn clear(&mut self, node: usize, word: usize, mask: u64) {
+        let cell = &mut self.sets[node * self.words + word];
+        let cleared = *cell & mask;
+        if cleared == 0 {
             return;
         }
-        clear_bit(set, pe);
-        self.counts[node] -= 1;
+        *cell &= !cleared;
+        self.counts[node] -= cleared.count_ones();
         if self.counts[node] == 0 && !self.placed[node] {
             self.empty_unplaced += 1;
         }
-        self.trail.push((node as u32, pe as u32));
+        self.trail.push(Removal { node: node as u32, word: word as u32, cleared });
     }
 
     /// Forward-check one committed placement: `u` landed on `p`.
@@ -356,12 +378,12 @@ impl CandidateState {
         }
         self.placed[ui] = true;
 
-        let words = map.words;
         let slot = map.slot_of[ui] as usize;
+        let (pe_word, pe_bit) = (p.index() / 64, 1u64 << (p.index() % 64));
         for &w in &map.slot_nodes[slot] {
             let wi = w as usize;
             if wi != ui && placements[wi].is_none() {
-                self.remove(map, wi, p.index());
+                self.clear(wi, pe_word, pe_bit);
             }
         }
         if let Some(rows) = &map.row_sets {
@@ -372,8 +394,8 @@ impl CandidateState {
                     if wi == ui || !map.is_mem[wi] || placements[wi].is_some() {
                         continue;
                     }
-                    for q in bits(&self.sets[wi * words..(wi + 1) * words], row) {
-                        self.remove(map, wi, q);
+                    for (k, &r) in row.iter().enumerate() {
+                        self.clear(wi, k, r);
                     }
                 }
             }
@@ -383,27 +405,8 @@ impl CandidateState {
             if placements[vi].is_some() {
                 continue;
             }
-            let reach = map.reach(*c, p.index());
-            let outside: Vec<usize> = {
-                let vset = &self.sets[vi * words..(vi + 1) * words];
-                vset.iter()
-                    .zip(reach)
-                    .enumerate()
-                    .flat_map(|(w, (s, r))| {
-                        let mut out = s & !r;
-                        std::iter::from_fn(move || {
-                            if out == 0 {
-                                return None;
-                            }
-                            let b = out.trailing_zeros() as usize;
-                            out &= out - 1;
-                            Some(w * 64 + b)
-                        })
-                    })
-                    .collect()
-            };
-            for q in outside {
-                self.remove(map, vi, q);
+            for (k, &r) in map.reach(*c, p.index()).iter().enumerate() {
+                self.clear(vi, k, !r);
             }
         }
     }
@@ -415,15 +418,13 @@ impl CandidateState {
     /// Panics if no frame is outstanding (an env undo/step imbalance).
     pub fn on_undo(&mut self) {
         let (start, u) = self.frames.pop().expect("candidate frame per step");
-        while self.trail.len() > start {
-            let (node, pe) = self.trail.pop().expect("trail at least `start` long");
-            let (node, pe) = (node as usize, pe as usize);
+        for r in self.trail.drain(start..) {
+            let node = r.node as usize;
             if self.counts[node] == 0 && !self.placed[node] {
                 self.empty_unplaced -= 1;
             }
-            let words = self.sets.len() / self.counts.len();
-            set_bit(&mut self.sets[node * words..(node + 1) * words], pe);
-            self.counts[node] += 1;
+            self.sets[node * self.words + r.word as usize] |= r.cleared;
+            self.counts[node] += r.cleared.count_ones();
         }
         let ui = u as usize;
         self.placed[ui] = false;
@@ -439,11 +440,17 @@ impl CandidateState {
         self.empty_unplaced > 0
     }
 
+    /// The live candidate bitset of `u` (bit `p` set iff PE `p` is a
+    /// live candidate).
+    #[must_use]
+    pub fn live_set(&self, u: NodeId) -> &[u64] {
+        &self.sets[u.index() * self.words..(u.index() + 1) * self.words]
+    }
+
     /// True when `p` is a live candidate for `u`.
     #[must_use]
     pub fn is_candidate(&self, u: NodeId, p: PeId) -> bool {
-        let words = self.sets.len() / self.counts.len();
-        test_bit(&self.sets[u.index() * words..(u.index() + 1) * words], p.index())
+        test_bit(self.live_set(u), p.index())
     }
 
     /// Live candidate count of `u`.
@@ -451,25 +458,6 @@ impl CandidateState {
     pub fn candidate_count(&self, u: NodeId) -> u32 {
         self.counts[u.index()]
     }
-}
-
-/// Set bits of `a & b`, as indices.
-fn bits(a: &[u64], b: &[u64]) -> Vec<usize> {
-    a.iter()
-        .zip(b)
-        .enumerate()
-        .flat_map(|(w, (x, y))| {
-            let mut v = x & y;
-            std::iter::from_fn(move || {
-                if v == 0 {
-                    return None;
-                }
-                let bit = v.trailing_zeros() as usize;
-                v &= v - 1;
-                Some(w * 64 + bit)
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]

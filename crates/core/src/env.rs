@@ -12,7 +12,7 @@ use crate::mapping::{Mapping, Placement};
 use crate::problem::Problem;
 use crate::router::{route_edge, Route};
 use mapzero_arch::PeId;
-use mapzero_dfg::{NodeId, OpClass};
+use mapzero_dfg::{EdgeId, NodeId, OpClass};
 
 /// Penalty per routing conflict (§4.4: "each node placement causing a
 /// routing conflict introduces a penalty of −100").
@@ -145,44 +145,57 @@ impl<'a> MapEnv<'a> {
         self.ledger.slice_occupancy(slot)
     }
 
+    /// Word `k` of the legal-action bitset of node `u`: capable, functional
+    /// unit free in the node's modulo slice, and (on ADRES) memory bus
+    /// free.
+    fn legal_word(&self, u: NodeId, k: usize) -> u64 {
+        let slot = self.problem.schedule().modulo_slot(u);
+        let mut word = self.problem.capable(u)[k] & !self.ledger.fu_busy(slot)[k];
+        if let Some(rows) = self.problem.bus_rows() {
+            if self.problem.dfg().node(u).opcode.class() == OpClass::Memory {
+                for (row, pes) in rows.iter().enumerate() {
+                    if self.ledger.membus(row, slot).is_some() {
+                        word &= !pes[k];
+                    }
+                }
+            }
+        }
+        word
+    }
+
+    /// The action bitset of the current node (empty when done): the
+    /// legal actions, intersected with the live candidate set when
+    /// `search` is set and pruning is on. The legal actions pruned away
+    /// are counted as `search.prune.masked_actions`.
+    fn action_words(&self, search: bool) -> Vec<u64> {
+        let words = self.problem.words();
+        let Some(u) = self.current_node() else { return vec![0; words] };
+        let mut out: Vec<u64> = (0..words).map(|k| self.legal_word(u, k)).collect();
+        if let (true, Some(cands)) = (search, self.cands.as_ref()) {
+            let mut removed = 0u64;
+            for (w, live) in out.iter_mut().zip(cands.live_set(u)) {
+                removed += u64::from((*w & !live).count_ones());
+                *w &= live;
+            }
+            if removed > 0 {
+                mapzero_obs::counter!("search.prune.masked_actions", removed);
+            }
+        }
+        out
+    }
+
     /// The boolean action mask over PEs for the current node: capable,
     /// functional unit free in the node's modulo slice, and (on ADRES)
     /// memory bus free. All-false when done.
     #[must_use]
     pub fn action_mask(&self) -> Vec<bool> {
-        let cgra = self.problem.cgra();
-        let Some(u) = self.current_node() else {
-            return vec![false; cgra.pe_count()];
-        };
-        let op = self.problem.dfg().node(u).opcode;
-        let slot = self.problem.schedule().modulo_slot(u);
-        cgra.pe_ids()
-            .map(|p| {
-                if !cgra.pe(p).capability.supports(op) {
-                    return false;
-                }
-                if self.ledger.fu(p, slot).is_some() {
-                    return false;
-                }
-                if cgra.row_shared_mem_bus()
-                    && op.class() == OpClass::Memory
-                    && self.ledger.membus(cgra.pe(p).row, slot).is_some()
-                {
-                    return false;
-                }
-                true
-            })
-            .collect()
+        bool_mask(&self.action_words(false), self.problem.cgra().pe_count())
     }
 
     /// Legal actions as PE ids.
     #[must_use]
     pub fn legal_actions(&self) -> Vec<PeId> {
-        self.action_mask()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, ok)| ok.then_some(PeId(i as u32)))
-            .collect()
+        pe_ids(&self.action_words(false))
     }
 
     /// True when this environment carries live candidate sets (the
@@ -207,31 +220,24 @@ impl<'a> MapEnv<'a> {
     /// `search.prune.masked_actions`.
     #[must_use]
     pub fn search_mask(&self) -> Vec<bool> {
-        let mut mask = self.action_mask();
-        if let (Some(cands), Some(u)) = (self.cands.as_ref(), self.current_node()) {
-            let mut removed = 0u64;
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m && !cands.is_candidate(u, PeId(i as u32)) {
-                    *m = false;
-                    removed += 1;
-                }
-            }
-            if removed > 0 {
-                mapzero_obs::counter!("search.prune.masked_actions", removed);
-            }
-        }
-        mask
+        bool_mask(&self.action_words(true), self.problem.cgra().pe_count())
     }
 
     /// Legal actions restricted to the current node's live candidate
     /// set (equal to [`MapEnv::legal_actions`] without pruning).
     #[must_use]
     pub fn search_actions(&self) -> Vec<PeId> {
-        self.search_mask()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, ok)| ok.then_some(PeId(i as u32)))
-            .collect()
+        pe_ids(&self.action_words(true))
+    }
+
+    /// [`MapEnv::search_actions`] minus the PEs set in `banned` (a bitset
+    /// over PE ids), ascending.
+    pub(crate) fn search_actions_except(&self, banned: &[u64]) -> Vec<PeId> {
+        let mut words = self.action_words(true);
+        for (w, b) in words.iter_mut().zip(banned) {
+            *w &= !b;
+        }
+        pe_ids(&words)
     }
 
     /// Place the current node on `pe`, route every edge whose endpoints
@@ -243,7 +249,8 @@ impl<'a> MapEnv<'a> {
     pub fn step(&mut self, pe: PeId) -> StepOutcome {
         let u = self.current_node().expect("episode not done");
         assert!(
-            self.action_mask()[pe.index()],
+            pe.index() < self.problem.cgra().pe_count()
+                && self.legal_word(u, pe.index() / 64) & (1u64 << (pe.index() % 64)) != 0,
             "action {pe} is masked for node {u}"
         );
         let dfg = self.problem.dfg();
@@ -267,15 +274,18 @@ impl<'a> MapEnv<'a> {
             cands.on_place(map, u, pe, &self.placements);
         }
 
-        // Route all edges whose endpoints are now both placed.
+        // Route every edge whose endpoints are now both placed. Those
+        // are exactly the edges incident to `u` with the other end
+        // placed: every edge placed at both ends before this step was
+        // already routed or failed. Ascending edge index keeps the
+        // routing order of a full edge scan.
         let mut failed = 0usize;
         let mut cost = 0usize;
         let mut routed_edges = Vec::new();
         let mut failed_edges = Vec::new();
-        for (idx, e) in dfg.edges().enumerate() {
-            if self.routes[idx].is_some() || self.edge_failed[idx] {
-                continue;
-            }
+        for &idx in self.problem.incident_edges(u) {
+            let e = dfg.edge(EdgeId(idx as u32));
+            debug_assert!(self.routes[idx].is_none() && !self.edge_failed[idx]);
             let (Some(from), Some(to)) =
                 (self.placements[e.src.index()], self.placements[e.dst.index()])
             else {
@@ -347,6 +357,24 @@ impl<'a> MapEnv<'a> {
             .collect();
         Some(Mapping { ii: self.problem.ii(), placements, routes })
     }
+}
+
+/// A bitset over PE ids as a boolean mask of `pe_count` entries.
+fn bool_mask(words: &[u64], pe_count: usize) -> Vec<bool> {
+    (0..pe_count).map(|p| words[p / 64] & (1u64 << (p % 64)) != 0).collect()
+}
+
+/// The set bits of a bitset over PE ids, ascending.
+fn pe_ids(words: &[u64]) -> Vec<PeId> {
+    let mut out = Vec::with_capacity(words.iter().map(|w| w.count_ones() as usize).sum());
+    for (k, &word) in words.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            out.push(PeId((k * 64) as u32 + w.trailing_zeros()));
+            w &= w - 1;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -483,5 +511,66 @@ mod tests {
         let mut env = MapEnv::new(&problem);
         env.step(PeId(0));
         env.step(PeId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "is masked")]
+    fn stepping_out_of_range_pe_panics() {
+        let dfg = chain3();
+        let cgra = presets::simple_mesh(2, 2);
+        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
+        let mut env = MapEnv::new(&problem);
+        env.step(PeId(4));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// After any step/undo sequence, exactly the DFG edges with both
+        /// endpoints placed are routed or failed (never both). `step`
+        /// routes only the placed node's incident edges on the strength
+        /// of this invariant.
+        #[test]
+        fn exactly_the_edges_placed_at_both_ends_are_routed_or_failed(
+            nodes in 2usize..14,
+            extra in 0usize..8,
+            cycles in 0usize..3,
+            seed in proptest::any::<u64>(),
+            fabric in 0usize..3,
+            ops in proptest::collection::vec((0usize..64, 0usize..4), 0..32),
+        ) {
+            let dfg = mapzero_dfg::random::random_dfg(
+                "prop",
+                &mapzero_dfg::random::RandomDfgConfig {
+                    nodes,
+                    edges: nodes - 1 + extra,
+                    self_cycles: cycles,
+                    max_fanin: 3,
+                    seed,
+                },
+            );
+            let cgra = [presets::simple_mesh(3, 3), presets::adres(), presets::hycube()][fabric]
+                .clone();
+            let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()); };
+            let Ok(problem) = Problem::new(&dfg, &cgra, mii) else { return Ok(()); };
+            let mut env = MapEnv::new(&problem);
+            for (pick, op) in ops {
+                let legal = env.legal_actions();
+                if op == 0 || env.done() || legal.is_empty() {
+                    if env.undo().is_none() {
+                        break;
+                    }
+                } else {
+                    env.step(legal[pick % legal.len()]);
+                }
+                for (idx, e) in dfg.edges().enumerate() {
+                    let placed = env.placement(e.src).is_some() && env.placement(e.dst).is_some();
+                    let routed = env.routes[idx].is_some();
+                    let failed = env.edge_failed[idx];
+                    proptest::prop_assert!(!(routed && failed), "edge {idx} routed and failed");
+                    proptest::prop_assert_eq!(routed || failed, placed, "edge {}", idx);
+                }
+            }
+        }
     }
 }

@@ -33,6 +33,10 @@ pub struct Ledger {
     rows: usize,
     /// `fu[slot * pes + pe]` — the node computing there.
     fu: Vec<Option<NodeId>>,
+    /// Bitset words per slot in `fu_busy`.
+    words: usize,
+    /// `fu_busy[slot * words ..]` — bit `pe` set iff `fu` holds a node.
+    fu_busy: Vec<u64>,
     /// `reg[slot * pes + pe]` — the signal (producer node) parked there.
     reg: Vec<Option<NodeId>>,
     /// `switch[slot * pes + pe]` — the signal crossing there.
@@ -58,11 +62,14 @@ impl Ledger {
         let pes = cgra.pe_count();
         let rows = cgra.rows();
         let n = ii as usize * pes;
+        let words = pes.div_ceil(64);
         Ledger {
             ii,
             pes,
             rows,
             fu: vec![None; n],
+            words,
+            fu_busy: vec![0; ii as usize * words],
             reg: vec![None; n],
             switch: vec![None; n],
             membus: vec![None; ii as usize * rows],
@@ -93,6 +100,20 @@ impl Ledger {
         debug_assert!(slot < self.ii, "slot {slot} out of range for II {}", self.ii);
         debug_assert!(row < self.rows, "row {row} out of range for {} rows", self.rows);
         slot as usize * self.rows + row
+    }
+
+    /// Index into `fu_busy` of the word holding `(pe, slot)` (same
+    /// invariant as [`Ledger::idx`]).
+    fn busy_word(&self, pe: PeId, slot: u32) -> usize {
+        slot as usize * self.words + pe.index() / 64
+    }
+
+    /// Occupied functional units of a slot as a bitset (bit `pe` set iff
+    /// a node computes there).
+    #[must_use]
+    pub(crate) fn fu_busy(&self, slot: u32) -> &[u64] {
+        let start = slot as usize * self.words;
+        &self.fu_busy[start..start + self.words]
     }
 
     /// Occupant of a functional unit.
@@ -140,6 +161,8 @@ impl Ledger {
                     let i = self.idx(pe, slot);
                     if let Some(cell) = self.fu.get_mut(i) {
                         *cell = None;
+                        let w = self.busy_word(pe, slot);
+                        self.fu_busy[w] &= !(1u64 << (pe.index() % 64));
                     }
                 }
                 Resource::Reg { pe, slot } => {
@@ -175,6 +198,8 @@ impl Ledger {
         }
         *cell = Some(node);
         self.journal.push(Resource::Fu { pe, slot });
+        let w = self.busy_word(pe, slot);
+        self.fu_busy[w] |= 1u64 << (pe.index() % 64);
         true
     }
 

@@ -1,6 +1,6 @@
 //! A fully-specified mapping problem instance at a fixed II.
 
-use crate::candidates::CandidateMap;
+use crate::candidates::{capability_sets, row_sets, CandidateMap};
 use crate::mapping::MapError;
 use mapzero_arch::Cgra;
 use mapzero_dfg::{mii, modulo_schedule_at, Dfg, NodeId, Schedule, ScheduleError};
@@ -23,6 +23,14 @@ pub struct Problem<'a> {
     order: Vec<NodeId>,
     /// Precomputed per-node candidate sets (None on the unpruned path).
     candidates: Option<CandidateMap>,
+    /// Bitset words per PE set: `pe_count.div_ceil(64)`.
+    words: usize,
+    /// Per-node capability bitsets, node-major.
+    capable: Vec<u64>,
+    /// PEs per row, as bitsets, on row-shared-memory-bus fabrics.
+    bus_rows: Option<Vec<Vec<u64>>>,
+    /// Per-node incident DFG edge indices, ascending (a self-loop once).
+    incident: Vec<Vec<usize>>,
 }
 
 impl<'a> Problem<'a> {
@@ -46,7 +54,24 @@ impl<'a> Problem<'a> {
         let rank = dfg.topological_rank();
         let mut order: Vec<NodeId> = dfg.node_ids().collect();
         order.sort_by_key(|u| (schedule.time(*u), rank[u.index()]));
-        Ok(Problem { dfg, cgra, schedule, order, candidates: None })
+        let mut incident: Vec<Vec<usize>> = vec![Vec::new(); dfg.node_count()];
+        for (idx, e) in dfg.edges().enumerate() {
+            incident[e.src.index()].push(idx);
+            if e.dst != e.src {
+                incident[e.dst.index()].push(idx);
+            }
+        }
+        Ok(Problem {
+            dfg,
+            cgra,
+            schedule,
+            order,
+            candidates: None,
+            words: cgra.pe_count().div_ceil(64),
+            capable: capability_sets(dfg, cgra),
+            bus_rows: cgra.row_shared_mem_bus().then(|| row_sets(cgra)),
+            incident,
+        })
     }
 
     /// Attach precomputed candidate sets (the space/time-decoupled
@@ -124,6 +149,26 @@ impl<'a> Problem<'a> {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.dfg.node_count()
+    }
+
+    /// Bitset words per PE set.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// PEs whose functional unit supports `u`'s opcode, as a bitset.
+    pub(crate) fn capable(&self, u: NodeId) -> &[u64] {
+        &self.capable[u.index() * self.words..(u.index() + 1) * self.words]
+    }
+
+    /// PEs per row as bitsets when memory ops of a row share one bus.
+    pub(crate) fn bus_rows(&self) -> Option<&[Vec<u64>]> {
+        self.bus_rows.as_deref()
+    }
+
+    /// Indices of the DFG edges incident to `u`, ascending.
+    pub(crate) fn incident_edges(&self, u: NodeId) -> &[usize] {
+        &self.incident[u.index()]
     }
 }
 

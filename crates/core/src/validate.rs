@@ -267,11 +267,13 @@ fn check_circuit_route(
         return Ok(());
     }
 
-    // Segment the route: hold registers, then switches, then park
-    // registers. Any other interleaving is not a circuit-switched route.
+    // Segment the route: hold registers at the producer, then switches,
+    // then park registers. A direct-neighbour route crosses no switch,
+    // so the hold segment ends at the first register elsewhere. Any
+    // other interleaving is not a circuit-switched route.
     let hold = route
         .iter()
-        .take_while(|h| matches!(h, RouteHop::Register { .. }))
+        .take_while(|h| matches!(h, RouteHop::Register { pe, .. } if *pe == from.pe))
         .count();
     let cross = route[hold..]
         .iter()
@@ -283,10 +285,7 @@ fn check_circuit_route(
 
     // Hold at the producer: cycles t_src+1 ..= t_dep.
     for (k, hop) in route[..hold].iter().enumerate() {
-        let RouteHop::Register { pe, slot } = hop else { unreachable!() };
-        if *pe != from.pe {
-            return Err(format!("hold segment strays to {pe}"));
-        }
+        let RouteHop::Register { slot, .. } = hop else { unreachable!() };
         let want = (from.time + 1 + k as u32) % ii;
         if *slot != want {
             return Err(format!("hold hop {k} at slot {slot}, schedule requires {want}"));
@@ -426,6 +425,67 @@ mod tests {
                 .unwrap();
         let m = Mapping { ii, placements, routes: vec![r.hops] };
         assert_eq!(check_mapping(&dfg, &cgra, &m, ii), Ok(()));
+    }
+
+    #[test]
+    fn circuit_switched_register_between_hold_and_park_rejected() {
+        // pe0 -> pe1 holds at the producer and parks at the consumer;
+        // a register at a third PE in between is no circuit-switched
+        // route.
+        let dfg = tiny();
+        let cgra = presets::hycube();
+        let m = Mapping {
+            ii: 4,
+            placements: vec![
+                Placement { pe: PeId(0), time: 0 },
+                Placement { pe: PeId(1), time: 3 },
+            ],
+            routes: vec![vec![
+                RouteHop::Register { pe: PeId(0), slot: 1 },
+                RouteHop::Register { pe: PeId(5), slot: 2 },
+                RouteHop::Register { pe: PeId(1), slot: 3 },
+            ]],
+        };
+        let errs = check_mapping(&dfg, &cgra, &m, 4).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("strays to pe5")), "{errs:?}");
+    }
+
+    /// HyCube kernels whose direct-neighbour routes cross no switch
+    /// (hold registers straight into park registers) validate when
+    /// compiled with the quick benchmark configuration.
+    #[test]
+    fn hycube_direct_neighbour_routes_validate() {
+        use crate::agent::AgentConfig;
+        use crate::compiler::{Compiler, MapZeroConfig};
+        use crate::mcts::MctsConfig;
+        use crate::network::NetConfig;
+        let config = MapZeroConfig {
+            net: NetConfig::tiny(),
+            agent: AgentConfig {
+                mcts: MctsConfig {
+                    simulations: 24,
+                    expansion_cap: 32,
+                    playout_step_limit: 96,
+                    ..MctsConfig::default()
+                },
+                backtrack_budget: 2_000_000,
+                mcts_backtrack_cutoff: 256,
+                ..AgentConfig::default()
+            },
+            attempts_per_ii: 2,
+            pretrain: None,
+            ..MapZeroConfig::fast_test()
+        };
+        let cgra = presets::hycube();
+        for name in ["matmul", "mults1"] {
+            let dfg = mapzero_dfg::suite::by_name(name).expect("suite kernel");
+            let mut compiler = Compiler::new(config);
+            let report = compiler
+                .map_with_limit(&dfg, &cgra, std::time::Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("{name} maps on HyCube: {e:?}"));
+            let mapping = report.mapping.expect("a mapping");
+            assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()), "{name}");
+        }
     }
 
     #[test]

@@ -62,6 +62,11 @@ bench-batch:
     cargo run --release -p mapzero-bench --bin hotpath
     @python3 -c "import json; rows = json.load(open('results/BENCH_hotpath.json'))['batch_scaling']; print('batch  pred/s   vs scalar'); [print(f\"{int(r['batch']):>5}  {r['predictions_per_sec']:>7.0f}  {r['speedup_vs_scalar']:>8.2f}x\") for r in rows]"
 
+# Performance ledger: end-to-end metrics of one workload (table2_mid,
+# fig13_16x16, serve_mixed or pretrain_hrea) at seed 1.
+ledger W:
+    cargo run --quiet --release --offline --manifest-path perf_ledger/Cargo.toml --bin perf_ledger -- --workload {{W}} --seed 1
+
 # Regenerate every paper table/figure (quick mode).
 figures:
     cargo run --release -p mapzero-bench --bin run_all

@@ -204,6 +204,9 @@ for tier in tiers:
 print(f"serve bench smoke: OK ({len(tiers)} tiers)")
 PY
 
+echo "==> perf ledger suite (unit tests, smoke runs, traced-replay count check)"
+cargo test --offline --manifest-path perf_ledger/Cargo.toml
+
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 

@@ -1,11 +1,14 @@
-//! Candidate-pruning invariants (DESIGN.md §13): the pruned action
-//! mask is always a subset of the legal mask, forward-checking restore
-//! is exact across undo, mappings found with pruning on are valid, the
-//! fail-first order is deterministic, and pruning never loses a
-//! Table-2 kernel at equal budget.
+//! Candidate-pruning invariants (DESIGN.md §13): the action and pruned
+//! masks match a per-PE oracle along any step/undo walk (so the pruned
+//! mask is a subset of the legal mask and undo restores it exactly),
+//! mappings found with pruning on are valid, the fail-first order is
+//! deterministic, and pruning never loses a Table-2 kernel at equal
+//! budget.
 
+use mapzero::arch::RoutingStyle;
 use mapzero::core::validate;
-use mapzero::core::MapEnv;
+use mapzero::core::{MapEnv, Placement};
+use mapzero::dfg::Edge;
 use mapzero::dfg::random::{random_dfg, RandomDfgConfig};
 use mapzero::prelude::*;
 use proptest::prelude::*;
@@ -30,43 +33,52 @@ fn dfg_strategy() -> impl Strategy<Value = Dfg> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Along any pruned episode, the search mask is a subset of the
-    /// legal mask, and a step+undo round trip restores it bit-for-bit
-    /// (the trail/restore contract that keeps the prediction cache
-    /// sound).
+    /// Along random step/undo walks on one- and multi-word fabrics
+    /// (ragged last word, row bus, circuit-switched crossbar), the
+    /// action and search masks and their PE lists equal a per-PE
+    /// oracle recomputed from scratch from the placement set, and so
+    /// does the doomed flag. The live sets are therefore a pure function
+    /// of the placement set, which keeps the prediction cache sound, and
+    /// the pruned mask is a subset of the legal mask.
     #[test]
     fn pruned_mask_is_subset_and_restores_exactly(
         dfg in dfg_strategy(),
-        choices in proptest::collection::vec(0usize..64, 0..24),
+        fabric in 0usize..6,
+        ops in proptest::collection::vec((0usize..64, 0usize..4), 0..24),
     ) {
-        let cgra = presets::simple_mesh(4, 4);
+        let cgra = [
+            presets::simple_mesh(4, 4),
+            presets::simple_mesh(9, 9),
+            presets::adres(),
+            presets::baseline16(),
+            presets::hycube(),
+            presets::heterogeneous(),
+        ][fabric].clone();
         let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()); };
         let Ok(problem) = Problem::new(&dfg, &cgra, mii) else { return Ok(()); };
         let problem = problem.with_candidate_pruning();
+        let oracle = Oracle::new(&problem);
         let mut env = MapEnv::new(&problem);
-        for pick in choices {
-            if env.done() || env.doomed() {
-                break;
+        for (pick, op) in ops {
+            let (legal, live) = oracle.masks(&env);
+            let search: Vec<bool> = legal.iter().zip(&live).map(|(l, c)| *l && *c).collect();
+            prop_assert_eq!(env.action_mask(), legal.clone());
+            prop_assert_eq!(env.search_mask(), search.clone());
+            let ids = |mask: &[bool]| -> Vec<PeId> {
+                (0..mask.len()).filter(|&p| mask[p]).map(|p| PeId(p as u32)).collect()
+            };
+            let (legal_ids, search_ids) = (ids(&legal), ids(&search));
+            prop_assert_eq!(env.legal_actions(), legal_ids.clone());
+            prop_assert_eq!(env.search_actions(), search_ids.clone());
+            prop_assert_eq!(env.doomed(), oracle.doomed(&env));
+            let pool = if search_ids.is_empty() { legal_ids } else { search_ids };
+            if op == 0 || env.done() || pool.is_empty() {
+                if env.undo().is_none() {
+                    break;
+                }
+            } else {
+                env.step(pool[pick % pool.len()]);
             }
-            let legal = env.legal_actions();
-            let search_mask = env.search_mask();
-            let search = env.search_actions();
-            // Subset: every pruned-mask bit is a legal-mask bit.
-            let mask = env.action_mask();
-            for (i, &s) in search_mask.iter().enumerate() {
-                prop_assert!(!s || mask[i], "pruned mask keeps illegal PE {i}");
-            }
-            prop_assert!(search.len() <= legal.len());
-            if search.is_empty() {
-                break;
-            }
-            // Step + undo restores the mask exactly.
-            let probe = search[pick % search.len()];
-            env.step(probe);
-            env.undo();
-            prop_assert_eq!(env.search_mask(), search_mask);
-            prop_assert_eq!(env.doomed(), false);
-            env.step(probe);
         }
     }
 
@@ -102,6 +114,90 @@ proptest! {
                 "pruned walk produced an invalid mapping"
             );
         }
+    }
+}
+
+/// Per-PE restatement of the action mask and the forward-checked live
+/// candidate sets, from public accessors only: the static candidate
+/// sets, the schedule, hop distances and the current placements.
+struct Oracle<'p> {
+    problem: &'p Problem<'p>,
+    hops: Vec<Vec<Option<u32>>>,
+}
+
+impl<'p> Oracle<'p> {
+    fn new(problem: &'p Problem<'p>) -> Self {
+        Oracle { problem, hops: mapzero::arch::analysis::shortest_paths(problem.cgra()) }
+    }
+
+    fn on_bus(&self, u: NodeId) -> bool {
+        self.problem.cgra().row_shared_mem_bus()
+            && self.problem.dfg().node(u).opcode.class() == OpClass::Memory
+    }
+
+    /// `u` on `p` clashes with a placed node: same modulo slot and
+    /// either the same PE or, for two memory ops, the same row bus.
+    fn clashes(&self, u: NodeId, p: PeId, placements: &[Option<Placement>]) -> bool {
+        let schedule = self.problem.schedule();
+        let row = |pe: PeId| self.problem.cgra().pe(pe).row;
+        self.problem.dfg().node_ids().any(|w| {
+            placements[w.index()].is_some_and(|q| {
+                schedule.modulo_slot(w) == schedule.modulo_slot(u)
+                    && (q.pe == p || (self.on_bus(u) && self.on_bus(w) && row(q.pe) == row(p)))
+            })
+        })
+    }
+
+    /// Legal: capable and no clash.
+    fn legal(&self, u: NodeId, p: PeId, placements: &[Option<Placement>]) -> bool {
+        self.problem.cgra().pe(p).capability.supports(self.problem.dfg().node(u).opcode)
+            && !self.clashes(u, p, placements)
+    }
+
+    /// Live: a static candidate, no clash, and every DFG edge between
+    /// `u` and a placed node within its hop bound (`hops ≤ slack` on
+    /// registered fabrics, reachable on crossbars).
+    fn live(&self, u: NodeId, p: PeId, placements: &[Option<Placement>]) -> bool {
+        let schedule = self.problem.schedule();
+        let circuit = self.problem.cgra().style() == RoutingStyle::CircuitSwitched;
+        let within_bound = |e: &Edge| {
+            let (from, to) = match (e.src == u, e.dst == u) {
+                (true, false) => match placements[e.dst.index()] {
+                    Some(q) => (p, q.pe),
+                    None => return true,
+                },
+                (false, true) => match placements[e.src.index()] {
+                    Some(q) => (q.pe, p),
+                    None => return true,
+                },
+                _ => return true,
+            };
+            let slack = schedule.time(e.dst) + e.dist * self.problem.ii() - schedule.time(e.src);
+            self.hops[from.index()][to.index()].is_some_and(|d| circuit || d <= slack)
+        };
+        self.problem.candidates().expect("pruned problem").is_candidate(u, p)
+            && !self.clashes(u, p, placements)
+            && self.problem.dfg().edges().all(within_bound)
+    }
+
+    /// `(legal, live)` masks of the current node (all-false when done).
+    fn masks(&self, env: &MapEnv<'_>) -> (Vec<bool>, Vec<bool>) {
+        let pes = (0..self.problem.cgra().pe_count()).map(|p| PeId(p as u32));
+        let Some(u) = env.current_node() else {
+            return (pes.clone().map(|_| false).collect(), pes.map(|_| false).collect());
+        };
+        (
+            pes.clone().map(|p| self.legal(u, p, env.placements())).collect(),
+            pes.map(|p| self.live(u, p, env.placements())).collect(),
+        )
+    }
+
+    /// Some unplaced node has no live candidate left.
+    fn doomed(&self, env: &MapEnv<'_>) -> bool {
+        let pes = self.problem.cgra().pe_count();
+        self.problem.dfg().node_ids().filter(|u| env.placement(*u).is_none()).any(|u| {
+            !(0..pes).any(|p| self.live(u, PeId(p as u32), env.placements()))
+        })
     }
 }
 
