@@ -1,11 +1,12 @@
-//! Inference hot-path benchmark: the tape-free forward + DFG-branch
-//! memo + MCTS prediction cache against their naive counterparts.
+//! Inference hot-path benchmark: the tape-free forward + MCTS
+//! prediction cache against their naive counterparts.
 //!
 //! Three measurements:
 //!
 //! 1. **Prediction throughput** — `predict_reference` (autodiff tape,
-//!    per-op allocations) vs `predict` (InferCtx scratch reuse, memoized
-//!    DFG branch) on a fixed observation, in predictions/second.
+//!    per-op allocations) vs `predict` (InferCtx scratch reuse, fused
+//!    message passing over a reused CSR index) on a fixed observation,
+//!    in predictions/second.
 //! 2. **Batched leaf evaluation scaling** — `predict_batch` at batch
 //!    sizes 1/4/8/16 against the one-at-a-time scalar path over
 //!    distinct episode states (the MCTS leaf workload). Each batch size
@@ -17,10 +18,10 @@
 //!    a workload kernel, with the MCTS prediction cache off vs on.
 //!
 //! Results land in `results/BENCH_hotpath.json` with the run's metric
-//! deltas (including the `search.predict_cache.{hit,miss}` and
-//! `nn.dfg_embed.{hit,miss}` counters) plus the `batch_scaling` table
-//! and `batch8_speedup`, so `scripts/ci.sh` can schema-check the file
-//! and flag throughput regressions against the committed baseline.
+//! deltas (including the `search.predict_cache.{hit,miss}` counters)
+//! plus the `batch_scaling` table and `batch8_speedup`, so
+//! `scripts/ci.sh` can schema-check the file and flag throughput
+//! regressions against the committed baseline.
 
 use mapzero_bench::{BenchMode, Harness};
 use mapzero_core::embed::observe;
@@ -37,7 +38,7 @@ fn median(xs: &mut [f64]) -> f64 {
 
 /// Run `f` repeatedly for at least `budget`, returning calls/second.
 fn throughput(budget: Duration, mut f: impl FnMut()) -> f64 {
-    // Warm-up: fill scratch buffers / memo so steady state is measured.
+    // Warm-up: fill scratch buffers and indices so steady state is measured.
     f();
     let started = Instant::now();
     let mut calls = 0u64;
@@ -74,7 +75,7 @@ fn main() {
     let ref_rate = throughput(budget, || {
         std::hint::black_box(net.predict_reference(&obs));
     });
-    h.progress("measuring predict (tape-free + memo)");
+    h.progress("measuring predict (tape-free)");
     let fast_rate = throughput(budget, || {
         std::hint::black_box(net.predict(&obs));
     });
@@ -88,9 +89,8 @@ fn main() {
 
     // --- 2. Batched leaf evaluation scaling --------------------------
     // The MCTS leaf workload: distinct mid-episode states of one
-    // problem (so the DFG memo never short-circuits the comparison —
-    // real leaves all differ in placement). The scalar arm is the
-    // pre-batching configuration — scalar kernels (`SimdKind::Scalar`,
+    // problem (real leaves all differ in placement). The scalar arm is
+    // the pre-batching configuration — scalar kernels (`SimdKind::Scalar`,
     // libm tanh, sequential reductions), one `predict` per leaf. The
     // batched arm is this PR's configuration — SIMD kernels
     // (`SimdKind::Lanes8`) plus `predict_batch` over K leaves. Kernel

@@ -96,7 +96,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Streaming FNV-1a 64 — the incremental form of [`fnv1a64`], used by
-/// the inference hot path to key prediction/embedding caches without
+/// the inference hot path to key prediction caches without
 /// first serializing the state into a byte buffer.
 #[derive(Debug, Clone)]
 pub(crate) struct Fnv64(u64);
@@ -119,10 +119,6 @@ impl Fnv64 {
 
     pub(crate) fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
-    }
-
-    pub(crate) fn write_f32(&mut self, v: f32) {
-        self.write_bytes(&v.to_bits().to_le_bytes());
     }
 
     pub(crate) fn finish(&self) -> u64 {

@@ -71,7 +71,7 @@ pub use failpoint::{FailAction, FailScope};
 pub use env::{MapEnv, StepOutcome};
 pub use mapping::{MapError, MapReport, Mapper, Mapping, PartialMapStats, Placement};
 pub use mcts::{Mcts, MctsConfig, PredictCache};
-pub use network::{DfgEmbedding, MapZeroNet, NetConfig, Prediction};
+pub use network::{MapZeroNet, NetConfig, Prediction};
 pub use problem::Problem;
 pub use supervise::Budget;
 pub use train::{TrainConfig, TrainError, Trainer, TrainingMetrics};

@@ -9,9 +9,11 @@
 //! across forward passes, so a warmed-up context runs the whole network
 //! without touching the allocator.
 //!
-//! Every op here is **bit-identical** to its tape counterpart: the same
-//! accumulation order, the same zero-skips, the same clamping. The
-//! proptests in `tests/proptest_hotpath.rs` and the layer equivalence
+//! Every op here is **bit-identical** to its tape counterpart (or, for
+//! the fused message passes, to the tape op chain it replaces): the
+//! same accumulation order, the same zero-skips, the same clamping. The
+//! proptests in `tests/proptest_hotpath.rs`,
+//! `crates/nn/tests/message_passing_oracle.rs` and the equivalence
 //! tests below hold the two paths equal, so the Graph forward remains
 //! the single source of truth for numerics.
 //!
@@ -32,9 +34,7 @@ pub struct BufId(usize);
 pub struct InferCtx {
     slots: Vec<Matrix>,
     used: usize,
-    seg_max: Vec<f32>,
-    seg_sum: Vec<f32>,
-    seg_exp: Vec<f32>,
+    /// Per-message attention scores of the current GAT head.
     edge_scratch: Vec<f32>,
 }
 
@@ -125,12 +125,6 @@ impl InferCtx {
         out
     }
 
-    /// `a += b` element-wise, in place.
-    pub fn add_assign(&mut self, a: BufId, b: BufId) {
-        let (av, bv) = self.pair_mut(a, b);
-        av.add_assign(bv);
-    }
-
     /// Broadcast-add a `1 x c` bias onto every row of `x`, in place.
     ///
     /// # Panics
@@ -157,196 +151,11 @@ impl InferCtx {
         crate::simd::tanh_map(self.slots[x.0].data_mut());
     }
 
-    /// Leaky ReLU in place.
-    pub fn leaky_relu(&mut self, x: BufId, slope: f32) {
-        self.slots[x.0].map_assign(|v| if v >= 0.0 { v } else { slope * v });
-    }
-
-    /// `out[i] = a[idx[i]]` into a fresh slot.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range or `idx` is empty.
-    pub fn gather_rows(&mut self, a: BufId, idx: &[usize]) -> BufId {
-        assert!(!idx.is_empty(), "gather needs at least one index");
-        let cols = self.slots[a.0].cols();
-        let out = self.alloc(idx.len(), cols);
-        let (o, av) = self.pair_mut(out, a);
-        if cols == 1 {
-            // Column gather (the attention-score broadcast): plain
-            // indexed loads instead of one `memcpy` call per element.
-            let src = av.data();
-            for (v, &i) in o.data_mut().iter_mut().zip(idx) {
-                *v = src[i];
-            }
-            return out;
-        }
-        for (r, &i) in idx.iter().enumerate() {
-            assert!(i < av.rows(), "gather index {i} out of range");
-            o.row_slice_mut(r).copy_from_slice(av.row_slice(i));
-        }
-        out
-    }
-
-    /// `out[r] = Σ_{i: idx[i]==r} a[i]` into a fresh `rows x c` slot.
-    ///
-    /// # Panics
-    /// Panics if `idx.len() != a.rows()` or any index ≥ `rows`.
-    pub fn scatter_add_rows(&mut self, a: BufId, idx: &[usize], rows: usize) -> BufId {
-        assert_eq!(idx.len(), self.slots[a.0].rows(), "one target per input row");
-        let cols = self.slots[a.0].cols();
-        let out = self.alloc(rows, cols);
-        let (o, av) = self.pair_mut(out, a);
-        for (i, &r) in idx.iter().enumerate() {
-            assert!(r < rows, "scatter index {r} out of range");
-            for (v, &x) in o.row_slice_mut(r).iter_mut().zip(av.row_slice(i)) {
-                *v += x;
-            }
-        }
-        out
-    }
-
-    /// Fused attention aggregation into a fresh `rows x c` slot:
-    /// `out[dst[e]] += alpha[e] * a[src[e]]` for each edge `e` in
-    /// ascending order.
-    ///
-    /// Bit-identical to the composed `gather_rows(a, src)` →
-    /// `col_mul(alpha, msgs)` → `scatter_add_rows(msgs, dst, rows)` —
-    /// the same per-element product, the same destination accumulation
-    /// order — without materializing the `E x c` message matrix. The
-    /// composed form costs two extra full passes of `E x c` memory
-    /// traffic plus a `memcpy` per edge, which profiling puts among the
-    /// top costs of the batched forward.
-    ///
-    /// # Panics
-    /// Panics unless `alpha` is an `E x 1` column with one weight per
-    /// `src`/`dst` pair and every index is in range.
-    pub fn scatter_weighted_rows(
-        &mut self,
-        alpha: BufId,
-        a: BufId,
-        src: &[usize],
-        dst: &[usize],
-        rows: usize,
-    ) -> BufId {
-        assert_eq!(src.len(), dst.len(), "one (src, dst) pair per edge");
-        {
-            let av = &self.slots[alpha.0];
-            assert_eq!(av.cols(), 1, "alpha must be a column");
-            assert_eq!(av.rows(), src.len(), "one weight per edge");
-        }
-        // Stash the weights so `out` and `a` can be split-borrowed.
-        let mut weights = std::mem::take(&mut self.edge_scratch);
-        weights.clear();
-        weights.extend_from_slice(self.slots[alpha.0].data());
-        let cols = self.slots[a.0].cols();
-        let in_rows = self.slots[a.0].rows();
-        let out = self.alloc(rows, cols);
-        let (o, av) = self.pair_mut(out, a);
-        // Each edge is one axpy row update (`out_row += w · src_row`) —
-        // the same product-then-add per element as the composed ops.
-        match crate::simd::kind() {
-            crate::simd::SimdKind::Scalar => {
-                for (e, (&s, &d)) in src.iter().zip(dst).enumerate() {
-                    assert!(s < in_rows, "gather index {s} out of range");
-                    assert!(d < rows, "scatter index {d} out of range");
-                    crate::simd::axpy_scalar(o.row_slice_mut(d), weights[e], av.row_slice(s));
-                }
-            }
-            crate::simd::SimdKind::Lanes8 => {
-                // Whole loop in `simd` so it gets one AVX2 dispatch per
-                // call; out-of-range indices panic on the slice bounds.
-                crate::simd::scatter_axpy_lanes8(o.data_mut(), cols, av.data(), &weights, src, dst);
-            }
-        }
-        self.edge_scratch = weights;
-        out
-    }
-
-    /// Per-segment softmax over an `E x 1` column, in place; same
-    /// numerics as [`crate::Graph::segment_softmax`].
-    ///
-    /// # Panics
-    /// Panics if `a` is not a column or `seg.len() != a.rows()`.
-    pub fn segment_softmax(&mut self, a: BufId, seg: &[usize]) {
-        let va = &self.slots[a.0];
-        assert_eq!(va.cols(), 1, "segment softmax expects a column");
-        assert_eq!(seg.len(), va.rows(), "one segment id per row");
-        let nseg = seg.iter().copied().max().map_or(0, |m| m + 1);
-        self.seg_max.clear();
-        self.seg_max.resize(nseg, f32::NEG_INFINITY);
-        for (i, &s) in seg.iter().enumerate() {
-            self.seg_max[s] = self.seg_max[s].max(va[(i, 0)]);
-        }
-        self.seg_sum.clear();
-        self.seg_sum.resize(nseg, 0.0);
-        self.seg_exp.clear();
-        self.seg_exp.extend(seg.iter().enumerate().map(|(i, &s)| va[(i, 0)] - self.seg_max[s]));
-        // Shifted numerators through the dispatched exp kernel (the
-        // tape path routes through the same one, keeping the softmaxes
-        // bit-identical per kind); per-segment sums stay sequential.
-        crate::simd::exp_neg_map(&mut self.seg_exp);
-        for (&e, &s) in self.seg_exp.iter().zip(seg) {
-            self.seg_sum[s] += e;
-        }
-        let va = &mut self.slots[a.0];
-        for (i, &s) in seg.iter().enumerate() {
-            va[(i, 0)] = self.seg_exp[i] / self.seg_sum[s].max(f32::MIN_POSITIVE);
-        }
-    }
-
-    /// Multiply every row of `x` by the matching entry of the `r x 1`
-    /// column slot, in place on `x`.
-    ///
-    /// # Panics
-    /// Panics unless `col` is a column of `x`'s height.
-    pub fn col_mul(&mut self, col: BufId, x: BufId) {
-        let (xv, cv) = self.pair_mut(x, col);
-        assert_eq!(cv.cols(), 1, "col must be a column vector");
-        assert_eq!(cv.rows(), xv.rows(), "column length mismatch");
-        for r in 0..xv.rows() {
-            let k = cv[(r, 0)];
-            for v in xv.row_slice_mut(r) {
-                *v *= k;
-            }
-        }
-    }
-
-    /// Multiply every row of `x` by the matching external scale, in
-    /// place (used for GCN degree normalization).
-    ///
-    /// # Panics
-    /// Panics unless `scales.len() == x.rows()`.
-    pub fn col_mul_slice(&mut self, x: BufId, scales: &[f32]) {
-        let xv = &mut self.slots[x.0];
-        assert_eq!(scales.len(), xv.rows(), "column length mismatch");
-        for (r, &k) in scales.iter().enumerate() {
-            for v in xv.row_slice_mut(r) {
-                *v *= k;
-            }
-        }
-    }
-
-    /// Mean over rows into a fresh `1 x c` slot; same accumulation
-    /// order as [`crate::Graph::mean_rows`].
-    pub fn mean_rows(&mut self, a: BufId) -> BufId {
-        let cols = self.slots[a.0].cols();
-        let out = self.alloc(1, cols);
-        let (o, av) = self.pair_mut(out, a);
-        let n = av.rows() as f32;
-        for r in 0..av.rows() {
-            for (v, &x) in o.row_slice_mut(0).iter_mut().zip(av.row_slice(r)) {
-                *v += x / n;
-            }
-        }
-        out
-    }
-
     /// Per-group mean over rows into a fresh `groups x c` slot: row `g`
     /// is the mean of the `rows/groups` consecutive input rows of group
-    /// `g`. With `groups == 1` this is bit-identical to
-    /// [`InferCtx::mean_rows`] (same ascending-row `x / n`
-    /// accumulation), which keeps the batched forward's per-graph
-    /// pooling bit-identical to the single-graph pooling.
+    /// `g`, accumulated as ascending-row `x / n` exactly like
+    /// [`crate::Graph::mean_rows`] — so each group of the batched
+    /// forward pools bit-identically to the single-graph tape pass.
     ///
     /// # Panics
     /// Panics unless `groups` divides the row count.
@@ -383,6 +192,102 @@ impl InferCtx {
         let (o, bv) = self.pair_mut(out, b);
         for r in 0..ra {
             o.row_slice_mut(r)[ca..].copy_from_slice(bv.row_slice(r));
+        }
+        out
+    }
+
+    /// Allocate a zeroed `rows x cols` slot, for ops that fill it in
+    /// column blocks ([`InferCtx::gat_aggregate`]).
+    pub fn zeros(&mut self, rows: usize, cols: usize) -> BufId {
+        self.alloc(rows, cols)
+    }
+
+    /// One GAT head's message pass (Eqs. 6–7), before the output
+    /// nonlinearity, written into columns `col..col + d` of `out`
+    /// (zero there on entry): per destination `v`, the scores
+    /// `LeakyReLU(score_dst[v] + score_src[u])` over its in-edges are
+    /// softmax-normalized and `Σ α_uv · hw[u]` is accumulated. Writing
+    /// each head into its block of one layer output is the tape's
+    /// per-head `concat_cols`, without the copies.
+    ///
+    /// `hw` (`rows x d`) and the `rows x 1` score columns hold one or
+    /// more stacked copies of `index`'s graph (`rows` a multiple of
+    /// `index.n()`); each copy runs over the same index with its own
+    /// row offset. Bit-identical per copy to the tape chain
+    /// `gather_rows` → `add` → `leaky_relu` → `segment_softmax` →
+    /// `col_mul` → `scatter_add_rows` under either [`crate::simd::SimdKind`]:
+    /// the CSR keeps every destination's messages in ascending edge
+    /// order, so each output element sees the same operations on the
+    /// same values in the same order. See [`crate::simd::gat_aggregate`].
+    ///
+    /// # Panics
+    /// Panics on shape mismatches, if `rows` is not a positive multiple
+    /// of the index's node count, or if `out` aliases an input.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gat_aggregate(
+        &mut self,
+        hw: BufId,
+        score_dst: BufId,
+        score_src: BufId,
+        index: &MessageIndex,
+        slope: f32,
+        out: BufId,
+        col: usize,
+    ) {
+        assert!(
+            out.0 < self.used && ![hw, score_dst, score_src].contains(&out),
+            "bad output slot"
+        );
+        let mut o = std::mem::take(&mut self.slots[out.0]);
+        let hwv = &self.slots[hw.0];
+        let (sd, ss) = (&self.slots[score_dst.0], &self.slots[score_src.0]);
+        let (rows, d) = (hwv.rows(), hwv.cols());
+        index.check_rows(rows);
+        assert!(sd.data().len() == rows && ss.data().len() == rows, "one score per node row");
+        assert!(o.rows() == rows && col + d <= o.cols(), "output block out of bounds");
+        let stride = o.cols();
+        crate::simd::gat_aggregate(
+            o.data_mut(),
+            stride,
+            col,
+            hwv.data(),
+            d,
+            (sd.data(), ss.data()),
+            index,
+            slope,
+            &mut self.edge_scratch,
+        );
+        self.slots[out.0] = o;
+    }
+
+    /// Degree-normalized neighbourhood sum into a fresh `rows x c`
+    /// slot: `out[v] = (Σ_{u→v} x[u]) · inv_deg[v]` over `index`'s
+    /// CSR (self-loops included), per stacked copy like
+    /// [`InferCtx::gat_aggregate`]. Bit-identical per copy to the tape
+    /// chain `gather_rows` → `scatter_add_rows` → `col_mul`.
+    ///
+    /// # Panics
+    /// Panics if `rows` is not a positive multiple of the index's node
+    /// count.
+    pub fn gcn_aggregate(&mut self, x: BufId, index: &MessageIndex) -> BufId {
+        let (rows, c) = (self.slots[x.0].rows(), self.slots[x.0].cols());
+        index.check_rows(rows);
+        let out = self.alloc(rows, c);
+        let (o, xv) = self.pair_mut(out, x);
+        let n = index.n();
+        for base in (0..rows).step_by(n) {
+            for v in 0..n {
+                let orow = o.row_slice_mut(base + v);
+                for &u in index.in_sources(v) {
+                    for (acc, &m) in orow.iter_mut().zip(xv.row_slice(base + u)) {
+                        *acc += m;
+                    }
+                }
+                let k = index.inv_deg[v];
+                for acc in orow {
+                    *acc *= k;
+                }
+            }
         }
         out
     }
@@ -441,17 +346,24 @@ pub fn log_softmax_masked_fused_into(logits: &[f32], mask: &[bool], out: &mut Ve
     );
 }
 
-/// Precomputed message routing for one graph: the `(src, dst)` index
-/// columns with self-loops appended — exactly what
-/// [`crate::GatLayer::forward`] rebuilds on every tape pass — plus the
-/// inverse in-degrees [`crate::GcnLayer`] normalizes by. Rebuilt in
-/// place so the per-problem index vectors are allocated once.
+/// Precomputed message routing for one graph, in compressed sparse
+/// row (CSR) form grouped by destination: the messages are the
+/// `(src, dst)` edges with one self-loop per node appended — exactly
+/// what [`crate::GatLayer::forward`] rebuilds on every tape pass — and
+/// node `v`'s in-sources are `sources[offsets[v]..offsets[v + 1]]`, in
+/// ascending message order (its in-edges in edge-list order, then its
+/// self-loop). Also carries the inverse in-degrees [`crate::GcnLayer`]
+/// normalizes by.
+///
+/// [`MessageIndex::rebuild`] keeps the index while the edge list and
+/// node count are unchanged, so a search that queries one problem's
+/// graphs over and over builds each index once.
 #[derive(Debug, Default, Clone)]
 pub struct MessageIndex {
-    src: Vec<usize>,
-    dst: Vec<usize>,
+    edges: Vec<(usize, usize)>,
+    offsets: Vec<usize>,
+    sources: Vec<usize>,
     inv_deg: Vec<f32>,
-    n: usize,
 }
 
 impl MessageIndex {
@@ -462,80 +374,74 @@ impl MessageIndex {
     }
 
     /// Populate for `n` nodes and the given `(src, dst)` edge list,
-    /// reusing existing storage.
-    pub fn rebuild(&mut self, edges: &[(usize, usize)], n: usize) {
-        self.n = n;
-        self.src.clear();
-        self.dst.clear();
-        for &(s, d) in edges {
-            self.src.push(s);
-            self.dst.push(d);
-        }
-        for u in 0..n {
-            self.src.push(u);
-            self.dst.push(u);
-        }
-        self.inv_deg.clear();
-        self.inv_deg.resize(n, 0.0);
-        for &d in &self.dst {
-            self.inv_deg[d] += 1.0;
-        }
-        for v in &mut self.inv_deg {
-            *v = 1.0 / v.max(1.0);
-        }
-    }
-
-    /// Populate for `copies` disjoint copies of the same `n`-node
-    /// graph, stacked row-wise — the routing table of the batched
-    /// forward pass: copy `k`'s nodes live at rows `k*n..(k+1)*n` and
-    /// its edges are offset to match.
+    /// reusing existing storage. A no-op when the index was last built
+    /// from an equal edge list (compared element by element) for the
+    /// same `n`.
     ///
-    /// Ordering matters for bit-equivalence: all tiled edges come
-    /// first, then all self-loops, so within any one copy each
-    /// destination sees its messages (edges, then its self-loop) in
-    /// exactly the order [`MessageIndex::rebuild`] produces for the
-    /// single graph. Scatter-adds and segment softmaxes over this index
-    /// are therefore bit-identical per copy to the unbatched pass.
-    /// `rebuild_tiled(edges, n, 1)` is exactly `rebuild(edges, n)`.
+    /// The CSR comes from a stable counting sort by destination, so
+    /// within each destination the messages keep their ascending
+    /// original order — the accumulation order of the tape path.
     ///
     /// # Panics
-    /// Panics if `copies == 0`.
-    pub fn rebuild_tiled(&mut self, edges: &[(usize, usize)], n: usize, copies: usize) {
-        assert!(copies > 0, "need at least one copy");
-        self.n = n * copies;
-        self.src.clear();
-        self.dst.clear();
-        for k in 0..copies {
-            let off = k * n;
-            for &(s, d) in edges {
-                self.src.push(s + off);
-                self.dst.push(d + off);
-            }
+    /// Panics if an edge endpoint is `>= n`.
+    pub fn rebuild(&mut self, edges: &[(usize, usize)], n: usize) {
+        if self.offsets.len() == n + 1 && self.edges == edges {
+            return;
         }
-        for u in 0..self.n {
-            self.src.push(u);
-            self.dst.push(u);
+        self.edges.clear();
+        self.edges.extend_from_slice(edges);
+        // Counts land one slot right so the prefix sum yields starts.
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for &(s, d) in edges {
+            assert!(s < n && d < n, "edge ({s}, {d}) out of range for {n} nodes");
+            self.offsets[d + 1] += 1;
         }
+        for v in 0..n {
+            self.offsets[v + 1] += self.offsets[v] + 1; // + the self-loop
+        }
+        // Scatter with `offsets[v]` as v's write cursor: edges in list
+        // order, then the self-loops, which follow every edge.
+        self.sources.clear();
+        self.sources.resize(edges.len() + n, 0);
+        for &(s, d) in edges {
+            self.sources[self.offsets[d]] = s;
+            self.offsets[d] += 1;
+        }
+        for v in 0..n {
+            self.sources[self.offsets[v]] = v;
+            self.offsets[v] += 1;
+        }
+        // Each cursor now sits at the next node's start.
+        self.offsets.copy_within(0..n, 1);
+        self.offsets[0] = 0;
         self.inv_deg.clear();
-        self.inv_deg.resize(self.n, 0.0);
-        for &d in &self.dst {
-            self.inv_deg[d] += 1.0;
-        }
-        for v in &mut self.inv_deg {
-            *v = 1.0 / v.max(1.0);
-        }
+        self.inv_deg.extend(self.offsets.windows(2).map(|w| 1.0 / ((w[1] - w[0]) as f32).max(1.0)));
     }
 
-    /// Message sources (edges then self-loops).
+    /// Node count this index was built for.
     #[must_use]
-    pub fn src(&self) -> &[usize] {
-        &self.src
+    pub fn n(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
     }
 
-    /// Message destinations (edges then self-loops).
+    /// CSR row offsets: node `v`'s messages are
+    /// `sources()[offsets()[v]..offsets()[v + 1]]`.
     #[must_use]
-    pub fn dst(&self) -> &[usize] {
-        &self.dst
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Message sources grouped by destination (see [`MessageIndex`]).
+    #[must_use]
+    pub(crate) fn sources(&self) -> &[usize] {
+        &self.sources
+    }
+
+    /// Node `v`'s message sources in ascending message order.
+    #[must_use]
+    pub(crate) fn in_sources(&self, v: usize) -> &[usize] {
+        &self.sources[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// Inverse in-degree (self-loop included) per node.
@@ -544,10 +450,14 @@ impl MessageIndex {
         &self.inv_deg
     }
 
-    /// Node count this index was built for.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
+    /// Assert that `rows` stacks a positive whole number of copies of
+    /// this index's graph.
+    fn check_rows(&self, rows: usize) {
+        let n = self.n();
+        assert!(
+            n > 0 && rows.is_multiple_of(n),
+            "{rows} rows do not stack copies of a {n}-node index"
+        );
     }
 }
 
@@ -567,8 +477,6 @@ mod tests {
         let x = test_matrix(5, 4, 1.3);
         let w = test_matrix(4, 3, 0.7);
         let bias = test_matrix(1, 3, 0.2);
-        let idx = [0usize, 2, 2, 4, 1];
-        let seg = [0usize, 0, 1, 1, 1];
 
         let mut g = Graph::new();
         let gx = g.input(x.clone());
@@ -576,37 +484,21 @@ mod tests {
         let gb = g.input(bias.clone());
         let gmm = g.matmul(gx, gw);
         let gbias = g.add_bias(gmm, gb);
-        let gth = g.gather_rows(gbias, &idx);
-        let gsc = g.scatter_add_rows(gth, &seg, 2);
-        let gtanh = g.tanh(gsc);
-        let gmean = g.mean_rows(gtanh);
+        let gtanh = g.tanh(gbias);
+        let gcat = g.concat_cols(gtanh, gx);
+        let gmean = g.mean_rows(gcat);
 
         let mut ctx = InferCtx::new();
         ctx.begin();
         let cx = ctx.load(&x);
         let cmm = ctx.matmul(cx, &w);
         ctx.add_bias(cmm, &bias);
-        let cth = ctx.gather_rows(cmm, &idx);
-        let csc = ctx.scatter_add_rows(cth, &seg, 2);
-        ctx.tanh(csc);
-        let cmean = ctx.mean_rows(csc);
+        ctx.tanh(cmm);
+        let ccat = ctx.concat_cols(cmm, cx);
+        let cmean = ctx.mean_rows_grouped(ccat, 1);
 
-        assert_eq!(ctx.value(csc), g.value(gtanh));
+        assert_eq!(ctx.value(ccat), g.value(gcat));
         assert_eq!(ctx.value(cmean), g.value(gmean));
-    }
-
-    #[test]
-    fn segment_softmax_matches_graph() {
-        let col = test_matrix(6, 1, 2.1);
-        let seg = [0usize, 0, 1, 1, 1, 2];
-        let mut g = Graph::new();
-        let gc = g.input(col.clone());
-        let gsm = g.segment_softmax(gc, &seg);
-        let mut ctx = InferCtx::new();
-        ctx.begin();
-        let cc = ctx.load(&col);
-        ctx.segment_softmax(cc, &seg);
-        assert_eq!(ctx.value(cc), g.value(gsm));
     }
 
     #[test]
@@ -638,16 +530,48 @@ mod tests {
     }
 
     #[test]
-    fn message_index_rebuild_appends_self_loops() {
+    fn message_index_groups_messages_by_destination_in_edge_order() {
+        // A duplicate edge (0→1 twice), an explicit self-edge (2→2),
+        // and node 3 with no in-edges besides its self-loop.
+        let edges = [(0usize, 1usize), (2, 1), (0, 1), (2, 2), (1, 0)];
         let mut idx = MessageIndex::new();
-        idx.rebuild(&[(0, 1), (1, 2)], 3);
-        assert_eq!(idx.src(), &[0, 1, 0, 1, 2]);
-        assert_eq!(idx.dst(), &[1, 2, 0, 1, 2]);
-        // deg: node0 = 1 (self), node1 = 2, node2 = 2.
-        assert_eq!(idx.inv_deg(), &[1.0, 0.5, 0.5]);
+        idx.rebuild(&edges, 4);
+        assert_eq!(idx.n(), 4);
+        assert_eq!(idx.offsets(), &[0, 2, 6, 8, 9]);
+        // Per destination: in-edges in list order, then the self-loop.
+        assert_eq!(idx.in_sources(0), &[1, 0]);
+        assert_eq!(idx.in_sources(1), &[0, 2, 0, 1]);
+        assert_eq!(idx.in_sources(2), &[2, 2]);
+        assert_eq!(idx.in_sources(3), &[3]);
+        assert_eq!(idx.sources().len(), edges.len() + 4);
+        assert_eq!(idx.inv_deg(), &[0.5, 0.25, 0.5, 1.0]);
         idx.rebuild(&[], 2);
-        assert_eq!(idx.src(), &[0, 1]);
+        assert_eq!(idx.offsets(), &[0, 1, 2]);
+        assert_eq!(idx.sources(), &[0, 1]);
         assert_eq!(idx.n(), 2);
+    }
+
+    #[test]
+    fn message_index_rebuilds_only_when_edges_or_size_change() {
+        let mut idx = MessageIndex::new();
+        idx.rebuild(&[(0, 1)], 2);
+        let first = idx.sources().as_ptr();
+        idx.rebuild(&[(0, 1)], 2);
+        assert_eq!(idx.sources().as_ptr(), first, "equal inputs keep the index");
+        assert_eq!(idx.in_sources(1), &[0, 1]);
+        // Same node count, different links.
+        idx.rebuild(&[(1, 0)], 2);
+        assert_eq!(idx.in_sources(0), &[1, 0]);
+        assert_eq!(idx.in_sources(1), &[1]);
+        // Same links, more nodes.
+        idx.rebuild(&[(1, 0)], 3);
+        assert_eq!(idx.offsets(), &[0, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn message_index_rejects_out_of_range_edges() {
+        MessageIndex::new().rebuild(&[(0, 2)], 2);
     }
 
     #[test]
@@ -660,37 +584,12 @@ mod tests {
         assert_eq!(ctx.value(stacked).rows(), 8);
         assert_eq!(ctx.value(stacked).row_slice(5), b.row_slice(1));
         let means = ctx.mean_rows_grouped(stacked, 2);
-        let mean_a = {
-            let ia = ctx.load(&a);
-            ctx.mean_rows(ia)
-        };
-        assert_eq!(ctx.value(means).row_slice(0), ctx.value(mean_a).row_slice(0));
-        let mean_b = {
-            let ib = ctx.load(&b);
-            ctx.mean_rows(ib)
-        };
-        assert_eq!(ctx.value(means).row_slice(1), ctx.value(mean_b).row_slice(0));
-    }
-
-    #[test]
-    fn rebuild_tiled_offsets_each_copy() {
-        let edges = [(0usize, 1usize), (1, 2)];
-        let mut tiled = MessageIndex::new();
-        tiled.rebuild_tiled(&edges, 3, 2);
-        assert_eq!(tiled.n(), 6);
-        assert_eq!(tiled.src(), &[0, 1, 3, 4, 0, 1, 2, 3, 4, 5]);
-        assert_eq!(tiled.dst(), &[1, 2, 4, 5, 0, 1, 2, 3, 4, 5]);
-        // Per-copy degrees must match the single-graph index.
-        let mut single = MessageIndex::new();
-        single.rebuild(&edges, 3);
-        assert_eq!(&tiled.inv_deg()[..3], single.inv_deg());
-        assert_eq!(&tiled.inv_deg()[3..], single.inv_deg());
-        // One copy degenerates to the plain rebuild.
-        let mut one = MessageIndex::new();
-        one.rebuild_tiled(&edges, 3, 1);
-        assert_eq!(one.src(), single.src());
-        assert_eq!(one.dst(), single.dst());
-        assert_eq!(one.inv_deg(), single.inv_deg());
+        for (row, m) in [&a, &b].into_iter().enumerate() {
+            let mut g = Graph::new();
+            let gm = g.input(m.clone());
+            let mean = g.mean_rows(gm);
+            assert_eq!(ctx.value(means).row_slice(row), g.value(mean).row_slice(0));
+        }
     }
 
     #[test]

@@ -190,8 +190,11 @@ impl GatLayer {
     /// Tape-free forward pass; bit-identical to [`GatLayer::forward`].
     ///
     /// `index` must have been rebuilt for the same edge list and node
-    /// count (it carries the src/dst columns with self-loops appended,
-    /// so the per-pass index allocation of the tape path disappears).
+    /// count; `x` may stack several copies of that graph row-wise (the
+    /// batched forward), each of which is bit-identical to its own
+    /// single-graph pass. Each head's message pass is one fused
+    /// [`InferCtx::gat_aggregate`] over the index's CSR, written into
+    /// the head's column block of the layer output.
     pub fn infer(
         &self,
         ctx: &mut InferCtx,
@@ -199,31 +202,18 @@ impl GatLayer {
         x: BufId,
         index: &MessageIndex,
     ) -> BufId {
-        let n = ctx.value(x).rows();
-        debug_assert_eq!(n, index.n(), "index built for a different graph");
-        let mut out: Option<BufId> = None;
-        for head in &self.heads {
+        let d = params.value(self.heads[0].weight).cols();
+        let out = ctx.zeros(ctx.value(x).rows(), d * self.heads.len());
+        for (h, head) in self.heads.iter().enumerate() {
             let hw = ctx.matmul(x, params.value(head.weight)); // (n x d)
             let score_dst = ctx.matmul(hw, params.value(head.att_dst)); // (n x 1)
             let score_src = ctx.matmul(hw, params.value(head.att_src));
-            let e = ctx.gather_rows(score_dst, index.dst()); // (E x 1)
-            let e_src = ctx.gather_rows(score_src, index.src());
-            ctx.add_assign(e, e_src);
-            ctx.leaky_relu(e, self.negative_slope);
-            ctx.segment_softmax(e, index.dst()); // per-dst softmax
-            // Fused gather → col_mul → scatter_add (bit-identical to
-            // the composed tape ops, minus the E x d message matrix).
-            let agg = ctx.scatter_weighted_rows(e, hw, index.src(), index.dst(), n); // (n x d)
-            ctx.tanh(agg);
-            out = Some(match out {
-                None => agg,
-                Some(prev) => ctx.concat_cols(prev, agg),
-            });
+            ctx.gat_aggregate(hw, score_dst, score_src, index, self.negative_slope, out, h * d);
         }
-        out.expect("at least one attention head")
+        ctx.tanh(out);
+        out
     }
 }
-
 
 /// A graph convolution layer with mean aggregation (Kipf-Welling style,
 /// degree-normalized): `h'_u = tanh(mean_{v in N(u) ∪ {u}} W h_v)`.
@@ -282,7 +272,8 @@ impl GcnLayer {
     }
 
     /// Tape-free forward pass; bit-identical to [`GcnLayer::forward`]
-    /// (the inverse degrees come precomputed from the index).
+    /// (the inverse degrees come precomputed from the index). Same
+    /// stacking convention as [`GatLayer::infer`].
     pub fn infer(
         &self,
         ctx: &mut InferCtx,
@@ -290,13 +281,9 @@ impl GcnLayer {
         x: BufId,
         index: &MessageIndex,
     ) -> BufId {
-        let n = ctx.value(x).rows();
-        debug_assert_eq!(n, index.n(), "index built for a different graph");
         let hw = ctx.matmul(x, params.value(self.weight));
         ctx.add_bias(hw, params.value(self.bias));
-        let msg = ctx.gather_rows(hw, index.src());
-        let agg = ctx.scatter_add_rows(msg, index.dst(), n);
-        ctx.col_mul_slice(agg, index.inv_deg());
+        let agg = ctx.gcn_aggregate(hw, index);
         ctx.tanh(agg);
         agg
     }

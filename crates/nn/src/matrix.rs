@@ -4,7 +4,7 @@ use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

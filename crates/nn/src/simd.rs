@@ -183,15 +183,16 @@ pub(crate) fn axpy_lanes8(out: &mut [f32], a: f32, x: &[f32]) {
 /// [`crate::Matrix::matmul`]: `out` (`rows x n`, row-major) accumulates
 /// `lhs` (`rows x cols`) times `rhs` (`cols x n`). Register-blocked:
 /// output rows are processed four at a time in fixed-width column
-/// chunks (16/8 columns, then a ragged axpy tail) whose accumulators
-/// live in registers across the whole ascending-`k` loop and are stored
-/// once — instead of the output row being loaded and stored again per
-/// `k` step. The column blocks accumulate with `mul_add` (fused, one
-/// rounding per product), so this kernel differs from the scalar one by
-/// at most that rounding; the order and the zero skip are exactly the
-/// scalar kernel's, and which columns fuse is fixed by the shape alone
-/// (`n - n % 8` leading columns), never by row, batch composition, or
-/// CPU. The ragged tail keeps separate multiply-then-add.
+/// chunks (16/8 columns, then a ragged tail of fewer than 8) whose
+/// accumulators live in registers across the whole ascending-`k` loop
+/// and are stored once — instead of the output row being loaded and
+/// stored again per `k` step. The 16/8-column blocks accumulate with
+/// `mul_add` (fused, one rounding per product), so this kernel differs
+/// from the scalar one by at most that rounding; the order and the zero
+/// skip are exactly the scalar kernel's, and which columns fuse is
+/// fixed by the shape alone (`n - n % 8` leading columns), never by
+/// row, batch composition, or CPU. The ragged tail keeps separate
+/// multiply-then-add, so it is bit-exact to the scalar kernel.
 ///
 /// Lives here (not in `matrix.rs`) so the whole loop gets one AVX2
 /// dispatch per matmul with the block kernels inlined into the twin.
@@ -218,30 +219,47 @@ fn matmul_lanes8_avx2(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut
     matmul_lanes8_kernel(lhs, cols, rhs, n, out);
 }
 
+/// One accumulation step: fused (`mul_add`, one rounding) in the
+/// 16/8-column blocks, separate multiply-then-add in the ragged tail.
+#[inline(always)]
+fn madd<const FUSED: bool>(a: f32, r: f32, acc: f32) -> f32 {
+    if FUSED {
+        a.mul_add(r, acc)
+    } else {
+        acc + a * r
+    }
+}
+
 /// One register-blocked output chunk: `out_chunk` (width `W`) is held
 /// in a fixed-size accumulator array — registers, once vectorized —
 /// across the whole ascending-`k` loop and stored once, instead of
-/// being loaded and stored again per `k` step. Per lane the fused
+/// being loaded and stored again per `k` step. Per lane the
 /// accumulations run in exactly the scalar kernel's order with the
 /// same zero skip (see [`matmul_lanes8`] for the rounding contract).
 #[inline(always)]
-fn matmul_row_block<const W: usize>(a_row: &[f32], rhs: &[f32], n: usize, c: usize, out_chunk: &mut [f32]) {
+fn matmul_row_block<const W: usize, const FUSED: bool>(
+    a_row: &[f32],
+    rhs: &[f32],
+    n: usize,
+    c: usize,
+    out_chunk: &mut [f32],
+) {
     let mut acc = [0.0f32; W];
     acc.copy_from_slice(&out_chunk[..W]);
     for (k, &a) in a_row.iter().enumerate() {
         if a != 0.0 {
             let r = &rhs[k * n + c..k * n + c + W];
             for j in 0..W {
-                acc[j] = a.mul_add(r[j], acc[j]);
+                acc[j] = madd::<FUSED>(a, r[j], acc[j]);
             }
         }
     }
     out_chunk[..W].copy_from_slice(&acc);
 }
 
-/// Four-row register tile: like [`matmul_row_block`], but four output
-/// rows' chunks are accumulated together so the tile holds `4 x W/8`
-/// independent vector accumulator chains (at `W = 16` that is eight —
+/// Four-row register tile: like [`matmul_row_block`], but columns
+/// `c..c + W` of four output rows are accumulated together so the tile
+/// holds `4 x W/8` independent vector accumulator chains (at `W = 16` that is eight —
 /// enough to hide the FMA latency that a single row's two chains
 /// cannot) and each `rhs` row is loaded once for all four lhs rows.
 /// Each output element still accumulates its `k` contributions in
@@ -249,7 +267,7 @@ fn matmul_row_block<const W: usize>(a_row: &[f32], rhs: &[f32], n: usize, c: usi
 /// never changes an element's numerics, so quad-tiled and remainder
 /// rows agree bitwise.
 #[inline(always)]
-fn matmul_rows4_block<const W: usize>(
+fn matmul_rows4_block<const W: usize, const FUSED: bool>(
     a: [&[f32]; 4],
     rhs: &[f32],
     n: usize,
@@ -264,67 +282,70 @@ fn matmul_rows4_block<const W: usize>(
     let mut acc1 = [0.0f32; W];
     let mut acc2 = [0.0f32; W];
     let mut acc3 = [0.0f32; W];
-    acc0.copy_from_slice(&o0[..W]);
-    acc1.copy_from_slice(&o1[..W]);
-    acc2.copy_from_slice(&o2[..W]);
-    acc3.copy_from_slice(&o3[..W]);
+    acc0.copy_from_slice(&o0[c..c + W]);
+    acc1.copy_from_slice(&o1[c..c + W]);
+    acc2.copy_from_slice(&o2[c..c + W]);
+    acc3.copy_from_slice(&o3[c..c + W]);
     for k in 0..a0.len() {
         let rr = &rhs[k * n + c..k * n + c + W];
         let v0 = a0[k];
         if v0 != 0.0 {
             for j in 0..W {
-                acc0[j] = v0.mul_add(rr[j], acc0[j]);
+                acc0[j] = madd::<FUSED>(v0, rr[j], acc0[j]);
             }
         }
         let v1 = a1[k];
         if v1 != 0.0 {
             for j in 0..W {
-                acc1[j] = v1.mul_add(rr[j], acc1[j]);
+                acc1[j] = madd::<FUSED>(v1, rr[j], acc1[j]);
             }
         }
         let v2 = a2[k];
         if v2 != 0.0 {
             for j in 0..W {
-                acc2[j] = v2.mul_add(rr[j], acc2[j]);
+                acc2[j] = madd::<FUSED>(v2, rr[j], acc2[j]);
             }
         }
         let v3 = a3[k];
         if v3 != 0.0 {
             for j in 0..W {
-                acc3[j] = v3.mul_add(rr[j], acc3[j]);
+                acc3[j] = madd::<FUSED>(v3, rr[j], acc3[j]);
             }
         }
     }
-    o0[..W].copy_from_slice(&acc0);
-    o1[..W].copy_from_slice(&acc1);
-    o2[..W].copy_from_slice(&acc2);
-    o3[..W].copy_from_slice(&acc3);
+    o0[c..c + W].copy_from_slice(&acc0);
+    o1[c..c + W].copy_from_slice(&acc1);
+    o2[c..c + W].copy_from_slice(&acc2);
+    o3[c..c + W].copy_from_slice(&acc3);
 }
 
-/// Single-row fallback for row counts not divisible by four and for
-/// ragged column tails; see [`matmul_row_block`].
+/// Single-row fallback for row counts not divisible by four; see
+/// [`matmul_row_block`].
 #[inline(always)]
-fn matmul_one_row(a_row: &[f32], rhs: &[f32], n: usize, out_row: &mut [f32], mut c: usize) {
+fn matmul_one_row(a_row: &[f32], rhs: &[f32], n: usize, out_row: &mut [f32]) {
+    let mut c = 0;
     while n - c >= 32 {
-        matmul_row_block::<32>(a_row, rhs, n, c, &mut out_row[c..c + 32]);
+        matmul_row_block::<32, true>(a_row, rhs, n, c, &mut out_row[c..c + 32]);
         c += 32;
     }
     if n - c >= 16 {
-        matmul_row_block::<16>(a_row, rhs, n, c, &mut out_row[c..c + 16]);
+        matmul_row_block::<16, true>(a_row, rhs, n, c, &mut out_row[c..c + 16]);
         c += 16;
     }
     if n - c >= 8 {
-        matmul_row_block::<8>(a_row, rhs, n, c, &mut out_row[c..c + 8]);
+        matmul_row_block::<8, true>(a_row, rhs, n, c, &mut out_row[c..c + 8]);
         c += 8;
     }
-    if c < n {
-        // Ragged tail (< 8 columns): ascending-`k` axpy updates on
-        // the remaining slice, same order and zero skip as above.
-        for (k, &a) in a_row.iter().enumerate() {
-            if a != 0.0 {
-                axpy_lanes8_body(&mut out_row[c..], a, &rhs[k * n + c..(k + 1) * n]);
-            }
-        }
+    let o = &mut out_row[c..];
+    match n - c {
+        0 => {}
+        1 => matmul_row_block::<1, false>(a_row, rhs, n, c, o),
+        2 => matmul_row_block::<2, false>(a_row, rhs, n, c, o),
+        3 => matmul_row_block::<3, false>(a_row, rhs, n, c, o),
+        4 => matmul_row_block::<4, false>(a_row, rhs, n, c, o),
+        5 => matmul_row_block::<5, false>(a_row, rhs, n, c, o),
+        6 => matmul_row_block::<6, false>(a_row, rhs, n, c, o),
+        _ => matmul_row_block::<7, false>(a_row, rhs, n, c, o),
     }
 }
 
@@ -341,43 +362,35 @@ fn matmul_lanes8_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &m
         let (o2, o3) = rest.split_at_mut(n);
         let mut c = 0;
         while n - c >= 16 {
-            matmul_rows4_block::<16>(
+            matmul_rows4_block::<16, true>(
                 [a0, a1, a2, a3],
                 rhs,
                 n,
                 c,
-                [
-                    &mut o0[c..c + 16],
-                    &mut o1[c..c + 16],
-                    &mut o2[c..c + 16],
-                    &mut o3[c..c + 16],
-                ],
+                [&mut *o0, &mut *o1, &mut *o2, &mut *o3],
             );
             c += 16;
         }
         if n - c >= 8 {
-            matmul_rows4_block::<8>(
+            matmul_rows4_block::<8, true>(
                 [a0, a1, a2, a3],
                 rhs,
                 n,
                 c,
-                [
-                    &mut o0[c..c + 8],
-                    &mut o1[c..c + 8],
-                    &mut o2[c..c + 8],
-                    &mut o3[c..c + 8],
-                ],
+                [&mut *o0, &mut *o1, &mut *o2, &mut *o3],
             );
             c += 8;
         }
-        if c < n {
-            for (a_row, out_row) in [(a0, &mut *o0), (a1, o1), (a2, o2), (a3, o3)] {
-                for (k, &a) in a_row.iter().enumerate() {
-                    if a != 0.0 {
-                        axpy_lanes8_body(&mut out_row[c..], a, &rhs[k * n + c..(k + 1) * n]);
-                    }
-                }
-            }
+        let (a, o) = ([a0, a1, a2, a3], [o0, o1, o2, o3]);
+        match n - c {
+            0 => {}
+            1 => matmul_rows4_block::<1, false>(a, rhs, n, c, o),
+            2 => matmul_rows4_block::<2, false>(a, rhs, n, c, o),
+            3 => matmul_rows4_block::<3, false>(a, rhs, n, c, o),
+            4 => matmul_rows4_block::<4, false>(a, rhs, n, c, o),
+            5 => matmul_rows4_block::<5, false>(a, rhs, n, c, o),
+            6 => matmul_rows4_block::<6, false>(a, rhs, n, c, o),
+            _ => matmul_rows4_block::<7, false>(a, rhs, n, c, o),
         }
     }
     for (a_row, out_row) in lhs_quads
@@ -385,7 +398,7 @@ fn matmul_lanes8_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &m
         .chunks_exact(cols)
         .zip(out_quads.into_remainder().chunks_exact_mut(n))
     {
-        matmul_one_row(a_row, rhs, n, out_row, 0);
+        matmul_one_row(a_row, rhs, n, out_row);
     }
 }
 
@@ -442,58 +455,180 @@ pub(crate) fn matvec_lanes8(lhs: &[f32], cols: usize, rhs: &[f32], out: &mut [f3
     }
 }
 
-/// The `Lanes8` fused attention-aggregation loop behind
-/// [`crate::InferCtx::scatter_weighted_rows`]: for each edge `e` in
-/// ascending order, `out[dst[e]] += weights[e] · a[src[e]]` (rows of
-/// width `cols`). Each edge is exactly one axpy row update, so the
-/// result is bit-identical to the scalar kernel's loop; hoisting the
-/// whole loop here gives it one AVX2 dispatch per call instead of one
-/// per edge.
+/// The fused GAT-head message pass behind
+/// [`crate::InferCtx::gat_aggregate`], over the destination-grouped
+/// (CSR) `index`: node `v`'s in-sources come in ascending original
+/// message order. `hw` is `rows x d` and the score columns are `rows`
+/// long, where `rows` stacks whole copies of the index's graph; the
+/// head's output goes to columns `col..col + d` of the row-major `out`
+/// (row stride `stride`), which must be zero there.
+///
+/// Per copy it makes three flat passes over the CSR order:
+///
+/// 1. scores `LeakyReLU(score_dst[v] + score_src[u])`, each
+///    destination's running max, and the max-shifted scores;
+/// 2. one elementwise `exp` over all of them — libm under
+///    [`SimdKind::Scalar`], the [`exp_neg_map`] polynomial under
+///    [`SimdKind::Lanes8`];
+/// 3. per destination, the sequential sum, `α = exp / max(sum,
+///    MIN_POSITIVE)` and `Σ α · hw[u]` with separate multiply-then-add,
+///    held in a fixed-width register accumulator at `d` = 4/8/16.
+///
+/// Every value a destination sees — and the order it sees them in — is
+/// that of the tape's `segment_softmax` and `scatter_add_rows` over the
+/// edge-ordered message list, so the result is bit-identical to the
+/// composed ops per kind. The whole pass is one AVX2 dispatch.
 ///
 /// # Panics
-/// Panics if an index is out of range or the lengths are inconsistent.
-pub(crate) fn scatter_axpy_lanes8(
+/// Panics if the slice lengths are inconsistent.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gat_aggregate(
     out: &mut [f32],
-    cols: usize,
-    a: &[f32],
-    weights: &[f32],
-    src: &[usize],
-    dst: &[usize],
+    stride: usize,
+    col: usize,
+    hw: &[f32],
+    d: usize,
+    scores: (&[f32], &[f32]),
+    index: &crate::MessageIndex,
+    slope: f32,
+    scratch: &mut Vec<f32>,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-        return unsafe { scatter_axpy_lanes8_avx2(out, cols, a, weights, src, dst) };
+    match kind() {
+        SimdKind::Scalar => {
+            gat_kernel::<false>(out, stride, col, hw, d, scores, index, slope, scratch)
+        }
+        SimdKind::Lanes8 => {
+            #[cfg(target_arch = "x86_64")]
+            if avx2() {
+                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+                return unsafe {
+                    gat_kernel_avx2(out, stride, col, hw, d, scores, index, slope, scratch)
+                };
+            }
+            gat_kernel::<true>(out, stride, col, hw, d, scores, index, slope, scratch);
+        }
     }
-    scatter_axpy_kernel(out, cols, a, weights, src, dst)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn scatter_axpy_lanes8_avx2(
+#[allow(clippy::too_many_arguments)]
+fn gat_kernel_avx2(
     out: &mut [f32],
-    cols: usize,
-    a: &[f32],
-    weights: &[f32],
-    src: &[usize],
-    dst: &[usize],
+    stride: usize,
+    col: usize,
+    hw: &[f32],
+    d: usize,
+    scores: (&[f32], &[f32]),
+    index: &crate::MessageIndex,
+    slope: f32,
+    scratch: &mut Vec<f32>,
 ) {
-    scatter_axpy_kernel(out, cols, a, weights, src, dst);
+    gat_kernel::<true>(out, stride, col, hw, d, scores, index, slope, scratch);
 }
 
 #[inline(always)]
-fn scatter_axpy_kernel(
+#[allow(clippy::too_many_arguments)]
+fn gat_kernel<const FAST_EXP: bool>(
     out: &mut [f32],
-    cols: usize,
-    a: &[f32],
-    weights: &[f32],
-    src: &[usize],
-    dst: &[usize],
+    stride: usize,
+    col: usize,
+    hw: &[f32],
+    d: usize,
+    (score_dst, score_src): (&[f32], &[f32]),
+    index: &crate::MessageIndex,
+    slope: f32,
+    scratch: &mut Vec<f32>,
 ) {
-    for ((&w, &s), &d) in weights.iter().zip(src).zip(dst) {
-        let row = &a[s * cols..(s + 1) * cols];
-        let o = &mut out[d * cols..(d + 1) * cols];
-        axpy_lanes8_body(o, w, row);
+    let (offsets, sources) = (index.offsets(), index.sources());
+    let n = index.n();
+    scratch.resize(sources.len(), 0.0);
+    for base in (0..score_dst.len()).step_by(n) {
+        let (sd, ss) = (&score_dst[base..base + n], &score_src[base..base + n]);
+        for v in 0..n {
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            let mut max = f32::NEG_INFINITY;
+            for (e, &u) in scratch[lo..hi].iter_mut().zip(&sources[lo..hi]) {
+                let s = sd[v] + ss[u];
+                *e = if s >= 0.0 { s } else { slope * s };
+                // `f32::max` without its NaN fix-up sequence (a NaN
+                // score is skipped either way). Only the sign of a zero
+                // maximum can differ, and `score - (±0)` then `exp`
+                // gives the same bits for every score.
+                if *e > max {
+                    max = *e;
+                }
+            }
+            for e in &mut scratch[lo..hi] {
+                *e -= max;
+            }
+        }
+        if FAST_EXP {
+            exp_neg_map_body(scratch);
+        } else {
+            for e in scratch.iter_mut() {
+                *e = e.exp();
+            }
+        }
+        let o = &mut out[base * stride..(base + n) * stride];
+        let x = &hw[base * d..(base + n) * d];
+        match d {
+            4 => gat_weighted_sum::<4>(o, stride, col, x, scratch, index),
+            8 => gat_weighted_sum::<8>(o, stride, col, x, scratch, index),
+            16 => gat_weighted_sum::<16>(o, stride, col, x, scratch, index),
+            _ => {
+                for v in 0..n {
+                    let (lo, hi) = (offsets[v], offsets[v + 1]);
+                    let denom = softmax_denominator(&scratch[lo..hi]);
+                    let orow = &mut o[v * stride + col..v * stride + col + d];
+                    for (&e, &u) in scratch[lo..hi].iter().zip(&sources[lo..hi]) {
+                        let alpha = e / denom;
+                        for (acc, &m) in orow.iter_mut().zip(&x[u * d..(u + 1) * d]) {
+                            *acc += alpha * m;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Sequential `max(Σ exps, MIN_POSITIVE)` — the segment-softmax
+/// normalizer, summed in message order.
+#[inline(always)]
+fn softmax_denominator(exps: &[f32]) -> f32 {
+    let mut sum = 0.0f32;
+    for &e in exps {
+        sum += e;
+    }
+    sum.max(f32::MIN_POSITIVE)
+}
+
+/// Pass 3 of [`gat_kernel`] at a constant width `W`: each
+/// destination's block lives in a `[f32; W]` accumulator across its
+/// in-edges and is stored once.
+#[inline(always)]
+fn gat_weighted_sum<const W: usize>(
+    out: &mut [f32],
+    stride: usize,
+    col: usize,
+    hw: &[f32],
+    exps: &[f32],
+    index: &crate::MessageIndex,
+) {
+    let (offsets, sources) = (index.offsets(), index.sources());
+    for v in 0..index.n() {
+        let (lo, hi) = (offsets[v], offsets[v + 1]);
+        let denom = softmax_denominator(&exps[lo..hi]);
+        let mut acc = [0.0f32; W];
+        for (&e, &u) in exps[lo..hi].iter().zip(&sources[lo..hi]) {
+            let alpha = e / denom;
+            let m = &hw[u * W..u * W + W];
+            for j in 0..W {
+                acc[j] += alpha * m[j];
+            }
+        }
+        out[v * stride + col..v * stride + col + W].copy_from_slice(&acc);
     }
 }
 
@@ -700,8 +835,11 @@ fn tanh_fast(x: f32) -> f32 {
     // Nearest integer via add-and-truncate (t ≥ 0 here, and `min`
     // clamps NaN/huge inputs to 64 — NaN still propagates through `f`
     // below). `round()` would be a libm call at the SSE2 baseline and
-    // block vectorization of this loop.
-    let k = (t.min(64.0) + 0.5) as i32;
+    // block vectorization of this loop; the unchecked conversion skips
+    // the saturating `as` cast's NaN/range fix-ups, which keep LLVM from
+    // vectorizing it well.
+    // SAFETY: the operand lies in [0.5, 64.5] — finite and in i32 range.
+    let k: i32 = unsafe { (t.min(64.0) + 0.5).to_int_unchecked() };
     let f = t - k as f32;
     // 2^f ≈ Σ ln2^i f^i / i! for |f| ≤ 0.5 (Horner, degree 6).
     const C1: f32 = std::f32::consts::LN_2;
@@ -774,17 +912,22 @@ fn exp_neg_map_avx2(xs: &mut [f32]) {
 /// Branch-free polynomial `e^x` for `x ≤ 0` (the `Lanes8` kernel of
 /// [`exp_neg_map`]).
 #[inline]
+#[allow(clippy::manual_clamp)] // `clamp` would keep a NaN, `max` maps it to -126
 fn exp_fast_neg(x: f32) -> f32 {
-    // e^x = 2^t with t = x·log2(e) ≤ 0. The clamp keeps the exponent
-    // construction in normal range (t < -126 would need a subnormal);
-    // true e^x is < 1.2e-38 there, so the clamped value is still zero
-    // for every softmax purpose.
-    let t = (x * std::f32::consts::LOG2_E).max(-126.0);
+    // e^x = 2^t with t = x·log2(e) ≤ 0. The lower clamp keeps the
+    // exponent construction in normal range (t < -126 would need a
+    // subnormal); true e^x is < 1.2e-38 there, so the clamped value is
+    // still zero for every softmax purpose. `max` also maps NaN to -126.
+    // The upper clamp only bounds out-of-contract inputs (x > 88, where
+    // e^x overflows f32 anyway) so the conversion below stays in range.
+    let t = (x * std::f32::consts::LOG2_E).max(-126.0).min(127.0);
     // Nearest integer via subtract-and-truncate: t ≤ 0, so truncation
     // toward zero of `t - 0.5` rounds t to the nearest integer (ties
     // away). `round()` is a libm call at the SSE2 baseline and would
-    // block vectorization.
-    let k = (t - 0.5) as i32;
+    // block vectorization, as do the saturating `as` cast's fix-ups.
+    // SAFETY: the operand lies in [-126.5, 126.5] — finite and in i32
+    // range.
+    let k: i32 = unsafe { (t - 0.5).to_int_unchecked() };
     let f = t - k as f32;
     // 2^f ≈ Σ ln2^i f^i / i! for |f| ≤ 0.5 (Horner, degree 6) — same
     // coefficients as `tanh_fast`.

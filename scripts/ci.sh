@@ -10,6 +10,12 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> scalar-kernel tests (MAPZERO_SIMD=scalar)"
+# The default run above takes the Lanes8 branch of every kernel; this
+# reruns the kernel and hot-path suites on the Scalar branch.
+MAPZERO_SIMD=scalar cargo test -q -p mapzero-nn
+MAPZERO_SIMD=scalar cargo test -q --test proptest_hotpath --test proptest_batch
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -55,7 +61,6 @@ if missing:
     sys.exit(f"perf smoke: BENCH_hotpath.json missing fields {missing}")
 counters = fresh["metrics"]["counters"]
 for c in ("search.predict_cache.hit", "search.predict_cache.miss",
-          "nn.dfg_embed.hit", "nn.dfg_embed.miss",
           "search.batch.flush", "search.batch.partial",
           "search.batch.cache_short_circuit",
           "search.prune.candidate_rebuild", "search.prune.masked_actions",
