@@ -14,7 +14,11 @@
 //!    the median of per-pair throughput ratios, which cancels slow
 //!    frequency/thermal drift that a sequential A-then-B layout folds
 //!    into the comparison.
-//! 3. **End-to-end compile time** — the Fig. 11 MapZero configuration on
+//! 3. **Training throughput** — 32-sample `train_batch` steps of the
+//!    tiny network on HReA over real episode states of six kernels, in
+//!    samples/second (`train_samples_per_sec`), with telemetry on so
+//!    the `nn.train_us` histogram lands in the metrics delta.
+//! 4. **End-to-end compile time** — the Fig. 11 MapZero configuration on
 //!    a workload kernel, with the MCTS prediction cache off vs on.
 //!
 //! Results land in `results/BENCH_hotpath.json` with the run's metric
@@ -25,7 +29,7 @@
 
 use mapzero_bench::{BenchMode, Harness};
 use mapzero_core::embed::observe;
-use mapzero_core::network::{MapZeroNet, NetConfig};
+use mapzero_core::network::{MapZeroNet, NetConfig, TrainSample};
 use mapzero_core::{Compiler, MapEnv, Problem};
 use mapzero_obs::json::Json;
 use std::time::{Duration, Instant};
@@ -170,7 +174,39 @@ fn main() {
     h.field("batch_scaling", Json::Arr(scaling));
     h.field("batch8_speedup", Json::Num(batch8_speedup));
 
-    // --- 3. End-to-end compile time (Fig. 11 workload) ---------------
+    // --- 3. Training throughput ---------------------------------------
+    // The self-play update: one optimizer step per 32 replay samples.
+    // Samples are states along one episode of each of six kernels on
+    // HReA (mixed DFG shapes, one problem per kernel), each targeting
+    // the action the walk took.
+    let mut train_samples = Vec::new();
+    for kernel in ["sum", "mac", "conv2", "accumulate", "matmul", "conv3"] {
+        let dfg = mapzero_dfg::suite::by_name(kernel).expect("kernel exists");
+        let ii = Problem::mii(&dfg, &cgra).expect("mappable");
+        let problem = Problem::new(&dfg, &cgra, ii).expect("schedulable");
+        let mut walk = MapEnv::new(&problem);
+        while train_samples.len() < 32 && !walk.done() {
+            let legal = walk.legal_actions();
+            let Some(&pe) = legal.first() else { break };
+            let mut policy = vec![0.0; cgra.pe_count()];
+            policy[pe.index()] = 1.0;
+            train_samples.push(TrainSample { observation: observe(&walk), policy, value: 1.0 });
+            walk.step(pe);
+        }
+    }
+    assert_eq!(train_samples.len(), 32, "six kernel episodes yield 32 states");
+    h.progress("measuring train_batch (32 samples, tiny net)");
+    let telemetry = mapzero_obs::enabled();
+    mapzero_obs::set_enabled(true);
+    let mut trainee = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
+    let train_rate = throughput(budget, || {
+        std::hint::black_box(trainee.train_batch(&train_samples, 1e-3, 5.0));
+    }) * train_samples.len() as f64;
+    mapzero_obs::set_enabled(telemetry);
+    h.note(format!("train_batch: {train_rate:.0} samples/sec"));
+    h.field("train_samples_per_sec", Json::Num(train_rate));
+
+    // --- 4. End-to-end compile time (Fig. 11 workload) ---------------
     // Network-guided search (no playout early exit — the same search
     // the self-play trainer runs): every placement decision is a full
     // MCTS pass, so compile time is dominated by inference and the
@@ -219,7 +255,7 @@ fn main() {
     h.field("compile_secs_after", Json::Num(after));
     h.field("compile_speedup", Json::Num(compile_speedup));
 
-    // --- 4. Candidate pruning (DESIGN.md §13) ------------------------
+    // --- 5. Candidate pruning (DESIGN.md §13) ------------------------
     // Same compile workload, full hot path in both arms; only
     // `MctsConfig::prune_candidates` flips. Interleaved pairs with
     // alternating arm order, summarized as the median per-pair ratio —

@@ -69,6 +69,21 @@ impl Encoder {
             Encoder::Gcn(l) => l.infer(ctx, params, x, index),
         }
     }
+
+    fn backward(
+        &self,
+        ctx: &mut InferCtx,
+        params: &mut Params,
+        x: BufId,
+        out: BufId,
+        index: &MessageIndex,
+        input_grad: bool,
+    ) {
+        match self {
+            Encoder::Gat(l) => l.backward(ctx, params, x, out, index, input_grad),
+            Encoder::Gcn(l) => l.backward(ctx, params, x, out, index, input_grad),
+        }
+    }
 }
 
 /// Network hyper-parameters.
@@ -185,23 +200,43 @@ pub struct LossBreakdown {
     pub grad_norm: f32,
 }
 
-/// Per-thread scratch for the tape-free forward path: the bump-arena
-/// workspace and the two message indices, which are kept while the
-/// problem's graphs stay the same. Thread-local so
-/// [`MapZeroNet::predict`] keeps its `&self` signature and the net
-/// stays shareable across self-play worker threads.
+/// Per-thread scratch for the tape-free forward and backward: the
+/// bump-arena workspace, the two message indices, which are kept while
+/// the problem's graphs stay the same, and the training step's policy
+/// row. Thread-local so [`MapZeroNet::predict`] keeps its `&self`
+/// signature and the net stays shareable across self-play worker
+/// threads.
+#[derive(Default)]
 struct InferState {
     ctx: InferCtx,
     dfg_index: MessageIndex,
     cgra_index: MessageIndex,
+    log_probs: Vec<f32>,
 }
 
 thread_local! {
-    static INFER_STATE: RefCell<InferState> = RefCell::new(InferState {
-        ctx: InferCtx::new(),
-        dfg_index: MessageIndex::new(),
-        cgra_index: MessageIndex::new(),
-    });
+    static INFER_STATE: RefCell<InferState> = RefCell::new(InferState::default());
+}
+
+/// The slots of one tape-free forward that the training backward
+/// reads (every other intermediate is found through its layer).
+struct ForwardSlots {
+    x_dfg: BufId,
+    h1: BufId,
+    h2: BufId,
+    dfg_emb: BufId,
+    x_cgra: BufId,
+    c1: BufId,
+    c2: BufId,
+    cgra_emb: BufId,
+    meta_in: BufId,
+    meta_emb: BufId,
+    /// `dfg_emb ‖ cgra_emb`.
+    graphs: BufId,
+    joined: BufId,
+    state: BufId,
+    logits: BufId,
+    values: BufId,
 }
 
 /// The MapZero policy/value network.
@@ -405,35 +440,8 @@ impl MapZeroNet {
         let k = obs.len();
         let predictions = INFER_STATE.with(|cell| {
             let st = &mut *cell.borrow_mut();
-            let InferState { ctx, dfg_index, cgra_index } = st;
-            ctx.begin();
-
-            dfg_index.rebuild(&obs[0].dfg_edges, obs[0].dfg_nodes.rows());
-            let dfg_mats: Vec<&Matrix> = obs.iter().map(|o| &o.dfg_nodes).collect();
-            let x_dfg = ctx.load_stacked(&dfg_mats);
-            let h1 = self.gat_dfg1.infer(ctx, &self.params, x_dfg, dfg_index);
-            let h2 = self.gat_dfg2.infer(ctx, &self.params, h1, dfg_index);
-            let dfg_emb = ctx.mean_rows_grouped(h2, k);
-
-            cgra_index.rebuild(&obs[0].cgra_edges, obs[0].cgra_nodes.rows());
-            let cgra_mats: Vec<&Matrix> = obs.iter().map(|o| &o.cgra_nodes).collect();
-            let x_cgra = ctx.load_stacked(&cgra_mats);
-            let c1 = self.gat_cgra1.infer(ctx, &self.params, x_cgra, cgra_index);
-            let c2 = self.gat_cgra2.infer(ctx, &self.params, c1, cgra_index);
-            let cgra_emb = ctx.mean_rows_grouped(c2, k);
-
-            let meta_mats: Vec<&Matrix> = obs.iter().map(|o| &o.metadata).collect();
-            let meta_in = ctx.load_stacked(&meta_mats);
-            let meta_emb = self.fc_meta.infer(ctx, &self.params, meta_in);
-            ctx.relu(meta_emb);
-
-            let joined = ctx.concat_cols(dfg_emb, cgra_emb);
-            let joined = ctx.concat_cols(joined, meta_emb);
-            let state = self.trunk.infer(ctx, &self.params, joined);
-            ctx.relu(state);
-
-            let logits = self.policy_head.infer(ctx, &self.params, state);
-            let values = self.value_head.infer(ctx, &self.params, state);
+            let ForwardSlots { logits, values, .. } = self.forward_slots(st, obs);
+            let ctx = &st.ctx;
             obs.iter()
                 .enumerate()
                 .map(|(i, o)| {
@@ -458,6 +466,60 @@ impl MapZeroNet {
             );
         }
         predictions
+    }
+
+    /// The forward op sequence over `K` stacked observations, from a
+    /// fresh [`InferCtx::begin`] up to the policy logits and raw values.
+    /// Shared by inference and the training step, so both run exactly
+    /// the same ops.
+    fn forward_slots(&self, st: &mut InferState, obs: &[&Observation]) -> ForwardSlots {
+        let k = obs.len();
+        let InferState { ctx, dfg_index, cgra_index, .. } = st;
+        ctx.begin();
+
+        dfg_index.rebuild(&obs[0].dfg_edges, obs[0].dfg_nodes.rows());
+        let dfg_mats: Vec<&Matrix> = obs.iter().map(|o| &o.dfg_nodes).collect();
+        let x_dfg = ctx.load_stacked(&dfg_mats);
+        let h1 = self.gat_dfg1.infer(ctx, &self.params, x_dfg, dfg_index);
+        let h2 = self.gat_dfg2.infer(ctx, &self.params, h1, dfg_index);
+        let dfg_emb = ctx.mean_rows_grouped(h2, k);
+
+        cgra_index.rebuild(&obs[0].cgra_edges, obs[0].cgra_nodes.rows());
+        let cgra_mats: Vec<&Matrix> = obs.iter().map(|o| &o.cgra_nodes).collect();
+        let x_cgra = ctx.load_stacked(&cgra_mats);
+        let c1 = self.gat_cgra1.infer(ctx, &self.params, x_cgra, cgra_index);
+        let c2 = self.gat_cgra2.infer(ctx, &self.params, c1, cgra_index);
+        let cgra_emb = ctx.mean_rows_grouped(c2, k);
+
+        let meta_mats: Vec<&Matrix> = obs.iter().map(|o| &o.metadata).collect();
+        let meta_in = ctx.load_stacked(&meta_mats);
+        let meta_emb = self.fc_meta.infer(ctx, &self.params, meta_in);
+        ctx.relu(meta_emb);
+
+        let graphs = ctx.concat_cols(dfg_emb, cgra_emb);
+        let joined = ctx.concat_cols(graphs, meta_emb);
+        let state = self.trunk.infer(ctx, &self.params, joined);
+        ctx.relu(state);
+
+        let logits = self.policy_head.infer(ctx, &self.params, state);
+        let values = self.value_head.infer(ctx, &self.params, state);
+        ForwardSlots {
+            x_dfg,
+            h1,
+            h2,
+            dfg_emb,
+            x_cgra,
+            c1,
+            c2,
+            cgra_emb,
+            meta_in,
+            meta_emb,
+            graphs,
+            joined,
+            state,
+            logits,
+            values,
+        }
     }
 
     /// Reference inference through the autodiff tape — the allocation-
@@ -490,40 +552,37 @@ impl MapZeroNet {
     /// One optimization step on a batch of samples, minimizing
     /// `(r − v)² − π·log p` (Alg. 1 line 21) with gradient clipping.
     ///
+    /// Each sample runs the `K = 1` forward of [`MapZeroNet::predict`]
+    /// and a hand-derived backward over the same workspace (no autodiff
+    /// tape); gradients accumulate per sample, in sample order. The
+    /// parameters, the Adam state and the returned losses are
+    /// bit-identical to differentiating [`MapZeroNet::predict_reference`]'s
+    /// tape forward with `Graph::backward`.
+    ///
     /// # Panics
-    /// Panics on an empty batch.
+    /// Panics on an empty batch, or — before any state changes — on a
+    /// sample whose mask length differs from the action count, whose
+    /// policy length differs from its mask's, that has no legal action,
+    /// or that has a graph edge endpoint out of range.
     pub fn train_batch(&mut self, batch: &[TrainSample], lr: f32, clip: f32) -> LossBreakdown {
         assert!(!batch.is_empty(), "batch must not be empty");
+        for sample in batch {
+            self.check_sample(sample);
+        }
         let _phase = mapzero_obs::phase::phase_guard(mapzero_obs::Phase::Backprop);
         let started = mapzero_obs::enabled().then(std::time::Instant::now);
         self.params.zero_grads();
         let mut value_loss_total = 0.0f32;
         let mut policy_loss_total = 0.0f32;
         let scale = 1.0 / batch.len() as f32;
-        for sample in batch {
-            let mut g = Graph::new();
-            let (log_probs, value) = self.forward(&mut g, &sample.observation);
-            // Value loss: (r - v)^2.
-            let target = g.input(Matrix::scalar(sample.value));
-            let diff = g.sub(value, target);
-            let vloss = g.mul(diff, diff);
-            // Policy loss: -sum(pi * log p) over legal actions.
-            let mut pi = sample.policy.clone();
-            for (i, &legal) in sample.observation.mask.iter().enumerate() {
-                if !legal {
-                    pi[i] = 0.0;
-                }
+        INFER_STATE.with(|cell| {
+            let st = &mut *cell.borrow_mut();
+            for sample in batch {
+                let (vloss, ploss) = self.accumulate_gradients(st, sample, scale);
+                value_loss_total += vloss;
+                policy_loss_total += ploss;
             }
-            let pi_row = g.input(Matrix::row(&pi));
-            let weighted = g.mul(pi_row, log_probs);
-            let psum = g.sum_all(weighted);
-            let ploss = g.scale(psum, -1.0);
-            let combined = g.add(vloss, ploss);
-            let loss = g.scale(combined, scale);
-            g.backward(loss, &mut self.params);
-            value_loss_total += g.value(vloss)[(0, 0)];
-            policy_loss_total += g.value(ploss)[(0, 0)];
-        }
+        });
         let grad_norm = clip_gradients(&mut self.params, clip);
         self.optimizer.step(&mut self.params, lr);
         self.params.zero_grads();
@@ -536,6 +595,89 @@ impl MapZeroNet {
             );
         }
         LossBreakdown { value_loss, policy_loss, total: value_loss + policy_loss, grad_norm }
+    }
+
+    /// The malformed-sample checks of [`MapZeroNet::train_batch`].
+    fn check_sample(&self, sample: &TrainSample) {
+        let obs = &sample.observation;
+        assert_eq!(obs.mask.len(), self.action_count, "mask/action mismatch");
+        assert_eq!(sample.policy.len(), obs.mask.len(), "policy/mask length mismatch");
+        assert!(obs.mask.iter().any(|&m| m), "at least one action must be legal");
+        for (edges, n) in [
+            (&obs.dfg_edges, obs.dfg_nodes.rows()),
+            (&obs.cgra_edges, obs.cgra_nodes.rows()),
+        ] {
+            for &(s, d) in edges {
+                assert!(s < n && d < n, "edge ({s}, {d}) out of range for {n} nodes");
+            }
+        }
+    }
+
+    /// Forward and backward of one sample with loss weight `scale`:
+    /// adds its parameter gradients into `self.params` and returns its
+    /// unscaled `(value loss, policy loss)`.
+    ///
+    /// Every step mirrors the tape graph of `(r − v)² − π·log p`
+    /// walked in reverse creation order; where a buffer has several
+    /// consumers, it sums their terms in that order (`state` takes the
+    /// value head's before the policy head's).
+    fn accumulate_gradients(
+        &mut self,
+        st: &mut InferState,
+        sample: &TrainSample,
+        scale: f32,
+    ) -> (f32, f32) {
+        let obs = &sample.observation;
+        let f = self.forward_slots(st, &[obs]);
+        let InferState { ctx, dfg_index, cgra_index, log_probs } = st;
+        log_softmax_masked_into(ctx.value(f.logits).row_slice(0), &obs.mask, log_probs);
+        let value = mapzero_nn::simd::tanh1(ctx.value(f.values)[(0, 0)]);
+        let diff = value - sample.value;
+        let vloss = diff * diff;
+        // π with illegal actions zeroed, as a weight on each log p.
+        let pi = |c: usize| if obs.mask[c] { sample.policy[c] } else { 0.0 };
+        let psum: f32 = log_probs.iter().enumerate().map(|(c, &lp)| pi(c) * lp).sum();
+        // `x * -1.0`, not `-x`: the tape's `scale(·, −1)`, bit for bit
+        // even on a NaN.
+        #[allow(clippy::neg_multiply)]
+        let ploss = psum * -1.0;
+
+        // Seed: ∂loss/∂vloss = ∂loss/∂ploss = scale.
+        #[allow(clippy::neg_multiply)]
+        let g_psum = scale * -1.0;
+        let g_diff = scale * diff + scale * diff;
+        let g_value_raw = (1.0 - value * value) * g_diff;
+        ctx.begin_backward();
+        ctx.grad_mut(f.values)[(0, 0)] = g_value_raw;
+        let mut gsum = 0.0f32;
+        for (c, &legal) in obs.mask.iter().enumerate() {
+            if legal {
+                gsum += g_psum * pi(c);
+            }
+        }
+        let g_logits = ctx.grad_mut(f.logits).row_slice_mut(0);
+        for (c, &legal) in obs.mask.iter().enumerate() {
+            if legal {
+                g_logits[c] = g_psum * pi(c) - log_probs[c].exp() * gsum;
+            }
+        }
+
+        let params = &mut self.params;
+        self.value_head.backward(ctx, params, f.state, f.values, true);
+        self.policy_head.backward(ctx, params, f.state, f.logits, true);
+        ctx.relu_backward(f.state);
+        self.trunk.backward(ctx, params, f.joined, f.state, true);
+        ctx.concat_cols_backward(f.graphs, f.meta_emb, f.joined);
+        ctx.concat_cols_backward(f.dfg_emb, f.cgra_emb, f.graphs);
+        ctx.relu_backward(f.meta_emb);
+        self.fc_meta.backward(ctx, params, f.meta_in, f.meta_emb, false);
+        ctx.mean_rows_grouped_backward(f.c2, f.cgra_emb, 1);
+        self.gat_cgra2.backward(ctx, params, f.c1, f.c2, cgra_index, true);
+        self.gat_cgra1.backward(ctx, params, f.x_cgra, f.c1, cgra_index, false);
+        ctx.mean_rows_grouped_backward(f.h2, f.dfg_emb, 1);
+        self.gat_dfg2.backward(ctx, params, f.h1, f.h2, dfg_index, true);
+        self.gat_dfg1.backward(ctx, params, f.x_dfg, f.h1, dfg_index, false);
+        (vloss, ploss)
     }
 }
 
@@ -650,7 +792,7 @@ mod tests {
     /// Mid-episode observations of `kernel` on `cgra` (one problem).
     fn episode_obs(kernel: &str, cgra: &mapzero_arch::Cgra, count: usize) -> Vec<Observation> {
         let dfg = suite::by_name(kernel).unwrap();
-        let problem = Problem::new(&dfg, cgra, 1).unwrap();
+        let problem = Problem::new(&dfg, cgra, Problem::mii(&dfg, cgra).unwrap()).unwrap();
         let mut env = MapEnv::new(&problem);
         let mut out = vec![observe(&env)];
         while out.len() < count && !env.done() {
@@ -720,6 +862,153 @@ mod tests {
                 assert_eq!(batch, first_three, "same batch, same bits");
             }
         }
+    }
+
+    impl MapZeroNet {
+        /// The tape train step [`MapZeroNet::train_batch`] replaced,
+        /// kept as its oracle: each sample's loss graph built on the
+        /// autodiff tape and differentiated by `Graph::backward`.
+        fn train_batch_reference(
+            &mut self,
+            batch: &[TrainSample],
+            lr: f32,
+            clip: f32,
+        ) -> LossBreakdown {
+            self.params.zero_grads();
+            let mut value_loss_total = 0.0f32;
+            let mut policy_loss_total = 0.0f32;
+            let scale = 1.0 / batch.len() as f32;
+            for sample in batch {
+                let mut g = Graph::new();
+                let (log_probs, value) = self.forward(&mut g, &sample.observation);
+                let target = g.input(Matrix::scalar(sample.value));
+                let diff = g.sub(value, target);
+                let vloss = g.mul(diff, diff);
+                let mut pi = sample.policy.clone();
+                for (i, &legal) in sample.observation.mask.iter().enumerate() {
+                    if !legal {
+                        pi[i] = 0.0;
+                    }
+                }
+                let pi_row = g.input(Matrix::row(&pi));
+                let weighted = g.mul(pi_row, log_probs);
+                let psum = g.sum_all(weighted);
+                let ploss = g.scale(psum, -1.0);
+                let combined = g.add(vloss, ploss);
+                let loss = g.scale(combined, scale);
+                g.backward(loss, &mut self.params);
+                value_loss_total += g.value(vloss)[(0, 0)];
+                policy_loss_total += g.value(ploss)[(0, 0)];
+            }
+            let grad_norm = clip_gradients(&mut self.params, clip);
+            self.optimizer.step(&mut self.params, lr);
+            self.params.zero_grads();
+            let value_loss = value_loss_total * scale;
+            let policy_loss = policy_loss_total * scale;
+            LossBreakdown { value_loss, policy_loss, total: value_loss + policy_loss, grad_norm }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn loss_bits(l: &LossBreakdown) -> [u32; 4] {
+        [l.value_loss, l.policy_loss, l.total, l.grad_norm].map(f32::to_bits)
+    }
+
+    /// Training samples of mixed shapes: states of three DFGs on HReA,
+    /// including single-legal-action states and policies that put mass
+    /// on illegal actions (which the loss must ignore).
+    fn mixed_samples() -> Vec<TrainSample> {
+        let hrea = presets::hrea();
+        let mut out = Vec::new();
+        for (k, kernel) in ["sum", "mac", "conv3"].into_iter().enumerate() {
+            for (i, observation) in episode_obs(kernel, &hrea, 4).into_iter().enumerate() {
+                let j = k * 4 + i;
+                let mut observation = observation;
+                let policy: Vec<f32> = if j % 3 == 0 {
+                    // Uniform over all PEs, legal or not.
+                    vec![1.0 / 16.0; 16]
+                } else {
+                    let legal: Vec<usize> =
+                        (0..16).filter(|&pe| observation.mask[pe]).collect();
+                    let mut p = vec![0.0; 16];
+                    p[legal[j % legal.len()]] = 0.7;
+                    p[legal[(j + 1) % legal.len()]] += 0.3;
+                    p
+                };
+                if j % 4 == 1 {
+                    // Exactly one legal action.
+                    let keep = observation.mask.iter().position(|&m| m).unwrap();
+                    for (pe, m) in observation.mask.iter_mut().enumerate() {
+                        *m = pe == keep;
+                    }
+                }
+                let value = [0.8, -0.6, 0.0, -1.0, 0.35][j % 5];
+                out.push(TrainSample { observation, policy, value });
+            }
+        }
+        out
+    }
+
+    /// The tape-free train step must leave the parameters, the Adam
+    /// state and the reported losses bit-identical to the tape step,
+    /// after every one of several consecutive updates, for either
+    /// encoder. Run under `MAPZERO_SIMD=scalar` too (see `scripts/ci.sh`).
+    #[test]
+    fn train_batch_matches_tape_reference_bitwise() {
+        let samples = mixed_samples();
+        assert!(samples.len() >= 10, "too few samples: {}", samples.len());
+        assert!(samples.iter().any(|s| s.observation.mask.iter().filter(|&&m| m).count() == 1));
+        for encoder in [EncoderKind::Gat, EncoderKind::Gcn] {
+            let config = NetConfig { encoder, seed: 3, ..NetConfig::tiny() };
+            let mut fast = MapZeroNet::new(16, config);
+            let mut tape = MapZeroNet::new(16, config);
+            for step in 0..6 {
+                let size = 1 + (step * 5) % 9;
+                let batch: Vec<TrainSample> =
+                    (0..size).map(|i| samples[(step * 7 + i) % samples.len()].clone()).collect();
+                let got = fast.train_batch(&batch, 0.01, 0.5);
+                let want = tape.train_batch_reference(&batch, 0.01, 0.5);
+                let at = format!("{encoder:?} step {step}");
+                assert_eq!(loss_bits(&got), loss_bits(&want), "{at}: losses {got:?} vs {want:?}");
+                for id in fast.params.ids() {
+                    assert_eq!(bits(fast.params.value(id)), bits(tape.params.value(id)), "{at}: {id:?}");
+                }
+                let (a, b) = (fast.optimizer_state(), tape.optimizer_state());
+                assert_eq!(a.t, b.t, "{at}: Adam step");
+                for (ma, mb) in a.m.iter().zip(&b.m).chain(a.v.iter().zip(&b.v)) {
+                    assert_eq!(bits(ma), bits(mb), "{at}: Adam moments");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "policy/mask length mismatch")]
+    fn short_policy_panics_up_front() {
+        let mut net = MapZeroNet::new(16, NetConfig::tiny());
+        let sample = TrainSample { observation: sample_obs(), policy: vec![1.0; 15], value: 0.0 };
+        let _ = net.train_batch(&[sample], 0.01, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one action must be legal")]
+    fn sample_without_legal_action_panics() {
+        let mut net = MapZeroNet::new(16, NetConfig::tiny());
+        let mut observation = sample_obs();
+        observation.mask.fill(false);
+        let _ = net.train_batch(&[TrainSample { observation, policy: vec![0.0; 16], value: 0.0 }], 0.01, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_edge_panics() {
+        let mut net = MapZeroNet::new(16, NetConfig::tiny());
+        let mut observation = sample_obs();
+        observation.cgra_edges.push((0, 16));
+        let _ = net.train_batch(&[TrainSample { observation, policy: vec![0.0; 16], value: 0.0 }], 0.01, 1.0);
     }
 
     #[test]

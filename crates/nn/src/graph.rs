@@ -4,6 +4,12 @@
 //! [`Graph::backward`] walks the tape in reverse, accumulating gradients
 //! into the tape and finally into the [`Params`] store for parameter
 //! leaves. Build a fresh graph per forward pass.
+//!
+//! The tape is the numerics reference, not a production path: inference
+//! and training run the tape-free [`crate::InferCtx`] forward and the
+//! layers' hand-derived `backward`, which the oracle tests hold to this
+//! tape bit for bit, while this tape's own gradients are checked
+//! against finite differences.
 
 use crate::{Matrix, ParamId, Params};
 
@@ -376,9 +382,9 @@ impl Graph {
             Op::MatMul(a, b) => {
                 // Transpose-aware products: no materialized transpose
                 // and no defensive clones of the forward values. The
-                // backward pass is tolerance-governed (gradients are
-                // checked against finite differences, not bitwise), so
-                // the fused-order row-dot kernel is safe here.
+                // fused-order row-dot kernel is fine here: the tape's
+                // gradients are checked against finite differences, and
+                // the tape-free backward uses the same per-cell `dot`.
                 let va = &self.nodes[a.0].value;
                 let vb = &self.nodes[b.0].value;
                 let da = g.matmul_transposed_fast(vb);

@@ -1,5 +1,5 @@
-//! Tape-free inference: a reusable scratch workspace for forward-only
-//! evaluation.
+//! Tape-free inference and training: a reusable scratch workspace for
+//! forward passes and their hand-derived backward.
 //!
 //! [`crate::Graph`] records every op so it can differentiate; at search
 //! time MapZero only needs values, yet each `predict` used to pay for a
@@ -7,15 +7,18 @@
 //! cloned parameter leaves). [`InferCtx`] replaces the tape with a bump
 //! arena of [`Matrix`] slots that are reshaped in place and reused
 //! across forward passes, so a warmed-up context runs the whole network
-//! without touching the allocator.
+//! without touching the allocator. Training reuses the same forward and
+//! keeps one gradient per slot for the backward walk (see
+//! [`InferCtx::begin_backward`]).
 //!
 //! Every op here is **bit-identical** to its tape counterpart (or, for
 //! the fused message passes, to the tape op chain it replaces): the
 //! same accumulation order, the same zero-skips, the same clamping. The
 //! proptests in `tests/proptest_hotpath.rs`,
-//! `crates/nn/tests/message_passing_oracle.rs` and the equivalence
-//! tests below hold the two paths equal, so the Graph forward remains
-//! the single source of truth for numerics.
+//! `crates/nn/tests/message_passing_oracle.rs`,
+//! `crates/nn/tests/backward_oracle.rs` and the equivalence tests below
+//! hold the two paths equal, so the Graph remains the single source of
+//! truth for numerics.
 //!
 //! Slot handles ([`BufId`]) are only valid until the next
 //! [`InferCtx::begin`]; ops that produce a new value always allocate a
@@ -27,15 +30,22 @@ use crate::{Matrix, NEG_INF};
 /// Handle to one scratch matrix inside an [`InferCtx`]. Invalidated by
 /// [`InferCtx::begin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufId(usize);
+pub struct BufId(pub(crate) usize);
 
-/// Bump-arena workspace for tape-free forward passes.
+/// Bump-arena workspace for tape-free forward passes and, through
+/// [`InferCtx::begin_backward`], their gradients.
 #[derive(Default)]
 pub struct InferCtx {
     slots: Vec<Matrix>,
+    /// One gradient per slot, sized by [`InferCtx::begin_backward`].
+    grads: Vec<Matrix>,
     used: usize,
     /// Per-message attention scores of the current GAT head.
     edge_scratch: Vec<f32>,
+    /// Per-message score gradients of the current GAT head (backward).
+    edge_grad: Vec<f32>,
+    /// The last parameter gradient a backward op produced.
+    param_grad: Matrix,
 }
 
 impl InferCtx {
@@ -293,6 +303,213 @@ impl InferCtx {
     }
 }
 
+/// # Backward
+///
+/// The training step runs one forward per sample, then walks it back
+/// by hand: [`InferCtx::begin_backward`] gives every live slot a zeroed
+/// gradient, and each op below accumulates its input gradients the way
+/// the tape's `Graph::backward` does — same kernels, same order, same
+/// zero-skips — so parameter gradients are bit-identical to the tape's.
+/// In-place forward ops (bias, ReLU, tanh) are walked back in place on
+/// their slot's gradient: ReLU reads `y > 0` and tanh `1 − y²` off the
+/// output, exactly the tape's rules. Where the tape would add a fresh
+/// delta into a zero gradient, these ops write the same value; the two
+/// can differ only in the sign of an exact zero, which no later sum,
+/// product or parameter update can observe.
+impl InferCtx {
+    /// Start the backward pass of the forward recorded since the last
+    /// [`InferCtx::begin`]: every live slot gets a zeroed gradient of
+    /// its shape, addressed by the slot's [`BufId`].
+    pub fn begin_backward(&mut self) {
+        for i in 0..self.used {
+            let (rows, cols) = (self.slots[i].rows(), self.slots[i].cols());
+            if i == self.grads.len() {
+                self.grads.push(Matrix::zeros(rows, cols));
+            } else {
+                self.grads[i].resize_to(rows, cols);
+            }
+        }
+    }
+
+    /// A slot's gradient.
+    ///
+    /// # Panics
+    /// Panics on a stale handle or before [`InferCtx::begin_backward`].
+    #[must_use]
+    pub fn grad(&self, id: BufId) -> &Matrix {
+        assert!(id.0 < self.used, "stale BufId");
+        &self.grads[id.0]
+    }
+
+    /// A slot's gradient, for seeding the backward pass.
+    ///
+    /// # Panics
+    /// Same contract as [`InferCtx::grad`].
+    pub fn grad_mut(&mut self, id: BufId) -> &mut Matrix {
+        assert!(id.0 < self.used, "stale BufId");
+        &mut self.grads[id.0]
+    }
+
+    /// ReLU backward, in place on `y`'s gradient: kept where the output
+    /// is positive (`max(x, 0) > 0` exactly when `x > 0`).
+    pub fn relu_backward(&mut self, y: BufId) {
+        for (g, &v) in self.grads[y.0].data_mut().iter_mut().zip(self.slots[y.0].data()) {
+            *g = if v > 0.0 { *g } else { 0.0 };
+        }
+    }
+
+    /// tanh backward, in place on `y`'s gradient: `g ← (1 − y²) · g`.
+    pub fn tanh_backward(&mut self, y: BufId) {
+        for (g, &v) in self.grads[y.0].data_mut().iter_mut().zip(self.slots[y.0].data()) {
+            *g *= 1.0 - v * v;
+        }
+    }
+
+    /// Bias backward of [`InferCtx::add_bias`] on `y`: the column sums
+    /// of `y`'s gradient in ascending row order. The slot's own
+    /// gradient passes through unchanged.
+    pub fn add_bias_backward(&mut self, y: BufId) -> &Matrix {
+        let g = &self.grads[y.0];
+        self.param_grad.resize_to(1, g.cols());
+        for r in 0..g.rows() {
+            for (acc, &v) in self.param_grad.data_mut().iter_mut().zip(g.row_slice(r)) {
+                *acc += v;
+            }
+        }
+        &self.param_grad
+    }
+
+    /// Backward of `y = x @ w` ([`InferCtx::matmul`]): returns the
+    /// weight gradient `xᵀ · gy` ([`Matrix::transpose_matmul`]) and,
+    /// with `input_grad`, adds `gy · wᵀ`
+    /// ([`Matrix::matmul_transposed_fast`]) into `x`'s gradient. Skip
+    /// the input side for raw features nothing consumes.
+    pub fn matmul_backward(&mut self, x: BufId, y: BufId, w: &Matrix, input_grad: bool) -> &Matrix {
+        assert_ne!(x, y, "aliasing slot access");
+        if input_grad {
+            let mut gx = std::mem::take(&mut self.grads[x.0]);
+            self.grads[y.0].matmul_transposed_fast_acc(w, &mut gx);
+            self.grads[x.0] = gx;
+        }
+        self.slots[x.0].transpose_matmul_into(&self.grads[y.0], &mut self.param_grad);
+        &self.param_grad
+    }
+
+    /// Backward of [`InferCtx::mean_rows_grouped`]: every input row of
+    /// group `g` gets `gout[g] / n`.
+    pub fn mean_rows_grouped_backward(&mut self, a: BufId, out: BufId, groups: usize) {
+        assert_ne!(a, out, "aliasing slot access");
+        let mut ga = std::mem::take(&mut self.grads[a.0]);
+        let go = &self.grads[out.0];
+        let per = ga.rows() / groups;
+        let n = per as f32;
+        for r in 0..ga.rows() {
+            for (acc, &g) in ga.row_slice_mut(r).iter_mut().zip(go.row_slice(r / per)) {
+                *acc += g / n;
+            }
+        }
+        self.grads[a.0] = ga;
+    }
+
+    /// Backward of [`InferCtx::concat_cols`]: `out`'s gradient splits
+    /// back into `a`'s columns and `b`'s.
+    pub fn concat_cols_backward(&mut self, a: BufId, b: BufId, out: BufId) {
+        assert!(a != out && b != out && a != b, "aliasing slot access");
+        let go = std::mem::take(&mut self.grads[out.0]);
+        let ca = self.grads[a.0].cols();
+        for (id, cols) in [(a, 0..ca), (b, ca..go.cols())] {
+            let gx = &mut self.grads[id.0];
+            for r in 0..go.rows() {
+                for (acc, &g) in gx.row_slice_mut(r).iter_mut().zip(&go.row_slice(r)[cols.clone()]) {
+                    *acc += g;
+                }
+            }
+        }
+        self.grads[out.0] = go;
+    }
+
+    /// Backward of one [`InferCtx::gat_aggregate`] head: reads the
+    /// gradient of `out`'s columns `col..col + d` (already through the
+    /// output tanh) and accumulates into the gradients of `hw`,
+    /// `score_dst` and `score_src` — the tape's chain from
+    /// `scatter_add_rows` back to the score gathers, in its order (see
+    /// [`crate::simd::gat_aggregate_backward`]).
+    ///
+    /// Call it before the score projections' [`InferCtx::matmul_backward`]:
+    /// the tape's `hw` takes its message term first.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gat_aggregate_backward(
+        &mut self,
+        hw: BufId,
+        score_dst: BufId,
+        score_src: BufId,
+        index: &MessageIndex,
+        slope: f32,
+        out: BufId,
+        col: usize,
+    ) {
+        assert!(
+            ![hw, score_dst, score_src].contains(&out)
+                && hw != score_dst
+                && hw != score_src
+                && score_dst != score_src,
+            "aliasing slot access"
+        );
+        let mut ghw = std::mem::take(&mut self.grads[hw.0]);
+        let mut gsd = std::mem::take(&mut self.grads[score_dst.0]);
+        let mut gss = std::mem::take(&mut self.grads[score_src.0]);
+        let go = &self.grads[out.0];
+        let hwv = &self.slots[hw.0];
+        let (sd, ss) = (&self.slots[score_dst.0], &self.slots[score_src.0]);
+        let (rows, d) = (hwv.rows(), hwv.cols());
+        index.check_rows(rows);
+        assert!(sd.data().len() == rows && ss.data().len() == rows, "one score per node row");
+        assert!(go.rows() == rows && col + d <= go.cols(), "output block out of bounds");
+        crate::simd::gat_aggregate_backward(
+            (go.data(), go.cols(), col),
+            hwv.data(),
+            d,
+            (sd.data(), ss.data()),
+            index,
+            slope,
+            (ghw.data_mut(), gsd.data_mut(), gss.data_mut()),
+            (&mut self.edge_scratch, &mut self.edge_grad),
+        );
+        self.grads[hw.0] = ghw;
+        self.grads[score_dst.0] = gsd;
+        self.grads[score_src.0] = gss;
+    }
+
+    /// Backward of [`InferCtx::gcn_aggregate`] from `x` into `out`:
+    /// scales `out`'s gradient (already through the output tanh) by
+    /// each destination's inverse degree, in place, then adds it to
+    /// each message source's gradient in original message order.
+    pub fn gcn_aggregate_backward(&mut self, x: BufId, index: &MessageIndex, out: BufId) {
+        assert_ne!(x, out, "aliasing slot access");
+        let mut go = std::mem::take(&mut self.grads[out.0]);
+        let gx = &mut self.grads[x.0];
+        index.check_rows(go.rows());
+        let n = index.n();
+        for base in (0..go.rows()).step_by(n) {
+            for v in 0..n {
+                let k = index.inv_deg[v];
+                for g in go.row_slice_mut(base + v) {
+                    *g *= k;
+                }
+            }
+            for u in 0..n {
+                let acc = gx.row_slice_mut(base + u);
+                for &(_, v) in index.out_messages(u) {
+                    for (acc, &g) in acc.iter_mut().zip(go.row_slice(base + v)) {
+                        *acc += g;
+                    }
+                }
+            }
+        }
+        self.grads[out.0] = go;
+    }
+}
+
 /// Masked log-softmax over one row of logits, written into a
 /// caller-provided buffer; same numerics (and the same `NEG_INF`
 /// stand-in for masked entries) as [`crate::Graph::log_softmax_masked`].
@@ -353,7 +570,9 @@ pub fn log_softmax_masked_fused_into(logits: &[f32], mask: &[bool], out: &mut Ve
 /// node `v`'s in-sources are `sources[offsets[v]..offsets[v + 1]]`, in
 /// ascending message order (its in-edges in edge-list order, then its
 /// self-loop). Also carries the inverse in-degrees [`crate::GcnLayer`]
-/// normalizes by.
+/// normalizes by, and the same messages grouped by source, which the
+/// training backward walks to accumulate per-source gradients in the
+/// tape's order.
 ///
 /// [`MessageIndex::rebuild`] keeps the index while the edge list and
 /// node count are unchanged, so a search that queries one problem's
@@ -363,6 +582,12 @@ pub struct MessageIndex {
     edges: Vec<(usize, usize)>,
     offsets: Vec<usize>,
     sources: Vec<usize>,
+    /// Per-source ranges of `by_source`.
+    source_offsets: Vec<usize>,
+    /// `(CSR position, dst)` of every message, grouped by source, each
+    /// source's in original message order (edges in list order, then
+    /// the self-loop).
+    by_source: Vec<(usize, usize)>,
     inv_deg: Vec<f32>,
 }
 
@@ -404,17 +629,29 @@ impl MessageIndex {
         // order, then the self-loops, which follow every edge.
         self.sources.clear();
         self.sources.resize(edges.len() + n, 0);
-        for &(s, d) in edges {
-            self.sources[self.offsets[d]] = s;
-            self.offsets[d] += 1;
+        // The same stable counting sort by source, over (position, dst).
+        self.source_offsets.clear();
+        self.source_offsets.resize(n + 1, 0);
+        for &(s, _) in edges {
+            self.source_offsets[s + 1] += 1;
         }
         for v in 0..n {
-            self.sources[self.offsets[v]] = v;
-            self.offsets[v] += 1;
+            self.source_offsets[v + 1] += self.source_offsets[v] + 1;
+        }
+        self.by_source.clear();
+        self.by_source.resize(edges.len() + n, (0, 0));
+        let self_loops = (0..n).map(|v| (v, v));
+        for (s, d) in edges.iter().copied().chain(self_loops) {
+            self.sources[self.offsets[d]] = s;
+            self.by_source[self.source_offsets[s]] = (self.offsets[d], d);
+            self.offsets[d] += 1;
+            self.source_offsets[s] += 1;
         }
         // Each cursor now sits at the next node's start.
-        self.offsets.copy_within(0..n, 1);
-        self.offsets[0] = 0;
+        for starts in [&mut self.offsets, &mut self.source_offsets] {
+            starts.copy_within(0..n, 1);
+            starts[0] = 0;
+        }
         self.inv_deg.clear();
         self.inv_deg.extend(self.offsets.windows(2).map(|w| 1.0 / ((w[1] - w[0]) as f32).max(1.0)));
     }
@@ -442,6 +679,14 @@ impl MessageIndex {
     #[must_use]
     pub(crate) fn in_sources(&self, v: usize) -> &[usize] {
         &self.sources[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// Node `u`'s outgoing messages as `(CSR position, dst)`, in
+    /// original message order: its edges in list order, then its
+    /// self-loop — the order the tape's gather backward sums them in.
+    #[must_use]
+    pub(crate) fn out_messages(&self, u: usize) -> &[(usize, usize)] {
+        &self.by_source[self.source_offsets[u]..self.source_offsets[u + 1]]
     }
 
     /// Inverse in-degree (self-loop included) per node.

@@ -31,10 +31,29 @@ impl Linear {
     }
 
     /// Tape-free forward pass; bit-identical to [`Linear::forward`].
+    /// Allocates exactly one slot, its output.
     pub fn infer(&self, ctx: &mut InferCtx, params: &Params, x: BufId) -> BufId {
         let y = ctx.matmul(x, params.value(self.weight));
         ctx.add_bias(y, params.value(self.bias));
         y
+    }
+
+    /// Backward of [`Linear::infer`] from `x` to `y`, after
+    /// [`InferCtx::begin_backward`] with `y`'s gradient in place: adds
+    /// the bias and weight gradients into `params` and, with
+    /// `input_grad`, `x`'s gradient into the context. Bit-identical to
+    /// the tape's [`Linear::forward`] + [`Graph::backward`].
+    pub fn backward(
+        &self,
+        ctx: &mut InferCtx,
+        params: &mut Params,
+        x: BufId,
+        y: BufId,
+        input_grad: bool,
+    ) {
+        params.grad_mut(self.bias).add_assign(ctx.add_bias_backward(y));
+        let gw = ctx.matmul_backward(x, y, params.value(self.weight), input_grad);
+        params.grad_mut(self.weight).add_assign(gw);
     }
 }
 
@@ -74,6 +93,8 @@ impl Mlp {
     }
 
     /// Tape-free forward pass; bit-identical to [`Mlp::forward`].
+    /// Each layer allocates one slot, so layer `i`'s output sits
+    /// `depth − 1 − i` slots below the returned one.
     pub fn infer(&self, ctx: &mut InferCtx, params: &Params, mut x: BufId) -> BufId {
         for (i, layer) in self.layers.iter().enumerate() {
             x = layer.infer(ctx, params, x);
@@ -82,6 +103,27 @@ impl Mlp {
             }
         }
         x
+    }
+
+    /// Backward of [`Mlp::infer`] from `x` to `out`, layer by layer
+    /// in reverse (see [`Linear::backward`]).
+    pub fn backward(
+        &self,
+        ctx: &mut InferCtx,
+        params: &mut Params,
+        x: BufId,
+        out: BufId,
+        input_grad: bool,
+    ) {
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let y = BufId(out.0 - (last - i));
+            if i < last {
+                ctx.relu_backward(y);
+            }
+            let (input, want) = if i == 0 { (x, input_grad) } else { (BufId(y.0 - 1), true) };
+            layer.backward(ctx, params, input, y, want);
+        }
     }
 
     /// Number of layers.
@@ -195,6 +237,9 @@ impl GatLayer {
     /// single-graph pass. Each head's message pass is one fused
     /// [`InferCtx::gat_aggregate`] over the index's CSR, written into
     /// the head's column block of the layer output.
+    ///
+    /// Slot layout, which [`GatLayer::backward`] relies on: the output,
+    /// then per head `hw`, `score_dst`, `score_src`.
     pub fn infer(
         &self,
         ctx: &mut InferCtx,
@@ -212,6 +257,35 @@ impl GatLayer {
         }
         ctx.tanh(out);
         out
+    }
+
+    /// Backward of [`GatLayer::infer`] from `x` to `out` (see
+    /// [`Linear::backward`] for the contract). Heads run in reverse, so
+    /// `x`'s gradient sums their terms in the tape's order; within a
+    /// head, `hw`'s gradient takes the message term, then the
+    /// `att_src` projection's, then `att_dst`'s.
+    pub fn backward(
+        &self,
+        ctx: &mut InferCtx,
+        params: &mut Params,
+        x: BufId,
+        out: BufId,
+        index: &MessageIndex,
+        input_grad: bool,
+    ) {
+        let d = params.value(self.heads[0].weight).cols();
+        ctx.tanh_backward(out);
+        for (h, head) in self.heads.iter().enumerate().rev() {
+            let hw = BufId(out.0 + 1 + 3 * h);
+            let (score_dst, score_src) = (BufId(hw.0 + 1), BufId(hw.0 + 2));
+            ctx.gat_aggregate_backward(hw, score_dst, score_src, index, self.negative_slope, out, h * d);
+            for (score, att) in [(score_src, head.att_src), (score_dst, head.att_dst)] {
+                let g = ctx.matmul_backward(hw, score, params.value(att), true);
+                params.grad_mut(att).add_assign(g);
+            }
+            let g = ctx.matmul_backward(x, hw, params.value(head.weight), input_grad);
+            params.grad_mut(head.weight).add_assign(g);
+        }
     }
 }
 
@@ -273,7 +347,8 @@ impl GcnLayer {
 
     /// Tape-free forward pass; bit-identical to [`GcnLayer::forward`]
     /// (the inverse degrees come precomputed from the index). Same
-    /// stacking convention as [`GatLayer::infer`].
+    /// stacking convention as [`GatLayer::infer`]; `hw` sits one slot
+    /// below the output.
     pub fn infer(
         &self,
         ctx: &mut InferCtx,
@@ -286,6 +361,25 @@ impl GcnLayer {
         let agg = ctx.gcn_aggregate(hw, index);
         ctx.tanh(agg);
         agg
+    }
+
+    /// Backward of [`GcnLayer::infer`] from `x` to `out` (see
+    /// [`Linear::backward`] for the contract).
+    pub fn backward(
+        &self,
+        ctx: &mut InferCtx,
+        params: &mut Params,
+        x: BufId,
+        out: BufId,
+        index: &MessageIndex,
+        input_grad: bool,
+    ) {
+        let hw = BufId(out.0 - 1);
+        ctx.tanh_backward(out);
+        ctx.gcn_aggregate_backward(hw, index, out);
+        params.grad_mut(self.bias).add_assign(ctx.add_bias_backward(hw));
+        let g = ctx.matmul_backward(x, hw, params.value(self.weight), input_grad);
+        params.grad_mut(self.weight).add_assign(g);
     }
 }
 

@@ -1,23 +1,28 @@
-//! A minimal, dependency-free neural-network library with reverse-mode
-//! automatic differentiation, built for the MapZero compiler.
+//! A minimal, dependency-free neural-network library built for the
+//! MapZero compiler.
 //!
 //! The paper implements its model in PyTorch; the Rust ecosystem offers
 //! no comparable GNN stack offline, so this crate provides exactly the
 //! pieces MapZero's network (Fig. 5) needs:
 //!
 //! * dense row-major [`Matrix`] values,
+//! * layers: [`Linear`], [`Mlp`], the multi-head [`GatLayer`] of
+//!   Eqs. 5–8 and the [`GcnLayer`] ablation, each with a tape-free
+//!   `infer` over an [`InferCtx`] workspace and a hand-derived
+//!   `backward` over the same workspace,
 //! * a tape-based autograd [`Graph`] with the graph-neural-network
 //!   primitives (gather / scatter-add / per-segment softmax) required by
-//!   graph attention layers,
-//! * layers: [`Linear`], [`Mlp`] and the multi-head [`GatLayer`] of
-//!   Eqs. 5–8,
+//!   graph attention layers — the reference the tape-free paths are
+//!   held to,
 //! * optimizers: SGD with momentum and Adam, both with gradient
 //!   clipping, plus step-decay learning-rate schedules,
 //! * deterministic Xavier initialization and a self-describing binary
 //!   weight format.
 //!
-//! All gradients are verified against finite differences in the test
-//! suite.
+//! The tape's gradients are verified against finite differences; each
+//! layer's `infer` and `backward` must equal the tape's forward and
+//! [`Graph::backward`] bit for bit (`tests/message_passing_oracle.rs`,
+//! `tests/backward_oracle.rs`).
 //!
 //! # Example
 //!
@@ -70,9 +75,10 @@ fn next_params_version() -> u64 {
 
 /// Parameter storage shared across forward passes.
 ///
-/// Parameters live outside the tape; every forward pass copies the
-/// current values into graph leaves and `backward` accumulates gradients
-/// back here. Call [`Params::zero_grads`] after each optimizer step.
+/// Parameters live outside the tape; every tape forward copies the
+/// current values into graph leaves, and both `Graph::backward` and the
+/// layers' tape-free `backward` accumulate gradients back here. Call
+/// [`Params::zero_grads`] after each optimizer step.
 #[derive(Debug, Clone, Default)]
 pub struct Params {
     values: Vec<Matrix>,

@@ -275,8 +275,9 @@ impl Matrix {
     /// rows, using 8 parallel accumulators instead of the sequential
     /// zero-skipping scan. Matches the order-preserving form only
     /// within the kernel tolerance contract (≤1e-5 relative, pinned by
-    /// the kernel proptests), so it is reserved for tolerance-governed
-    /// paths — the autodiff backward pass uses it; the forward paths
+    /// the kernel proptests), so it is reserved for the matmul input
+    /// gradient, which the tape and the tape-free backward
+    /// ([`Matrix::matmul_transposed_fast_acc`]) share; the forward paths
     /// pinned by bit-equality tests must keep `matmul_transposed`.
     ///
     /// # Panics
@@ -296,6 +297,21 @@ impl Matrix {
         out
     }
 
+    /// `out += self x rhsᵀ` with each cell's product from the same
+    /// [`crate::simd::dot`] as [`Matrix::matmul_transposed_fast`], so
+    /// it is bit-identical to adding that product to `out` with
+    /// [`Matrix::add_assign`] — the tape's `MatMul` input gradient —
+    /// without the intermediate matrix.
+    ///
+    /// # Panics
+    /// Panics unless `self.cols == rhs.cols` and `out` is
+    /// `self.rows x rhs.rows`.
+    pub fn matmul_transposed_fast_acc(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, rhs.cols, "matmul_transposed dimension mismatch");
+        assert_eq!((out.rows, out.cols), (self.rows, rhs.rows), "output shape mismatch");
+        crate::simd::matmul_transposed_acc(&self.data, &rhs.data, self.cols, &mut out.data);
+    }
+
     /// Matrix product `selfᵀ x rhs` without materializing the
     /// transpose: the accumulation walks `self` and `rhs` row-by-row
     /// and scatters into `out` rows, keeping every access contiguous.
@@ -313,20 +329,20 @@ impl Matrix {
     /// Panics unless `self.rows == rhs.rows`.
     #[must_use]
     pub fn transpose_matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "transpose_matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let b_row = &rhs.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (c, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[c * rhs.cols..(c + 1) * rhs.cols];
-                crate::simd::axpy(out_row, a, b_row);
-            }
-        }
+        let mut out = Matrix::default();
+        self.transpose_matmul_into(rhs, &mut out);
         out
+    }
+
+    /// [`Matrix::transpose_matmul`] written into `out` (resized in
+    /// place); the same kernel, so the same bits.
+    ///
+    /// # Panics
+    /// Panics unless `self.rows == rhs.rows`.
+    pub fn transpose_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, rhs.rows, "transpose_matmul dimension mismatch");
+        out.resize_to(self.cols, rhs.cols);
+        crate::simd::transpose_matmul_acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
     /// Transpose.

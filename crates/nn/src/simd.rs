@@ -32,8 +32,9 @@
 //!   reassociates the floating-point sum. Results match the sequential
 //!   reference only within a small tolerance (the kernel proptests pin
 //!   1e-5 relative), so these are reserved for paths with an explicit
-//!   tolerance contract: the autodiff backward pass and the K>1
-//!   batched-inference softmax.
+//!   tolerance contract against the sequential form: the matmul input
+//!   gradient (shared by the tape and the tape-free backward, which
+//!   therefore agree bitwise) and the K>1 batched-inference softmax.
 //! - **Elementwise-approximate** ([`tanh1`], [`tanh_map`]): under
 //!   `Lanes8` a vectorizable polynomial replaces the libm call, within
 //!   1e-5 absolute of it. The output depends only on the input bits and
@@ -177,6 +178,98 @@ pub(crate) fn axpy_lanes8(out: &mut [f32], a: f32, x: &[f32]) {
         return unsafe { axpy_lanes8_avx2(out, a, x) };
     }
     axpy_lanes8_body(out, a, x)
+}
+
+/// `out += lhsᵀ · rhs` for row-major `lhs` (`rows x cols`), `rhs`
+/// (`rows x n`) and `out` (`cols x n`): per `lhs` element in row-major
+/// order, skipping zeros, one [`axpy`] of its `rhs` row into an `out`
+/// row — the loop behind [`crate::Matrix::transpose_matmul`]. Each
+/// output element takes its terms in ascending row order. The kernel
+/// kind is resolved once per product instead of once per `axpy`, which
+/// dominates at the network's row widths of 1 to 16; the bodies are
+/// [`axpy`]'s, so the bits are too.
+pub(crate) fn transpose_matmul_acc(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    match kind() {
+        SimdKind::Scalar => transpose_matmul_body::<false>(lhs, cols, rhs, n, out),
+        SimdKind::Lanes8 => {
+            #[cfg(target_arch = "x86_64")]
+            if avx2() {
+                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+                return unsafe { transpose_matmul_avx2(lhs, cols, rhs, n, out) };
+            }
+            transpose_matmul_body::<true>(lhs, cols, rhs, n, out);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn transpose_matmul_avx2(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    transpose_matmul_body::<true>(lhs, cols, rhs, n, out);
+}
+
+#[inline(always)]
+fn transpose_matmul_body<const LANES8: bool>(
+    lhs: &[f32],
+    cols: usize,
+    rhs: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    for (a_row, b_row) in lhs.chunks_exact(cols).zip(rhs.chunks_exact(n)) {
+        for (out_row, &a) in out.chunks_exact_mut(n).zip(a_row) {
+            if a == 0.0 {
+                continue;
+            }
+            // Below one lane block the `Lanes8` body is its scalar
+            // remainder loop; skip its setup.
+            if LANES8 && n >= LANES {
+                axpy_lanes8_body(out_row, a, b_row);
+            } else {
+                axpy_scalar(out_row, a, b_row);
+            }
+        }
+    }
+}
+
+/// `out[i][j] += dot(lhs row i, rhs row j)` for row-major `lhs`
+/// (`rows x k`), `rhs` (`m x k`) and `out` (`rows x m`), with each
+/// product from [`dot`]'s body for the active kind — the input-side
+/// gradient of a matmul, resolved once per product.
+pub(crate) fn matmul_transposed_acc(lhs: &[f32], rhs: &[f32], k: usize, out: &mut [f32]) {
+    match kind() {
+        SimdKind::Scalar => matmul_transposed_body::<false>(lhs, rhs, k, out),
+        SimdKind::Lanes8 => {
+            #[cfg(target_arch = "x86_64")]
+            if avx2() {
+                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+                return unsafe { matmul_transposed_avx2(lhs, rhs, k, out) };
+            }
+            matmul_transposed_body::<true>(lhs, rhs, k, out);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn matmul_transposed_avx2(lhs: &[f32], rhs: &[f32], k: usize, out: &mut [f32]) {
+    matmul_transposed_body::<true>(lhs, rhs, k, out);
+}
+
+#[inline(always)]
+fn matmul_transposed_body<const LANES8: bool>(lhs: &[f32], rhs: &[f32], k: usize, out: &mut [f32]) {
+    let m = rhs.len() / k;
+    for (a_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(m)) {
+        for (o, b_row) in out_row.iter_mut().zip(rhs.chunks_exact(k)) {
+            // Below one lane block `dot_lanes8` folds eight zero lanes
+            // onto its sequential tail, i.e. returns `0.0 + dot_scalar`.
+            *o += match (LANES8, k < LANES) {
+                (true, false) => dot_lanes8(a_row, b_row),
+                (true, true) => 0.0 + dot_scalar(a_row, b_row),
+                (false, _) => dot_scalar(a_row, b_row),
+            };
+        }
+    }
 }
 
 /// The `Lanes8` matmul accumulation loop behind
@@ -542,34 +635,9 @@ fn gat_kernel<const FAST_EXP: bool>(
 ) {
     let (offsets, sources) = (index.offsets(), index.sources());
     let n = index.n();
-    scratch.resize(sources.len(), 0.0);
     for base in (0..score_dst.len()).step_by(n) {
-        let (sd, ss) = (&score_dst[base..base + n], &score_src[base..base + n]);
-        for v in 0..n {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            let mut max = f32::NEG_INFINITY;
-            for (e, &u) in scratch[lo..hi].iter_mut().zip(&sources[lo..hi]) {
-                let s = sd[v] + ss[u];
-                *e = if s >= 0.0 { s } else { slope * s };
-                // `f32::max` without its NaN fix-up sequence (a NaN
-                // score is skipped either way). Only the sign of a zero
-                // maximum can differ, and `score - (±0)` then `exp`
-                // gives the same bits for every score.
-                if *e > max {
-                    max = *e;
-                }
-            }
-            for e in &mut scratch[lo..hi] {
-                *e -= max;
-            }
-        }
-        if FAST_EXP {
-            exp_neg_map_body(scratch);
-        } else {
-            for e in scratch.iter_mut() {
-                *e = e.exp();
-            }
-        }
+        let scores = (&score_dst[base..base + n], &score_src[base..base + n]);
+        gat_exps::<FAST_EXP>(scores, index, slope, scratch);
         let o = &mut out[base * stride..(base + n) * stride];
         let x = &hw[base * d..(base + n) * d];
         match d {
@@ -587,6 +655,197 @@ fn gat_kernel<const FAST_EXP: bool>(
                             *acc += alpha * m;
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Passes 1 and 2 of [`gat_kernel`] for one graph copy: `scratch`
+/// (resized to the message count) receives, in CSR order, `exp` of
+/// each message's LeakyReLU score shifted by its destination's maximum
+/// — the segment-softmax numerators.
+#[inline(always)]
+fn gat_exps<const FAST_EXP: bool>(
+    (sd, ss): (&[f32], &[f32]),
+    index: &crate::MessageIndex,
+    slope: f32,
+    scratch: &mut Vec<f32>,
+) {
+    let (offsets, sources) = (index.offsets(), index.sources());
+    scratch.resize(sources.len(), 0.0);
+    for v in 0..index.n() {
+        let (lo, hi) = (offsets[v], offsets[v + 1]);
+        let mut max = f32::NEG_INFINITY;
+        for (e, &u) in scratch[lo..hi].iter_mut().zip(&sources[lo..hi]) {
+            let s = sd[v] + ss[u];
+            *e = if s >= 0.0 { s } else { slope * s };
+            // `f32::max` without its NaN fix-up sequence (a NaN score
+            // is skipped either way). Only the sign of a zero maximum
+            // can differ, and `score - (±0)` then `exp` gives the same
+            // bits for every score.
+            if *e > max {
+                max = *e;
+            }
+        }
+        for e in &mut scratch[lo..hi] {
+            *e -= max;
+        }
+    }
+    if FAST_EXP {
+        exp_neg_map_body(scratch);
+    } else {
+        for e in scratch.iter_mut() {
+            *e = e.exp();
+        }
+    }
+}
+
+/// The backward of [`gat_aggregate`] for one head, behind
+/// [`crate::InferCtx::gat_aggregate_backward`]: `g_out` holds the
+/// gradient of the head's output block (row stride `stride`, columns
+/// `col..col + d`, already through the output tanh); the gradients of
+/// `hw` (`rows x d`) and the two score columns accumulate into `grads`.
+///
+/// Per copy it recomputes α with [`gat_aggregate`]'s own passes 1–2
+/// and division (so the same bits), then walks the tape's chain back:
+///
+/// 1. per destination, in CSR (= ascending message) order: the
+///    attention gradient `Σ_c hw[u]·g[v]`, the softmax dot `Σ ∂α·α`,
+///    each score gradient `α(∂α − dot)` through the LeakyReLU, and
+///    their sum into `score_dst`;
+/// 2. per source, over its messages in original order (self-loop
+///    last) — the tape's gather order: its score gradient into
+///    `score_src` and `α · g[v]` into `hw`.
+///
+/// Every sum runs from zero in the tape's order with separate
+/// multiply-then-add, so the result is bit-identical to
+/// `Graph::backward` through the composed ops per kind. Widths 4, 8
+/// and 16 get fixed-size inner loops, like the forward.
+///
+/// # Panics
+/// Panics if the slice lengths are inconsistent.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gat_aggregate_backward(
+    (g_out, stride, col): (&[f32], usize, usize),
+    hw: &[f32],
+    d: usize,
+    scores: (&[f32], &[f32]),
+    index: &crate::MessageIndex,
+    slope: f32,
+    grads: (&mut [f32], &mut [f32], &mut [f32]),
+    scratch: (&mut Vec<f32>, &mut Vec<f32>),
+) {
+    match kind() {
+        SimdKind::Scalar => gat_backward_kernel::<false>(
+            (g_out, stride, col), hw, d, scores, index, slope, grads, scratch,
+        ),
+        SimdKind::Lanes8 => {
+            #[cfg(target_arch = "x86_64")]
+            if avx2() {
+                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+                return unsafe {
+                    gat_backward_avx2((g_out, stride, col), hw, d, scores, index, slope, grads, scratch)
+                };
+            }
+            gat_backward_kernel::<true>((g_out, stride, col), hw, d, scores, index, slope, grads, scratch);
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+fn gat_backward_avx2(
+    g_out: (&[f32], usize, usize),
+    hw: &[f32],
+    d: usize,
+    scores: (&[f32], &[f32]),
+    index: &crate::MessageIndex,
+    slope: f32,
+    grads: (&mut [f32], &mut [f32], &mut [f32]),
+    scratch: (&mut Vec<f32>, &mut Vec<f32>),
+) {
+    gat_backward_kernel::<true>(g_out, hw, d, scores, index, slope, grads, scratch);
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gat_backward_kernel<const FAST_EXP: bool>(
+    g_out: (&[f32], usize, usize),
+    hw: &[f32],
+    d: usize,
+    scores: (&[f32], &[f32]),
+    index: &crate::MessageIndex,
+    slope: f32,
+    grads: (&mut [f32], &mut [f32], &mut [f32]),
+    scratch: (&mut Vec<f32>, &mut Vec<f32>),
+) {
+    match d {
+        4 => gat_backward_width::<FAST_EXP, 4>(g_out, hw, d, scores, index, slope, grads, scratch),
+        8 => gat_backward_width::<FAST_EXP, 8>(g_out, hw, d, scores, index, slope, grads, scratch),
+        16 => gat_backward_width::<FAST_EXP, 16>(g_out, hw, d, scores, index, slope, grads, scratch),
+        _ => gat_backward_width::<FAST_EXP, 0>(g_out, hw, d, scores, index, slope, grads, scratch),
+    }
+}
+
+/// [`gat_backward_kernel`] at a constant width `W` (`0`: width `d`).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gat_backward_width<const FAST_EXP: bool, const W: usize>(
+    (g_out, stride, col): (&[f32], usize, usize),
+    hw: &[f32],
+    d: usize,
+    (score_dst, score_src): (&[f32], &[f32]),
+    index: &crate::MessageIndex,
+    slope: f32,
+    (g_hw, g_dst, g_src): (&mut [f32], &mut [f32], &mut [f32]),
+    (alpha, ge): (&mut Vec<f32>, &mut Vec<f32>),
+) {
+    let d = if W == 0 { d } else { W };
+    let (offsets, sources, n) = (index.offsets(), index.sources(), index.n());
+    ge.resize(sources.len(), 0.0);
+    for base in (0..score_dst.len()).step_by(n) {
+        let (sd, ss) = (&score_dst[base..base + n], &score_src[base..base + n]);
+        gat_exps::<FAST_EXP>((sd, ss), index, slope, alpha);
+        let g_row = |v: usize| {
+            let at = (base + v) * stride + col;
+            &g_out[at..at + d]
+        };
+        let hw_row = |u: usize| &hw[(base + u) * d..(base + u + 1) * d];
+        for v in 0..n {
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            let exps = &mut alpha[lo..hi];
+            let denom = softmax_denominator(exps);
+            for e in exps.iter_mut() {
+                *e /= denom;
+            }
+            let gv = g_row(v);
+            let mut dot = 0.0f32;
+            for p in lo..hi {
+                let mut ga = 0.0f32;
+                for (&h, &g) in hw_row(sources[p]).iter().zip(gv) {
+                    ga += h * g;
+                }
+                ge[p] = ga;
+                dot += ga * alpha[p];
+            }
+            let mut sum = 0.0f32;
+            for p in lo..hi {
+                let t = alpha[p] * (ge[p] - dot);
+                let s = sd[v] + ss[sources[p]];
+                ge[p] = if s >= 0.0 { t } else { slope * t };
+                sum += ge[p];
+            }
+            g_dst[base + v] += sum;
+        }
+        for u in 0..n {
+            let acc = &mut g_hw[(base + u) * d..(base + u + 1) * d];
+            for &(p, v) in index.out_messages(u) {
+                g_src[base + u] += ge[p];
+                let a = alpha[p];
+                for (acc, &g) in acc.iter_mut().zip(g_row(v)) {
+                    *acc += a * g;
                 }
             }
         }
@@ -650,7 +909,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-#[inline]
+#[inline(always)]
 fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0f32;
     for (&x, &y) in a.iter().zip(b) {
@@ -659,7 +918,7 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-#[inline]
+#[inline(always)]
 fn dot_lanes8(a: &[f32], b: &[f32]) -> f32 {
     let mut lanes = [0.0f32; LANES];
     let mut ac = a.chunks_exact(LANES);
