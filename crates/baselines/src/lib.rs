@@ -16,21 +16,16 @@
 //!   mesh-class topologies — reproducing the behaviour reported in
 //!   §4.2.
 //!
-//! A [`GaMapper`] (GenMap-style genetic algorithm) rounds out the
-//! meta-heuristic class the paper surveys in §1.
-//!
 //! All baselines implement the shared [`mapzero_core::Mapper`] trait and
 //! the same outer II search loop as MapZero (start at MII, increase on
 //! failure).
 
 mod exact;
-mod ga;
 mod lisa;
 mod sa;
 
 pub mod cost;
 
 pub use exact::{ExactConfig, ExactMapper};
-pub use ga::{GaConfig, GaMapper};
 pub use lisa::{LisaConfig, LisaMapper};
 pub use sa::{SaConfig, SaMapper};

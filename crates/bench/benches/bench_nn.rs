@@ -19,12 +19,6 @@ fn bench_nn(c: &mut Criterion) {
     group.sample_size(20);
     for (label, config) in [("tiny", NetConfig::tiny()), ("default", NetConfig::default())] {
         let net = MapZeroNet::new(cgra.pe_count(), config);
-        // The tape-based reference forward vs the tape-free hot path
-        // (scratch-buffer reuse + DFG-branch memo) — the speedup the
-        // hot-path overhaul claims lives in this pair.
-        group.bench_function(format!("predict_reference_{label}"), |b| {
-            b.iter(|| std::hint::black_box(net.predict_reference(&obs)));
-        });
         group.bench_function(format!("predict_{label}"), |b| {
             b.iter(|| std::hint::black_box(net.predict(&obs)));
         });

@@ -1,12 +1,11 @@
-//! Inference hot-path benchmark: the tape-free forward + MCTS
-//! prediction cache against their naive counterparts.
+//! Inference hot-path benchmark: the throughput of the tape-free
+//! forward, of batched leaf evaluation and of the training step.
 //!
 //! Three measurements:
 //!
-//! 1. **Prediction throughput** — `predict_reference` (autodiff tape,
-//!    per-op allocations) vs `predict` (InferCtx scratch reuse, fused
-//!    message passing over a reused CSR index) on a fixed observation,
-//!    in predictions/second.
+//! 1. **Prediction throughput** — `predict` (InferCtx scratch reuse,
+//!    fused message passing over a reused CSR index) on a fixed
+//!    observation, in predictions/second.
 //! 2. **Batched leaf evaluation scaling** — `predict_batch` at batch
 //!    sizes 1/4/8/16 against the one-at-a-time scalar path over
 //!    distinct episode states (the MCTS leaf workload). Each batch size
@@ -18,19 +17,17 @@
 //!    tiny network on HReA over real episode states of six kernels, in
 //!    samples/second (`train_samples_per_sec`), with telemetry on so
 //!    the `nn.train_us` histogram lands in the metrics delta.
-//! 4. **End-to-end compile time** — the Fig. 11 MapZero configuration on
-//!    a workload kernel, with the MCTS prediction cache off vs on.
 //!
 //! Results land in `results/BENCH_hotpath.json` with the run's metric
-//! deltas (including the `search.predict_cache.{hit,miss}` counters)
-//! plus the `batch_scaling` table and `batch8_speedup`, so
+//! deltas plus the `batch_scaling` table and `batch8_speedup`, so
 //! `scripts/ci.sh` can schema-check the file and flag throughput
-//! regressions against the committed baseline.
+//! regressions against the committed baseline. End-to-end compile time
+//! is the performance ledger's (`perf_ledger/`).
 
 use mapzero_bench::{BenchMode, Harness};
 use mapzero_core::embed::observe;
 use mapzero_core::network::{MapZeroNet, NetConfig, TrainSample};
-use mapzero_core::{Compiler, MapEnv, Problem};
+use mapzero_core::{MapEnv, Problem};
 use mapzero_obs::json::Json;
 use std::time::{Duration, Instant};
 
@@ -55,7 +52,7 @@ fn throughput(budget: Duration, mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let mode = BenchMode::from_env();
-    let h = Harness::begin("hotpath", format!("Inference hot path: before/after ({mode:?} mode)"));
+    let h = Harness::begin("hotpath", format!("Inference hot path throughput ({mode:?} mode)"));
     let budget = match mode {
         BenchMode::Quick => Duration::from_millis(300),
         BenchMode::Full => Duration::from_secs(2),
@@ -69,27 +66,12 @@ fn main() {
     let env = MapEnv::new(&problem);
     let obs = observe(&env);
     let net = MapZeroNet::new(cgra.pe_count(), NetConfig::default());
-    assert_eq!(
-        net.predict(&obs),
-        net.predict_reference(&obs),
-        "hot path must stay bit-identical to the reference"
-    );
-
-    h.progress("measuring predict_reference (tape-based)");
-    let ref_rate = throughput(budget, || {
-        std::hint::black_box(net.predict_reference(&obs));
-    });
     h.progress("measuring predict (tape-free)");
     let fast_rate = throughput(budget, || {
         std::hint::black_box(net.predict(&obs));
     });
-    let predict_speedup = fast_rate / ref_rate.max(f64::MIN_POSITIVE);
-    h.note(format!(
-        "predictions/sec: reference {ref_rate:.0}, fast {fast_rate:.0} ({predict_speedup:.1}x)"
-    ));
-    h.field("predictions_per_sec_reference", Json::Num(ref_rate));
+    h.note(format!("predictions/sec: {fast_rate:.0}"));
     h.field("predictions_per_sec_fast", Json::Num(fast_rate));
-    h.field("predict_speedup", Json::Num(predict_speedup));
 
     // --- 2. Batched leaf evaluation scaling --------------------------
     // The MCTS leaf workload: distinct mid-episode states of one
@@ -205,89 +187,6 @@ fn main() {
     mapzero_obs::set_enabled(telemetry);
     h.note(format!("train_batch: {train_rate:.0} samples/sec"));
     h.field("train_samples_per_sec", Json::Num(train_rate));
-
-    // --- 4. End-to-end compile time (Fig. 11 workload) ---------------
-    // Network-guided search (no playout early exit — the same search
-    // the self-play trainer runs): every placement decision is a full
-    // MCTS pass, so compile time is dominated by inference and the
-    // prediction cache's end-to-end effect is visible.
-    let kernel = match mode {
-        BenchMode::Quick => "conv3",
-        BenchMode::Full => "cap",
-    };
-    let dfg = mapzero_dfg::suite::by_name(kernel).expect("kernel exists");
-    let limit = mode.time_limit();
-    // `before` reproduces the pre-overhaul pipeline (tape-based forward,
-    // naive featurization, no prediction cache); `after` is the full
-    // hot path. Both produce bit-identical mappings.
-    let compile_secs = |label: &str, before: bool| -> f64 {
-        // Best of three runs per arm, damping scheduler noise on the
-        // short quick-mode compiles.
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let mut config = mode.mapzero_config();
-            config.agent.mcts.use_reference_forward = before;
-            config.agent.mcts.cache_predictions = !before;
-            config.agent.mcts.playout = false;
-            // No pretraining: this measures the search path, not training.
-            config.pretrain = None;
-            let mut compiler = Compiler::new(config);
-            let started = Instant::now();
-            let report = compiler.map_with_limit(&dfg, &cgra, limit);
-            let secs = started.elapsed().as_secs_f64();
-            let ii = report.ok().and_then(|r| r.achieved_ii()).unwrap_or(0);
-            h.note(format!(
-                "compile {kernel} on {} ({label}): {secs:.3} s, II={ii}",
-                cgra.name()
-            ));
-            best = best.min(secs);
-        }
-        best
-    };
-    h.progress(format!("compiling {kernel} with the pre-overhaul inference path"));
-    let before = compile_secs("before: tape + naive observe", true);
-    h.progress(format!("compiling {kernel} with the hot path + prediction cache"));
-    let after = compile_secs("after: tape-free + cache", false);
-    let compile_speedup = before / after.max(f64::MIN_POSITIVE);
-    h.note(format!("end-to-end compile speedup: {compile_speedup:.2}x"));
-    h.field("compile_kernel", Json::from(kernel));
-    h.field("compile_secs_before", Json::Num(before));
-    h.field("compile_secs_after", Json::Num(after));
-    h.field("compile_speedup", Json::Num(compile_speedup));
-
-    // --- 5. Candidate pruning (DESIGN.md §13) ------------------------
-    // Same compile workload, full hot path in both arms; only
-    // `MctsConfig::prune_candidates` flips. Interleaved pairs with
-    // alternating arm order, summarized as the median per-pair ratio —
-    // the same drift-cancelling layout as the batch scaling above. The
-    // 16×16 headline number lives in `BENCH_search_space.json`; this
-    // field tracks the small-fabric (HReA) cost/benefit so a pruning
-    // regression shows up even in the quick smoke.
-    let prune_arm = |prune: bool| -> f64 {
-        let mut config = mode.mapzero_config();
-        config.agent.mcts.prune_candidates = prune;
-        config.agent.mcts.playout = false;
-        config.pretrain = None;
-        let mut compiler = Compiler::new(config);
-        let started = Instant::now();
-        let _ = compiler.map_with_limit(&dfg, &cgra, limit);
-        started.elapsed().as_secs_f64()
-    };
-    let mut prune_ratios = Vec::new();
-    for p in 0..pairs {
-        h.progress(format!("compiling {kernel} prune off/on (pair {}/{pairs})", p + 1));
-        let (off, on) = if p % 2 == 0 {
-            let off = prune_arm(false);
-            (off, prune_arm(true))
-        } else {
-            let on = prune_arm(true);
-            (prune_arm(false), on)
-        };
-        prune_ratios.push(off / on.max(f64::MIN_POSITIVE));
-    }
-    let prune_speedup = median(&mut prune_ratios);
-    h.note(format!("candidate pruning compile speedup on {}: {prune_speedup:.2}x", cgra.name()));
-    h.field("prune_speedup", Json::Num(prune_speedup));
 
     h.finish();
 }

@@ -1,65 +1,16 @@
 //! Reproduces the **§2.5.1** search-space size estimates (14 nodes on a
-//! 4×4 CGRA ≈ 10¹³ placements, 60 nodes on an 8×8 ≈ 10⁸⁷) and then
-//! measures how far the candidate subsystem (DESIGN.md §13) actually
-//! shrinks the *explored* space: the Fig. 13 unrolled kernels are
-//! compiled on the 16×16 baseline with `MctsConfig::prune_candidates`
-//! off and on, as interleaved pairs, and the run records
-//!
-//! * `prune_speedup` — the median of per-pair compile-time ratios
-//!   (unpruned / pruned), which cancels slow frequency/thermal drift a
-//!   sequential A-then-B layout would fold into the comparison;
-//! * `branching_factor_{unpruned,pruned}` — the measured effective
-//!   branching factor per arm (`search.expand.offered` ÷
-//!   `mcts.expansions`), i.e. how many actions a freshly expanded MCTS
-//!   node offers on average before/after candidate pruning.
-//!
-//! Everything lands in `results/BENCH_search_space.json` through the
-//! shared harness so `scripts/ci.sh` can schema-check the file and
-//! flag a pruning regression against the committed baseline.
+//! 4×4 CGRA ≈ 10¹³ placements, 60 nodes on an 8×8 ≈ 10⁸⁷) from the
+//! paper's closed forms, plus three suite-scale cases. How far
+//! candidate pruning (DESIGN.md §13) shrinks the *explored* space is
+//! pinned by `tests/prune.rs` and measured end to end by the
+//! performance ledger's `fig13_16x16` workload (`perf_ledger/`).
 
-use mapzero_bench::{print_table, write_csv, BenchMode, Harness};
+use mapzero_bench::{print_table, write_csv, Harness};
 use mapzero_core::search_space::{log10_placements, log10_placements_temporal};
-use mapzero_core::Compiler;
-use mapzero_obs::json::Json;
-use std::time::Instant;
-
-/// Median of a sample (sorted in place).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// One compile of `dfg` on `cgra` with pruning forced to `prune`.
-/// Returns wall seconds, achieved II (0 = unmapped), and the arm's
-/// (offered, expansions) counter deltas for the branching factor.
-fn compile_arm(
-    mode: BenchMode,
-    dfg: &mapzero_dfg::Dfg,
-    cgra: &mapzero_arch::Cgra,
-    prune: bool,
-) -> (f64, u32, (u64, u64)) {
-    let mut config = mode.mapzero_config();
-    config.agent.mcts.prune_candidates = prune;
-    let mut compiler = Compiler::new(config);
-    let before = mapzero_obs::metrics::registry().snapshot();
-    let started = Instant::now();
-    let report = compiler.map_with_limit(dfg, cgra, mode.time_limit());
-    let secs = started.elapsed().as_secs_f64();
-    let delta = mapzero_obs::metrics::registry().snapshot().delta(&before);
-    let offered = delta.counters.get("search.expand.offered").copied().unwrap_or(0);
-    let expansions = delta.counters.get("mcts.expansions").copied().unwrap_or(0);
-    let ii = report.ok().and_then(|r| r.achieved_ii()).unwrap_or(0);
-    (secs, ii, (offered, expansions))
-}
 
 fn main() {
-    let mode = BenchMode::from_env();
-    let h = Harness::begin(
-        "search_space",
-        format!("§2.5.1: search-space sizes, and candidate pruning's bite ({mode:?} mode)"),
-    );
+    let h = Harness::begin("search_space", "§2.5.1: search-space sizes");
 
-    // --- 1. Static size estimates (the paper's closed forms) ---------
     let cases = [
         ("paper: 14 nodes, 4x4, II=1", 14u64, 16u64, 1u64),
         ("paper: 60 nodes, 8x8, II=1", 60, 64, 1),
@@ -91,79 +42,5 @@ fn main() {
     h.note("\nthe paper quotes 16!/2 ~ 1e13 and 64!/4! ~ 1e87 for the first two rows");
     write_csv("search_space", &csv);
 
-    // --- 2. Measured pruning effect on the 16×16 baseline ------------
-    // The Fig. 13 workload is where the estimates above explode, so it
-    // is where candidate pruning has to earn its keep. Interleaved
-    // on/off pairs per kernel; arm order alternates within the pair so
-    // drift cancels in the median instead of biasing one arm.
-    let cgra = mapzero_arch::presets::baseline16();
-    let pairs = match mode {
-        BenchMode::Quick => 3usize,
-        BenchMode::Full => 5,
-    };
-    let dyn_header = ["kernel", "pair", "off secs", "on secs", "ratio", "II off", "II on"];
-    let mut dyn_rows = Vec::new();
-    let mut ratios = Vec::new();
-    // (offered, expansions) accumulated per arm across all compiles.
-    let mut bf_off = (0u64, 0u64);
-    let mut bf_on = (0u64, 0u64);
-    let mut per_kernel = Vec::new();
-    for name in mode.unrolled_kernels() {
-        let dfg = mapzero_dfg::suite::by_name(name).expect("kernel exists");
-        let mut kernel_ratios = Vec::new();
-        for p in 0..pairs {
-            h.progress(format!("{name} on {}: pair {}/{pairs}", cgra.name(), p + 1));
-            let (off, on) = if p % 2 == 0 {
-                let off = compile_arm(mode, &dfg, &cgra, false);
-                (off, compile_arm(mode, &dfg, &cgra, true))
-            } else {
-                let on = compile_arm(mode, &dfg, &cgra, true);
-                (compile_arm(mode, &dfg, &cgra, false), on)
-            };
-            let (off_secs, off_ii, (off_offered, off_exp)) = off;
-            let (on_secs, on_ii, (on_offered, on_exp)) = on;
-            bf_off.0 += off_offered;
-            bf_off.1 += off_exp;
-            bf_on.0 += on_offered;
-            bf_on.1 += on_exp;
-            let ratio = off_secs / on_secs.max(f64::MIN_POSITIVE);
-            ratios.push(ratio);
-            kernel_ratios.push(ratio);
-            dyn_rows.push(vec![
-                name.to_owned(),
-                (p + 1).to_string(),
-                format!("{off_secs:.2}"),
-                format!("{on_secs:.2}"),
-                format!("{ratio:.2}"),
-                if off_ii == 0 { "-".to_owned() } else { off_ii.to_string() },
-                if on_ii == 0 { "-".to_owned() } else { on_ii.to_string() },
-            ]);
-        }
-        per_kernel.push(Json::obj(vec![
-            ("kernel", Json::from(name)),
-            ("speedup", Json::Num(median(&mut kernel_ratios))),
-        ]));
-    }
-    println!();
-    print_table(&dyn_header, &dyn_rows);
-
-    let prune_speedup = median(&mut ratios);
-    let bf = |(offered, exp): (u64, u64)| offered as f64 / (exp as f64).max(1.0);
-    let (bf_unpruned, bf_pruned) = (bf(bf_off), bf(bf_on));
-    h.note(format!(
-        "\ncandidate pruning on {}: {prune_speedup:.2}x compile speedup \
-         (median of {} interleaved pair ratios)",
-        cgra.name(),
-        ratios.len()
-    ));
-    h.note(format!(
-        "effective branching factor: {bf_unpruned:.1} unpruned -> {bf_pruned:.1} pruned \
-         (search.expand.offered / mcts.expansions)"
-    ));
-    h.field("prune_speedup", Json::Num(prune_speedup));
-    h.field("prune_speedup_per_kernel", Json::Arr(per_kernel));
-    h.field("branching_factor_unpruned", Json::Num(bf_unpruned));
-    h.field("branching_factor_pruned", Json::Num(bf_pruned));
-    h.field("fabric", Json::from(cgra.name()));
     h.finish();
 }

@@ -161,9 +161,11 @@ impl<'n> MapZeroAgent<'n> {
     }
 
     /// Create an agent whose episodes drain and refill a cache shared
-    /// with other agents (the serve worker pool). Cache hits are
-    /// bit-identical to recomputation, so sharing is a pure speed knob:
-    /// results do not depend on which worker warmed the cache.
+    /// with other agents (the serve worker pool). Entries are keyed by
+    /// the problem's structural fingerprint and the search state, so a
+    /// hit replays a prediction of the same state; it can differ from a
+    /// recompute only within the batched forward's tolerance (see
+    /// [`PredictCache`]).
     #[must_use]
     pub fn with_shared_cache(
         net: &'n MapZeroNet,

@@ -26,8 +26,9 @@
 //! function of the current placement set (the property that keeps the
 //! MCTS transposition cache sound).
 //!
-//! The search consumes the sets three ways (all gated by
-//! [`MctsConfig::prune_candidates`](crate::mcts::MctsConfig)):
+//! The search consumes the sets three ways on any problem built with
+//! [`Problem::with_candidate_pruning`](crate::problem::Problem::with_candidate_pruning)
+//! (the compiler and the trainer always build them so):
 //! action-mask hard pruning ([`MapEnv::search_mask`](crate::env::MapEnv::search_mask)),
 //! fail-first placement ordering (scarcest node first), and
 //! dead-state early termination ([`MapEnv::doomed`](crate::env::MapEnv::doomed)).

@@ -112,8 +112,9 @@ pub struct Compiler {
     nets: HashMap<usize, Arc<MapZeroNet>>,
     fallback: Option<Box<dyn Mapper + Send>>,
     /// When set, agents drain/refill this cache instead of a private
-    /// one, so concurrent compilers warm each other up (hits are
-    /// bit-identical to recomputation — a pure speed knob).
+    /// one, so concurrent compilers warm each other up. Entries are
+    /// keyed by problem fingerprint and search state, so a hit replays
+    /// a prediction of the same state.
     shared_cache: Option<Arc<Mutex<PredictCache>>>,
 }
 
@@ -423,17 +424,12 @@ impl Compiler {
                 None => MapZeroAgent::new(net, self.config.agent),
             };
             'outer: for ii in ii_lo..=ii_hi {
-                let problem = match Problem::new(dfg, cgra, ii) {
-                    Ok(p) => p,
-                    Err(MapError::NoSchedule(_)) => continue,
-                    Err(e) => return Err(e),
-                };
                 // Candidate sets depend on the schedule's slacks, so
                 // they are rebuilt per II candidate (the II bump path).
-                let problem = if self.config.agent.mcts.prune_candidates {
-                    problem.with_candidate_pruning()
-                } else {
-                    problem
+                let problem = match Problem::new(dfg, cgra, ii) {
+                    Ok(p) => p.with_candidate_pruning(),
+                    Err(MapError::NoSchedule(_)) => continue,
+                    Err(e) => return Err(e),
                 };
                 // Split the remaining budget across the remaining II
                 // candidates so an unroutable MII cannot starve higher
@@ -751,8 +747,9 @@ mod tests {
         let mut a = Compiler::new(MapZeroConfig::fast_test())
             .with_shared_cache(Arc::clone(&cache));
         let first = a.map(&dfg, &cgra).unwrap();
-        // Second compiler starts with a warm shared cache; hits are
-        // bit-identical to recomputation so the mapping cannot change.
+        // Second compiler starts with a warm shared cache; its hits
+        // replay what the first compile computed at the same states, so
+        // the mapping cannot change.
         let net = a.shared_net_for(cgra.pe_count()).unwrap();
         let mut b = Compiler::new(MapZeroConfig::fast_test())
             .with_shared_cache(Arc::clone(&cache));
@@ -761,6 +758,27 @@ mod tests {
         assert!(!cache.lock().unwrap().is_empty(), "shared cache must be warmed");
         assert_eq!(baseline.mapping, first.mapping);
         assert_eq!(first.mapping, second.mapping);
+    }
+
+    /// One cache shared across problems of equal size (the serve
+    /// pool's) never serves one problem's predictions to another:
+    /// `mults2` compiled after `cap` (both 42 nodes) on ADRES through
+    /// one cache maps exactly as a cold `mults2` compile.
+    #[test]
+    fn shared_cache_never_serves_another_problems_predictions() {
+        let cgra = presets::adres();
+        let cap = suite::by_name("cap").unwrap();
+        let mults2 = suite::by_name("mults2").unwrap();
+        assert_eq!(cap.node_count(), mults2.node_count());
+        let cold = Compiler::new(MapZeroConfig::fast_test()).map(&mults2, &cgra).unwrap();
+
+        let cache = Arc::new(Mutex::new(PredictCache::new(4096)));
+        let mut shared =
+            Compiler::new(MapZeroConfig::fast_test()).with_shared_cache(Arc::clone(&cache));
+        let _ = shared.map(&cap, &cgra);
+        assert!(!cache.lock().unwrap().is_empty(), "cap must warm the shared cache");
+        let warm = shared.map(&mults2, &cgra).unwrap();
+        assert_eq!(cold.mapping, warm.mapping);
     }
 
     #[test]

@@ -41,42 +41,15 @@ pub struct MctsConfig {
     pub playout_step_limit: usize,
     /// Playout RNG seed (tie-breaking).
     pub seed: u64,
-    /// Memoize network predictions by search state (transposition
-    /// cache). Hits are bit-identical to recomputation, so this is a
-    /// pure speed knob.
-    pub cache_predictions: bool,
     /// Capacity of the prediction cache (entries).
     pub cache_capacity: usize,
-    /// Evaluate leaves through [`MapZeroNet::predict_reference`] (the
-    /// tape-based forward) instead of the tape-free hot path. The two
-    /// are bit-identical; this exists as the "before" arm of the
-    /// hot-path benchmark and as an end-to-end equivalence oracle.
-    /// Forces the scalar (unbatched) simulation loop regardless of
-    /// [`MctsConfig::batch_leaves`].
-    pub use_reference_forward: bool,
-    /// Collect leaves under virtual loss and evaluate them through one
-    /// batched forward pass ([`MapZeroNet::predict_batch`]) instead of
-    /// one network call per simulation. With `leaf_batch == 1` the
-    /// batched loop reproduces the scalar loop exactly (same visit
-    /// counts, same values, bit-identical predictions); at larger batch
-    /// sizes selection diverges by design (virtual loss) and leaf
-    /// evaluations follow the batched-forward tolerance contract.
-    pub batch_leaves: bool,
-    /// Maximum leaves evaluated per batched forward (K). Values `< 1`
-    /// behave as 1.
+    /// Maximum leaves evaluated per batched forward (K): each selection
+    /// sweep collects up to this many leaves under virtual loss and
+    /// evaluates them in one [`MapZeroNet::predict_batch`] call. Values
+    /// `< 1` behave as 1. At larger batch sizes selection diverges by
+    /// design (virtual loss) and leaf evaluations follow the
+    /// batched-forward tolerance contract.
     pub leaf_batch: usize,
-    /// Build problems with precomputed candidate sets
-    /// ([`crate::candidates`]): the action mask is hard-pruned to each
-    /// node's live candidate set, placement order becomes fail-first
-    /// (scarcest node first) and states with an empty candidate set
-    /// back a failure up immediately. Consulted where problems are
-    /// constructed (compiler II loop, trainer episodes); a [`Problem`]
-    /// built without [`Problem::with_candidate_pruning`] always runs
-    /// the unpruned baseline.
-    ///
-    /// [`Problem`]: crate::problem::Problem
-    /// [`Problem::with_candidate_pruning`]: crate::problem::Problem::with_candidate_pruning
-    pub prune_candidates: bool,
 }
 
 impl Default for MctsConfig {
@@ -89,12 +62,8 @@ impl Default for MctsConfig {
             playout: true,
             playout_step_limit: usize::MAX,
             seed: 0,
-            cache_predictions: true,
             cache_capacity: 4096,
-            use_reference_forward: false,
-            batch_leaves: true,
             leaf_batch: 8,
-            prune_candidates: true,
         }
     }
 }
@@ -147,13 +116,16 @@ pub struct SearchResult {
 
 /// Transposition-keyed memo of network predictions.
 ///
-/// The placement vector (plus problem identity) uniquely determines the
+/// The placement vector plus the problem's identity (its structural
+/// `Problem::fingerprint`, II and pruning flag) uniquely determines the
 /// observation — placement order is fixed by `Problem::order` — so a
-/// cached [`Prediction`] is exactly what [`MapZeroNet::predict`] would
-/// return for that state. Hits come from re-rooted successive searches
-/// within an episode, re-decisions after backtracking, and shared early
-/// states across a compiler's II attempts (the agent carries the cache
-/// between episodes).
+/// cached [`Prediction`] is what the network computed for that state.
+/// The tree is reset at every decision, so hits come from states an
+/// earlier decision's search already evaluated: the subtree below the
+/// chosen action, re-decisions after backtracking, shared early states
+/// across a compiler's II attempts and episodes (the agent carries the
+/// cache between episodes), and repeated requests through a shared
+/// cache.
 ///
 /// Entries are pinned to the network parameters they were computed
 /// under: [`PredictCache::ensure_net`] compares the stored parameter
@@ -264,8 +236,7 @@ fn state_key(env: &MapEnv<'_>) -> u64 {
     // Pruned and unpruned runs observe different masks for the same
     // placement set, so they must never share cache entries.
     h.write_usize(usize::from(env.pruning_enabled()));
-    h.write_usize(problem.dfg().node_count());
-    h.write_usize(problem.cgra().pe_count());
+    h.write_u64(problem.fingerprint());
     for p in env.placements() {
         match p {
             Some(pl) => {
@@ -315,9 +286,9 @@ struct PendingLeaf<'p> {
     env: MapEnv<'p>,
     /// Legal actions at the leaf (non-empty; dead ends resolve inline).
     legal: Vec<PeId>,
-    /// Transposition key of the leaf state, when caching is enabled.
-    /// Captured before the playout mutates `env`.
-    key: Option<u64>,
+    /// Transposition key of the leaf state. Captured before the
+    /// playout mutates `env`.
+    key: u64,
 }
 
 /// Outcome of one batched selection walk.
@@ -412,9 +383,18 @@ impl<'n> Mcts<'n> {
     /// # Panics
     /// Panics if the episode is already done or no action is legal.
     pub fn search_with_budget(&mut self, root_env: &MapEnv<'_>, budget: &Budget) -> SearchResult {
-        assert!(!root_env.done(), "search requires an unfinished episode");
         let _span = mapzero_obs::span!("mcts.search");
         let _phase = mapzero_obs::phase::phase_guard(mapzero_obs::Phase::Expand);
+        self.expand_root(root_env, budget);
+        let mut solution = None;
+        let root_return = self.run_batched_sims(root_env, budget, &mut solution);
+        self.search_result(root_env, root_return, solution)
+    }
+
+    /// Reset the tree and expand `root_env` as its root, charging the
+    /// expansion to `budget`.
+    fn expand_root(&mut self, root_env: &MapEnv<'_>, budget: &Budget) {
+        assert!(!root_env.done(), "search requires an unfinished episode");
         self.reset();
         let (root, _) = self.expand(root_env);
         self.root = root;
@@ -423,26 +403,15 @@ impl<'n> Mcts<'n> {
             !self.nodes[root].edges.is_empty(),
             "no legal action at the root"
         );
-        let mut root_return = 0.0f64;
-        let mut solution = None;
-        if self.config.batch_leaves && !self.config.use_reference_forward {
-            root_return = self.run_batched_sims(root_env, budget, &mut solution);
-        } else {
-            for _ in 0..self.config.simulations {
-                if budget.exhausted() {
-                    break;
-                }
-                let before = self.nodes.len();
-                let mut env = root_env.clone();
-                mapzero_obs::counter!("mcts.simulations");
-                let value = self.simulate(self.root, &mut env, &mut solution);
-                budget.charge((self.nodes.len() - before) as u64);
-                root_return += value;
-                if solution.is_some() {
-                    break;
-                }
-            }
-        }
+    }
+
+    /// Read the decision off the root's visit counts.
+    fn search_result(
+        &self,
+        root_env: &MapEnv<'_>,
+        root_return: f64,
+        solution: Option<Mapping>,
+    ) -> SearchResult {
         let pe_count = root_env.problem().cgra().pe_count();
         let mut visit_distribution = vec![0.0f32; pe_count];
         let root_node = &self.nodes[self.root];
@@ -475,61 +444,6 @@ impl<'n> Mcts<'n> {
         }
     }
 
-    /// One selection→expansion→evaluation→backpropagation pass.
-    /// Returns the (normalized) value observed from `node`.
-    fn simulate(
-        &mut self,
-        node: usize,
-        env: &mut MapEnv<'_>,
-        solution: &mut Option<Mapping>,
-    ) -> f64 {
-        self.nodes[node].visits += 1;
-        if env.done() {
-            return terminal_value(env);
-        }
-        if self.nodes[node].edges.is_empty() {
-            // Dead end: a node is scheduled but no PE is legal.
-            return -1.0;
-        }
-        let edge_idx = self.select_edge(node);
-        let action = self.nodes[node].edges[edge_idx].action;
-        let outcome = env.step(action);
-        let step_value = norm_reward(outcome.reward);
-
-        let child_value = if env.success() {
-            *solution = env.final_mapping();
-            1.0
-        } else if env.done() {
-            -1.0
-        } else {
-            match self.nodes[node].edges[edge_idx].child {
-                Some(child) => self.simulate(child, env, solution),
-                None => {
-                    // Expansion + evaluation of the new leaf: network
-                    // value plus, optionally, a greedy playout that can
-                    // complete the mapping (early exit, §3.5).
-                    let (child, net_value) = self.expand(env);
-                    self.nodes[node].edges[edge_idx].child = Some(child);
-                    self.nodes[child].visits += 1;
-                    // A doomed leaf cannot complete conflict-free, so a
-                    // playout from it is wasted work (no-op when pruning
-                    // is off — `doomed` is then always false).
-                    if self.config.playout && !env.doomed() {
-                        let playout_value = self.playout(env, solution);
-                        0.5 * (net_value + playout_value)
-                    } else {
-                        net_value
-                    }
-                }
-            }
-        };
-        let value = (step_value + child_value).clamp(-1.0, 1.0);
-        let edge = &mut self.nodes[node].edges[edge_idx];
-        edge.visits += 1;
-        edge.total_value += value;
-        value
-    }
-
     /// The batched simulation loop: sweeps of selection walks collect
     /// up to `leaf_batch` fresh leaves under virtual loss, one
     /// [`MapZeroNet::predict_batch`] call evaluates them, and the flush
@@ -537,13 +451,17 @@ impl<'n> Mcts<'n> {
     /// order. Returns the accumulated root-level return.
     ///
     /// Determinism: the walk/backup sequence is a pure function of the
-    /// network, the config and the root state. Cache hits are resolved
-    /// at flush time — they skip the forward pass but never change
-    /// which walks run or when values are applied, so cache *contents*
-    /// cannot change a search result (the invariant the serve tenant-
-    /// isolation suite pins). With `leaf_batch == 1` each sweep holds
-    /// one leaf and the loop reproduces the scalar `simulate` loop
-    /// update for update.
+    /// network, the config, the root state and the cache contents.
+    /// Cache hits are resolved at flush time — they skip the forward
+    /// pass but never change which walks run or when values are applied.
+    /// A hit does replay the prediction of whichever forward first
+    /// computed that state: a batch of one is exact, a wider batch
+    /// carries the fused softmax's ≤ 1e-5 log-prior deviation. So a
+    /// warm cache can shift priors within that tolerance and, through a
+    /// near-tie, a search result; a cold and a warm cache agree
+    /// whenever no such tie is hit. With `leaf_batch == 1` each sweep
+    /// holds one leaf and the loop reproduces the one-leaf-at-a-time
+    /// recursion (the test-only `simulate`) update for update.
     fn run_batched_sims<'p>(
         &mut self,
         root_env: &MapEnv<'p>,
@@ -660,7 +578,7 @@ impl<'n> Mcts<'n> {
                     if legal.is_empty() {
                         // Dead-end leaf: expand inline (no network
                         // query — the masked softmax needs a legal
-                        // action) exactly like the scalar path.
+                        // action) exactly like `expand`.
                         mapzero_obs::counter!("mcts.expansions");
                         self.nodes.push(TreeNode { edges: Vec::new(), visits: 1 });
                         let leaf = self.nodes.len() - 1;
@@ -678,7 +596,7 @@ impl<'n> Mcts<'n> {
                     // sweep can never overshoot the pool by more than
                     // the node the pre-walk poll already allowed.
                     budget.charge(1);
-                    let key = self.config.cache_predictions.then(|| state_key(&env));
+                    let key = state_key(&env);
                     return WalkResult::Pending(Box::new(PendingLeaf {
                         path,
                         rewards,
@@ -710,15 +628,13 @@ impl<'n> Mcts<'n> {
         let mut miss_obs: Vec<crate::embed::Observation> = Vec::new();
         let mut miss_at: Vec<usize> = Vec::new();
         for (i, leaf) in pending.iter().enumerate() {
-            if let Some(key) = leaf.key {
-                if let Some(pred) = self.cache.get(key) {
-                    mapzero_obs::counter!("search.predict_cache.hit");
-                    mapzero_obs::counter!("search.batch.cache_short_circuit");
-                    predictions.push(Some(pred));
-                    continue;
-                }
-                mapzero_obs::counter!("search.predict_cache.miss");
+            if let Some(pred) = self.cache.get(leaf.key) {
+                mapzero_obs::counter!("search.predict_cache.hit");
+                mapzero_obs::counter!("search.batch.cache_short_circuit");
+                predictions.push(Some(pred));
+                continue;
             }
+            mapzero_obs::counter!("search.predict_cache.miss");
             miss_obs.push(self.observer.observe(&leaf.env).clone());
             miss_at.push(i);
             predictions.push(None);
@@ -727,9 +643,7 @@ impl<'n> Mcts<'n> {
             let refs: Vec<&crate::embed::Observation> = miss_obs.iter().collect();
             let batch_preds = self.net.predict_batch(&refs);
             for (i, pred) in miss_at.into_iter().zip(batch_preds) {
-                if let Some(key) = pending[i].key {
-                    self.cache.insert(key, pred.clone());
-                }
+                self.cache.insert(pending[i].key, pred.clone());
                 predictions[i] = Some(pred);
             }
         }
@@ -753,7 +667,7 @@ impl<'n> Mcts<'n> {
     }
 
     /// Back one walk up: fold the leaf value through the per-step
-    /// rewards (clamped at every level, like the scalar recursion) and
+    /// rewards (clamped at every level, like the one-leaf recursion) and
     /// revert each edge's virtual loss while applying its real value.
     /// Returns the root-level value of the simulation.
     fn backup(&mut self, path: &[(usize, usize)], rewards: &[f64], leaf_value: f64) -> f64 {
@@ -793,12 +707,12 @@ impl<'n> Mcts<'n> {
     }
 
     /// Create a tree node from an already-computed prediction; the
-    /// shared expansion kernel of the scalar and batched paths.
+    /// shared expansion kernel of root and leaf expansion.
     fn expand_scored(&mut self, legal: Vec<PeId>, pred: &Prediction) -> (usize, f64) {
         mapzero_obs::counter!("mcts.expansions");
         // Actions offered to this expansion (pre-cap): together with
         // `mcts.expansions` this yields the effective branching factor
-        // the search_space bench reports.
+        // the ledger's trace reports (`mcts.branching`).
         mapzero_obs::counter!("search.expand.offered", legal.len() as u64);
         let mut scored: Vec<(PeId, f64)> = legal
             .into_iter()
@@ -825,26 +739,17 @@ impl<'n> Mcts<'n> {
     }
 
     /// Network evaluation of the environment state, through the
-    /// transposition cache when enabled. Cache hits skip featurization
-    /// and the forward pass entirely; hits and misses are counted as
+    /// transposition cache. Cache hits skip featurization and the
+    /// forward pass entirely; hits and misses are counted as
     /// `search.predict_cache.{hit,miss}`.
     fn predict(&mut self, env: &MapEnv<'_>) -> Prediction {
-        let net = self.net;
-        if self.config.use_reference_forward {
-            // Naive featurization too: this arm reproduces the whole
-            // pre-overhaul pipeline, not just the tape-based forward.
-            return net.predict_reference(&crate::embed::observe(env));
-        }
-        if !self.config.cache_predictions {
-            return net.predict(self.observer.observe(env));
-        }
         let key = state_key(env);
         if let Some(pred) = self.cache.get(key) {
             mapzero_obs::counter!("search.predict_cache.hit");
             return pred;
         }
         mapzero_obs::counter!("search.predict_cache.miss");
-        let pred = net.predict(self.observer.observe(env));
+        let pred = self.net.predict(self.observer.observe(env));
         self.cache.insert(key, pred.clone());
         pred
     }
@@ -965,21 +870,89 @@ impl<'n> Mcts<'n> {
     }
 }
 
-fn terminal_value(env: &MapEnv<'_>) -> f64 {
-    if env.success() {
-        1.0
-    } else {
-        -1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::NetConfig;
     use crate::problem::Problem;
     use mapzero_arch::presets;
+    use mapzero_dfg::random::{random_dfg, RandomDfgConfig};
     use mapzero_dfg::{suite, DfgBuilder, Opcode};
+    use proptest::prelude::*;
+
+    impl Mcts<'_> {
+        /// The one-leaf-at-a-time simulation loop the batched loop
+        /// replaced, kept as its oracle: one recursive
+        /// [`Mcts::simulate`] pass and one network call per simulation.
+        fn search_scalar(&mut self, root_env: &MapEnv<'_>) -> SearchResult {
+            self.expand_root(root_env, &Budget::unlimited());
+            let mut root_return = 0.0f64;
+            let mut solution = None;
+            for _ in 0..self.config.simulations {
+                let mut env = root_env.clone();
+                root_return += self.simulate(self.root, &mut env, &mut solution);
+                if solution.is_some() {
+                    break;
+                }
+            }
+            self.search_result(root_env, root_return, solution)
+        }
+
+        /// One selection→expansion→evaluation→backpropagation pass.
+        /// Returns the (normalized) value observed from `node`.
+        fn simulate(
+            &mut self,
+            node: usize,
+            env: &mut MapEnv<'_>,
+            solution: &mut Option<Mapping>,
+        ) -> f64 {
+            self.nodes[node].visits += 1;
+            if env.done() {
+                return if env.success() { 1.0 } else { -1.0 };
+            }
+            if self.nodes[node].edges.is_empty() {
+                // Dead end: a node is scheduled but no PE is legal.
+                return -1.0;
+            }
+            let edge_idx = self.select_edge(node);
+            let action = self.nodes[node].edges[edge_idx].action;
+            let outcome = env.step(action);
+            let step_value = norm_reward(outcome.reward);
+
+            let child_value = if env.success() {
+                *solution = env.final_mapping();
+                1.0
+            } else if env.done() {
+                -1.0
+            } else {
+                match self.nodes[node].edges[edge_idx].child {
+                    Some(child) => self.simulate(child, env, solution),
+                    None => {
+                        // Expansion + evaluation of the new leaf: network
+                        // value plus, optionally, a greedy playout that can
+                        // complete the mapping (early exit, §3.5).
+                        let (child, net_value) = self.expand(env);
+                        self.nodes[node].edges[edge_idx].child = Some(child);
+                        self.nodes[child].visits += 1;
+                        // A doomed leaf cannot complete conflict-free, so a
+                        // playout from it is wasted work (no-op when pruning
+                        // is off — `doomed` is then always false).
+                        if self.config.playout && !env.doomed() {
+                            let playout_value = self.playout(env, solution);
+                            0.5 * (net_value + playout_value)
+                        } else {
+                            net_value
+                        }
+                    }
+                }
+            };
+            let value = (step_value + child_value).clamp(-1.0, 1.0);
+            let edge = &mut self.nodes[node].edges[edge_idx];
+            edge.visits += 1;
+            edge.total_value += value;
+            value
+        }
+    }
 
     #[test]
     fn search_finds_solution_for_tiny_kernel() {
@@ -1126,24 +1099,31 @@ mod tests {
         assert!(budget.exhausted());
     }
 
-    /// The transposition cache is a pure speed knob: searches with it
-    /// on and off must make identical decisions (cached predictions are
-    /// bit-identical to recomputation).
+    /// A search through a cache warmed by other searches — another
+    /// seed and batch width at the root, then the state below it —
+    /// makes the same decision as a search through a cold cache.
     #[test]
-    fn cached_search_matches_uncached_search() {
+    fn warm_cache_search_matches_cold_cache_search() {
         let dfg = suite::by_name("mac").unwrap();
         let cgra = presets::simple_mesh(4, 4);
-        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
+        let problem = Problem::new(&dfg, &cgra, 1).unwrap().with_candidate_pruning();
         let env = MapEnv::new(&problem);
         let net = MapZeroNet::new(16, NetConfig::tiny());
         let base = MctsConfig { playout: false, ..MctsConfig::fast_test() };
-        let mut cached = Mcts::new(&net, MctsConfig { cache_predictions: true, ..base });
-        let mut uncached = Mcts::new(&net, MctsConfig { cache_predictions: false, ..base });
-        let a = cached.search(&env);
-        let b = uncached.search(&env);
-        assert_eq!(a.best_action, b.best_action);
-        assert_eq!(a.visit_distribution, b.visit_distribution);
-        assert!((a.root_value - b.root_value).abs() < 1e-12);
+        let cold = Mcts::new(&net, base).search(&env);
+
+        let mut warmer = Mcts::new(&net, MctsConfig { seed: 99, leaf_batch: 3, ..base });
+        let first = warmer.search(&env);
+        let mut child = env.clone();
+        child.step(first.best_action);
+        let _ = warmer.search(&child);
+        let cache = warmer.into_cache();
+        assert!(!cache.is_empty(), "the warming searches must fill the cache");
+        let warm = Mcts::with_cache(&net, base, cache).search(&env);
+
+        assert_eq!(cold.best_action, warm.best_action);
+        assert_eq!(cold.visit_distribution, warm.visit_distribution);
+        assert_eq!(cold.root_value.to_bits(), warm.root_value.to_bits());
     }
 
     /// `reset` must drop cache entries when the network parameters
@@ -1209,5 +1189,57 @@ mod tests {
         let net = MapZeroNet::new(4, NetConfig::tiny());
         let mut mcts = Mcts::new(&net, MctsConfig::fast_test());
         let _ = mcts.search(&env);
+    }
+
+    fn dfg_strategy() -> impl Strategy<Value = mapzero_dfg::Dfg> {
+        (2usize..10, 0usize..6, any::<u64>()).prop_map(|(nodes, extra, seed)| {
+            random_dfg(
+                "prop-batch",
+                &RandomDfgConfig {
+                    nodes,
+                    edges: nodes - 1 + extra,
+                    self_cycles: 0,
+                    max_fanin: 3,
+                    seed,
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// With `leaf_batch == 1` the batched loop is bit-identical to
+        /// the one-leaf-at-a-time loop: same best action, visit
+        /// distribution, root value, tree size and solution presence,
+        /// with and without candidate pruning. Run under
+        /// `MAPZERO_SIMD=scalar` too (see `scripts/ci.sh`).
+        #[test]
+        fn batch_of_one_is_bit_identical_to_scalar_loop(
+            dfg in dfg_strategy(),
+            seed in any::<u64>(),
+            prune in any::<bool>(),
+        ) {
+            let cgra = presets::simple_mesh(3, 3);
+            let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()) };
+            let Ok(problem) = Problem::new(&dfg, &cgra, mii) else { return Ok(()) };
+            let problem = if prune { problem.with_candidate_pruning() } else { problem };
+            let env = MapEnv::new(&problem);
+            if env.done() || env.doomed() || env.search_actions().is_empty() {
+                return Ok(());
+            }
+            let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
+            let config =
+                MctsConfig { seed, simulations: 24, leaf_batch: 1, ..MctsConfig::fast_test() };
+            let mut scalar = Mcts::new(&net, config);
+            let mut batched = Mcts::new(&net, config);
+            let a = scalar.search_scalar(&env);
+            let b = batched.search(&env);
+            prop_assert_eq!(a.best_action, b.best_action);
+            prop_assert_eq!(a.visit_distribution, b.visit_distribution);
+            prop_assert_eq!(a.root_value.to_bits(), b.root_value.to_bits());
+            prop_assert_eq!(a.solution.is_some(), b.solution.is_some());
+            prop_assert_eq!(scalar.tree_size(), batched.tree_size());
+        }
     }
 }

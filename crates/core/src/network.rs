@@ -5,8 +5,8 @@
 use crate::embed::Observation;
 use mapzero_nn::infer::{log_softmax_masked_fused_into, log_softmax_masked_into};
 use mapzero_nn::{
-    clip_gradients, Adam, AdamState, BufId, GatLayer, GcnLayer, Graph, InferCtx, Linear, Matrix,
-    MessageIndex, Mlp, Optimizer, Params, SeedRng, VarId,
+    clip_gradients, Adam, AdamState, BufId, GatLayer, GcnLayer, InferCtx, Linear, Matrix,
+    MessageIndex, Mlp, Optimizer, Params, SeedRng,
 };
 use std::cell::RefCell;
 
@@ -41,19 +41,6 @@ impl Encoder {
             EncoderKind::Gcn => {
                 Encoder::Gcn(GcnLayer::new(params, in_dim, head_dim * heads, rng))
             }
-        }
-    }
-
-    fn forward(
-        &self,
-        g: &mut Graph,
-        params: &Params,
-        x: VarId,
-        edges: &[(usize, usize)],
-    ) -> VarId {
-        match self {
-            Encoder::Gat(l) => l.forward(g, params, x, edges),
-            Encoder::Gcn(l) => l.forward(g, params, x, edges),
         }
     }
 
@@ -337,40 +324,12 @@ impl MapZeroNet {
         self.optimizer.import_state(state);
     }
 
-    /// Forward to `(masked log-softmax logits, value)` tape variables.
-    fn forward(&self, g: &mut Graph, obs: &Observation) -> (VarId, VarId) {
-        let x_dfg = g.input(obs.dfg_nodes.clone());
-        let h1 = self.gat_dfg1.forward(g, &self.params, x_dfg, &obs.dfg_edges);
-        let h2 = self.gat_dfg2.forward(g, &self.params, h1, &obs.dfg_edges);
-        let dfg_emb = g.mean_rows(h2);
-
-        let x_cgra = g.input(obs.cgra_nodes.clone());
-        let c1 = self.gat_cgra1.forward(g, &self.params, x_cgra, &obs.cgra_edges);
-        let c2 = self.gat_cgra2.forward(g, &self.params, c1, &obs.cgra_edges);
-        let cgra_emb = g.mean_rows(c2);
-
-        let meta_in = g.input(obs.metadata.clone());
-        let meta_lin = self.fc_meta.forward(g, &self.params, meta_in);
-        let meta_emb = g.relu(meta_lin);
-
-        let joined = g.concat_cols(dfg_emb, cgra_emb);
-        let joined = g.concat_cols(joined, meta_emb);
-        let trunk_out = self.trunk.forward(g, &self.params, joined);
-        let state = g.relu(trunk_out);
-
-        let logits = self.policy_head.forward(g, &self.params, state);
-        let log_probs = g.log_softmax_masked(logits, &obs.mask);
-        let value_raw = self.value_head.forward(g, &self.params, state);
-        let value = g.tanh(value_raw);
-        (log_probs, value)
-    }
-
     /// Inference: predict the action distribution and state value.
     ///
     /// The `K = 1` case of [`MapZeroNet::predict_batch`]'s forward
     /// body: the tape-free [`InferCtx`] path (no autodiff graph, no
-    /// per-op allocations), bit-identical to
-    /// [`MapZeroNet::predict_reference`].
+    /// per-op allocations), bit-identical to the forward over the
+    /// autodiff tape (the test-only oracle `predict_reference`).
     ///
     /// # Panics
     /// Panics if the observation mask has no legal action or its mask
@@ -394,12 +353,12 @@ impl MapZeroNet {
     ///
     /// # Determinism contract
     /// - `K == 1` is [`MapZeroNet::predict`] and therefore
-    ///   **bit-identical** to [`MapZeroNet::predict_reference`].
+    ///   **bit-identical** to the tape forward.
     /// - `K > 1` is deterministic (same inputs → same outputs) and
     ///   bit-identical to the unbatched pass everywhere except the
     ///   policy log-softmax, whose normalizer uses the fused-order SIMD
     ///   reduction ([`log_softmax_masked_fused_into`]): per-observation
-    ///   outputs match `predict_reference` within the documented 1e-5
+    ///   outputs match the tape forward within the documented 1e-5
     ///   kernel tolerance. Batch *composition* never affects a result
     ///   beyond that contract — every other op (matmul, message pass,
     ///   grouped mean) preserves the per-observation accumulation order
@@ -419,8 +378,8 @@ impl MapZeroNet {
     }
 
     /// The one tape-free forward body behind [`MapZeroNet::predict`]
-    /// and [`MapZeroNet::predict_batch`]; mirrors
-    /// [`MapZeroNet::forward`] op for op on each stacked observation.
+    /// and [`MapZeroNet::predict_batch`]; mirrors the tape forward op
+    /// for op on each stacked observation.
     fn forward_tape_free(&self, obs: &[&Observation]) -> Vec<Prediction> {
         for o in obs {
             assert_eq!(o.mask.len(), self.action_count, "mask/action mismatch");
@@ -522,25 +481,6 @@ impl MapZeroNet {
         }
     }
 
-    /// Reference inference through the autodiff tape — the allocation-
-    /// heavy path [`MapZeroNet::predict`] replaces. Kept public as the
-    /// equivalence oracle for the hot-path proptests and as the
-    /// "before" arm of the `hotpath` bench.
-    ///
-    /// # Panics
-    /// Same contract as [`MapZeroNet::predict`].
-    #[must_use]
-    pub fn predict_reference(&self, obs: &Observation) -> Prediction {
-        assert_eq!(obs.mask.len(), self.action_count, "mask/action mismatch");
-        let _phase = mapzero_obs::phase::phase_guard(mapzero_obs::Phase::Infer);
-        let mut g = Graph::new();
-        let (log_probs, value) = self.forward(&mut g, obs);
-        Prediction {
-            log_probs: g.value(log_probs).data().to_vec(),
-            value: g.value(value)[(0, 0)],
-        }
-    }
-
     /// A cheap identity fingerprint of the current parameter values
     /// (see [`Params::fingerprint`]); prediction caches key on this to
     /// detect weight updates and rollbacks.
@@ -556,8 +496,8 @@ impl MapZeroNet {
     /// and a hand-derived backward over the same workspace (no autodiff
     /// tape); gradients accumulate per sample, in sample order. The
     /// parameters, the Adam state and the returned losses are
-    /// bit-identical to differentiating [`MapZeroNet::predict_reference`]'s
-    /// tape forward with `Graph::backward`.
+    /// bit-identical to differentiating the tape forward with
+    /// `Graph::backward`.
     ///
     /// # Panics
     /// Panics on an empty batch, or — before any state changes — on a
@@ -688,7 +628,10 @@ mod tests {
     use crate::env::MapEnv;
     use crate::problem::Problem;
     use mapzero_arch::presets;
+    use mapzero_dfg::random::{random_dfg, RandomDfgConfig};
     use mapzero_dfg::suite;
+    use mapzero_nn::{Graph, VarId};
+    use proptest::prelude::*;
 
     fn sample_obs() -> Observation {
         let dfg = suite::by_name("sum").unwrap();
@@ -864,7 +807,65 @@ mod tests {
         }
     }
 
+    impl Encoder {
+        fn forward(
+            &self,
+            g: &mut Graph,
+            params: &Params,
+            x: VarId,
+            edges: &[(usize, usize)],
+        ) -> VarId {
+            match self {
+                Encoder::Gat(l) => l.forward(g, params, x, edges),
+                Encoder::Gcn(l) => l.forward(g, params, x, edges),
+            }
+        }
+    }
+
     impl MapZeroNet {
+        /// The forward over the autodiff tape that the `InferCtx` forward
+        /// replaced, kept as its oracle: `(masked log-softmax logits,
+        /// value)` tape variables.
+        fn forward(&self, g: &mut Graph, obs: &Observation) -> (VarId, VarId) {
+            let x_dfg = g.input(obs.dfg_nodes.clone());
+            let h1 = self.gat_dfg1.forward(g, &self.params, x_dfg, &obs.dfg_edges);
+            let h2 = self.gat_dfg2.forward(g, &self.params, h1, &obs.dfg_edges);
+            let dfg_emb = g.mean_rows(h2);
+
+            let x_cgra = g.input(obs.cgra_nodes.clone());
+            let c1 = self.gat_cgra1.forward(g, &self.params, x_cgra, &obs.cgra_edges);
+            let c2 = self.gat_cgra2.forward(g, &self.params, c1, &obs.cgra_edges);
+            let cgra_emb = g.mean_rows(c2);
+
+            let meta_in = g.input(obs.metadata.clone());
+            let meta_lin = self.fc_meta.forward(g, &self.params, meta_in);
+            let meta_emb = g.relu(meta_lin);
+
+            let joined = g.concat_cols(dfg_emb, cgra_emb);
+            let joined = g.concat_cols(joined, meta_emb);
+            let trunk_out = self.trunk.forward(g, &self.params, joined);
+            let state = g.relu(trunk_out);
+
+            let logits = self.policy_head.forward(g, &self.params, state);
+            let log_probs = g.log_softmax_masked(logits, &obs.mask);
+            let value_raw = self.value_head.forward(g, &self.params, state);
+            let value = g.tanh(value_raw);
+            (log_probs, value)
+        }
+
+        /// Inference through the tape forward: the oracle that
+        /// [`MapZeroNet::predict`] and `predict_batch` at `K = 1` must
+        /// match bit for bit.
+        fn predict_reference(&self, obs: &Observation) -> Prediction {
+            assert_eq!(obs.mask.len(), self.action_count, "mask/action mismatch");
+            let mut g = Graph::new();
+            let (log_probs, value) = self.forward(&mut g, obs);
+            Prediction {
+                log_probs: g.value(log_probs).data().to_vec(),
+                value: g.value(value)[(0, 0)],
+            }
+        }
+
         /// The tape train step [`MapZeroNet::train_batch`] replaced,
         /// kept as its oracle: each sample's loss graph built on the
         /// autodiff tape and differentiated by `Graph::backward`.
@@ -1018,5 +1019,55 @@ mod tests {
         let mut buf = vec![999.0; 3]; // stale contents must be cleared
         pred.probs_into(&mut buf);
         assert_eq!(buf, pred.probs());
+    }
+
+    fn dfg_strategy() -> impl Strategy<Value = mapzero_dfg::Dfg> {
+        (2usize..14, 0usize..8, 0usize..2, any::<u64>()).prop_map(
+            |(nodes, extra, cycles, seed)| {
+                random_dfg(
+                    "prop",
+                    &RandomDfgConfig {
+                        nodes,
+                        edges: nodes - 1 + extra,
+                        self_cycles: cycles,
+                        max_fanin: 3,
+                        seed,
+                    },
+                )
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Tape-free predict, and `predict_batch` at K=1, equal the
+        /// tape forward bit for bit at random points of random episodes,
+        /// on the first call and on a repeat (which reuses the
+        /// per-thread message indices). Run under `MAPZERO_SIMD=scalar`
+        /// too (see `scripts/ci.sh`).
+        #[test]
+        fn fast_predict_is_bit_identical_to_reference(
+            dfg in dfg_strategy(),
+            choices in proptest::collection::vec(0usize..64, 8..9),
+        ) {
+            let cgra = presets::simple_mesh(3, 3);
+            let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()) };
+            let Ok(problem) = Problem::new(&dfg, &cgra, mii) else { return Ok(()) };
+            let mut env = MapEnv::new(&problem);
+            let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
+            for (i, &pick) in choices.iter().enumerate() {
+                let legal = env.legal_actions();
+                if env.done() || legal.is_empty() {
+                    break;
+                }
+                let obs = observe(&env);
+                let reference = net.predict_reference(&obs);
+                prop_assert_eq!(&net.predict(&obs), &reference, "step {}: first call", i);
+                prop_assert_eq!(&net.predict(&obs), &reference, "step {}: index reused", i);
+                prop_assert_eq!(&net.predict_batch(&[&obs])[0], &reference, "step {}: K=1", i);
+                env.step(legal[pick % legal.len()]);
+            }
+        }
     }
 }

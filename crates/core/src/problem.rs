@@ -1,6 +1,7 @@
 //! A fully-specified mapping problem instance at a fixed II.
 
 use crate::candidates::{capability_sets, row_sets, CandidateMap};
+use crate::checkpoint::Fnv64;
 use crate::mapping::MapError;
 use mapzero_arch::Cgra;
 use mapzero_dfg::{mii, modulo_schedule_at, Dfg, NodeId, Schedule, ScheduleError};
@@ -31,6 +32,9 @@ pub struct Problem<'a> {
     bus_rows: Option<Vec<Vec<u64>>>,
     /// Per-node incident DFG edge indices, ascending (a self-loop once).
     incident: Vec<Vec<usize>>,
+    /// Structural hash of the DFG and the fabric (see
+    /// [`Problem::fingerprint`]).
+    fingerprint: u64,
 }
 
 impl<'a> Problem<'a> {
@@ -71,6 +75,7 @@ impl<'a> Problem<'a> {
             capable: capability_sets(dfg, cgra),
             bus_rows: cgra.row_shared_mem_bus().then(|| row_sets(cgra)),
             incident,
+            fingerprint: fingerprint(dfg, cgra),
         })
     }
 
@@ -151,6 +156,15 @@ impl<'a> Problem<'a> {
         self.dfg.node_count()
     }
 
+    /// FNV-1a over the DFG's text form and the fabric's full structure
+    /// (text form, routing style and every link). Two problems with
+    /// equal fingerprints present the network with the same graphs, so
+    /// the prediction cache keys on it to tell problems apart.
+    #[must_use]
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// Bitset words per PE set.
     pub(crate) fn words(&self) -> usize {
         self.words
@@ -170,6 +184,22 @@ impl<'a> Problem<'a> {
     pub(crate) fn incident_edges(&self, u: NodeId) -> &[usize] {
         &self.incident[u.index()]
     }
+}
+
+fn fingerprint(dfg: &Dfg, cgra: &Cgra) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_bytes(mapzero_dfg::textfmt::emit(dfg).as_bytes());
+    // The fabric's text form omits the routing style and any links
+    // added beyond the named interconnects.
+    h.write_bytes(mapzero_arch::textfmt::emit(cgra).as_bytes());
+    h.write_usize(usize::from(cgra.style().is_circuit_switched()));
+    for p in cgra.pe_ids() {
+        for q in cgra.links_from(p) {
+            h.write_usize(1 + q.index());
+        }
+        h.write_usize(0);
+    }
+    h.finish()
 }
 
 #[cfg(test)]
@@ -205,6 +235,21 @@ mod tests {
             .finish();
         assert!(matches!(Problem::mii(&dfg, &cgra), Err(MapError::Unmappable(_))));
         assert!(matches!(Problem::new(&dfg, &cgra, 4), Err(MapError::Unmappable(_))));
+    }
+
+    #[test]
+    fn fingerprint_separates_equal_sized_problems() {
+        let (cap, mults2) = (suite::by_name("cap").unwrap(), suite::by_name("mults2").unwrap());
+        assert_eq!(cap.node_count(), mults2.node_count());
+        let adres = presets::adres();
+        let fp = |dfg: &Dfg, cgra: &Cgra| {
+            Problem::new(dfg, cgra, Problem::mii(dfg, cgra).unwrap()).unwrap().fingerprint()
+        };
+        assert_eq!(fp(&cap, &adres), fp(&cap, &adres));
+        assert_ne!(fp(&cap, &adres), fp(&mults2, &adres));
+        let (hrea, hycube) = (presets::hrea(), presets::hycube());
+        assert_eq!(hrea.pe_count(), hycube.pe_count());
+        assert_ne!(fp(&cap, &hrea), fp(&cap, &hycube));
     }
 
     #[test]

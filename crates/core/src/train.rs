@@ -568,11 +568,7 @@ impl Trainer {
                 let Ok(problem) = Problem::new(dfg, &self.cgra, mii) else {
                     return (0.0, false, Vec::new());
                 };
-                let problem = if self.config.mcts.prune_candidates {
-                    problem.with_candidate_pruning()
-                } else {
-                    problem
-                };
+                let problem = problem.with_candidate_pruning();
                 // Self-play per Algorithm 1: the MCTS leaf evaluation is
                 // the network value (no playout shortcut), so every action
                 // is committed and recorded as an (s, pi, r) step.
@@ -653,11 +649,7 @@ impl Trainer {
         let Ok(problem) = Problem::new(&self.eval_dfg, &self.cgra, mii) else {
             return -f64::from(u32::MAX);
         };
-        let problem = if self.config.mcts.prune_candidates {
-            problem.with_candidate_pruning()
-        } else {
-            problem
-        };
+        let problem = problem.with_candidate_pruning();
         let agent_config = AgentConfig {
             mcts: crate::mcts::MctsConfig { playout: false, ..self.config.mcts },
             use_mcts: true,

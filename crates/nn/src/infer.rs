@@ -14,7 +14,7 @@
 //! Every op here is **bit-identical** to its tape counterpart (or, for
 //! the fused message passes, to the tape op chain it replaces): the
 //! same accumulation order, the same zero-skips, the same clamping. The
-//! proptests in `tests/proptest_hotpath.rs`,
+//! proptests in `mapzero-core`'s `network` tests,
 //! `crates/nn/tests/message_passing_oracle.rs`,
 //! `crates/nn/tests/backward_oracle.rs` and the equivalence tests below
 //! hold the two paths equal, so the Graph remains the single source of

@@ -5,10 +5,14 @@
 //! gets exactly one response, and none is duplicated.
 //!
 //! Determinism backing the bit-identical claim: `fast_test` disables
-//! hedging (single engine), `MapZeroNet::new` is deterministic in
-//! (size, seed), and the shared prediction cache only memoizes values
-//! the deterministic net would recompute — so cache state perturbed by
-//! tenant A cannot change tenant B's search results.
+//! hedging (single engine) and `MapZeroNet::new` is deterministic in
+//! (size, seed). The shared prediction cache keys every entry by the
+//! problem's structural fingerprint and search state, so tenant A's
+//! entries can only answer tenant B for the same problem and state.
+//! Such a hit may still differ from a recompute within the batched
+//! forward's 1e-5 softmax tolerance — so cache contents *can* steer a
+//! search through a near-tie; this suite pins that they do not for
+//! these kernels.
 
 use mapzero_arch::presets;
 use mapzero_core::mapping::Mapping;

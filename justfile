@@ -44,14 +44,13 @@ serve-status:
 bench:
     cargo bench --workspace
 
-# Inference hot-path bench: predictions/sec (tape vs tape-free) and
-# end-to-end compile time, written to results/BENCH_hotpath.json.
+# Inference hot-path bench: predictions/sec, batch scaling and training
+# samples/sec, written to results/BENCH_hotpath.json.
 bench-hotpath:
     cargo run --release -p mapzero-bench --bin hotpath
 
-# Search-space bench: §2.5.1 size estimates plus the candidate-pruning
-# speedup and effective branching factor on the fig13 16x16 workload,
-# written to results/BENCH_search_space.json.
+# Search-space bench: the §2.5.1 size estimates, written to
+# results/BENCH_search_space.json.
 bench-searchspace:
     cargo run --release -p mapzero-bench --bin search_space
 

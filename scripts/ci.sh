@@ -12,12 +12,20 @@ cargo test --workspace -q
 
 echo "==> scalar-kernel tests (MAPZERO_SIMD=scalar)"
 # The default run above takes the Lanes8 branch of every kernel; this
-# reruns the kernel and hot-path suites, and the network-level gradient
-# oracle (tape-free train step vs the tape), on the Scalar branch.
+# reruns the kernel and hot-path suites, and the network- and
+# search-level oracles (tape-free forward and train step vs the tape,
+# the batched K=1 search loop vs the one-leaf loop), on the Scalar
+# branch.
 MAPZERO_SIMD=scalar cargo test -q -p mapzero-nn
 MAPZERO_SIMD=scalar cargo test -q --test proptest_hotpath --test proptest_batch
-MAPZERO_SIMD=scalar cargo test -q -p mapzero-core --lib \
-    network::tests::train_batch_matches_tape_reference_bitwise
+for oracle in \
+    network::tests::train_batch_matches_tape_reference_bitwise \
+    network::tests::fast_predict_is_bit_identical_to_reference \
+    network::tests::fast_predict_matches_reference_bitwise \
+    network::tests::alternating_batch_sizes_share_one_index \
+    mcts::tests::batch_of_one_is_bit_identical_to_scalar_loop; do
+    MAPZERO_SIMD=scalar cargo test -q -p mapzero-core --lib -- --exact "$oracle"
+done
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -40,7 +48,7 @@ scripts/serve_smoke.sh
 echo "==> serve recovery smoke (journal crash-replay + SIGTERM drain + validator gate)"
 scripts/serve_recovery_smoke.sh
 
-echo "==> perf smoke (hotpath bench on a tiny kernel + schema check)"
+echo "==> perf smoke (hotpath throughput bench + schema check)"
 perf_dir="$(mktemp -d -t mapzero-ci-perf.XXXXXX)"
 trap 'rm -f "$trace"; rm -rf "$perf_dir"' EXIT
 MAPZERO_RESULTS_DIR="$perf_dir" cargo run --release -q -p mapzero-bench --bin hotpath
@@ -53,28 +61,15 @@ with open(fresh_path) as f:
 
 # Schema: the fields the nightly aggregation and the README point at.
 required = [
-    "bench", "elapsed_secs", "metrics",
-    "predictions_per_sec_reference", "predictions_per_sec_fast",
-    "predict_speedup", "batch_scaling", "batch8_speedup", "compile_kernel",
-    "compile_secs_before", "compile_secs_after", "compile_speedup",
-    "prune_speedup", "train_samples_per_sec",
+    "bench", "elapsed_secs", "metrics", "predictions_per_sec_fast",
+    "batch_scaling", "batch8_speedup", "train_samples_per_sec",
 ]
 missing = [k for k in required if k not in fresh]
 if missing:
     sys.exit(f"perf smoke: BENCH_hotpath.json missing fields {missing}")
-counters = fresh["metrics"]["counters"]
-for c in ("search.predict_cache.hit", "search.predict_cache.miss",
-          "search.batch.flush", "search.batch.partial",
-          "search.batch.cache_short_circuit",
-          "search.prune.candidate_rebuild", "search.prune.masked_actions",
-          "search.prune.dead_state", "search.expand.offered"):
-    if c not in counters:
-        sys.exit(f"perf smoke: counter {c!r} absent from metrics delta")
-for hname in ("nn.batch.size", "search.candidates.per_node", "nn.train_us"):
+for hname in ("nn.batch.size", "nn.train_us"):
     if hname not in fresh["metrics"].get("histograms", {}):
         sys.exit(f"perf smoke: histogram {hname!r} absent from metrics delta")
-if fresh["metrics"]["counters"]["search.prune.candidate_rebuild"] == 0:
-    sys.exit("perf smoke: no candidate map was ever built (pruning inert?)")
 
 # Batch-scaling gate: one leaf batch of 8 must not be slower than
 # one-at-a-time prediction. Each K's speedup_vs_scalar is the median of
@@ -103,64 +98,9 @@ for key in ("predictions_per_sec_fast", "batch8_speedup", "train_samples_per_sec
     if base_v > 0 and fresh_v < base_v / 2:
         print(f"WARNING: perf smoke: {key} regressed >2x "
               f"({fresh_v:.0f} vs committed {base_v:.0f})")
-print(f"perf smoke: OK (predict {fresh['predict_speedup']:.1f}x, "
+print(f"perf smoke: OK (predict {fresh['predictions_per_sec_fast']:.0f}/s, "
       f"batch8 {fresh['batch8_speedup']:.2f}x, "
-      f"train {fresh['train_samples_per_sec']:.0f} samples/s, "
-      f"compile {fresh['compile_speedup']:.2f}x, "
-      f"prune {fresh['prune_speedup']:.2f}x)")
-PY
-
-echo "==> prune smoke (search_space bench: fig13 16x16 pairs + schema check)"
-# Short per-attempt limit: it caps how long each unpruned arm can burn,
-# which is what dominates this smoke's wall time.
-MAPZERO_RESULTS_DIR="$perf_dir" MAPZERO_TIME_LIMIT_SECS=8 \
-    cargo run --release -q -p mapzero-bench --bin search_space
-python3 - "$perf_dir/BENCH_search_space.json" results/BENCH_search_space.json <<'PY'
-import json, sys
-
-fresh_path, baseline_path = sys.argv[1], sys.argv[2]
-with open(fresh_path) as f:
-    fresh = json.load(f)
-
-required = ["bench", "elapsed_secs", "metrics", "prune_speedup",
-            "prune_speedup_per_kernel", "branching_factor_unpruned",
-            "branching_factor_pruned", "fabric"]
-missing = [k for k in required if k not in fresh]
-if missing:
-    sys.exit(f"prune smoke: BENCH_search_space.json missing fields {missing}")
-counters = fresh["metrics"]["counters"]
-for c in ("search.prune.candidate_rebuild", "search.prune.masked_actions",
-          "search.prune.dead_state"):
-    if counters.get(c) is None:
-        sys.exit(f"prune smoke: counter {c!r} absent from metrics delta")
-if counters["search.prune.candidate_rebuild"] == 0:
-    sys.exit("prune smoke: pruned arms never built a candidate map")
-
-# Hard gate: pruning must never make the fig13 16x16 quick compile
-# slower than the unpruned arm measured in the same interleaved run.
-if fresh["prune_speedup"] < 1.0:
-    sys.exit(f"prune smoke: prune_speedup {fresh['prune_speedup']:.2f}x < 1.0 "
-             "(pruning is a net slowdown)")
-if fresh["branching_factor_pruned"] >= fresh["branching_factor_unpruned"]:
-    sys.exit("prune smoke: pruning did not shrink the effective branching "
-             f"factor ({fresh['branching_factor_unpruned']:.1f} -> "
-             f"{fresh['branching_factor_pruned']:.1f})")
-
-# Non-fatal drift check vs the committed baseline (CI machines vary,
-# and this smoke runs with a shorter time limit than the committed run).
-try:
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-except OSError:
-    print("prune smoke: no committed baseline, skipping regression check")
-    sys.exit(0)
-base_v = baseline.get("prune_speedup", 0.0)
-if base_v > 0 and fresh["prune_speedup"] < base_v / 2:
-    print(f"WARNING: prune smoke: prune_speedup regressed >2x "
-          f"({fresh['prune_speedup']:.2f}x vs committed {base_v:.2f}x)")
-print(f"prune smoke: OK (prune {fresh['prune_speedup']:.2f}x, branching "
-      f"{fresh['branching_factor_unpruned']:.1f} -> "
-      f"{fresh['branching_factor_pruned']:.1f})")
+      f"train {fresh['train_samples_per_sec']:.0f} samples/s)")
 PY
 
 echo "==> serve bench smoke (tiny load run + schema + regression check)"

@@ -47,7 +47,7 @@ pub use mapzero_obs as obs;
 /// Commonly-used items, importable with `use mapzero::prelude::*`.
 pub mod prelude {
     pub use mapzero_arch::{presets, Capability, Cgra, CgraBuilder, Interconnect, PeId};
-    pub use mapzero_baselines::{ExactMapper, GaMapper, LisaMapper, SaMapper};
+    pub use mapzero_baselines::{ExactMapper, LisaMapper, SaMapper};
     pub use mapzero_core::{
         Budget, Compiler, MapError, MapReport, MapZeroConfig, Mapper, Mapping, PartialMapStats,
         Problem, TrainConfig, TrainError, Trainer,

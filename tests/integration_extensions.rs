@@ -1,6 +1,6 @@
 //! Integration tests for the extension features: structured kernels,
-//! DFG transforms, fabric text format, DSE, checkpointing and the GA
-//! baseline — exercised end-to-end through the mappers.
+//! DFG transforms, fabric text format, DSE and checkpointing —
+//! exercised end-to-end through the mappers.
 
 use mapzero::arch::textfmt as arch_textfmt;
 use mapzero::core::checkpoint::{load_compiler, save_compiler};
@@ -61,17 +61,6 @@ fn fabric_text_format_round_trips_through_the_compiler() {
     let report = compiler.map(&dfg, &cgra).unwrap();
     let mapping = report.mapping.expect("parsed fabric behaves like the preset");
     assert!(mapping.validate(&dfg, &cgra).is_empty());
-}
-
-#[test]
-fn ga_baseline_joins_the_mapper_lineup() {
-    let dfg = suite::by_name("mac").unwrap();
-    let cgra = presets::hycube();
-    let mut ga = GaMapper::default();
-    let report = Mapper::map(&mut ga, &dfg, &cgra, LIMIT).unwrap();
-    let mapping = report.mapping.expect("mac maps via GA");
-    assert!(mapping.validate(&dfg, &cgra).is_empty());
-    assert_eq!(mapping.ii, report.mii);
 }
 
 #[test]

@@ -1,10 +1,21 @@
 //! Cross-crate integration tests: full compile pipelines over the
 //! benchmark suite and the preset fabrics.
 
+use mapzero::core::validate;
 use mapzero::prelude::*;
 use std::time::Duration;
 
 const LIMIT: Duration = Duration::from_secs(60);
+
+/// Hold `mapping` to both validators: the mapping's own checks and the
+/// independent re-derivation in `validate::check_mapping`.
+fn assert_valid(dfg: &Dfg, cgra: &Cgra, mapping: &Mapping, what: &str) {
+    let problems = mapping.validate(dfg, cgra);
+    assert!(problems.is_empty(), "{what}: Mapping::validate: {problems:?}");
+    if let Err(e) = validate::check_mapping(dfg, cgra, mapping, mapping.ii) {
+        panic!("{what}: validate::check_mapping: {e:?}");
+    }
+}
 
 #[test]
 fn exact_mapper_reaches_mii_on_every_small_kernel_and_fabric() {
@@ -23,11 +34,7 @@ fn exact_mapper_reaches_mii_on_every_small_kernel_and_fabric() {
             let mapping = report
                 .mapping
                 .unwrap_or_else(|| panic!("{name} on {}", cgra.name()));
-            assert!(
-                mapping.validate(&dfg, &cgra).is_empty(),
-                "{name} on {}",
-                cgra.name()
-            );
+            assert_valid(&dfg, &cgra, &mapping, &format!("{name} on {}", cgra.name()));
             assert!(
                 mapping.ii <= report.mii + slack,
                 "{name} on {}: II {} vs MII {}",
@@ -48,7 +55,7 @@ fn mapzero_maps_small_kernels_on_all_evaluation_fabrics() {
         let mapping = report
             .mapping
             .unwrap_or_else(|| panic!("sum should map on {}", cgra.name()));
-        assert!(mapping.validate(&dfg, &cgra).is_empty(), "{}", cgra.name());
+        assert_valid(&dfg, &cgra, &mapping, cgra.name());
     }
 }
 
@@ -63,7 +70,7 @@ fn mapzero_handles_temporal_mapping_ii_greater_than_one() {
     let report = compiler.map(&dfg, &cgra).unwrap();
     if let Some(m) = report.mapping {
         assert!(m.ii >= mii);
-        assert!(m.validate(&dfg, &cgra).is_empty());
+        assert_valid(&dfg, &cgra, &m, "conv3 on HReA");
     }
 }
 
@@ -74,6 +81,7 @@ fn heterogeneous_fabric_respects_capabilities_end_to_end() {
     let mut mapper = ExactMapper::default();
     let report = mapper.map(&dfg, &cgra, LIMIT).unwrap();
     let mapping = report.mapping.expect("mac maps on the Fig. 14 fabric");
+    assert_valid(&dfg, &cgra, &mapping, "mac on the Fig. 14 fabric");
     for u in dfg.node_ids() {
         let pe = mapping.placement(u).pe;
         assert!(
@@ -90,8 +98,8 @@ fn adres_row_bus_holds_in_full_pipeline() {
     let mut mapper = ExactMapper::default();
     let report = mapper.map(&dfg, &cgra, LIMIT).unwrap();
     let mapping = report.mapping.expect("conv2 maps on ADRES");
-    // Validator re-checks the bus constraint independently.
-    assert!(mapping.validate(&dfg, &cgra).is_empty());
+    // Both validators re-check the bus constraint independently.
+    assert_valid(&dfg, &cgra, &mapping, "conv2 on ADRES");
 }
 
 #[test]
@@ -109,6 +117,7 @@ fn all_mappers_agree_on_achievable_ii_for_tiny_kernel() {
     results.push(Mapper::map(&mut lisa, &dfg, &cgra, LIMIT).unwrap());
     for r in &results {
         let m = r.mapping.as_ref().unwrap_or_else(|| panic!("{} failed", r.mapper));
+        assert_valid(&dfg, &cgra, m, &r.mapper);
         assert_eq!(m.ii, r.mii, "{} missed MII", r.mapper);
     }
 }

@@ -2,10 +2,10 @@
 //! cached/incremental/scratch-buffer shortcut must be *bit-identical*
 //! to its naive counterpart over random DFGs, fabrics and episode
 //! prefixes — the hot path is a pure speed optimization, never a
-//! numerics change.
+//! numerics change. The tape-free forward is held to its test-only
+//! tape oracle in `mapzero_core::network`.
 
 use mapzero::core::embed::{observe, Observer};
-use mapzero::core::network::{MapZeroNet, NetConfig};
 use mapzero::dfg::random::{random_dfg, RandomDfgConfig};
 use mapzero::nn::Matrix;
 use mapzero::prelude::*;
@@ -34,49 +34,8 @@ fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
-/// Walk `steps` legal placements (index picks derived from `choices`),
-/// returning the environment mid-episode.
-fn advance<'p>(problem: &'p Problem<'p>, choices: &[usize], steps: usize) -> MapEnv<'p> {
-    let mut env = MapEnv::new(problem);
-    for (i, _) in (0..steps).enumerate() {
-        if env.done() {
-            break;
-        }
-        let legal = env.legal_actions();
-        if legal.is_empty() {
-            break;
-        }
-        let pick = choices.get(i).copied().unwrap_or(0) % legal.len();
-        env.step(legal[pick]);
-    }
-    env
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Tape-free predict == tape-based reference, at random points of
-    /// random episodes, on the first call and on a repeat (which reuses
-    /// the per-thread message indices).
-    #[test]
-    fn fast_predict_is_bit_identical_to_reference(
-        dfg in dfg_strategy(),
-        choices in proptest::collection::vec(0usize..64, 8..9),
-        steps in 0usize..8,
-    ) {
-        let cgra = presets::simple_mesh(3, 3);
-        let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()) };
-        let Ok(problem) = Problem::new(&dfg, &cgra, mii) else { return Ok(()) };
-        let env = advance(&problem, &choices, steps);
-        if env.done() || env.legal_actions().is_empty() {
-            return Ok(());
-        }
-        let obs = observe(&env);
-        let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
-        let reference = net.predict_reference(&obs);
-        prop_assert_eq!(&net.predict(&obs), &reference, "first call");
-        prop_assert_eq!(&net.predict(&obs), &reference, "second call (index reused)");
-    }
 
     /// Incremental featurization == full rebuild at every step of a
     /// random episode prefix, including after an undo.

@@ -2,12 +2,12 @@
 //! masks match a per-PE oracle along any step/undo walk (so the pruned
 //! mask is a subset of the legal mask and undo restores it exactly),
 //! mappings found with pruning on are valid, the fail-first order is
-//! deterministic, and pruning never loses a Table-2 kernel at equal
-//! budget.
+//! deterministic, pruning shrinks the actions the search is offered,
+//! and it never loses a Table-2 kernel at equal budget.
 
 use mapzero::arch::RoutingStyle;
 use mapzero::core::validate;
-use mapzero::core::{MapEnv, Placement};
+use mapzero::core::{MapEnv, MapZeroAgent, MapZeroNet, Placement};
 use mapzero::dfg::Edge;
 use mapzero::dfg::random::{random_dfg, RandomDfgConfig};
 use mapzero::prelude::*;
@@ -229,7 +229,6 @@ fn pruned_compile_is_reproducible() {
     let cgra = presets::hrea();
     let run = || {
         let mut config = MapZeroConfig::fast_test();
-        assert!(config.agent.mcts.prune_candidates, "pruning defaults on");
         config.agent.mcts.seed = 7;
         let mut compiler = Compiler::new(config);
         compiler.map(&dfg, &cgra).expect("conv2 maps on HReA")
@@ -239,19 +238,64 @@ fn pruned_compile_is_reproducible() {
     assert_eq!(a.mapping, b.mapping, "pruned compile is not reproducible");
 }
 
-/// Table-2 smoke at equal (deterministic) budget: pruning on must not
-/// lose any kernel the unpruned arm maps, and every pruned mapping
+/// Along one placement walk of a Fig. 13 kernel on the 16×16 baseline,
+/// the pruned problem offers the search strictly fewer actions than the
+/// unpruned one does (its legal mask) at the same states — the
+/// effective branching factor shrinks.
+#[test]
+fn pruning_shrinks_the_offered_actions_on_the_16x16_baseline() {
+    let dfg = suite::by_name("stencil_u").expect("kernel exists");
+    let cgra = presets::baseline16();
+    let mii = Problem::mii(&dfg, &cgra).unwrap();
+    let unpruned = Problem::new(&dfg, &cgra, mii).unwrap();
+    let root = MapEnv::new(&unpruned);
+    assert_eq!(root.search_actions(), root.legal_actions(), "unpruned search offers the legal mask");
+
+    let pruned = Problem::new(&dfg, &cgra, mii).unwrap().with_candidate_pruning();
+    let mut env = MapEnv::new(&pruned);
+    let (mut offered_unpruned, mut offered_pruned, mut steps) = (0usize, 0usize, 0usize);
+    while !env.done() && !env.doomed() {
+        let search = env.search_actions();
+        let Some(&first) = search.first() else { break };
+        offered_unpruned += env.legal_actions().len();
+        offered_pruned += search.len();
+        env.step(first);
+        steps += 1;
+    }
+    assert!(steps > 1, "walk stopped after {steps} steps");
+    assert!(
+        offered_pruned < offered_unpruned,
+        "pruning offered {offered_pruned} actions vs {offered_unpruned} unpruned over {steps} steps"
+    );
+}
+
+/// Table-2 smoke at equal (deterministic) budget: the agent on pruned
+/// problems must not lose any kernel it maps on unpruned ones, trying
+/// II upward from MII as the compiler does, and every pruned mapping
 /// must pass the full validator.
 #[test]
 fn pruning_never_loses_a_kernel_at_equal_budget() {
     let cgra = presets::hrea();
+    let config = MapZeroConfig::fast_test();
+    let net = MapZeroNet::new(cgra.pe_count(), config.net);
     for dfg in suite::small() {
-        let arm = |prune: bool| {
-            let mut config = MapZeroConfig::fast_test();
-            config.agent.mcts.prune_candidates = prune;
-            config.expansion_budget = Some(6_000);
-            let mut compiler = Compiler::new(config);
-            compiler.map(&dfg, &cgra).ok().and_then(|r| r.mapping)
+        let arm = |prune: bool| -> Option<Mapping> {
+            let agent = MapZeroAgent::new(&net, config.agent);
+            let budget = Budget::unlimited().with_expansion_cap(6_000);
+            let mii = Problem::mii(&dfg, &cgra).ok()?;
+            for ii in mii..=mii + config.max_extra_ii {
+                let Ok(problem) = Problem::new(&dfg, &cgra, ii) else { continue };
+                let problem = if prune { problem.with_candidate_pruning() } else { problem };
+                for _ in 0..config.attempts_per_ii {
+                    if budget.exhausted() {
+                        return None;
+                    }
+                    if let Some(mapping) = agent.run_episode_budgeted(&problem, &budget).mapping {
+                        return Some(mapping);
+                    }
+                }
+            }
+            None
         };
         let pruned = arm(true);
         let unpruned = arm(false);
@@ -269,8 +313,8 @@ fn pruning_never_loses_a_kernel_at_equal_budget() {
     }
 }
 
-/// The prune counters surface through `MapReport::telemetry` when
-/// telemetry is enabled. One test function: the enable flag is
+/// The prune, prediction-cache, leaf-batch and expansion counters
+/// surface through `MapReport::telemetry` when telemetry is enabled. One test function: the enable flag is
 /// process-global.
 #[test]
 fn prune_counters_surface_in_report_telemetry() {
@@ -290,10 +334,22 @@ fn prune_counters_surface_in_report_telemetry() {
         "no candidate build recorded: {:?}",
         t.counters
     );
-    // Registered at build time, so present (possibly zero) in the delta.
-    for name in ["search.prune.masked_actions", "search.prune.dead_state"] {
+    // Registered when the search and its caches are built, so present
+    // (possibly zero) in the delta.
+    for name in [
+        "search.prune.masked_actions",
+        "search.prune.dead_state",
+        "search.predict_cache.hit",
+        "search.predict_cache.miss",
+        "search.batch.flush",
+        "search.batch.partial",
+        "search.batch.cache_short_circuit",
+        "search.expand.offered",
+    ] {
         assert!(t.counters.contains_key(name), "{name} absent: {:?}", t.counters);
     }
+    assert!(t.counter("search.expand.offered") > 0, "no expansion offered an action");
+    assert!(t.counter("search.batch.flush") > 0, "no leaf batch was flushed");
     let (count, _) = t
         .histograms
         .get("search.candidates.per_node")
