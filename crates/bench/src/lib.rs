@@ -150,7 +150,6 @@ pub struct Harness {
     before: mapzero_obs::metrics::MetricsSnapshot,
     started: Instant,
     finished: bool,
-    extra: std::cell::RefCell<Vec<(String, Json)>>,
 }
 
 impl Harness {
@@ -167,18 +166,7 @@ impl Harness {
             before: mapzero_obs::metrics::registry().snapshot(),
             started: Instant::now(),
             finished: false,
-            extra: std::cell::RefCell::new(Vec::new()),
         }
-    }
-
-    /// Attach a custom top-level field to the result JSON (written by
-    /// `finish`, and by the Drop guard if the bench dies early). Later
-    /// values win over earlier ones for the same key.
-    pub fn field(&self, key: impl Into<String>, value: Json) {
-        let key = key.into();
-        let mut extra = self.extra.borrow_mut();
-        extra.retain(|(k, _)| *k != key);
-        extra.push((key, value));
     }
 
     /// Progress line on stderr (keeps stdout clean for tables).
@@ -208,7 +196,6 @@ impl Harness {
             ("elapsed_secs".to_owned(), Json::Num(self.started.elapsed().as_secs_f64())),
             ("metrics".to_owned(), delta.to_json()),
         ];
-        fields.extend(self.extra.borrow().iter().cloned());
         if let Some(error) = error {
             fields.push(("error".to_owned(), Json::from(error)));
         }

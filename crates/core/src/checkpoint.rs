@@ -1,20 +1,18 @@
 //! Crash-safe compiler/trainer checkpointing.
 //!
-//! Two layers (DESIGN.md §8):
-//!
-//! * **Flat directory** (legacy): one weight file per action-space size
-//!   (`net_<pe_count>.mzw`) via [`save_compiler`] / [`load_compiler`].
-//!   Simple, but a crash mid-write can tear a file.
-//! * **Generations** ([`CheckpointStore`]): every save commits a new
-//!   `gen_<n>/` directory whose `MANIFEST` lists each payload file with
-//!   its length and FNV-1a checksum. All payload writes are
-//!   write-to-temp → fsync → atomic rename, the MANIFEST is written
-//!   last (it is the commit point), and generation numbers increase
-//!   monotonically — a crash at *any* instant leaves either a fully
-//!   verifiable generation or an unreferenced partial directory that
-//!   [`CheckpointStore::load_latest_valid`] skips (bumping the
-//!   `checkpoint.corrupt_skipped` counter) in favour of the newest
-//!   generation that still verifies.
+//! One format (DESIGN.md §8): generations ([`CheckpointStore`]). Every
+//! save commits a new `gen_<n>/` directory whose `MANIFEST` lists each
+//! payload file with its length and FNV-1a checksum. All payload writes
+//! are write-to-temp → fsync → atomic rename, the MANIFEST is written
+//! last (it is the commit point), and generation numbers increase
+//! monotonically — a crash at *any* instant leaves either a fully
+//! verifiable generation or an unreferenced partial directory that
+//! [`CheckpointStore::load_latest_valid`] skips (bumping the
+//! `checkpoint.corrupt_skipped` counter) in favour of the newest
+//! generation that still verifies. A compiler's networks are one
+//! payload file per action-space size (`net_<pe_count>.mzw`), written
+//! by [`save_compiler_generation`] and read by [`load_compiler_latest`];
+//! the trainer commits the same net file plus its resumable state.
 //!
 //! Checkpoint I/O is threaded with failpoints (`checkpoint.pre_write`,
 //! `checkpoint.pre_rename`, `checkpoint.pre_manifest`) so chaos tests
@@ -24,7 +22,7 @@ use crate::compiler::Compiler;
 use crate::failpoint;
 use crate::network::MapZeroNet;
 use bytes::Bytes;
-use mapzero_nn::{encode_params, load_params, WeightFormatError};
+use mapzero_nn::{encode_params, WeightFormatError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -438,66 +436,6 @@ impl CheckpointStore {
     }
 }
 
-/// Save every network the compiler holds into a flat `dir` (created if
-/// missing). Each file is written crash-safely (temp + fsync + rename),
-/// but there is no manifest: prefer [`save_compiler_generation`] for
-/// durable checkpoints.
-///
-/// # Errors
-/// Returns [`CheckpointError`] on I/O failure.
-pub fn save_compiler(compiler: &Compiler, dir: impl AsRef<Path>) -> Result<usize, CheckpointError> {
-    let dir = dir.as_ref();
-    fs::create_dir_all(dir)?;
-    let mut count = 0;
-    for pe_count in compiler.net_sizes() {
-        // `net_sizes` lists exactly the keys of the net map, so the
-        // lookup cannot miss; skip (not panic) if it somehow does.
-        let Some(net) = compiler.net_for(pe_count) else {
-            debug_assert!(false, "net_sizes listed a missing size {pe_count}");
-            continue;
-        };
-        atomic_write(
-            &dir.join(format!("net_{pe_count}.mzw")),
-            encode_params(&net.params).as_ref(),
-        )?;
-        count += 1;
-    }
-    Ok(count)
-}
-
-/// Load all checkpointed networks from a flat `dir` into the compiler
-/// (networks are constructed from the compiler's `NetConfig`, so the
-/// checkpoint must come from a compiler with the same configuration).
-///
-/// Files that do not parse as `net_<pe_count>.mzw` — foreign files and
-/// malformed stems alike — are skipped uniformly and counted under the
-/// `checkpoint.unknown_file_skipped` telemetry counter rather than
-/// erroring on some shapes and ignoring others.
-///
-/// # Errors
-/// Returns [`CheckpointError`] on I/O failure, malformed weight files
-/// or shape mismatch.
-pub fn load_compiler(compiler: &mut Compiler, dir: impl AsRef<Path>) -> Result<usize, CheckpointError> {
-    let mut count = 0;
-    for entry in fs::read_dir(dir.as_ref())? {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let parsed: Option<usize> = name
-            .strip_prefix("net_")
-            .and_then(|s| s.strip_suffix(".mzw"))
-            .and_then(|stem| stem.parse().ok());
-        let Some(pe_count) = parsed else {
-            mapzero_obs::counter!("checkpoint.unknown_file_skipped");
-            continue;
-        };
-        let mut net = MapZeroNet::new(pe_count, compiler.config().net);
-        load_params(&mut net.params, entry.path())?;
-        compiler.install_net(net);
-        count += 1;
-    }
-    Ok(count)
-}
-
 /// Commit every network the compiler holds as a new verified
 /// generation; returns the generation number.
 ///
@@ -521,8 +459,11 @@ pub fn save_compiler_generation(
 
 /// Load the newest valid generation's networks into the compiler.
 /// Returns `(generation, nets_loaded)`, or `None` when the store holds
-/// no generation at all. Unknown payload files in the generation are
-/// skipped (counted as `checkpoint.unknown_file_skipped`).
+/// no generation at all. Networks are constructed from the compiler's
+/// `NetConfig`, so the checkpoint must come from a compiler with the
+/// same configuration. Payload files that do not parse as
+/// `net_<pe_count>.mzw` — foreign files and malformed stems alike — are
+/// skipped uniformly (counted as `checkpoint.unknown_file_skipped`).
 ///
 /// # Errors
 /// Returns [`CheckpointError`] on I/O failure or a weight payload that
@@ -570,27 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_predictions() {
-        let dir = temp_dir("roundtrip");
-        let dfg = suite::by_name("sum").unwrap();
-        let cgra = presets::hrea();
-        let mut a = Compiler::new(MapZeroConfig::fast_test());
-        let _ = a.map(&dfg, &cgra).unwrap(); // creates the 16-PE net
-        assert_eq!(save_compiler(&a, &dir).unwrap(), 1);
-
-        let mut b = Compiler::new(MapZeroConfig::fast_test());
-        assert_eq!(load_compiler(&mut b, &dir).unwrap(), 1);
-        // Identical predictions from both compilers' networks.
-        let problem = crate::problem::Problem::new(&dfg, &cgra, 1).unwrap();
-        let env = crate::env::MapEnv::new(&problem);
-        let obs = crate::embed::observe(&env);
-        assert_eq!(
-            a.net_for(16).unwrap().predict(&obs),
-            b.net_for(16).unwrap().predict(&obs)
-        );
-    }
-
-    #[test]
     fn generation_round_trip_preserves_predictions() {
         let dir = temp_dir("gen_roundtrip");
         let dfg = suite::by_name("sum").unwrap();
@@ -620,9 +540,9 @@ mod tests {
         let mut c = Compiler::new(MapZeroConfig::fast_test());
         let _ = c.map(&dfg, &presets::hrea()).unwrap(); // 16 PEs
         let _ = c.map(&dfg, &presets::morphosys()).unwrap(); // 64 PEs
-        assert_eq!(save_compiler(&c, &dir).unwrap(), 2);
+        assert_eq!(save_compiler_generation(&c, &dir).unwrap(), 1);
         let mut fresh = Compiler::new(MapZeroConfig::fast_test());
-        assert_eq!(load_compiler(&mut fresh, &dir).unwrap(), 2);
+        assert_eq!(load_compiler_latest(&mut fresh, &dir).unwrap(), Some((1, 2)));
         assert!(fresh.net_for(16).is_some());
         assert!(fresh.net_for(64).is_some());
     }
@@ -631,19 +551,30 @@ mod tests {
     fn corrupted_checkpoint_is_a_clean_error() {
         let dir = temp_dir("corrupt");
         let dfg = suite::by_name("sum").unwrap();
-        let cgra = presets::hrea();
         let mut a = Compiler::new(MapZeroConfig::fast_test());
-        let _ = a.map(&dfg, &cgra).unwrap();
-        assert_eq!(save_compiler(&a, &dir).unwrap(), 1);
+        let _ = a.map(&dfg, &presets::hrea()).unwrap();
+        assert_eq!(save_compiler_generation(&a, &dir).unwrap(), 1);
+        assert_eq!(save_compiler_generation(&a, &dir).unwrap(), 2);
+        let store = CheckpointStore::open(&dir).unwrap();
+        let bytes = store.load_generation(1).unwrap().file("net_16.mzw").unwrap().to_vec();
 
-        // Truncate the weight file mid-payload.
-        let path = dir.join("net_16.mzw");
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        // Truncate the newest weight file on disk: it fails its
+        // checksum, so the generation is skipped for the prior one.
+        std::fs::write(store.gen_dir(2).join("net_16.mzw"), &bytes[..bytes.len() / 2]).unwrap();
+        let skipped = mapzero_obs::metrics::registry().counter("checkpoint.corrupt_skipped");
+        let before = skipped.get();
         let mut b = Compiler::new(MapZeroConfig::fast_test());
-        let err = load_compiler(&mut b, &dir).unwrap_err();
+        assert_eq!(load_compiler_latest(&mut b, &dir).unwrap(), Some((1, 1)));
+        assert!(skipped.get() > before);
+
+        // A truncated payload that passes its checksum (committed as
+        // is) does not decode: a structured error, not a panic.
+        let truncated = bytes[..bytes.len() / 2].to_vec();
+        store.commit(&[("net_16.mzw".to_owned(), truncated)]).unwrap();
+        let mut c = Compiler::new(MapZeroConfig::fast_test());
+        let err = load_compiler_latest(&mut c, &dir).unwrap_err();
         assert!(
-            matches!(err, CheckpointError::Weights(_) | CheckpointError::Io(_)),
+            matches!(err, CheckpointError::Weights(_)),
             "truncation must surface as a structured error, got {err}"
         );
         // The error chain is inspectable.
@@ -654,23 +585,27 @@ mod tests {
         for b in garbled.iter_mut().skip(16) {
             *b ^= 0xA5;
         }
-        std::fs::write(&path, &garbled).unwrap();
-        let mut c = Compiler::new(MapZeroConfig::fast_test());
-        assert!(load_compiler(&mut c, &dir).is_err());
+        store.commit(&[("net_16.mzw".to_owned(), garbled)]).unwrap();
+        let mut d = Compiler::new(MapZeroConfig::fast_test());
+        assert!(load_compiler_latest(&mut d, &dir).is_err());
     }
 
     #[test]
     fn unknown_files_skipped_uniformly() {
         let dir = temp_dir("names");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("README.txt"), "hi").unwrap();
+        let store = CheckpointStore::open(&dir).unwrap();
         // A malformed stem is skipped exactly like a foreign file, not
         // turned into an inconsistent error.
-        std::fs::write(dir.join("net_x.mzw"), "junk").unwrap();
+        store
+            .commit(&[
+                ("README.txt".to_owned(), b"hi".to_vec()),
+                ("net_x.mzw".to_owned(), b"junk".to_vec()),
+            ])
+            .unwrap();
         let skipped = mapzero_obs::metrics::registry().counter("checkpoint.unknown_file_skipped");
         let before = skipped.get();
         let mut c = Compiler::new(MapZeroConfig::fast_test());
-        assert_eq!(load_compiler(&mut c, &dir).unwrap(), 0);
+        assert_eq!(load_compiler_latest(&mut c, &dir).unwrap(), Some((1, 0)));
         assert_eq!(skipped.get() - before, 2, "both foreign files counted");
     }
 

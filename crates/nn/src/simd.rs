@@ -91,10 +91,9 @@ pub fn kind() -> SimdKind {
 }
 
 /// Override the kernel selection for the rest of the process (or until
-/// the next call). Benchmark support: the hotpath bench measures the
-/// scalar-kernel baseline and the SIMD arm inside one process. Normal
-/// operation never switches kinds mid-run — predictions are
-/// deterministic per kind, not across kinds.
+/// the next call). Test support: the kernel oracles run both kinds
+/// inside one process. Normal operation never switches kinds mid-run —
+/// predictions are deterministic per kind, not across kinds.
 pub fn force_kind(k: SimdKind) {
     let code = match k {
         SimdKind::Scalar => KIND_SCALAR,

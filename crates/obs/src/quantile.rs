@@ -8,8 +8,8 @@
 //! `|v̂ − v| ≤ RELATIVE_ERROR · v` for the true sample `v` at that rank
 //! (zeros are tracked exactly in their own bucket). Sketches merge by
 //! bucket addition, so per-worker or per-tier sketches combine into one
-//! without re-streaming samples — the property the `serve_load` bench
-//! and the label families rely on.
+//! without re-streaming samples — the property the label families
+//! rely on.
 
 use std::collections::BTreeMap;
 
@@ -107,11 +107,6 @@ impl QuantileSketch {
                 }
             }
         }
-    }
-
-    /// Record a `Duration` in microseconds.
-    pub fn record_duration_us(&mut self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     }
 
     fn collapse(&mut self) {

@@ -1,5 +1,5 @@
 //! Behavioral tests for the compile service: admission, deadlines,
-//! retries, hedging, worker death, and per-request telemetry.
+//! retries, hedging, worker death, overload, and per-request telemetry.
 //!
 //! Tests in this binary serialize on one lock: several arm process-wide
 //! failpoints (`arm_global`) or flip the process-global telemetry
@@ -7,6 +7,7 @@
 
 use mapzero_arch::presets;
 use mapzero_core::failpoint::{self, FailAction};
+use mapzero_core::validate;
 use mapzero_dfg::suite;
 use mapzero_serve::queue::QueueConfig;
 use mapzero_serve::service::{MapService, ServeConfig};
@@ -217,4 +218,50 @@ fn tenant_inflight_cap_is_enforced_under_load() {
     assert_eq!(responses.len(), 6);
     assert!(responses.iter().all(|r| r.outcome == Outcome::Mapped));
     service.shutdown();
+}
+
+#[test]
+fn overload_burst_answers_every_request_and_maps_only_valid() {
+    let _g = serial();
+    let config = ServeConfig {
+        workers: 2,
+        queue: QueueConfig { capacity: 16, tenant_inflight_cap: 8 },
+        ..ServeConfig::fast_test()
+    };
+    let service = MapService::start(config);
+    // 64 requests against a 16-deep queue: admission control must shed
+    // the excess with a `Rejected` answer, never drop it.
+    let kernels = ["sum", "mac", "accumulate", "conv2"];
+    let tenants = [("alpha", 2), ("beta", 1), ("gamma", 1)];
+    let batch: Vec<MapRequest> = (0..64)
+        .map(|i| {
+            let (tenant, weight) = tenants[i % tenants.len()];
+            let mut req = request(&format!("{tenant}-{i}"), tenant, kernels[i % kernels.len()]);
+            req.weight = weight;
+            req.deadline = Some(Duration::from_secs(60));
+            req
+        })
+        .collect();
+    let responses = service.process_batch(batch.clone());
+    let validate_fail =
+        service.stats().validate_fail.load(std::sync::atomic::Ordering::Relaxed);
+    service.shutdown();
+
+    assert_eq!(responses.len(), 64, "every offered request is answered");
+    assert!(
+        responses.iter().any(|r| r.outcome == Outcome::Rejected),
+        "a 64-request burst overflows a 16-deep queue"
+    );
+    assert!(responses.iter().any(|r| r.outcome == Outcome::Mapped));
+    assert_eq!(validate_fail, 0, "a healthy service never emits an invalid mapping");
+    // Responses come back in request order.
+    for (req, r) in batch.iter().zip(&responses).filter(|(_, r)| r.outcome == Outcome::Mapped) {
+        let mapping = r.mapping.as_ref().expect("a mapped response carries its mapping");
+        assert_eq!(
+            validate::check_mapping(&req.dfg, &req.cgra, mapping, mapping.ii),
+            Ok(()),
+            "{}",
+            r.id
+        );
+    }
 }

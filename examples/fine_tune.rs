@@ -7,7 +7,7 @@
 //! cargo run --release --example fine_tune
 //! ```
 
-use mapzero::core::checkpoint::save_compiler;
+use mapzero::core::checkpoint::save_compiler_generation;
 use mapzero::prelude::*;
 use std::time::Duration;
 
@@ -49,8 +49,8 @@ fn main() {
 
     // Persist the tuned network for later sessions.
     let dir = std::env::temp_dir().join("mapzero_finetuned");
-    match save_compiler(&compiler, &dir) {
-        Ok(n) => println!("saved {n} network(s) to {}", dir.display()),
+    match save_compiler_generation(&compiler, &dir) {
+        Ok(generation) => println!("saved generation {generation} to {}", dir.display()),
         Err(e) => eprintln!("checkpoint failed: {e}"),
     }
 }

@@ -30,36 +30,15 @@ serve-smoke:
 serve-recovery:
     scripts/serve_recovery_smoke.sh
 
-# Compile-service load bench: throughput/latency/shed rate at 1x/4x/16x
-# offered load, written to results/BENCH_serve.json.
-bench-serve:
-    cargo run --release -p mapzero-bench --bin serve_load
-
 # Launch the service on the fixture batch with an admin socket, scrape
 # /status with mapzero_top, and print the per-tenant table.
 serve-status:
     scripts/serve_status.sh
 
-# Criterion microbenchmarks.
-bench:
-    cargo bench --workspace
-
-# Inference hot-path bench: predictions/sec, batch scaling and training
-# samples/sec, written to results/BENCH_hotpath.json.
-bench-hotpath:
-    cargo run --release -p mapzero-bench --bin hotpath
-
 # Search-space bench: the §2.5.1 size estimates, written to
 # results/BENCH_search_space.json.
 bench-searchspace:
     cargo run --release -p mapzero-bench --bin search_space
-
-# Batch-scaling slice of the hot-path bench: rerun it and print the
-# K=1/4/8/16 predictions/sec table (batched SIMD arm vs the scalar
-# one-at-a-time baseline) from results/BENCH_hotpath.json.
-bench-batch:
-    cargo run --release -p mapzero-bench --bin hotpath
-    @python3 -c "import json; rows = json.load(open('results/BENCH_hotpath.json'))['batch_scaling']; print('batch  pred/s   vs scalar'); [print(f\"{int(r['batch']):>5}  {r['predictions_per_sec']:>7.0f}  {r['speedup_vs_scalar']:>8.2f}x\") for r in rows]"
 
 # Performance ledger: end-to-end metrics of one workload (table2_mid,
 # fig13_16x16, serve_mixed or pretrain_hrea) at seed 1.

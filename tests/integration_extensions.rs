@@ -3,7 +3,7 @@
 //! exercised end-to-end through the mappers.
 
 use mapzero::arch::textfmt as arch_textfmt;
-use mapzero::core::checkpoint::{load_compiler, save_compiler};
+use mapzero::core::checkpoint::{load_compiler_latest, save_compiler_generation};
 use mapzero::dfg::{kernels, transform};
 use mapzero::prelude::*;
 use std::time::Duration;
@@ -71,10 +71,10 @@ fn checkpoint_survives_process_boundary_shape() {
     let cgra = presets::hrea();
     let mut first = Compiler::new(MapZeroConfig::fast_test());
     let _ = first.map(&dfg, &cgra).unwrap();
-    assert_eq!(save_compiler(&first, &dir).unwrap(), 1);
+    assert_eq!(save_compiler_generation(&first, &dir).unwrap(), 1);
 
     let mut second = Compiler::new(MapZeroConfig::fast_test());
-    assert_eq!(load_compiler(&mut second, &dir).unwrap(), 1);
+    assert_eq!(load_compiler_latest(&mut second, &dir).unwrap(), Some((1, 1)));
     let report = second.map(&dfg, &cgra).unwrap();
     assert!(report.mapping.is_some());
 }
