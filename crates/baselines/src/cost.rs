@@ -141,6 +141,7 @@ pub fn random_assignment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapzero_core::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
     use mapzero_nn::SeedRng;
@@ -186,7 +187,7 @@ mod tests {
         let eval = evaluate(&problem, &[PeId(0), PeId(1), PeId(3)]);
         assert!(eval.is_valid(), "violations: {}", eval.violations);
         let mapping = eval.mapping.unwrap();
-        assert!(mapping.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
 
     #[test]

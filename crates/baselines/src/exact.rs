@@ -202,6 +202,7 @@ impl Mapper for ExactMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapzero_core::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
 
@@ -215,7 +216,7 @@ mod tests {
                 .mapping
                 .as_ref()
                 .unwrap_or_else(|| panic!("{} should map", dfg.name()));
-            assert!(mapping.validate(&dfg, &cgra).is_empty(), "{}", dfg.name());
+            assert_eq!(check_mapping(&dfg, &cgra, mapping, mapping.ii), Ok(()), "{}", dfg.name());
             assert_eq!(mapping.ii, report.mii, "{} must reach MII", dfg.name());
         }
     }
@@ -227,7 +228,7 @@ mod tests {
         let mut mapper = ExactMapper::default();
         let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
         let mapping = report.mapping.expect("mac maps on HyCube");
-        assert!(mapping.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
         assert_eq!(mapping.ii, report.mii);
     }
 

@@ -159,6 +159,7 @@ impl Mapper for LisaMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapzero_core::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
 
@@ -181,7 +182,7 @@ mod tests {
         let mut mapper = LisaMapper::default();
         let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
         let mapping = report.mapping.expect("sum should map via LISA on HyCube");
-        assert!(mapping.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
 
     #[test]

@@ -249,6 +249,7 @@ impl Mapper for SaMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapzero_core::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
 
@@ -259,7 +260,7 @@ mod tests {
         let mut mapper = SaMapper::default();
         let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
         let mapping = report.mapping.expect("sum should map via SA");
-        assert!(mapping.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
 
     #[test]

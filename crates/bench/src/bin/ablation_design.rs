@@ -1,61 +1,41 @@
-//! Ablation benches for the design choices called out in DESIGN.md §5:
-//!
-//! * **encoder** — GAT (the paper's choice, §2.2) vs a plain GCN;
-//! * **selection** — PUCT with stored priors (Alg. 1 stores `P(s,a)`)
-//!   vs plain UCT (Eq. 4 without priors);
-//! * **playout** — greedy router-aware rollouts (this repo's
-//!   early-exit engine) vs network-value-only leaf evaluation.
+//! Ablation bench for the design choice called out in DESIGN.md §5:
+//! **playout** — greedy router-aware rollouts (this repo's early-exit
+//! engine) vs network-value-only leaf evaluation.
 //!
 //! Each variant maps the same kernels; the table reports MII hits,
 //! time, and backtracks.
 
 use mapzero_bench::{print_table, write_csv, BenchMode, Harness};
-use mapzero_core::network::{EncoderKind, MapZeroNet, NetConfig};
+use mapzero_core::network::{MapZeroNet, NetConfig};
 use mapzero_core::{AgentConfig, MapZeroAgent, MctsConfig, Problem};
-
-struct Variant {
-    name: &'static str,
-    encoder: EncoderKind,
-    use_priors: bool,
-    playout: bool,
-}
 
 fn main() {
     let mode = BenchMode::from_env();
     let limit = mode.time_limit();
     let h = Harness::begin(
         "ablation_design",
-        format!("Design-choice ablations ({mode:?} mode)"),
+        format!("Design-choice ablation ({mode:?} mode)"),
     );
 
-    let variants = [
-        Variant { name: "baseline (GAT+PUCT+playout)", encoder: EncoderKind::Gat, use_priors: true, playout: true },
-        Variant { name: "GCN encoder", encoder: EncoderKind::Gcn, use_priors: true, playout: true },
-        Variant { name: "plain UCT", encoder: EncoderKind::Gat, use_priors: false, playout: true },
-        Variant { name: "no playout", encoder: EncoderKind::Gat, use_priors: true, playout: false },
-    ];
+    let variants = [("baseline (playout)", true), ("no playout", false)];
     let kernels = ["sum", "mac", "conv2", "accumulate"];
     let fabrics = [mapzero_arch::presets::hrea(), mapzero_arch::presets::hycube()];
 
     let header = ["variant", "MII hits", "total secs", "total backtracks"];
     let mut rows = Vec::new();
     let mut csv = vec![header.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()];
-    for v in &variants {
+    for (name, playout) in variants {
         let mut hits = 0usize;
         let mut total = 0usize;
         let mut secs = 0.0f64;
         let mut backtracks = 0u64;
         for cgra in &fabrics {
-            let net = MapZeroNet::new(
-                cgra.pe_count(),
-                NetConfig { encoder: v.encoder, ..NetConfig::tiny() },
-            );
+            let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
             let agent_config = AgentConfig {
                 mcts: MctsConfig {
                     simulations: 24,
                     expansion_cap: 32,
-                    use_priors: v.use_priors,
-                    playout: v.playout,
+                    playout,
                     ..MctsConfig::default()
                 },
                 backtrack_budget: 256,
@@ -78,7 +58,7 @@ fn main() {
             }
         }
         let row = vec![
-            v.name.to_owned(),
+            name.to_owned(),
             format!("{hits}/{total}"),
             format!("{secs:.2}"),
             backtracks.to_string(),

@@ -411,6 +411,7 @@ fn best_by_score(legal: &[PeId], scores: &[f32], env: &MapEnv<'_>) -> Option<PeI
 mod tests {
     use super::*;
     use crate::network::{MapZeroNet, NetConfig};
+    use crate::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
 
@@ -427,7 +428,7 @@ mod tests {
         let agent = MapZeroAgent::new(&net, AgentConfig::fast_test());
         let result = agent.run_episode(&problem, Duration::from_secs(30));
         let mapping = result.mapping.expect("sum should map");
-        assert!(mapping.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
 
     #[test]
@@ -443,7 +444,7 @@ mod tests {
         // untrained net, but the episode must terminate cleanly.
         assert!(result.steps > 0);
         if let Some(m) = &result.mapping {
-            assert!(m.validate(&dfg, &cgra).is_empty());
+            assert_eq!(check_mapping(&dfg, &cgra, m, m.ii), Ok(()));
         }
     }
 

@@ -542,6 +542,7 @@ impl Mapper for Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
 
@@ -555,7 +556,7 @@ mod tests {
                 .mapping
                 .as_ref()
                 .unwrap_or_else(|| panic!("{} should map on HReA", dfg.name()));
-            assert!(mapping.validate(&dfg, &cgra).is_empty(), "{}", dfg.name());
+            assert_eq!(check_mapping(&dfg, &cgra, mapping, mapping.ii), Ok(()), "{}", dfg.name());
             assert!(report.mii <= mapping.ii);
         }
     }
@@ -567,7 +568,7 @@ mod tests {
         let dfg = suite::by_name("mac").unwrap();
         let report = compiler.map(&dfg, &cgra).unwrap();
         let mapping = report.mapping.expect("mac maps on HyCube");
-        assert!(mapping.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
 
     #[test]
@@ -733,7 +734,7 @@ mod tests {
             .unwrap();
         let mapping = report.mapping.expect("sum maps at II >= 2");
         assert!(mapping.ii >= 2, "ii_min must floor the search, got {}", mapping.ii);
-        assert!(mapping.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
 
     #[test]

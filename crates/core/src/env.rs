@@ -380,6 +380,7 @@ fn pe_ids(words: &[u64]) -> Vec<PeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::{DfgBuilder, Opcode};
 
@@ -408,7 +409,7 @@ mod tests {
         assert!(o3.done);
         assert!(env.success());
         let m = env.final_mapping().unwrap();
-        assert!(m.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &m, m.ii), Ok(()));
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! | `infer.predict` | [`crate::network::MapZeroNet::predict`] | panic, delay |
 //! | `compile.attempt` | [`crate::compiler::Compiler`] attempt loop | panic |
 //! | `train.pre_epoch` | [`crate::train::Trainer`] epoch loop | panic |
+//! | `train.episode` | [`crate::train::Trainer`] self-play episode body | panic |
+//! | `train.nan_loss` | [`crate::train::Trainer`] epoch loss | io (poisons the loss with NaN) |
 //! | `checkpoint.pre_write` | before each checkpoint payload write | io |
 //! | `checkpoint.pre_rename` | between temp write and atomic rename | io, panic |
 //! | `checkpoint.pre_manifest` | before the MANIFEST commit point | io, panic |

@@ -3,7 +3,6 @@
 use mapzero_arch::{Cgra, PeId};
 use mapzero_dfg::{Dfg, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -59,79 +58,6 @@ impl Mapping {
     #[must_use]
     pub fn route_cost(&self) -> usize {
         self.routes.iter().map(Vec::len).sum()
-    }
-
-    /// Verify this mapping against the problem definition: capability,
-    /// exclusivity, dependence timing and (structurally) route endpoints.
-    ///
-    /// Returns the list of violated invariants (empty = valid).
-    #[must_use]
-    pub fn validate(&self, dfg: &Dfg, cgra: &Cgra) -> Vec<String> {
-        let mut errs = Vec::new();
-        if self.placements.len() != dfg.node_count() {
-            errs.push(format!(
-                "expected {} placements, got {}",
-                dfg.node_count(),
-                self.placements.len()
-            ));
-            return errs;
-        }
-        // Capability + exclusiveness per (pe, modulo slot).
-        let mut occupied: BTreeMap<(u32, u32), NodeId> = BTreeMap::new();
-        for u in dfg.node_ids() {
-            let p = self.placements[u.index()];
-            let op = dfg.node(u).opcode;
-            if !cgra.pe(p.pe).capability.supports(op) {
-                errs.push(format!("{u} ({op}) placed on incapable {}", p.pe));
-            }
-            let key = (p.pe.0, p.time % self.ii);
-            if let Some(prev) = occupied.insert(key, u) {
-                errs.push(format!("{u} and {prev} share {} at slot {}", p.pe, key.1));
-            }
-        }
-        // ADRES: one memory op per row per slot.
-        if cgra.row_shared_mem_bus() {
-            let mut bus: BTreeMap<(usize, u32), NodeId> = BTreeMap::new();
-            for u in dfg.node_ids() {
-                if dfg.node(u).opcode.class() == mapzero_dfg::OpClass::Memory {
-                    let p = self.placements[u.index()];
-                    let key = (cgra.pe(p.pe).row, p.time % self.ii);
-                    if let Some(prev) = bus.insert(key, u) {
-                        errs.push(format!(
-                            "memory ops {u} and {prev} share the row-{} bus at slot {}",
-                            key.0, key.1
-                        ));
-                    }
-                }
-            }
-        }
-        // Dependence timing: consumer no earlier than producer + latency
-        // (back edges borrow dist * II slack).
-        for (i, e) in dfg.edges().enumerate() {
-            let tp = self.placements[e.src.index()].time;
-            let tc = self.placements[e.dst.index()].time + e.dist * self.ii;
-            let lat = dfg.node(e.src).opcode.latency();
-            if tp + lat > tc {
-                errs.push(format!("edge {} -> {} violates timing", e.src, e.dst));
-            }
-            if self.routes.len() > i {
-                // Structural: a non-adjacent pair must have at least one hop.
-                let pp = self.placements[e.src.index()].pe;
-                let pc = self.placements[e.dst.index()].pe;
-                let adjacent = pp == pc || cgra.links_from(pp).contains(&pc);
-                if !adjacent && self.routes[i].is_empty() {
-                    errs.push(format!("edge {} -> {} lacks a route", e.src, e.dst));
-                }
-            }
-        }
-        if self.routes.len() != dfg.edge_count() {
-            errs.push(format!(
-                "expected {} routes, got {}",
-                dfg.edge_count(),
-                self.routes.len()
-            ));
-        }
-        errs
     }
 }
 
@@ -328,119 +254,6 @@ pub trait Mapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapzero_arch::presets;
-    use mapzero_dfg::{DfgBuilder, Opcode};
-
-    fn tiny() -> Dfg {
-        let mut b = DfgBuilder::new("tiny");
-        let a = b.node(Opcode::Load);
-        let c = b.node(Opcode::Add);
-        b.edge(a, c).unwrap();
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn valid_mapping_validates() {
-        let dfg = tiny();
-        let cgra = presets::simple_mesh(2, 2);
-        let m = Mapping {
-            ii: 1,
-            placements: vec![
-                Placement { pe: PeId(0), time: 0 },
-                Placement { pe: PeId(1), time: 1 },
-            ],
-            routes: vec![vec![RouteHop::Register { pe: PeId(0), slot: 0 }]],
-        };
-        assert!(m.validate(&dfg, &cgra).is_empty());
-    }
-
-    #[test]
-    fn detects_shared_pe() {
-        let dfg = tiny();
-        let cgra = presets::simple_mesh(2, 2);
-        let m = Mapping {
-            ii: 1,
-            placements: vec![
-                Placement { pe: PeId(0), time: 0 },
-                Placement { pe: PeId(0), time: 1 }, // same slot at II=1
-            ],
-            routes: vec![vec![]],
-        };
-        let errs = m.validate(&dfg, &cgra);
-        assert!(errs.iter().any(|e| e.contains("share")), "{errs:?}");
-    }
-
-    #[test]
-    fn detects_timing_violation() {
-        let dfg = tiny();
-        let cgra = presets::simple_mesh(2, 2);
-        let m = Mapping {
-            ii: 2,
-            placements: vec![
-                Placement { pe: PeId(0), time: 1 },
-                Placement { pe: PeId(1), time: 1 },
-            ],
-            routes: vec![vec![]],
-        };
-        let errs = m.validate(&dfg, &cgra);
-        assert!(errs.iter().any(|e| e.contains("timing")), "{errs:?}");
-    }
-
-    #[test]
-    fn detects_missing_route_between_distant_pes() {
-        let dfg = tiny();
-        let cgra = presets::simple_mesh(3, 3);
-        let m = Mapping {
-            ii: 4,
-            placements: vec![
-                Placement { pe: PeId(0), time: 0 },
-                Placement { pe: PeId(8), time: 3 }, // opposite corner
-            ],
-            routes: vec![vec![]],
-        };
-        let errs = m.validate(&dfg, &cgra);
-        assert!(errs.iter().any(|e| e.contains("route")), "{errs:?}");
-    }
-
-    #[test]
-    fn detects_incapable_pe() {
-        let dfg = tiny();
-        let cgra = presets::heterogeneous();
-        // PE 1 (row 0, col 1) has no memory port in the Fig. 14 fabric.
-        let m = Mapping {
-            ii: 1,
-            placements: vec![
-                Placement { pe: PeId(1), time: 0 },
-                Placement { pe: PeId(2), time: 1 },
-            ],
-            routes: vec![vec![]],
-        };
-        let errs = m.validate(&dfg, &cgra);
-        assert!(errs.iter().any(|e| e.contains("incapable")), "{errs:?}");
-    }
-
-    #[test]
-    fn adres_bus_violation_detected() {
-        let mut b = DfgBuilder::new("two-loads");
-        let l0 = b.node(Opcode::Load);
-        let l1 = b.node(Opcode::Load);
-        let s = b.node(Opcode::Add);
-        b.edge(l0, s).unwrap();
-        b.edge(l1, s).unwrap();
-        let dfg = b.finish().unwrap();
-        let cgra = presets::adres();
-        let m = Mapping {
-            ii: 1,
-            placements: vec![
-                Placement { pe: PeId(0), time: 0 },
-                Placement { pe: PeId(1), time: 0 }, // same row, same slot
-                Placement { pe: PeId(2), time: 1 },
-            ],
-            routes: vec![vec![], vec![]],
-        };
-        let errs = m.validate(&dfg, &cgra);
-        assert!(errs.iter().any(|e| e.contains("bus")), "{errs:?}");
-    }
 
     #[test]
     fn report_ratios() {

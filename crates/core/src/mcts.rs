@@ -28,9 +28,6 @@ pub struct MctsConfig {
     pub expansion_cap: usize,
     /// Exploration constant (`C_p` in Eq. 4).
     pub c_puct: f64,
-    /// Use network priors in selection (PUCT). `false` gives the plain
-    /// UCT of Eq. 4, used in the ablation.
-    pub use_priors: bool,
     /// Run a greedy distance-guided playout from each expanded leaf.
     /// Playouts complete mappings, enabling the §3.5 early exit; with
     /// `false` the leaf value is the network estimate alone.
@@ -58,7 +55,6 @@ impl Default for MctsConfig {
             simulations: 64,
             expansion_cap: 100,
             c_puct: 1.4,
-            use_priors: true,
             playout: true,
             playout_step_limit: usize::MAX,
             seed: 0,
@@ -840,7 +836,9 @@ impl<'n> Mcts<'n> {
         }
     }
 
-    /// UCT / PUCT selection over the edges of `node`.
+    /// PUCT selection over the edges of `node` (AlphaZero's rule with
+    /// the stored priors `P(s,a)` of Alg. 1):
+    /// `Q + c · P · sqrt(N) / (1 + n)`.
     fn select_edge(&self, node: usize) -> usize {
         mapzero_obs::counter!("mcts.selections");
         let n = &self.nodes[node];
@@ -848,19 +846,8 @@ impl<'n> Mcts<'n> {
         let mut best = 0;
         let mut best_score = f64::NEG_INFINITY;
         for (i, e) in n.edges.iter().enumerate() {
-            let score = if self.config.use_priors {
-                // PUCT (AlphaZero): Q + c * P * sqrt(N) / (1 + n).
-                e.q() + self.config.c_puct * e.prior * parent_visits.sqrt()
-                    / (1.0 + f64::from(e.visits))
-            } else if e.visits == 0 {
-                // Plain UCT (Eq. 4) explores unvisited children first.
-                f64::INFINITY
-            } else {
-                e.q()
-                    + 2.0
-                        * self.config.c_puct
-                        * (2.0 * parent_visits.ln() / f64::from(e.visits)).sqrt()
-            };
+            let score = e.q()
+                + self.config.c_puct * e.prior * parent_visits.sqrt() / (1.0 + f64::from(e.visits));
             if score > best_score {
                 best_score = score;
                 best = i;
@@ -875,6 +862,7 @@ mod tests {
     use super::*;
     use crate::network::NetConfig;
     use crate::problem::Problem;
+    use crate::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::random::{random_dfg, RandomDfgConfig};
     use mapzero_dfg::{suite, DfgBuilder, Opcode};
@@ -966,7 +954,7 @@ mod tests {
         // With an early exit, a trivially-mappable kernel must be solved
         // inside the search.
         let mapping = result.solution.expect("sum maps on HReA at II=1");
-        assert!(mapping.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
 
     #[test]
@@ -995,19 +983,6 @@ mod tests {
         let result = mcts.search(&env);
         let nonzero = result.visit_distribution.iter().filter(|&&v| v > 0.0).count();
         assert!(nonzero <= 3, "visited {nonzero} root actions, cap is 3");
-    }
-
-    #[test]
-    fn plain_uct_mode_also_works() {
-        let dfg = suite::by_name("sum").unwrap();
-        let cgra = presets::simple_mesh(4, 4);
-        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
-        let env = MapEnv::new(&problem);
-        let net = MapZeroNet::new(16, NetConfig::tiny());
-        let config = MctsConfig { use_priors: false, simulations: 50, ..MctsConfig::fast_test() };
-        let mut mcts = Mcts::new(&net, config);
-        let result = mcts.search(&env);
-        assert!(result.visit_distribution[result.best_action.index()] > 0.0);
     }
 
     #[test]

@@ -5,73 +5,10 @@
 use crate::embed::Observation;
 use mapzero_nn::infer::{log_softmax_masked_fused_into, log_softmax_masked_into};
 use mapzero_nn::{
-    clip_gradients, Adam, AdamState, BufId, GatLayer, GcnLayer, InferCtx, Linear, Matrix,
+    clip_gradients, Adam, AdamState, BufId, GatLayer, InferCtx, Linear, Matrix,
     MessageIndex, Mlp, Optimizer, Params, SeedRng,
 };
 use std::cell::RefCell;
-
-/// Which graph encoder the network uses (§2.2 argues for GAT; GCN is
-/// kept for the `ablation_design` comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EncoderKind {
-    /// Multi-head graph attention (the paper's choice).
-    #[default]
-    Gat,
-    /// Degree-normalized graph convolution (no attention).
-    Gcn,
-}
-
-/// A graph encoder layer of either kind.
-enum Encoder {
-    Gat(GatLayer),
-    Gcn(GcnLayer),
-}
-
-impl Encoder {
-    fn new(
-        kind: EncoderKind,
-        params: &mut Params,
-        in_dim: usize,
-        head_dim: usize,
-        heads: usize,
-        rng: &mut SeedRng,
-    ) -> Self {
-        match kind {
-            EncoderKind::Gat => Encoder::Gat(GatLayer::new(params, in_dim, head_dim, heads, rng)),
-            EncoderKind::Gcn => {
-                Encoder::Gcn(GcnLayer::new(params, in_dim, head_dim * heads, rng))
-            }
-        }
-    }
-
-    fn infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &Params,
-        x: BufId,
-        index: &MessageIndex,
-    ) -> BufId {
-        match self {
-            Encoder::Gat(l) => l.infer(ctx, params, x, index),
-            Encoder::Gcn(l) => l.infer(ctx, params, x, index),
-        }
-    }
-
-    fn backward(
-        &self,
-        ctx: &mut InferCtx,
-        params: &mut Params,
-        x: BufId,
-        out: BufId,
-        index: &MessageIndex,
-        input_grad: bool,
-    ) {
-        match self {
-            Encoder::Gat(l) => l.backward(ctx, params, x, out, index, input_grad),
-            Encoder::Gcn(l) => l.backward(ctx, params, x, out, index, input_grad),
-        }
-    }
-}
 
 /// Network hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +25,6 @@ pub struct NetConfig {
     pub head_hidden: usize,
     /// Weight-init seed.
     pub seed: u64,
-    /// Graph encoder kind.
-    pub encoder: EncoderKind,
 }
 
 impl Default for NetConfig {
@@ -101,7 +36,6 @@ impl Default for NetConfig {
             state_dim: 64,
             head_hidden: 64,
             seed: 0,
-            encoder: EncoderKind::Gat,
         }
     }
 }
@@ -232,10 +166,10 @@ pub struct MapZeroNet {
     pub params: Params,
     config: NetConfig,
     action_count: usize,
-    gat_dfg1: Encoder,
-    gat_dfg2: Encoder,
-    gat_cgra1: Encoder,
-    gat_cgra2: Encoder,
+    gat_dfg1: GatLayer,
+    gat_dfg2: GatLayer,
+    gat_cgra1: GatLayer,
+    gat_cgra2: GatLayer,
     fc_meta: Linear,
     trunk: Mlp,
     policy_head: Mlp,
@@ -257,15 +191,11 @@ impl MapZeroNet {
         let mut params = Params::new();
         let mut rng = SeedRng::new(config.seed);
         let gat_out = config.head_dim * config.heads;
-        let kind = config.encoder;
-        let gat_dfg1 =
-            Encoder::new(kind, &mut params, DFG_DIM, config.head_dim, config.heads, &mut rng);
-        let gat_dfg2 =
-            Encoder::new(kind, &mut params, gat_out, config.head_dim, config.heads, &mut rng);
-        let gat_cgra1 =
-            Encoder::new(kind, &mut params, CGRA_DIM, config.head_dim, config.heads, &mut rng);
-        let gat_cgra2 =
-            Encoder::new(kind, &mut params, gat_out, config.head_dim, config.heads, &mut rng);
+        let (d, heads) = (config.head_dim, config.heads);
+        let gat_dfg1 = GatLayer::new(&mut params, DFG_DIM, d, heads, &mut rng);
+        let gat_dfg2 = GatLayer::new(&mut params, gat_out, d, heads, &mut rng);
+        let gat_cgra1 = GatLayer::new(&mut params, CGRA_DIM, d, heads, &mut rng);
+        let gat_cgra2 = GatLayer::new(&mut params, gat_out, d, heads, &mut rng);
         let fc_meta = Linear::new(&mut params, META_DIM, config.meta_dim, &mut rng);
         let joint = gat_out * 2 + config.meta_dim;
         let trunk = Mlp::new(&mut params, joint, &[config.state_dim, config.state_dim], &mut rng);
@@ -807,21 +737,6 @@ mod tests {
         }
     }
 
-    impl Encoder {
-        fn forward(
-            &self,
-            g: &mut Graph,
-            params: &Params,
-            x: VarId,
-            edges: &[(usize, usize)],
-        ) -> VarId {
-            match self {
-                Encoder::Gat(l) => l.forward(g, params, x, edges),
-                Encoder::Gcn(l) => l.forward(g, params, x, edges),
-            }
-        }
-    }
-
     impl MapZeroNet {
         /// The forward over the autodiff tape that the `InferCtx` forward
         /// replaced, kept as its oracle: `(masked log-softmax logits,
@@ -955,33 +870,31 @@ mod tests {
 
     /// The tape-free train step must leave the parameters, the Adam
     /// state and the reported losses bit-identical to the tape step,
-    /// after every one of several consecutive updates, for either
-    /// encoder. Run under `MAPZERO_SIMD=scalar` too (see `scripts/ci.sh`).
+    /// after every one of several consecutive updates. Run under
+    /// `MAPZERO_SIMD=scalar` too (see `scripts/ci.sh`).
     #[test]
     fn train_batch_matches_tape_reference_bitwise() {
         let samples = mixed_samples();
         assert!(samples.len() >= 10, "too few samples: {}", samples.len());
         assert!(samples.iter().any(|s| s.observation.mask.iter().filter(|&&m| m).count() == 1));
-        for encoder in [EncoderKind::Gat, EncoderKind::Gcn] {
-            let config = NetConfig { encoder, seed: 3, ..NetConfig::tiny() };
-            let mut fast = MapZeroNet::new(16, config);
-            let mut tape = MapZeroNet::new(16, config);
-            for step in 0..6 {
-                let size = 1 + (step * 5) % 9;
-                let batch: Vec<TrainSample> =
-                    (0..size).map(|i| samples[(step * 7 + i) % samples.len()].clone()).collect();
-                let got = fast.train_batch(&batch, 0.01, 0.5);
-                let want = tape.train_batch_reference(&batch, 0.01, 0.5);
-                let at = format!("{encoder:?} step {step}");
-                assert_eq!(loss_bits(&got), loss_bits(&want), "{at}: losses {got:?} vs {want:?}");
-                for id in fast.params.ids() {
-                    assert_eq!(bits(fast.params.value(id)), bits(tape.params.value(id)), "{at}: {id:?}");
-                }
-                let (a, b) = (fast.optimizer_state(), tape.optimizer_state());
-                assert_eq!(a.t, b.t, "{at}: Adam step");
-                for (ma, mb) in a.m.iter().zip(&b.m).chain(a.v.iter().zip(&b.v)) {
-                    assert_eq!(bits(ma), bits(mb), "{at}: Adam moments");
-                }
+        let config = NetConfig { seed: 3, ..NetConfig::tiny() };
+        let mut fast = MapZeroNet::new(16, config);
+        let mut tape = MapZeroNet::new(16, config);
+        for step in 0..6 {
+            let size = 1 + (step * 5) % 9;
+            let batch: Vec<TrainSample> =
+                (0..size).map(|i| samples[(step * 7 + i) % samples.len()].clone()).collect();
+            let got = fast.train_batch(&batch, 0.01, 0.5);
+            let want = tape.train_batch_reference(&batch, 0.01, 0.5);
+            let at = format!("step {step}");
+            assert_eq!(loss_bits(&got), loss_bits(&want), "{at}: losses {got:?} vs {want:?}");
+            for id in fast.params.ids() {
+                assert_eq!(bits(fast.params.value(id)), bits(tape.params.value(id)), "{at}: {id:?}");
+            }
+            let (a, b) = (fast.optimizer_state(), tape.optimizer_state());
+            assert_eq!(a.t, b.t, "{at}: Adam step");
+            for (ma, mb) in a.m.iter().zip(&b.m).chain(a.v.iter().zip(&b.v)) {
+                assert_eq!(bits(ma), bits(mb), "{at}: Adam moments");
             }
         }
     }

@@ -24,35 +24,6 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Duration;
 
-/// Deterministic fault injection for robustness tests: forces a failure
-/// at a chosen epoch so the supervisor's containment and rollback paths
-/// can be exercised end-to-end. `None` in production.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultInjection {
-    /// No injected faults.
-    #[default]
-    None,
-    /// Poison the epoch's loss with NaN on the *first* attempt only —
-    /// the rollback retry then proceeds cleanly (recoverable blip).
-    NanLossOnce {
-        /// Epoch whose first attempt is poisoned.
-        epoch: u32,
-    },
-    /// Poison the epoch's loss with NaN on *every* attempt — rollback
-    /// retries cannot help and training must report divergence.
-    NanLossAlways {
-        /// Epoch that is always poisoned.
-        epoch: u32,
-    },
-    /// Panic inside every self-play episode of the epoch; the panics
-    /// must be contained per-episode (counted as failed episodes), not
-    /// unwind the trainer.
-    EpisodePanic {
-        /// Epoch whose episodes panic.
-        epoch: u32,
-    },
-}
-
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
@@ -92,8 +63,6 @@ pub struct TrainConfig {
     /// Total rollback retries allowed per run before training reports
     /// [`TrainError::Diverged`].
     pub max_retries: u32,
-    /// Fault injection hook for robustness tests.
-    pub fault: FaultInjection,
 }
 
 impl Default for TrainConfig {
@@ -115,7 +84,6 @@ impl Default for TrainConfig {
             seed: 0,
             max_grad_norm: 1e3,
             max_retries: 3,
-            fault: FaultInjection::None,
         }
     }
 }
@@ -390,25 +358,9 @@ impl Trainer {
         let mut retries = start.retries;
         let mut lr_penalty = start.lr_penalty;
         let mut epoch = start.next_epoch;
-        // A `NanLossOnce` fault on an epoch a checkpoint already passed
-        // has necessarily fired (the epoch could not have gone healthy
-        // on its first attempt); don't re-poison it after a resume.
-        let mut nan_once_fired = matches!(
-            self.config.fault,
-            FaultInjection::NanLossOnce { epoch: e } if e < epoch
-        );
         while epoch < self.config.epochs {
             crate::failpoint!("train.pre_epoch");
-            let inject_nan = match self.config.fault {
-                FaultInjection::NanLossAlways { epoch: e } => e == epoch,
-                FaultInjection::NanLossOnce { epoch: e } => {
-                    let fire = e == epoch && !nan_once_fired;
-                    nan_once_fired |= fire;
-                    fire
-                }
-                _ => false,
-            };
-            let (m, max_grad) = self.run_epoch_attempt(epoch, lr_penalty, inject_nan);
+            let (m, max_grad) = self.run_epoch_attempt(epoch, lr_penalty);
             let healthy = m.total_loss.is_finite()
                 && m.value_loss.is_finite()
                 && m.policy_loss.is_finite()
@@ -477,18 +429,12 @@ impl Trainer {
     /// Run a single epoch: self-play, replay updates, evaluation.
     /// Unsupervised — [`Trainer::run`] adds the health checks.
     pub fn run_epoch(&mut self, epoch: u32) -> EpochMetrics {
-        self.run_epoch_attempt(epoch, 1.0, false).0
+        self.run_epoch_attempt(epoch, 1.0).0
     }
 
     /// One epoch attempt; returns the metrics and the largest pre-clip
-    /// gradient norm seen across the epoch's updates. `inject_nan`
-    /// poisons the loss (fault-injection hook).
-    fn run_epoch_attempt(
-        &mut self,
-        epoch: u32,
-        lr_penalty: f32,
-        inject_nan: bool,
-    ) -> (EpochMetrics, f32) {
+    /// gradient norm seen across the epoch's updates.
+    fn run_epoch_attempt(&mut self, epoch: u32, lr_penalty: f32) -> (EpochMetrics, f32) {
         let _span = mapzero_obs::span!("train.epoch");
         let lr = self.config.lr.at(epoch) * lr_penalty;
         // Curriculum position advances with the epoch, easy -> hard.
@@ -527,7 +473,9 @@ impl Trainer {
             max_grad = max_grad.max(loss.grad_norm);
             updates += 1;
         }
-        if inject_nan {
+        // An armed `train.nan_loss` poisons this attempt's loss, the
+        // divergence the supervisor must roll back.
+        if crate::failpoint::trigger("train.nan_loss").is_err() {
             vloss = f32::NAN;
         }
         let updates_f = updates.max(1) as f32;
@@ -558,10 +506,7 @@ impl Trainer {
     fn run_episodes(&self, picks: &[Dfg], epoch: u32) -> Vec<(f64, bool, Vec<TrajectoryStep>)> {
         let run_one = |episode: usize, dfg: &Dfg| -> (f64, bool, Vec<TrajectoryStep>) {
             isolated("self-play episode", || {
-                if matches!(self.config.fault, FaultInjection::EpisodePanic { epoch: e } if e == epoch)
-                {
-                    panic!("injected self-play fault");
-                }
+                crate::failpoint!("train.episode");
                 let Ok(mii) = Problem::mii(dfg, &self.cgra) else {
                     return (0.0, false, Vec::new());
                 };
@@ -594,7 +539,7 @@ impl Trainer {
             })
             .unwrap_or((0.0, false, Vec::new()))
         };
-        let workers = self.effective_workers();
+        let workers = self.config.workers;
         if workers <= 1 || picks.len() <= 1 {
             return picks.iter().enumerate().map(|(i, d)| run_one(i, d)).collect();
         }
@@ -624,20 +569,6 @@ impl Trainer {
                 .flat_map(|h| h.join().unwrap_or_default())
                 .collect()
         })
-    }
-
-    /// Self-play worker count: `MAPZERO_THREADS` (when set to a positive
-    /// integer) overrides the configured value. Purely a throughput
-    /// knob — episode results and the training stream are bit-identical
-    /// for any worker count, and the checkpoint config fingerprint
-    /// deliberately excludes it, so an override cannot invalidate a
-    /// resume.
-    fn effective_workers(&self) -> usize {
-        std::env::var("MAPZERO_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(self.config.workers)
     }
 
     /// Map the held-out DFG greedily and report the routing penalty
@@ -722,8 +653,7 @@ pub enum TrainError {
 /// Derive the RNG seed of one self-play episode from the run seed, the
 /// epoch and the episode's index within the epoch. FNV-mixed so
 /// neighbouring episodes get well-separated streams; independent of
-/// worker assignment so any `MAPZERO_THREADS` value replays the same
-/// episodes.
+/// worker assignment so any worker count replays the same episodes.
 fn episode_seed(seed: u64, epoch: u32, episode: usize) -> u64 {
     let mut h = crate::checkpoint::Fnv64::new();
     h.write_u64(seed);
@@ -763,6 +693,7 @@ impl From<TrainError> for MapError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failpoint::{self, FailAction};
     use mapzero_arch::presets;
 
     #[test]
@@ -822,12 +753,12 @@ mod tests {
     #[test]
     fn transient_nan_loss_rolls_back_and_recovers() {
         let cgra = presets::simple_mesh(2, 2);
-        let config = TrainConfig {
-            fault: FaultInjection::NanLossOnce { epoch: 1 },
-            ..TrainConfig::fast_test()
-        };
+        let config = TrainConfig::fast_test();
         let epochs = config.epochs;
         let mut trainer = Trainer::new(cgra, NetConfig::tiny(), config);
+        // Poison epoch 1's first attempt: the loss site is visited once
+        // per attempt, so that is the second visit.
+        let _nan = failpoint::scoped("train.nan_loss", 2, FailAction::IoError);
         let metrics = trainer.run().unwrap();
         // The poisoned attempt was rolled back and retried; the final run
         // still delivers the full epoch count with healthy losses.
@@ -837,13 +768,12 @@ mod tests {
     }
 
     #[test]
-    fn persistent_nan_loss_diverges_with_rollback() {
+    fn persistent_divergence_exhausts_retries_and_restores_snapshot() {
         let cgra = presets::simple_mesh(2, 2);
-        let config = TrainConfig {
-            fault: FaultInjection::NanLossAlways { epoch: 0 },
-            max_retries: 2,
-            ..TrainConfig::fast_test()
-        };
+        // No attempt's gradient norm (always >= 0) can meet a negative
+        // bound, so every retry diverges again.
+        let config =
+            TrainConfig { max_grad_norm: -1.0, max_retries: 2, ..TrainConfig::fast_test() };
         let mut trainer = Trainer::new(cgra, NetConfig::tiny(), config);
         let snapshot = trainer.net().params.clone();
         let err = trainer.run().unwrap_err();
@@ -862,17 +792,18 @@ mod tests {
     #[test]
     fn episode_panics_are_contained() {
         let cgra = presets::simple_mesh(2, 2);
-        let config = TrainConfig {
-            fault: FaultInjection::EpisodePanic { epoch: 0 },
-            ..TrainConfig::fast_test()
-        };
+        // One worker: the episodes run on this thread, where the
+        // failpoint is armed.
+        let config = TrainConfig { workers: 1, ..TrainConfig::fast_test() };
         let epochs = config.epochs;
         let mut trainer = Trainer::new(cgra, NetConfig::tiny(), config);
-        // Panicking self-play episodes are isolated and degrade to empty
-        // trajectories: training completes instead of crashing.
+        let _panic = failpoint::scoped("train.episode", 1, FailAction::Panic);
+        // The panicking self-play episode is isolated and degrades to a
+        // failed, empty trajectory: training completes instead of crashing.
         let metrics = trainer.run().unwrap();
+        assert!(failpoint::armed_sites().is_empty(), "the episode failpoint fired");
         assert_eq!(metrics.epochs.len(), epochs as usize);
-        assert_eq!(metrics.epochs[0].success_rate, 0.0);
+        assert!(metrics.epochs[0].success_rate < 1.0, "the panicked episode counts as failed");
     }
 
     /// Parallel self-play is a pure throughput knob: the training

@@ -613,6 +613,94 @@ mod tests {
     }
 
     #[test]
+    fn incapable_pe_rejected() {
+        let dfg = tiny();
+        let cgra = presets::heterogeneous();
+        // PE 1 (row 0, col 1) has no memory port in the Fig. 14 fabric.
+        let m = Mapping {
+            ii: 1,
+            placements: vec![
+                Placement { pe: PeId(1), time: 0 },
+                Placement { pe: PeId(2), time: 1 },
+            ],
+            routes: vec![vec![RouteHop::Register { pe: PeId(1), slot: 0 }]],
+        };
+        let errs = check_mapping(&dfg, &cgra, &m, 1).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("incapable")), "{errs:?}");
+    }
+
+    #[test]
+    fn shared_fu_slot_rejected() {
+        let dfg = tiny();
+        let cgra = presets::simple_mesh(2, 2);
+        let m = Mapping {
+            ii: 1,
+            placements: vec![
+                Placement { pe: PeId(0), time: 0 },
+                Placement { pe: PeId(0), time: 1 }, // same slot at II=1
+            ],
+            routes: vec![vec![RouteHop::Register { pe: PeId(0), slot: 0 }]],
+        };
+        let errs = check_mapping(&dfg, &cgra, &m, 1).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("share")), "{errs:?}");
+    }
+
+    #[test]
+    fn shared_row_bus_rejected() {
+        let mut b = DfgBuilder::new("two-loads");
+        let l0 = b.node(Opcode::Load);
+        let l1 = b.node(Opcode::Load);
+        let s = b.node(Opcode::Add);
+        b.edge(l0, s).unwrap();
+        b.edge(l1, s).unwrap();
+        let dfg = b.finish().unwrap();
+        let cgra = presets::adres();
+        let m = Mapping {
+            ii: 1,
+            placements: vec![
+                Placement { pe: PeId(0), time: 0 },
+                Placement { pe: PeId(1), time: 0 }, // same row, same slot
+                Placement { pe: PeId(2), time: 1 },
+            ],
+            routes: vec![vec![], vec![]],
+        };
+        let errs = check_mapping(&dfg, &cgra, &m, 1).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("bus")), "{errs:?}");
+    }
+
+    #[test]
+    fn timing_violation_rejected() {
+        let dfg = tiny();
+        let cgra = presets::simple_mesh(2, 2);
+        let m = Mapping {
+            ii: 2,
+            placements: vec![
+                Placement { pe: PeId(0), time: 1 },
+                Placement { pe: PeId(1), time: 1 },
+            ],
+            routes: vec![vec![]],
+        };
+        let errs = check_mapping(&dfg, &cgra, &m, 2).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("violates timing")), "{errs:?}");
+    }
+
+    #[test]
+    fn missing_route_between_distant_pes_rejected() {
+        let dfg = tiny();
+        let cgra = presets::simple_mesh(3, 3);
+        let m = Mapping {
+            ii: 4,
+            placements: vec![
+                Placement { pe: PeId(0), time: 0 },
+                Placement { pe: PeId(8), time: 3 }, // opposite corner
+            ],
+            routes: vec![vec![]],
+        };
+        let errs = check_mapping(&dfg, &cgra, &m, 4).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("expected 3 register hops, got 0")), "{errs:?}");
+    }
+
+    #[test]
     fn ii_disagreement_rejected() {
         let dfg = tiny();
         let cgra = presets::simple_mesh(2, 2);

@@ -269,38 +269,6 @@ impl InferCtx {
         );
         self.slots[out.0] = o;
     }
-
-    /// Degree-normalized neighbourhood sum into a fresh `rows x c`
-    /// slot: `out[v] = (Σ_{u→v} x[u]) · inv_deg[v]` over `index`'s
-    /// CSR (self-loops included), per stacked copy like
-    /// [`InferCtx::gat_aggregate`]. Bit-identical per copy to the tape
-    /// chain `gather_rows` → `scatter_add_rows` → `col_mul`.
-    ///
-    /// # Panics
-    /// Panics if `rows` is not a positive multiple of the index's node
-    /// count.
-    pub fn gcn_aggregate(&mut self, x: BufId, index: &MessageIndex) -> BufId {
-        let (rows, c) = (self.slots[x.0].rows(), self.slots[x.0].cols());
-        index.check_rows(rows);
-        let out = self.alloc(rows, c);
-        let (o, xv) = self.pair_mut(out, x);
-        let n = index.n();
-        for base in (0..rows).step_by(n) {
-            for v in 0..n {
-                let orow = o.row_slice_mut(base + v);
-                for &u in index.in_sources(v) {
-                    for (acc, &m) in orow.iter_mut().zip(xv.row_slice(base + u)) {
-                        *acc += m;
-                    }
-                }
-                let k = index.inv_deg[v];
-                for acc in orow {
-                    *acc *= k;
-                }
-            }
-        }
-        out
-    }
 }
 
 /// # Backward
@@ -480,34 +448,6 @@ impl InferCtx {
         self.grads[score_src.0] = gss;
     }
 
-    /// Backward of [`InferCtx::gcn_aggregate`] from `x` into `out`:
-    /// scales `out`'s gradient (already through the output tanh) by
-    /// each destination's inverse degree, in place, then adds it to
-    /// each message source's gradient in original message order.
-    pub fn gcn_aggregate_backward(&mut self, x: BufId, index: &MessageIndex, out: BufId) {
-        assert_ne!(x, out, "aliasing slot access");
-        let mut go = std::mem::take(&mut self.grads[out.0]);
-        let gx = &mut self.grads[x.0];
-        index.check_rows(go.rows());
-        let n = index.n();
-        for base in (0..go.rows()).step_by(n) {
-            for v in 0..n {
-                let k = index.inv_deg[v];
-                for g in go.row_slice_mut(base + v) {
-                    *g *= k;
-                }
-            }
-            for u in 0..n {
-                let acc = gx.row_slice_mut(base + u);
-                for &(_, v) in index.out_messages(u) {
-                    for (acc, &g) in acc.iter_mut().zip(go.row_slice(base + v)) {
-                        *acc += g;
-                    }
-                }
-            }
-        }
-        self.grads[out.0] = go;
-    }
 }
 
 /// Masked log-softmax over one row of logits, written into a
@@ -569,9 +509,8 @@ pub fn log_softmax_masked_fused_into(logits: &[f32], mask: &[bool], out: &mut Ve
 /// what [`crate::GatLayer::forward`] rebuilds on every tape pass — and
 /// node `v`'s in-sources are `sources[offsets[v]..offsets[v + 1]]`, in
 /// ascending message order (its in-edges in edge-list order, then its
-/// self-loop). Also carries the inverse in-degrees [`crate::GcnLayer`]
-/// normalizes by, and the same messages grouped by source, which the
-/// training backward walks to accumulate per-source gradients in the
+/// self-loop). Also carries the same messages grouped by source, which
+/// the training backward walks to accumulate per-source gradients in the
 /// tape's order.
 ///
 /// [`MessageIndex::rebuild`] keeps the index while the edge list and
@@ -588,7 +527,6 @@ pub struct MessageIndex {
     /// source's in original message order (edges in list order, then
     /// the self-loop).
     by_source: Vec<(usize, usize)>,
-    inv_deg: Vec<f32>,
 }
 
 impl MessageIndex {
@@ -652,8 +590,6 @@ impl MessageIndex {
             starts.copy_within(0..n, 1);
             starts[0] = 0;
         }
-        self.inv_deg.clear();
-        self.inv_deg.extend(self.offsets.windows(2).map(|w| 1.0 / ((w[1] - w[0]) as f32).max(1.0)));
     }
 
     /// Node count this index was built for.
@@ -676,6 +612,7 @@ impl MessageIndex {
     }
 
     /// Node `v`'s message sources in ascending message order.
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn in_sources(&self, v: usize) -> &[usize] {
         &self.sources[self.offsets[v]..self.offsets[v + 1]]
@@ -687,12 +624,6 @@ impl MessageIndex {
     #[must_use]
     pub(crate) fn out_messages(&self, u: usize) -> &[(usize, usize)] {
         &self.by_source[self.source_offsets[u]..self.source_offsets[u + 1]]
-    }
-
-    /// Inverse in-degree (self-loop included) per node.
-    #[must_use]
-    pub fn inv_deg(&self) -> &[f32] {
-        &self.inv_deg
     }
 
     /// Assert that `rows` stacks a positive whole number of copies of
@@ -789,7 +720,6 @@ mod tests {
         assert_eq!(idx.in_sources(2), &[2, 2]);
         assert_eq!(idx.in_sources(3), &[3]);
         assert_eq!(idx.sources().len(), edges.len() + 4);
-        assert_eq!(idx.inv_deg(), &[0.5, 0.25, 0.5, 1.0]);
         idx.rebuild(&[], 2);
         assert_eq!(idx.offsets(), &[0, 1, 2]);
         assert_eq!(idx.sources(), &[0, 1]);

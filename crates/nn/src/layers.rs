@@ -289,100 +289,6 @@ impl GatLayer {
     }
 }
 
-/// A graph convolution layer with mean aggregation (Kipf-Welling style,
-/// degree-normalized): `h'_u = tanh(mean_{v in N(u) ∪ {u}} W h_v)`.
-///
-/// Kept as the ablation counterpart to [`GatLayer`]: identical
-/// interface, no attention. The paper argues for GAT ("varied attention
-/// factors are promising for learning heterogeneous hardware
-/// structures", §2.2); `ablation_design` measures the difference.
-#[derive(Debug, Clone)]
-pub struct GcnLayer {
-    weight: ParamId,
-    bias: ParamId,
-}
-
-impl GcnLayer {
-    /// Create with Xavier-initialized weights.
-    #[must_use]
-    pub fn new(params: &mut Params, in_dim: usize, out_dim: usize, rng: &mut SeedRng) -> Self {
-        GcnLayer {
-            weight: params.register(rng.xavier(in_dim, out_dim)),
-            bias: params.register(Matrix::zeros(1, out_dim)),
-        }
-    }
-
-    /// Forward pass with the same conventions as [`GatLayer::forward`]
-    /// (messages flow src → dst; self-loops appended).
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        params: &Params,
-        x: VarId,
-        edges: &[(usize, usize)],
-    ) -> VarId {
-        let n = g.value(x).rows();
-        let mut src_idx: Vec<usize> = edges.iter().map(|&(s, _)| s).collect();
-        let mut dst_idx: Vec<usize> = edges.iter().map(|&(_, d)| d).collect();
-        for u in 0..n {
-            src_idx.push(u);
-            dst_idx.push(u);
-        }
-        // In-degree (incl. self loop) per destination for normalization.
-        let mut deg = vec![0.0f32; n];
-        for &d in &dst_idx {
-            deg[d] += 1.0;
-        }
-        let w = g.param(params, self.weight);
-        let b = g.param(params, self.bias);
-        let hw0 = g.matmul(x, w);
-        let hw = g.add_bias(hw0, b);
-        let msg = g.gather_rows(hw, &src_idx);
-        let agg = g.scatter_add_rows(msg, &dst_idx, n);
-        let inv_deg = Matrix::from_vec(n, 1, deg.iter().map(|d| 1.0 / d.max(1.0)).collect());
-        let inv = g.input(inv_deg);
-        let mean = g.col_mul(inv, agg);
-        g.tanh(mean)
-    }
-
-    /// Tape-free forward pass; bit-identical to [`GcnLayer::forward`]
-    /// (the inverse degrees come precomputed from the index). Same
-    /// stacking convention as [`GatLayer::infer`]; `hw` sits one slot
-    /// below the output.
-    pub fn infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &Params,
-        x: BufId,
-        index: &MessageIndex,
-    ) -> BufId {
-        let hw = ctx.matmul(x, params.value(self.weight));
-        ctx.add_bias(hw, params.value(self.bias));
-        let agg = ctx.gcn_aggregate(hw, index);
-        ctx.tanh(agg);
-        agg
-    }
-
-    /// Backward of [`GcnLayer::infer`] from `x` to `out` (see
-    /// [`Linear::backward`] for the contract).
-    pub fn backward(
-        &self,
-        ctx: &mut InferCtx,
-        params: &mut Params,
-        x: BufId,
-        out: BufId,
-        index: &MessageIndex,
-        input_grad: bool,
-    ) {
-        let hw = BufId(out.0 - 1);
-        ctx.tanh_backward(out);
-        ctx.gcn_aggregate_backward(hw, index, out);
-        params.grad_mut(self.bias).add_assign(ctx.add_bias_backward(hw));
-        let g = ctx.matmul_backward(x, hw, params.value(self.weight), input_grad);
-        params.grad_mut(self.weight).add_assign(g);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,49 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn gcn_shapes_and_gradients() {
-        let mut params = Params::new();
-        let mut rng = SeedRng::new(5);
-        let gcn = GcnLayer::new(&mut params, 4, 3, &mut rng);
-        let mut g = Graph::new();
-        let data: Vec<f32> = (0..20).map(|i| (i as f32 * 0.31).sin()).collect();
-        let x = g.input(Matrix::from_vec(5, 4, data));
-        let y = gcn.forward(&mut g, &params, x, &[(0, 1), (1, 2), (3, 4)]);
-        assert_eq!((g.value(y).rows(), g.value(y).cols()), (5, 3));
-        let sq = g.mul(y, y);
-        let loss = g.sum_all(sq);
-        g.backward(loss, &mut params);
-        for id in params.ids() {
-            assert!(params.grad(id).norm() > 0.0, "no gradient reached {id:?}");
-        }
-    }
-
-    #[test]
-    fn gcn_mean_aggregation_is_degree_invariant() {
-        // A node fed by k identical neighbours gets the same output
-        // regardless of k (mean, not sum).
-        let mut params = Params::new();
-        let mut rng = SeedRng::new(6);
-        let gcn = GcnLayer::new(&mut params, 2, 2, &mut rng);
-        let run = |edges: &[(usize, usize)], rows: usize| {
-            let mut g = Graph::new();
-            let x = g.input(Matrix::filled(rows, 2, 0.4));
-            let y = gcn.forward(&mut g, &params, x, edges);
-            g.value(y).row_slice(0).to_vec()
-        };
-        let two = run(&[(1, 0), (2, 0)], 3);
-        let four = run(&[(1, 0), (2, 0), (3, 0), (4, 0)], 5);
-        for (a, b) in two.iter().zip(&four) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn infer_paths_match_graph_forward_bitwise() {
         let mut params = Params::new();
         let mut rng = SeedRng::new(21);
         let gat = GatLayer::new(&mut params, 6, 4, 2, &mut rng);
-        let gcn = GcnLayer::new(&mut params, 6, 4, &mut rng);
         let mlp = Mlp::new(&mut params, 8, &[5, 3], &mut rng);
         let edges = [(0usize, 1usize), (1, 2), (2, 3), (3, 4), (4, 0), (1, 4)];
         let xdata: Vec<f32> = (0..30).map(|i| (i as f32 * 0.43).sin()).collect();
@@ -511,15 +378,6 @@ mod tests {
         let cx = ctx.load(&x);
         let cy = gat.infer(&mut ctx, &params, cx, &index);
         assert_eq!(ctx.value(cy), g.value(gy), "GAT infer diverged");
-
-        // GCN
-        let mut g = Graph::new();
-        let gx = g.input(x.clone());
-        let gy = gcn.forward(&mut g, &params, gx, &edges);
-        ctx.begin();
-        let cx = ctx.load(&x);
-        let cy = gcn.infer(&mut ctx, &params, cx, &index);
-        assert_eq!(ctx.value(cy), g.value(gy), "GCN infer diverged");
 
         // MLP (ReLU between layers)
         let mdata: Vec<f32> = (0..16).map(|i| (i as f32 * 0.61).cos()).collect();

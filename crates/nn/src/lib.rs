@@ -6,10 +6,9 @@
 //! pieces MapZero's network (Fig. 5) needs:
 //!
 //! * dense row-major [`Matrix`] values,
-//! * layers: [`Linear`], [`Mlp`], the multi-head [`GatLayer`] of
-//!   Eqs. 5–8 and the [`GcnLayer`] ablation, each with a tape-free
-//!   `infer` over an [`InferCtx`] workspace and a hand-derived
-//!   `backward` over the same workspace,
+//! * layers: [`Linear`], [`Mlp`] and the multi-head [`GatLayer`] of
+//!   Eqs. 5–8, each with a tape-free `infer` over an [`InferCtx`]
+//!   workspace and a hand-derived `backward` over the same workspace,
 //! * a tape-based autograd [`Graph`] with the graph-neural-network
 //!   primitives (gather / scatter-add / per-segment softmax) required by
 //!   graph attention layers — the reference the tape-free paths are
@@ -52,7 +51,7 @@ pub mod simd;
 pub use graph::{Graph, VarId};
 pub use infer::{BufId, InferCtx, MessageIndex};
 pub use init::{RngState, SeedRng};
-pub use layers::{GatLayer, GcnLayer, Linear, Mlp};
+pub use layers::{GatLayer, Linear, Mlp};
 pub use matrix::Matrix;
 pub use optim::{clip_gradients, Adam, AdamState, LrSchedule, Optimizer, Sgd};
 pub use serialize::{decode_params, encode_params, load_params, save_params, WeightFormatError};

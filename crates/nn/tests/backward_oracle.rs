@@ -1,5 +1,5 @@
-//! Oracle tests for the hand-derived backward: `Linear`, `Mlp`,
-//! `GatLayer` and `GcnLayer` `backward` over an `InferCtx` forward must
+//! Oracle tests for the hand-derived backward: `Linear`, `Mlp` and
+//! `GatLayer` `backward` over an `InferCtx` forward must
 //! produce the parameter gradients and the input gradient of the tape
 //! `forward` + `Graph::backward`, bit for bit, under both SIMD kinds —
 //! on awkward random graphs, at every head width the kernels special-
@@ -10,7 +10,7 @@
 
 use mapzero_nn::simd::{self, SimdKind};
 use mapzero_nn::{
-    BufId, GatLayer, GcnLayer, Graph, InferCtx, Linear, Matrix, MessageIndex, Mlp, Params,
+    BufId, GatLayer, Graph, InferCtx, Linear, Matrix, MessageIndex, Mlp, Params,
     SeedRng, VarId,
 };
 
@@ -51,7 +51,6 @@ enum Layer {
     Linear(Linear),
     Mlp(Mlp),
     Gat(GatLayer),
-    Gcn(GcnLayer),
 }
 
 impl Layer {
@@ -60,7 +59,6 @@ impl Layer {
             Layer::Linear(l) => l.forward(g, params, x),
             Layer::Mlp(l) => l.forward(g, params, x),
             Layer::Gat(l) => l.forward(g, params, x, edges),
-            Layer::Gcn(l) => l.forward(g, params, x, edges),
         }
     }
 
@@ -69,7 +67,6 @@ impl Layer {
             Layer::Linear(l) => l.infer(ctx, params, x),
             Layer::Mlp(l) => l.infer(ctx, params, x),
             Layer::Gat(l) => l.infer(ctx, params, x, index),
-            Layer::Gcn(l) => l.infer(ctx, params, x, index),
         }
     }
 
@@ -85,7 +82,6 @@ impl Layer {
             Layer::Linear(l) => l.backward(ctx, params, x, y, true),
             Layer::Mlp(l) => l.backward(ctx, params, x, y, true),
             Layer::Gat(l) => l.backward(ctx, params, x, y, index, true),
-            Layer::Gcn(l) => l.backward(ctx, params, x, y, index, true),
         }
     }
 }
@@ -153,7 +149,6 @@ fn check_kind(kind: SimdKind) {
                 Layer::Linear(Linear::new(&mut params, in_dim, width, &mut rng)),
                 Layer::Mlp(Mlp::new(&mut params, in_dim, &[width, 1 + case, width], &mut rng)),
                 Layer::Gat(GatLayer::new(&mut params, in_dim, width, 1 + case % 3, &mut rng)),
-                Layer::Gcn(GcnLayer::new(&mut params, in_dim, width, &mut rng)),
             ];
             for (l, layer) in layers.iter().enumerate() {
                 // Probe the output width with a throwaway forward.

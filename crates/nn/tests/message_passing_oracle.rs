@@ -1,13 +1,12 @@
 //! Oracle tests for the tape-free message passing: `GatLayer::infer`
-//! and `GcnLayer::infer` (the fused CSR kernels) must equal the tape
-//! `forward` bit for bit under both SIMD kinds, on awkward random
+//! (the fused CSR kernel) must equal the tape `forward` bit for bit under both SIMD kinds, on awkward random
 //! graphs and on row-stacked batches of several graph copies.
 //!
 //! The kernel kind is process-global, so everything lives in one test
 //! function (integration tests run in their own process).
 
 use mapzero_nn::simd::{self, SimdKind};
-use mapzero_nn::{GatLayer, GcnLayer, Graph, InferCtx, Matrix, MessageIndex, Params, SeedRng};
+use mapzero_nn::{GatLayer, Graph, InferCtx, Matrix, MessageIndex, Params, SeedRng};
 
 const HEAD_WIDTHS: [usize; 7] = [1, 3, 4, 5, 8, 16, 17];
 const COPIES: [usize; 4] = [1, 2, 3, 8];
@@ -42,37 +41,24 @@ fn features(rng: &mut SeedRng, rows: usize, cols: usize) -> Matrix {
     m
 }
 
-enum Layer {
-    Gat(GatLayer),
-    Gcn(GcnLayer),
+fn tape(layer: &GatLayer, params: &Params, x: &Matrix, edges: &[(usize, usize)]) -> Matrix {
+    let mut g = Graph::new();
+    let gx = g.input(x.clone());
+    let y = layer.forward(&mut g, params, gx, edges);
+    g.value(y).clone()
 }
 
-impl Layer {
-    fn tape(&self, params: &Params, x: &Matrix, edges: &[(usize, usize)]) -> Matrix {
-        let mut g = Graph::new();
-        let gx = g.input(x.clone());
-        let y = match self {
-            Layer::Gat(l) => l.forward(&mut g, params, gx, edges),
-            Layer::Gcn(l) => l.forward(&mut g, params, gx, edges),
-        };
-        g.value(y).clone()
-    }
-
-    fn infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &Params,
-        xs: &[&Matrix],
-        index: &MessageIndex,
-    ) -> Matrix {
-        ctx.begin();
-        let x = ctx.load_stacked(xs);
-        let y = match self {
-            Layer::Gat(l) => l.infer(ctx, params, x, index),
-            Layer::Gcn(l) => l.infer(ctx, params, x, index),
-        };
-        ctx.value(y).clone()
-    }
+fn infer(
+    layer: &GatLayer,
+    ctx: &mut InferCtx,
+    params: &Params,
+    xs: &[&Matrix],
+    index: &MessageIndex,
+) -> Matrix {
+    ctx.begin();
+    let x = ctx.load_stacked(xs);
+    let y = layer.infer(ctx, params, x, index);
+    ctx.value(y).clone()
 }
 
 fn check_kind(kind: SimdKind) {
@@ -87,37 +73,26 @@ fn check_kind(kind: SimdKind) {
         let in_dim = 1 + rng.below(9);
         for &width in &HEAD_WIDTHS {
             let mut params = Params::new();
-            let layers = [
-                Layer::Gat(GatLayer::new(
-                    &mut params,
-                    in_dim,
-                    width,
-                    1 + case % 3,
-                    &mut rng,
-                )),
-                Layer::Gcn(GcnLayer::new(&mut params, in_dim, width, &mut rng)),
-            ];
-            for layer in &layers {
-                for &k in &COPIES {
-                    let xs: Vec<Matrix> = (0..k).map(|_| features(&mut rng, n, in_dim)).collect();
-                    let refs: Vec<&Matrix> = xs.iter().collect();
-                    let stacked = layer.infer(&mut ctx, &params, &refs, &index);
-                    let cols = stacked.cols();
-                    for (c, x) in xs.iter().enumerate() {
-                        let want = layer.tape(&params, x, &edges);
-                        assert_eq!(cols, want.cols());
-                        let got = &stacked.data()[c * n * cols..(c + 1) * n * cols];
-                        let same = got
-                            .iter()
-                            .zip(want.data())
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(
-                            same,
-                            "{kind:?} case {case} width {width} K={k} copy {c}: \
-                             infer {got:?} != tape {:?} (edges {edges:?})",
-                            want.data()
-                        );
-                    }
+            let layer = GatLayer::new(&mut params, in_dim, width, 1 + case % 3, &mut rng);
+            for &k in &COPIES {
+                let xs: Vec<Matrix> = (0..k).map(|_| features(&mut rng, n, in_dim)).collect();
+                let refs: Vec<&Matrix> = xs.iter().collect();
+                let stacked = infer(&layer, &mut ctx, &params, &refs, &index);
+                let cols = stacked.cols();
+                for (c, x) in xs.iter().enumerate() {
+                    let want = tape(&layer, &params, x, &edges);
+                    assert_eq!(cols, want.cols());
+                    let got = &stacked.data()[c * n * cols..(c + 1) * n * cols];
+                    let same = got
+                        .iter()
+                        .zip(want.data())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(
+                        same,
+                        "{kind:?} case {case} width {width} K={k} copy {c}: \
+                         infer {got:?} != tape {:?} (edges {edges:?})",
+                        want.data()
+                    );
                 }
             }
         }

@@ -79,9 +79,6 @@ pub struct ServeConfig {
     /// Deadline applied to requests that carry none (`None` = such
     /// requests run unbounded).
     pub default_deadline: Option<Duration>,
-    /// Per-request cap on MCTS tree expansions (deterministic work
-    /// bound composing with the wall-clock deadline).
-    pub expansion_budget: Option<u64>,
     /// SLO windows and anomaly-detection thresholds.
     pub slo: SloConfig,
     /// Flight-recorder capacity (last N terminal request records).
@@ -100,7 +97,6 @@ impl Default for ServeConfig {
             retry_backoff: Duration::from_millis(25),
             hedge: true,
             default_deadline: Some(Duration::from_secs(300)),
-            expansion_budget: None,
             slo: SloConfig::default(),
             flight_capacity: 256,
             breaker: BreakerConfig::default(),
@@ -122,7 +118,6 @@ impl ServeConfig {
             retry_backoff: Duration::from_millis(1),
             hedge: false,
             default_deadline: None,
-            expansion_budget: None,
             slo: SloConfig::default(),
             flight_capacity: 64,
             breaker: BreakerConfig::fast_test(),
@@ -902,7 +897,9 @@ fn process_job(shared: &Shared, compiler: &mut Compiler, job: &Job<QueuedRequest
 
     install_net(shared, compiler, req.cgra.pe_count());
     let mut budget = deadline.map_or_else(Budget::unlimited, Budget::from_deadline_at);
-    if let Some(cap) = shared.config.expansion_budget {
+    // The compiler's expansion cap bounds each request's work, composed
+    // with the wall-clock deadline.
+    if let Some(cap) = shared.config.compiler.expansion_budget {
         budget = budget.with_expansion_cap(cap);
     }
     let bounds = IiBounds { min: req.ii_min, max: req.ii_max };

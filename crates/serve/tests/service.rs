@@ -137,7 +137,8 @@ fn repeated_worker_death_fails_structurally_never_lost() {
 #[test]
 fn expansion_budget_timeout_is_reported() {
     let _g = serial();
-    let config = ServeConfig { expansion_budget: Some(10), ..ServeConfig::fast_test() };
+    let mut config = ServeConfig::fast_test();
+    config.compiler.expansion_budget = Some(10);
     let service = MapService::start(config);
     // 54 nodes cannot map within 10 expansions and there is no
     // deadline, so the outcome is a work-budget timeout.
@@ -149,11 +150,8 @@ fn expansion_budget_timeout_is_reported() {
 #[test]
 fn hedged_fallback_rescues_a_starved_primary() {
     let _g = serial();
-    let config = ServeConfig {
-        hedge: true,
-        expansion_budget: Some(1),
-        ..ServeConfig::fast_test()
-    };
+    let mut config = ServeConfig { hedge: true, ..ServeConfig::fast_test() };
+    config.compiler.expansion_budget = Some(1);
     let service = MapService::start(config);
     // A one-expansion budget starves the primary before it can place
     // anything; the SA lane (not expansion-limited) produces the

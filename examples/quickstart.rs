@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use mapzero::core::validate::check_mapping;
 use mapzero::prelude::*;
 
 fn main() {
@@ -43,7 +44,8 @@ fn main() {
             p.time % mapping.ii
         );
     }
-    let errs = mapping.validate(&dfg, &cgra);
-    assert!(errs.is_empty(), "invalid mapping: {errs:?}");
+    if let Err(errs) = check_mapping(&dfg, &cgra, &mapping, mapping.ii) {
+        panic!("invalid mapping: {errs:?}");
+    }
     println!("\nmapping validated: all constraints satisfied");
 }

@@ -22,6 +22,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use mapzero::core::validate::check_mapping;
 //! use mapzero::prelude::*;
 //!
 //! // A kernel from the paper's Table 2 benchmark suite…
@@ -33,7 +34,7 @@
 //! let mut compiler = Compiler::new(MapZeroConfig::fast_test());
 //! let report = compiler.map(&dfg, &cgra).expect("instance is mappable");
 //! let mapping = report.mapping.expect("mac maps onto HReA");
-//! assert!(mapping.validate(&dfg, &cgra).is_empty());
+//! assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
 //! assert_eq!(mapping.ii, report.mii); // minimal initiation interval
 //! ```
 

@@ -4,6 +4,7 @@
 
 use mapzero::arch::textfmt as arch_textfmt;
 use mapzero::core::checkpoint::{load_compiler_latest, save_compiler_generation};
+use mapzero::core::validate::check_mapping;
 use mapzero::dfg::{kernels, transform};
 use mapzero::prelude::*;
 use std::time::Duration;
@@ -19,7 +20,7 @@ fn structured_kernels_map_end_to_end() {
         let mapping = report
             .mapping
             .unwrap_or_else(|| panic!("{} should map on HReA", dfg.name()));
-        assert!(mapping.validate(&dfg, &cgra).is_empty(), "{}", dfg.name());
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()), "{}", dfg.name());
         assert_eq!(mapping.ii, report.mii, "{}", dfg.name());
     }
 }
@@ -38,7 +39,7 @@ fn unrolled_accumulator_maps_with_internalized_carry() {
     let mut mapper = ExactMapper::default();
     let report = Mapper::map(&mut mapper, &unrolled, &cgra, LIMIT).unwrap();
     let mapping = report.mapping.expect("unrolled mac maps");
-    assert!(mapping.validate(&unrolled, &cgra).is_empty());
+    assert_eq!(check_mapping(&unrolled, &cgra, &mapping, mapping.ii), Ok(()));
 }
 
 #[test]
@@ -60,7 +61,7 @@ fn fabric_text_format_round_trips_through_the_compiler() {
     let mut compiler = Compiler::new(MapZeroConfig::fast_test());
     let report = compiler.map(&dfg, &cgra).unwrap();
     let mapping = report.mapping.expect("parsed fabric behaves like the preset");
-    assert!(mapping.validate(&dfg, &cgra).is_empty());
+    assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
 }
 
 #[test]

@@ -2,6 +2,7 @@
 //! and using trained weights inside the compiler.
 
 use mapzero::core::network::{MapZeroNet, NetConfig};
+use mapzero::core::validate::check_mapping;
 use mapzero::nn::{load_params, save_params};
 use mapzero::prelude::*;
 use std::time::Duration;
@@ -57,7 +58,7 @@ fn compiler_uses_installed_pretrained_net() {
     let dfg = suite::by_name("sum").unwrap();
     let report = compiler.map(&dfg, &cgra).unwrap();
     let mapping = report.mapping.expect("sum maps with the trained agent");
-    assert!(mapping.validate(&dfg, &cgra).is_empty());
+    assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
 }
 
 #[test]
@@ -76,6 +77,6 @@ fn ablation_mcts_off_still_terminates() {
     let result = agent.run_episode(&problem, Duration::from_secs(30));
     assert!(!result.timed_out);
     if let Some(m) = result.mapping {
-        assert!(m.validate(&dfg, &cgra).is_empty());
+        assert_eq!(check_mapping(&dfg, &cgra, &m, m.ii), Ok(()));
     }
 }

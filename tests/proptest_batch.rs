@@ -23,6 +23,7 @@
 use mapzero::core::embed::observe;
 use mapzero::core::mcts::{Mcts, MctsConfig};
 use mapzero::core::network::{MapZeroNet, NetConfig};
+use mapzero::core::validate::check_mapping;
 use mapzero::core::MapEnv;
 use mapzero::dfg::random::{random_dfg, RandomDfgConfig};
 use mapzero::nn::infer::{log_softmax_masked_fused_into, log_softmax_masked_into};
@@ -131,7 +132,7 @@ proptest! {
         let dist_total: f32 = result.visit_distribution.iter().sum();
         prop_assert!((dist_total - 1.0).abs() < 1e-4, "π must normalize, got {dist_total}");
         if let Some(solution) = &result.solution {
-            prop_assert!(solution.validate(&dfg, &cgra).is_empty(), "solutions must validate");
+            prop_assert_eq!(check_mapping(&dfg, &cgra, solution, solution.ii), Ok(()), "solutions must validate");
         }
     }
 

@@ -3,6 +3,7 @@
 
 use mapzero::core::ledger::Ledger;
 use mapzero::core::MapEnv;
+use mapzero::core::validate::check_mapping;
 use mapzero::dfg::random::{random_dfg, RandomDfgConfig};
 use mapzero::dfg::{modulo_schedule, textfmt, ResourceModel};
 use mapzero::prelude::*;
@@ -74,8 +75,8 @@ proptest! {
             &mut mapper, &dfg, &cgra, std::time::Duration::from_secs(5),
         ).unwrap();
         if let Some(m) = report.mapping {
-            prop_assert!(
-                m.validate(&dfg, &cgra).is_empty(),
+            prop_assert_eq!(
+                check_mapping(&dfg, &cgra, &m, m.ii), Ok(()),
                 "invalid mapping for seed kernel on {}", cgra.name()
             );
             prop_assert!(m.ii >= report.mii);
@@ -139,7 +140,7 @@ proptest! {
             &mut mapper, &dfg, &cgra, std::time::Duration::from_secs(3),
         ).unwrap();
         if let Some(m) = report.mapping {
-            prop_assert!(m.validate(&dfg, &cgra).is_empty());
+            prop_assert_eq!(check_mapping(&dfg, &cgra, &m, m.ii), Ok(()));
         }
     }
 }

@@ -3,6 +3,7 @@
 use mapzero::core::ledger::Ledger;
 use mapzero::core::mapping::{Placement as CorePlacement, RouteHop};
 use mapzero::core::router::route_edge;
+use mapzero::core::validate::check_mapping;
 use mapzero::dfg::NodeId;
 use mapzero::prelude::*;
 use proptest::prelude::*;
@@ -100,7 +101,8 @@ proptest! {
     }
 
     /// A valid mapping stays valid under every fabric symmetry: permute
-    /// the placements by a verified automorphism and re-validate.
+    /// the placements and every route hop by a verified automorphism
+    /// and re-validate.
     #[test]
     fn mappings_are_invariant_under_fabric_automorphisms(seed in 0u64..50) {
         use mapzero::arch::symmetry::valid_transforms;
@@ -126,15 +128,12 @@ proptest! {
             for p in &mut permuted.placements {
                 p.pe = perm[p.pe.index()];
             }
-            // Routes no longer correspond, so validate placement
-            // properties only (capability, exclusiveness, timing).
-            permuted.routes.clear();
-            let errs: Vec<String> = permuted
-                .validate(&dfg, &cgra)
-                .into_iter()
-                .filter(|e| !e.contains("routes"))
-                .collect();
-            prop_assert!(errs.is_empty(), "{t:?}: {errs:?}");
+            for hop in permuted.routes.iter_mut().flatten() {
+                let (RouteHop::Register { pe, .. } | RouteHop::Switch { pe, .. }) = hop;
+                *pe = perm[pe.index()];
+            }
+            let checked = check_mapping(&dfg, &cgra, &permuted, permuted.ii);
+            prop_assert!(checked.is_ok(), "{t:?}: {checked:?}");
         }
     }
 }
