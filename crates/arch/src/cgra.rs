@@ -133,12 +133,6 @@ impl Cgra {
         &self.links[p.index()]
     }
 
-    /// Incoming physical links of `p`.
-    #[must_use]
-    pub fn links_to(&self, p: PeId) -> &[PeId] {
-        &self.rlinks[p.index()]
-    }
-
     /// Out-degree of `p` (feature (3) of §3.2.2).
     #[must_use]
     pub fn out_degree(&self, p: PeId) -> usize {
@@ -260,13 +254,6 @@ impl CgraBuilder {
         if style == Interconnect::Crossbar {
             self.style = RoutingStyle::CircuitSwitched;
         }
-        self
-    }
-
-    /// Set the routing style explicitly.
-    #[must_use]
-    pub fn routing_style(mut self, style: RoutingStyle) -> Self {
-        self.style = style;
         self
     }
 

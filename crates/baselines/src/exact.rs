@@ -21,14 +21,11 @@ use std::time::{Duration, Instant};
 pub struct ExactConfig {
     /// How many IIs above MII to try.
     pub max_extra_ii: u32,
-    /// Order candidate PEs by distance to placed parents (much faster;
-    /// disable to measure raw search behaviour).
-    pub order_by_distance: bool,
 }
 
 impl Default for ExactConfig {
     fn default() -> Self {
-        ExactConfig { max_extra_ii: 4, order_by_distance: true }
+        ExactConfig { max_extra_ii: 4 }
     }
 }
 
@@ -47,19 +44,13 @@ impl ExactMapper {
 
     /// Solve one fixed-II instance. Returns `(mapping, backtracks,
     /// explored, timed_out)`.
-    fn solve(
-        problem: &Problem<'_>,
-        deadline: Instant,
-        order_by_distance: bool,
-    ) -> (Option<Mapping>, u64, u64, bool) {
+    fn solve(problem: &Problem<'_>, deadline: Instant) -> (Option<Mapping>, u64, u64, bool) {
         let mut env = MapEnv::new(problem);
-        let cgra = problem.cgra();
-        let dfg = problem.dfg();
         let mut backtracks = 0u64;
         let mut explored = 0u64;
         // DFS stack: per depth, remaining candidate actions.
         let mut stack: Vec<Vec<PeId>> = Vec::with_capacity(problem.node_count());
-        stack.push(candidates(&env, cgra, dfg, order_by_distance));
+        stack.push(candidates(&env));
         loop {
             if Instant::now() > deadline {
                 return (None, backtracks, explored, true);
@@ -85,7 +76,7 @@ impl ExactMapper {
                         backtracks += 1;
                         continue;
                     }
-                    stack.push(candidates(&env, cgra, dfg, order_by_distance));
+                    stack.push(candidates(&env));
                 }
                 None => {
                     stack.pop();
@@ -98,39 +89,13 @@ impl ExactMapper {
     }
 }
 
-/// Candidate PEs for the current node, worst-first (the DFS pops from
-/// the back).
-fn candidates(
-    env: &MapEnv<'_>,
-    cgra: &Cgra,
-    dfg: &Dfg,
-    order_by_distance: bool,
-) -> Vec<PeId> {
+/// Candidate PEs for the current node, ordered by grid distance to its
+/// placed neighbours, farthest first (the DFS pops from the back, so
+/// the closest PE is tried first).
+fn candidates(env: &MapEnv<'_>) -> Vec<PeId> {
     let mut legal = env.legal_actions();
-    if !order_by_distance {
-        legal.reverse();
-        return legal;
-    }
-    let Some(u) = env.current_node() else {
-        return legal;
-    };
-    let mut anchors: Vec<(usize, usize)> = Vec::new();
-    for e in dfg.in_edges(u).chain(dfg.out_edges(u)) {
-        let other = if e.src == u { e.dst } else { e.src };
-        if let Some(p) = env.placement(other) {
-            let pe = cgra.pe(p.pe);
-            anchors.push((pe.row, pe.col));
-        }
-    }
-    // Sort descending so the closest PE is tried first (popped last-in).
-    legal.sort_by_key(|&pe| {
-        let info = cgra.pe(pe);
-        let d: usize = anchors
-            .iter()
-            .map(|&(r, c)| info.row.abs_diff(r) + info.col.abs_diff(c))
-            .sum();
-        std::cmp::Reverse(d)
-    });
+    let dist = env.neighbour_distance();
+    legal.sort_by_key(|&pe| std::cmp::Reverse(dist(pe)));
     legal
 }
 
@@ -168,8 +133,7 @@ impl Mapper for ExactMapper {
                 let remaining = deadline - now;
                 now + remaining / remaining_iis
             };
-            let (m, b, e, t) =
-                Self::solve(&problem, slice_deadline, self.config.order_by_distance);
+            let (m, b, e, t) = Self::solve(&problem, slice_deadline);
             backtracks += b;
             explored += e;
             timed_out |= t;
@@ -245,7 +209,7 @@ mod tests {
         }
         let dfg = b.finish().unwrap();
         let cgra = presets::simple_mesh(3, 3);
-        let mut mapper = ExactMapper::new(ExactConfig { max_extra_ii: 0, ..Default::default() });
+        let mut mapper = ExactMapper::new(ExactConfig { max_extra_ii: 0 });
         let report = mapper.map(&dfg, &cgra, Duration::from_secs(30)).unwrap();
         // At II=1 all six nodes share one slice; the sink needs five
         // simultaneously-adjacent live registers — a corner/edge PE

@@ -27,5 +27,5 @@ mod sa;
 pub mod cost;
 
 pub use exact::{ExactConfig, ExactMapper};
-pub use lisa::{LisaConfig, LisaMapper};
+pub use lisa::LisaMapper;
 pub use sa::{SaConfig, SaMapper};

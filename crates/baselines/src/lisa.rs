@@ -20,20 +20,8 @@ use mapzero_arch::{Cgra, PeId};
 use mapzero_dfg::Dfg;
 use std::time::Duration;
 
-/// LISA configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LisaConfig {
-    /// Underlying annealing parameters.
-    pub sa: SaConfig,
-    /// Weight of the label-agreement term relative to the routing cost.
-    pub label_weight: f64,
-}
-
-impl Default for LisaConfig {
-    fn default() -> Self {
-        LisaConfig { sa: SaConfig::default(), label_weight: 12.0 }
-    }
-}
+/// Weight of the label-agreement term relative to the routing cost.
+const LABEL_WEIGHT: f64 = 12.0;
 
 /// Per-edge and per-node labels emulating LISA's GNN output.
 #[derive(Debug, Clone)]
@@ -82,7 +70,6 @@ pub fn compute_labels(problem: &Problem<'_>) -> Labels {
 
 struct LabelShaper {
     labels: Labels,
-    weight: f64,
 }
 
 impl CostShaper for LabelShaper {
@@ -102,23 +89,13 @@ impl CostShaper for LabelShaper {
             let off_center = (p.row as f64 - cr).abs() + (p.col as f64 - cc).abs();
             cost += self.labels.centrality[u.index()] * off_center;
         }
-        self.weight * cost
+        LABEL_WEIGHT * cost
     }
 }
 
-/// The LISA-style mapper.
+/// The LISA-style mapper. It anneals with the default [`SaConfig`].
 #[derive(Debug, Clone, Default)]
-pub struct LisaMapper {
-    config: LisaConfig,
-}
-
-impl LisaMapper {
-    /// Create with the given configuration.
-    #[must_use]
-    pub fn new(config: LisaConfig) -> Self {
-        LisaMapper { config }
-    }
-}
+pub struct LisaMapper;
 
 impl Mapper for LisaMapper {
     fn name(&self) -> &str {
@@ -131,6 +108,7 @@ impl Mapper for LisaMapper {
         cgra: &Cgra,
         time_limit: Duration,
     ) -> Result<MapReport, MapError> {
+        let sa = SaConfig::default();
         let mii = Problem::mii(dfg, cgra)?;
         // Labels are computed once per instance at MII (as LISA infers
         // once per kernel); the shaper reuses them across IIs.
@@ -140,7 +118,7 @@ impl Mapper for LisaMapper {
                 // MII unschedulable: fall back to the first feasible II
                 // purely for label computation.
                 let mut found = None;
-                for ii in mii..=mii + self.config.sa.max_extra_ii {
+                for ii in mii..=mii + sa.max_extra_ii {
                     if let Ok(p) = Problem::new(dfg, cgra, ii) {
                         found = Some(compute_labels(&p));
                         break;
@@ -151,8 +129,8 @@ impl Mapper for LisaMapper {
                 })?
             }
         };
-        let shaper = LabelShaper { labels, weight: self.config.label_weight };
-        run_annealing_mapper("LISA", &self.config.sa, &shaper, dfg, cgra, time_limit)
+        let shaper = LabelShaper { labels };
+        run_annealing_mapper("LISA", &sa, &shaper, dfg, cgra, time_limit)
     }
 }
 
@@ -179,7 +157,7 @@ mod tests {
     fn maps_on_hycube() {
         let cgra = presets::hycube();
         let dfg = suite::by_name("sum").unwrap();
-        let mut mapper = LisaMapper::default();
+        let mut mapper = LisaMapper;
         let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
         let mapping = report.mapping.expect("sum should map via LISA on HyCube");
         assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
@@ -191,7 +169,7 @@ mod tests {
         // differently because their costs differ.
         let cgra = presets::hycube();
         let dfg = suite::by_name("mac").unwrap();
-        let mut lisa = LisaMapper::default();
+        let mut lisa = LisaMapper;
         let mut sa = crate::SaMapper::default();
         let rl = lisa.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
         let rs = sa.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();

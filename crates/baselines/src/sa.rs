@@ -14,19 +14,20 @@ use mapzero_dfg::Dfg;
 use mapzero_nn::SeedRng;
 use std::time::{Duration, Instant};
 
+/// Initial temperature.
+const T_START: f64 = 300.0;
+/// Stop temperature.
+const T_MIN: f64 = 0.2;
+/// Geometric cooling factor per annealing step.
+const ALPHA: f64 = 0.92;
+/// Perturbation proposals per annealing step (paper: 100).
+const MOVES_PER_STEP: usize = 100;
+/// Restarts with fresh random placements before giving up on an II.
+const RESTARTS: usize = 2;
+
 /// Annealing parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaConfig {
-    /// Initial temperature.
-    pub t_start: f64,
-    /// Stop temperature.
-    pub t_min: f64,
-    /// Geometric cooling factor per annealing step.
-    pub alpha: f64,
-    /// Perturbation proposals per annealing step (paper: 100).
-    pub moves_per_step: usize,
-    /// Restarts with fresh random placements before giving up on an II.
-    pub restarts: usize,
     /// How many IIs above MII to try.
     pub max_extra_ii: u32,
     /// RNG seed.
@@ -36,11 +37,6 @@ pub struct SaConfig {
 impl Default for SaConfig {
     fn default() -> Self {
         SaConfig {
-            t_start: 300.0,
-            t_min: 0.2,
-            alpha: 0.92,
-            moves_per_step: 100,
-            restarts: 2,
             max_extra_ii: 4,
             seed: 0,
         }
@@ -73,19 +69,12 @@ impl SaMapper {
     pub fn new(config: SaConfig) -> Self {
         SaMapper { config }
     }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &SaConfig {
-        &self.config
-    }
 }
 
 /// One annealing run on a fixed-II problem. Returns `(best evaluation,
 /// annealing steps, proposals, timed_out)`.
 pub(crate) fn anneal(
     problem: &Problem<'_>,
-    config: &SaConfig,
     shaper: &dyn CostShaper,
     rng: &mut SeedRng,
     deadline: Instant,
@@ -94,20 +83,20 @@ pub(crate) fn anneal(
     let mut annealings = 0u64;
     let mut proposals = 0u64;
 
-    for _restart in 0..=config.restarts {
+    for _restart in 0..=RESTARTS {
         let mut current = random_assignment(problem, rng);
         let mut current_eval = evaluate(problem, &current);
         let mut current_cost = current_eval.cost() + shaper.extra_cost(problem, &current);
         if current_eval.is_valid() {
             return (current_eval.mapping, annealings, proposals, false);
         }
-        let mut temperature = config.t_start;
-        while temperature > config.t_min {
+        let mut temperature = T_START;
+        while temperature > T_MIN {
             if Instant::now() > deadline {
                 return (None, annealings, proposals, true);
             }
             annealings += 1;
-            for _ in 0..config.moves_per_step {
+            for _ in 0..MOVES_PER_STEP {
                 proposals += 1;
                 let mut candidate = current.clone();
                 perturb(problem, &mut candidate, rng);
@@ -126,7 +115,7 @@ pub(crate) fn anneal(
                     }
                 }
             }
-            temperature *= config.alpha;
+            temperature *= ALPHA;
         }
     }
     (None, annealings, proposals, false)
@@ -202,7 +191,7 @@ pub(crate) fn run_annealing_mapper(
             Err(MapError::NoSchedule(_)) => continue,
             Err(e) => return Err(e),
         };
-        let (m, a, p, t) = anneal(&problem, config, shaper, &mut rng, deadline);
+        let (m, a, p, t) = anneal(&problem, shaper, &mut rng, deadline);
         annealings += a;
         proposals += p;
         timed_out |= t;

@@ -12,10 +12,7 @@ use mapzero_core::{AgentConfig, MapZeroAgent, MctsConfig, Problem};
 fn main() {
     let mode = BenchMode::from_env();
     let limit = mode.time_limit();
-    let h = Harness::begin(
-        "ablation_design",
-        format!("Design-choice ablation ({mode:?} mode)"),
-    );
+    let h = Harness::begin(format!("Design-choice ablation ({mode:?} mode)"));
 
     let variants = [("baseline (playout)", true), ("no playout", false)];
     let kernels = ["sum", "mac", "conv2", "accumulate"];

@@ -11,10 +11,9 @@ use std::collections::HashMap;
 fn main() {
     let mode = BenchMode::from_env();
     let limit = mode.time_limit();
-    let h = Harness::begin(
-        "ablation_no_mcts",
-        format!("§4.7 ablation: MapZero with and without MCTS ({mode:?} mode)"),
-    );
+    let h = Harness::begin(format!(
+        "§4.7 ablation: MapZero with and without MCTS ({mode:?} mode)"
+    ));
 
     let fabrics = mapzero_arch::presets::evaluation_fabrics();
     let kernels = mode.kernels();

@@ -7,10 +7,7 @@ use mapzero_bench::{headtohead_results, print_table, write_csv, BenchMode, Harne
 
 fn main() {
     let mode = BenchMode::from_env();
-    let h = Harness::begin(
-        "fig08_mapping_quality",
-        format!("Fig. 8: II ratio relative to MII ({mode:?} mode)"),
-    );
+    let h = Harness::begin(format!("Fig. 8: II ratio relative to MII ({mode:?} mode)"));
     let results = headtohead_results(mode);
 
     let fabrics: Vec<String> = {

@@ -5,10 +5,9 @@ use mapzero_bench::{headtohead_results, print_table, write_csv, BenchMode, Harne
 
 fn main() {
     let mode = BenchMode::from_env();
-    let h = Harness::begin(
-        "fig09_backtracks",
-        format!("Fig. 9: MapZero backtracking operations per benchmark ({mode:?} mode)"),
-    );
+    let h = Harness::begin(format!(
+        "Fig. 9: MapZero backtracking operations per benchmark ({mode:?} mode)"
+    ));
     let results = headtohead_results(mode);
     let mapzero: Vec<_> = results.iter().filter(|r| r.mapper == "MapZero").collect();
 

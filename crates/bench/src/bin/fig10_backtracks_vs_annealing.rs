@@ -7,10 +7,9 @@ use mapzero_bench::{headtohead_results, print_table, write_csv, BenchMode, Harne
 
 fn main() {
     let mode = BenchMode::from_env();
-    let h = Harness::begin(
-        "fig10_backtracks_vs_annealing",
-        format!("Fig. 10: backtracks (MapZero) vs annealings (SA, LISA) on HyCube ({mode:?} mode)"),
-    );
+    let h = Harness::begin(format!(
+        "Fig. 10: backtracks (MapZero) vs annealings (SA, LISA) on HyCube ({mode:?} mode)"
+    ));
     let results = headtohead_results(mode);
     let hycube: Vec<_> = results.iter().filter(|r| r.fabric == "HyCube").collect();
 

@@ -9,10 +9,9 @@ use mapzero_bench::{geomean, headtohead_results, print_table, write_csv, BenchMo
 
 fn main() {
     let mode = BenchMode::from_env();
-    let h = Harness::begin(
-        "fig11_compile_time",
-        format!("Fig. 11: compilation time (seconds, {mode:?} mode)"),
-    );
+    let h = Harness::begin(format!(
+        "Fig. 11: compilation time (seconds, {mode:?} mode)"
+    ));
     let results = headtohead_results(mode);
 
     let mut fabrics: Vec<String> = results.iter().map(|r| r.fabric.clone()).collect();

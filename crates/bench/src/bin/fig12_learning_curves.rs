@@ -15,10 +15,9 @@ fn main() {
         BenchMode::Quick => (10, 4, NetConfig::tiny()),
         BenchMode::Full => (60, 12, NetConfig::default()),
     };
-    let h = Harness::begin(
-        "fig12_learning_curves",
-        format!("Fig. 12: learning curves on HReA ({mode:?} mode: {epochs} epochs)"),
-    );
+    let h = Harness::begin(format!(
+        "Fig. 12: learning curves on HReA ({mode:?} mode: {epochs} epochs)"
+    ));
 
     let cgra = mapzero_arch::presets::hrea();
     let config = TrainConfig {

@@ -11,7 +11,6 @@ fn main() {
     let mode = BenchMode::from_env();
     let limit = mode.time_limit();
     let h = Harness::begin(
-        "fig13_scalability",
         format!(
             "Fig. 13: compilation time for unrolled DFGs on 8x8 / 16x16 baselines\n({mode:?} mode, {limit:?} per attempt)"
         ),

@@ -11,7 +11,6 @@ fn main() {
     let limit = mode.time_limit();
     let cgra = mapzero_arch::presets::heterogeneous();
     let h = Harness::begin(
-        "fig15_heterogeneous",
         format!(
             "Fig. 15: MapZero vs CGRA-ME (ILP) on the Fig. 14 heterogeneous CGRA\n({mode:?} mode, {limit:?} per attempt)"
         ),

@@ -21,7 +21,7 @@ const HARNESSES: [&str; 12] = [
 ];
 
 fn main() {
-    let h = Harness::begin("run_all", "Regenerating every table and figure");
+    let h = Harness::begin("Regenerating every table and figure");
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("binary directory");
     let mut failures = Vec::new();

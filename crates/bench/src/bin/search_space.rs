@@ -9,7 +9,7 @@ use mapzero_bench::{print_table, write_csv, Harness};
 use mapzero_core::search_space::{log10_placements, log10_placements_temporal};
 
 fn main() {
-    let h = Harness::begin("search_space", "§2.5.1: search-space sizes");
+    let h = Harness::begin("§2.5.1: search-space sizes");
 
     let cases = [
         ("paper: 14 nodes, 4x4, II=1", 14u64, 16u64, 1u64),

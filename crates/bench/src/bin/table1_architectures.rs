@@ -5,7 +5,7 @@ use mapzero_arch::{presets, Interconnect};
 use mapzero_bench::{print_table, write_csv, Harness};
 
 fn main() {
-    let h = Harness::begin("table1_architectures", "Table 1: Target CGRAs used in the evaluation");
+    let h = Harness::begin("Table 1: Target CGRAs used in the evaluation");
     let header = ["Fabric", "Size", "Mesh", "1-hop", "Diagonal", "Toroidal", "Crossbar", "Row mem bus"];
     let mut rows = Vec::new();
     for cgra in presets::table1() {

@@ -5,7 +5,7 @@ use mapzero_bench::{print_table, write_csv, Harness};
 use mapzero_dfg::suite;
 
 fn main() {
-    let h = Harness::begin("table2_dfg_stats", "Table 2: Statistics of the benchmark DFGs (u = unrolled)");
+    let h = Harness::begin("Table 2: Statistics of the benchmark DFGs (u = unrolled)");
     let header = ["Benchmark", "Vertices", "Edges", "Self-cycles", "Max fan-out", "Mem ops"];
     let mut rows = Vec::new();
     for spec in &suite::KERNELS {

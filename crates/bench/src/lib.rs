@@ -20,12 +20,11 @@ use mapzero_core::{
     AgentConfig, Compiler, MapReport, MapZeroConfig, Mapper, MctsConfig, TrainConfig,
 };
 use mapzero_dfg::Dfg;
-use mapzero_obs::json::Json;
 use std::fmt::Display;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,36 +136,19 @@ impl BenchMode {
 
 /// Per-binary harness bracket: `begin` prints the title and hooks
 /// telemetry up to the environment (`MAPZERO_TRACE` /
-/// `MAPZERO_TELEMETRY`); `finish` folds the run's metric deltas into
-/// `results/BENCH_<name>.json` and flushes any trace sink. Counters are
-/// always live, so the JSON is populated even without the env vars.
-///
-/// The JSON lands even when the run dies before `finish`: dropping an
-/// unfinished harness (panic unwinding through the binary, early
-/// return) writes the same file with an `"error"` field, so a nightly
-/// sweep always has one result file per bench to aggregate.
-pub struct Harness {
-    name: &'static str,
-    before: mapzero_obs::metrics::MetricsSnapshot,
-    started: Instant,
-    finished: bool,
-}
+/// `MAPZERO_TELEMETRY`); `finish` flushes any trace sink.
+pub struct Harness;
 
 impl Harness {
-    /// Open the harness: print the banner, initialise telemetry from
-    /// the environment, snapshot the metrics baseline.
+    /// Open the harness: initialise telemetry from the environment and
+    /// print the banner.
     #[must_use]
-    pub fn begin(name: &'static str, title: impl Display) -> Harness {
+    pub fn begin(title: impl Display) -> Harness {
         if let Some(path) = mapzero_obs::init_from_env() {
             println!("[tracing to {path}]");
         }
         println!("{title}\n");
-        Harness {
-            name,
-            before: mapzero_obs::metrics::registry().snapshot(),
-            started: Instant::now(),
-            finished: false,
-        }
+        Harness
     }
 
     /// Progress line on stderr (keeps stdout clean for tables).
@@ -180,45 +162,8 @@ impl Harness {
         println!("{msg}");
     }
 
-    /// Close the harness: write the per-run metrics JSON and flush any
-    /// installed trace sink.
-    pub fn finish(mut self) {
-        self.finished = true;
-        self.write_result(None);
-        mapzero_obs::sink::flush();
-    }
-
-    fn write_result(&self, error: Option<&str>) {
-        let delta =
-            mapzero_obs::metrics::registry().snapshot().delta(&self.before);
-        let mut fields = vec![
-            ("bench".to_owned(), Json::from(self.name)),
-            ("elapsed_secs".to_owned(), Json::Num(self.started.elapsed().as_secs_f64())),
-            ("metrics".to_owned(), delta.to_json()),
-        ];
-        if let Some(error) = error {
-            fields.push(("error".to_owned(), Json::from(error)));
-        }
-        let json = Json::Obj(fields);
-        let path = results_dir().join(format!("BENCH_{}.json", self.name));
-        match fs::write(&path, json.to_string_compact() + "\n") {
-            Ok(()) => println!("[metrics written to {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
-    }
-}
-
-impl Drop for Harness {
-    fn drop(&mut self) {
-        if self.finished {
-            return;
-        }
-        let error = if std::thread::panicking() {
-            "bench panicked before finish"
-        } else {
-            "bench dropped before finish"
-        };
-        self.write_result(Some(error));
+    /// Close the harness: flush any installed trace sink.
+    pub fn finish(self) {
         mapzero_obs::sink::flush();
     }
 }
@@ -236,7 +181,7 @@ pub fn run_all_mappers(
     out.push(run_or_fail(&mut ilp, dfg, cgra, limit));
     let mut sa = SaMapper::default();
     out.push(run_or_fail(&mut sa, dfg, cgra, limit));
-    let mut lisa = LisaMapper::default();
+    let mut lisa = LisaMapper;
     out.push(run_or_fail(&mut lisa, dfg, cgra, limit));
     out.push(
         mapzero
@@ -481,24 +426,6 @@ mod tests {
             assert_eq!(BenchMode::from_env(), BenchMode::Quick);
         }
         assert!(BenchMode::Quick.kernels().len() < BenchMode::Full.kernels().len());
-    }
-
-    #[test]
-    fn harness_writes_error_json_when_dropped_by_panic() {
-        let dir = std::env::temp_dir().join(format!("mapzero_bench_drop_{}", std::process::id()));
-        std::env::set_var("MAPZERO_RESULTS_DIR", &dir);
-        let result = std::panic::catch_unwind(|| {
-            let _h = Harness::begin("drop_test", "drop test");
-            panic!("boom");
-        });
-        // The harness was dropped by the unwind, so the JSON is already
-        // on disk; restore the env before asserting.
-        std::env::remove_var("MAPZERO_RESULTS_DIR");
-        assert!(result.is_err());
-        let text = fs::read_to_string(dir.join("BENCH_drop_test.json")).unwrap();
-        assert!(text.contains("\"bench\":\"drop_test\""), "{text}");
-        assert!(text.contains("\"error\":\"bench panicked before finish\""), "{text}");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -381,25 +381,7 @@ fn ban(banned: &mut [u64], pe: PeId) {
 /// Returns `None` on an empty candidate set; NaN scores (a poisoned
 /// network) order below every finite score instead of panicking.
 fn best_by_score(legal: &[PeId], scores: &[f32], env: &MapEnv<'_>) -> Option<PeId> {
-    let cgra = env.problem().cgra();
-    let dfg = env.problem().dfg();
-    let mut anchors: Vec<(usize, usize)> = Vec::new();
-    if let Some(u) = env.current_node() {
-        for e in dfg.in_edges(u).chain(dfg.out_edges(u)) {
-            let other = if e.src == u { e.dst } else { e.src };
-            if let Some(p) = env.placement(other) {
-                let pe = cgra.pe(p.pe);
-                anchors.push((pe.row, pe.col));
-            }
-        }
-    }
-    let dist = |pe: PeId| -> usize {
-        let info = cgra.pe(pe);
-        anchors
-            .iter()
-            .map(|&(r, c)| info.row.abs_diff(r) + info.col.abs_diff(c))
-            .sum()
-    };
+    let dist = env.neighbour_distance();
     legal.iter().copied().max_by(|a, b| {
         scores[a.index()]
             .total_cmp(&scores[b.index()])

@@ -298,7 +298,7 @@ impl Compiler {
     ///    budget; each attempt is panic-isolated (a fault in routing or
     ///    search becomes [`MapError::Internal`], not an unwind).
     /// 2. When a fallback engine is installed, the primary only gets
-    ///    [`PRIMARY_SHARE`] of the deadline; on primary failure the
+    ///    `PRIMARY_SHARE` of the deadline; on primary failure the
     ///    fallback runs under whatever deadline remains, and the
     ///    report's `engine` field records who produced the mapping.
     /// 3. A budget that expires with no mapping from either engine is

@@ -123,6 +123,35 @@ impl<'a> MapEnv<'a> {
         self.placements[node.index()]
     }
 
+    /// Grid distance from a PE to the current node's placed DFG
+    /// neighbours: the sum of Manhattan distances to every placed
+    /// parent and child. Unplaced neighbours are ignored, and every PE
+    /// scores 0 when no node is current. The neighbours' positions are
+    /// collected once, here; the returned closure scores one PE per
+    /// call, so one decision ranks all its candidates with one scan of
+    /// the DFG.
+    pub fn neighbour_distance(&self) -> impl Fn(PeId) -> usize + 'a {
+        let cgra = self.problem.cgra();
+        let dfg = self.problem.dfg();
+        let mut anchors: Vec<(usize, usize)> = Vec::new();
+        if let Some(u) = self.current_node() {
+            for e in dfg.in_edges(u).chain(dfg.out_edges(u)) {
+                let other = if e.src == u { e.dst } else { e.src };
+                if let Some(p) = self.placement(other) {
+                    let pe = cgra.pe(p.pe);
+                    anchors.push((pe.row, pe.col));
+                }
+            }
+        }
+        move |pe| {
+            let info = cgra.pe(pe);
+            anchors
+                .iter()
+                .map(|&(r, c)| info.row.abs_diff(r) + info.col.abs_diff(c))
+                .sum()
+        }
+    }
+
     /// Current placements (`None` for unplaced nodes).
     #[must_use]
     pub fn placements(&self) -> &[Option<Placement>] {
@@ -522,6 +551,37 @@ mod tests {
         let problem = Problem::new(&dfg, &cgra, 1).unwrap();
         let mut env = MapEnv::new(&problem);
         env.step(PeId(4));
+    }
+
+    #[test]
+    fn neighbour_distance_sums_placed_neighbours_only() {
+        // a, b -> c -> d: when c is current, a and b are placed and d,
+        // its unplaced child, must not count.
+        let mut b = DfgBuilder::new("fan_in");
+        let (na, nb) = (b.node(Opcode::Load), b.node(Opcode::Load));
+        let (nc, nd) = (b.node(Opcode::Add), b.node(Opcode::Store));
+        b.edge(na, nc).unwrap();
+        b.edge(nb, nc).unwrap();
+        b.edge(nc, nd).unwrap();
+        let dfg = b.finish().unwrap();
+        let cgra = presets::simple_mesh(4, 4);
+        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
+        assert_eq!(problem.order(), &[na, nb, nc, nd]);
+        let mut env = MapEnv::new(&problem);
+        assert!(
+            (0..16).all(|pe| env.neighbour_distance()(PeId(pe)) == 0),
+            "c is unplaced"
+        );
+        env.step(cgra.at(0, 0));
+        env.step(cgra.at(0, 3));
+        assert_eq!(env.current_node(), Some(nc));
+        let dist = env.neighbour_distance();
+        // |r - 0| + |c - 0| + |r - 0| + |c - 3|
+        assert_eq!(dist(cgra.at(0, 0)), 3);
+        assert_eq!(dist(cgra.at(0, 2)), 3);
+        assert_eq!(dist(cgra.at(1, 1)), 5);
+        assert_eq!(dist(cgra.at(2, 3)), 7);
+        assert_eq!(dist(cgra.at(3, 0)), 9);
     }
 
     proptest::proptest! {

@@ -54,7 +54,8 @@ use std::time::Duration;
 /// What an armed failpoint does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailAction {
-    /// Panic with a recognizable `failpoint \`<name>\`` message.
+    /// Panic with a recognizable message naming the site
+    /// (``failpoint `NAME` injected panic``).
     Panic,
     /// Return an injected [`io::Error`] (checkpoint/file sites; at a
     /// non-I/O site the [`crate::failpoint!`] macro escalates it to a
@@ -223,11 +224,6 @@ pub fn disarm(name: &str) {
     ARMED.with(|m| {
         m.borrow_mut().remove(name);
     });
-}
-
-/// Disarm every failpoint on this thread.
-pub fn disarm_all() {
-    ARMED.with(|m| m.borrow_mut().clear());
 }
 
 /// Names currently armed on this thread, sorted.

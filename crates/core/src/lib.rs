@@ -12,7 +12,7 @@
 //!    order, and derive the action space;
 //! 2. [`ledger`] / [`router`] — the modulo routing resource model and
 //!    the Dijkstra router that claims registers/switches per time slice;
-//! 3. [`env`](crate::env) — the Markov decision process of §3.3 (placement actions,
+//! 3. [`env`](mod@env) — the Markov decision process of §3.3 (placement actions,
 //!    −100-per-conflict routing penalties, action masking);
 //! 4. [`embed`] + [`network`] — GAT encoders over the DFG and the
 //!    current-slice CGRA graph plus the policy/value heads of Fig. 5;
@@ -45,7 +45,6 @@ pub mod augment;
 pub mod candidates;
 pub mod checkpoint;
 pub mod compiler;
-pub mod dse;
 pub mod embed;
 pub mod env;
 pub mod failpoint;

@@ -3,12 +3,11 @@
 //!
 //! Each tree edge stores a prior probability `P(s,a)`, a visit count
 //! `N(s,a)` and a mean action value `Q(s,a)`. Selection maximizes the
-//! UCT score (with the network prior, i.e. PUCT as in AlphaZero; a
-//! plain-UCT mode is kept for the ablation study). Expansion is capped
-//! at a configurable number of children per stage (§4.2: "The MCTS tree
-//! expands 100 nodes per expansion stage", 200 for 16×16). As soon as a
-//! rollout completes a valid mapping at the target II, the whole search
-//! ends and returns it (§3.5).
+//! UCT score with the network prior (PUCT, as in AlphaZero). Expansion
+//! is capped at a configurable number of children per stage (§4.2:
+//! "The MCTS tree expands 100 nodes per expansion stage", 200 for
+//! 16×16). As soon as a rollout completes a valid mapping at the target
+//! II, the whole search ends and returns it (§3.5).
 
 use crate::checkpoint::Fnv64;
 use crate::embed::Observer;
@@ -752,12 +751,11 @@ impl<'n> Mcts<'n> {
 
     /// Greedy playout to the end of the episode: each remaining node is
     /// placed on the free PE closest (grid distance) to its already-
-    /// placed parents, with random tie-breaking. Returns the normalized
-    /// return of the playout and records any complete mapping found.
+    /// placed neighbours, with random tie-breaking. Returns the
+    /// normalized return of the playout and records any complete
+    /// mapping found.
     fn playout(&mut self, env: &mut MapEnv<'_>, solution: &mut Option<Mapping>) -> f64 {
         mapzero_obs::counter!("mcts.playouts");
-        let cgra = env.problem().cgra();
-        let dfg = env.problem().dfg();
         let mut acc = 0.0f64;
         let mut steps = 0usize;
         while !env.done() {
@@ -778,31 +776,16 @@ impl<'n> Mcts<'n> {
             if legal.is_empty() {
                 return (acc - 1.0).clamp(-1.0, 1.0);
             }
-            let Some(u) = env.current_node() else {
+            if env.current_node().is_none() {
                 // `!env.done()` at the loop head guarantees a current
                 // node; treat a violation as a dead-end playout.
                 debug_assert!(false, "playout env has no current node");
                 return (acc - 1.0).clamp(-1.0, 1.0);
-            };
-            // Grid positions of placed neighbours (parents and children).
-            let mut anchors: Vec<(usize, usize)> = Vec::new();
-            for e in dfg.in_edges(u).chain(dfg.out_edges(u)) {
-                let other = if e.src == u { e.dst } else { e.src };
-                if let Some(p) = env.placement(other) {
-                    let pe = cgra.pe(p.pe);
-                    anchors.push((pe.row, pe.col));
-                }
             }
+            let dist = env.neighbour_distance();
             let jitter = self.rng.below(legal.len());
             let mut ranked: Vec<(usize, PeId)> = legal.iter().copied().enumerate().collect();
-            ranked.sort_by_key(|(i, pe)| {
-                let info = cgra.pe(*pe);
-                let dist: usize = anchors
-                    .iter()
-                    .map(|&(r, c)| info.row.abs_diff(r) + info.col.abs_diff(c))
-                    .sum();
-                (dist, (*i + jitter) % legal.len())
-            });
+            ranked.sort_by_key(|&(i, pe)| (dist(pe), (i + jitter) % legal.len()));
             // Router-aware greedy: try the nearest candidates and keep
             // the first that routes cleanly; accept the final failure
             // only when every candidate conflicts.

@@ -276,7 +276,7 @@ impl MapZeroNet {
     /// cache-friendly matmul per layer.
     ///
     /// Node features are row-stacked ([`InferCtx::load_stacked`]) and
-    /// every GAT/GCN message pass runs each of the K copies over the one
+    /// every GAT message pass runs each of the K copies over the one
     /// per-problem [`MessageIndex`] with its own row offset, so there
     /// are no cross-observation messages. Per-graph pooling uses
     /// [`InferCtx::mean_rows_grouped`].

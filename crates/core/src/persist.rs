@@ -1,6 +1,6 @@
 //! Binary serialization of resumable training state.
 //!
-//! The weight file (`net_<pe>.mzw`, [`mapzero_nn::serialize`]) only
+//! The weight file (`net_<pe>.mzw`, [`mapzero_nn::encode_params`]) only
 //! captures the parameters; continuing a killed run *bit-for-bit* also
 //! needs everything else the epoch loop consumes: the replay buffer
 //! (samples + priorities + eviction cursor), the RNG stream position,

@@ -14,7 +14,7 @@
 //!    episode is converted by [`isolated`] into an error value
 //!    ([`MapError::Internal`]) instead of unwinding through the caller.
 //! 3. **Testability** — deterministic fault injection lives in
-//!    [`crate::failpoint`]: named sites threaded through routing,
+//!    [`failpoint`](mod@crate::failpoint): named sites threaded through routing,
 //!    inference, training and checkpoint I/O let integration tests
 //!    prove the two properties above without patching production code
 //!    paths.

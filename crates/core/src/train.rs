@@ -426,12 +426,6 @@ impl Trainer {
         store.commit(&files)
     }
 
-    /// Run a single epoch: self-play, replay updates, evaluation.
-    /// Unsupervised — [`Trainer::run`] adds the health checks.
-    pub fn run_epoch(&mut self, epoch: u32) -> EpochMetrics {
-        self.run_epoch_attempt(epoch, 1.0).0
-    }
-
     /// One epoch attempt; returns the metrics and the largest pre-clip
     /// gradient norm seen across the epoch's updates.
     fn run_epoch_attempt(&mut self, epoch: u32, lr_penalty: f32) -> (EpochMetrics, f32) {

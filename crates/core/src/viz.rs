@@ -1,5 +1,5 @@
 //! Human-readable rendering of mappings: per-slice ASCII grids and a
-//! Graphviz view of the placed DFG.
+//! one-line summary.
 
 use crate::mapping::{Mapping, RouteHop};
 use mapzero_arch::Cgra;
@@ -41,32 +41,6 @@ pub fn ascii_grids(mapping: &Mapping, dfg: &Dfg, cgra: &Cgra) -> String {
             out.push('\n');
         }
     }
-    out
-}
-
-/// Render the placed DFG in Graphviz DOT, labeling each node with its
-/// (PE, time) coordinate.
-#[must_use]
-pub fn placed_dot(mapping: &Mapping, dfg: &Dfg) -> String {
-    let mut out = String::from("digraph placed {\n  rankdir=TB;\n");
-    for u in dfg.node_ids() {
-        let p = mapping.placement(u);
-        let _ = writeln!(
-            out,
-            "  n{} [label=\"{}:{}\\n{}@t{}\"];",
-            u.0,
-            u.0,
-            dfg.node(u).opcode,
-            p.pe,
-            p.time
-        );
-    }
-    for (i, e) in dfg.edges().enumerate() {
-        let hops = mapping.routes.get(i).map_or(0, Vec::len);
-        let style = if e.dist > 0 { " style=dashed" } else { "" };
-        let _ = writeln!(out, "  n{} -> n{} [label=\"{hops}\"{style}];", e.src.0, e.dst.0);
-    }
-    out.push_str("}\n");
     out
 }
 
@@ -119,15 +93,6 @@ mod tests {
         assert!(grid.contains("n0"));
         assert!(grid.contains("n1"));
         assert!(grid.contains('~'), "routing PE marked:\n{grid}");
-    }
-
-    #[test]
-    fn dot_contains_coordinates() {
-        let (dfg, _cgra, mapping) = setup();
-        let dot = placed_dot(&mapping, &dfg);
-        assert!(dot.contains("pe0@t0"));
-        assert!(dot.contains("pe1@t1"));
-        assert!(dot.contains("n0 -> n1"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The data flow graph representation.
 
-use crate::{DfgError, OpClass, Opcode};
+use crate::{DfgError, Opcode};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -56,14 +56,6 @@ pub struct Edge {
     pub dst: NodeId,
     /// Inter-iteration dependence distance.
     pub dist: u32,
-}
-
-impl Edge {
-    /// True if this edge carries a value across loop iterations.
-    #[must_use]
-    pub fn is_back_edge(&self) -> bool {
-        self.dist > 0
-    }
 }
 
 /// An immutable, validated data flow graph.
@@ -175,12 +167,6 @@ impl Dfg {
             counts[n.opcode.class().index()] += 1;
         }
         counts
-    }
-
-    /// Whether any node requires the given functional class.
-    #[must_use]
-    pub fn uses_class(&self, class: OpClass) -> bool {
-        self.class_counts()[class.index()] > 0
     }
 
     /// The maximum dependence distance over all edges (0 for pure DAGs).

@@ -228,7 +228,7 @@ impl InferCtx {
     /// `col_mul` → `scatter_add_rows` under either [`crate::simd::SimdKind`]:
     /// the CSR keeps every destination's messages in ascending edge
     /// order, so each output element sees the same operations on the
-    /// same values in the same order. See [`crate::simd::gat_aggregate`].
+    /// same values in the same order. See `simd::gat_aggregate`.
     ///
     /// # Panics
     /// Panics on shape mismatches, if `rows` is not a positive multiple
@@ -401,7 +401,7 @@ impl InferCtx {
     /// output tanh) and accumulates into the gradients of `hw`,
     /// `score_dst` and `score_src` — the tape's chain from
     /// `scatter_add_rows` back to the score gathers, in its order (see
-    /// [`crate::simd::gat_aggregate_backward`]).
+    /// `simd::gat_aggregate_backward`).
     ///
     /// Call it before the score projections' [`InferCtx::matmul_backward`]:
     /// the tape's `hw` takes its message term first.

@@ -177,12 +177,6 @@ impl GatLayer {
         GatLayer { heads, negative_slope: 0.2 }
     }
 
-    /// Number of heads.
-    #[must_use]
-    pub fn head_count(&self) -> usize {
-        self.heads.len()
-    }
-
     /// Forward pass.
     ///
     /// `x` is the `(n x in_dim)` node-feature matrix; `edges` lists

@@ -54,7 +54,7 @@ pub use init::{RngState, SeedRng};
 pub use layers::{GatLayer, Linear, Mlp};
 pub use matrix::Matrix;
 pub use optim::{clip_gradients, Adam, AdamState, LrSchedule, Optimizer, Sgd};
-pub use serialize::{decode_params, encode_params, load_params, save_params, WeightFormatError};
+pub use serialize::{decode_params, encode_params, WeightFormatError};
 
 /// The value masked-out logits are pinned to (also used by the
 /// inference path's masked log-softmax, which must stay bit-identical
@@ -168,12 +168,6 @@ impl Params {
         for g in &mut self.grads {
             g.fill(0.0);
         }
-    }
-
-    /// Total number of scalar parameters.
-    #[must_use]
-    pub fn scalar_count(&self) -> usize {
-        self.values.iter().map(|m| m.rows() * m.cols()).sum()
     }
 
     /// Global L2 norm of all gradients.

@@ -242,7 +242,7 @@ impl Matrix {
     /// with separate multiply-then-add per step — bit-identical to the
     /// explicit-transpose product for output widths below 8; on wider
     /// outputs the `Lanes8` matmul fuses its leading column blocks
-    /// (see [`crate::simd::matmul_lanes8`]), so the two agree only
+    /// (see `simd::matmul_lanes8`), so the two agree only
     /// within one rounding per product there. Backward-pass use is
     /// tolerance-governed either way.
     ///
@@ -322,7 +322,7 @@ impl Matrix {
     /// [`crate::simd::axpy`] kernel (separate multiply-then-add) —
     /// bit-identical to the explicit-transpose product for output
     /// widths below 8; on wider outputs the `Lanes8` matmul fuses its
-    /// leading column blocks (see [`crate::simd::matmul_lanes8`]), so
+    /// leading column blocks (see `simd::matmul_lanes8`), so
     /// the two agree only within one rounding per product there.
     ///
     /// # Panics

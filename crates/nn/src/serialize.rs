@@ -6,17 +6,12 @@
 use crate::Params;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"MZW1";
 
 /// Errors from checkpoint loading.
 #[derive(Debug)]
 pub enum WeightFormatError {
-    /// Underlying I/O failure.
-    Io(io::Error),
     /// Missing or wrong magic bytes.
     BadMagic,
     /// Truncated or oversized payload.
@@ -28,7 +23,6 @@ pub enum WeightFormatError {
 impl fmt::Display for WeightFormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WeightFormatError::Io(e) => write!(f, "i/o error: {e}"),
             WeightFormatError::BadMagic => write!(f, "not a MapZero weight file"),
             WeightFormatError::Truncated => write!(f, "weight file truncated"),
             WeightFormatError::ShapeMismatch { index } => {
@@ -38,20 +32,7 @@ impl fmt::Display for WeightFormatError {
     }
 }
 
-impl std::error::Error for WeightFormatError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            WeightFormatError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for WeightFormatError {
-    fn from(e: io::Error) -> Self {
-        WeightFormatError::Io(e)
-    }
-}
+impl std::error::Error for WeightFormatError {}
 
 /// Serialize all parameters into bytes.
 #[must_use]
@@ -112,24 +93,6 @@ pub fn decode_params(params: &mut Params, mut bytes: Bytes) -> Result<(), Weight
     Ok(())
 }
 
-/// Save parameters to a file.
-///
-/// # Errors
-/// Returns any I/O error from writing.
-pub fn save_params(params: &Params, path: impl AsRef<Path>) -> Result<(), WeightFormatError> {
-    fs::write(path, encode_params(params))?;
-    Ok(())
-}
-
-/// Load parameters from a file into an existing store.
-///
-/// # Errors
-/// Returns [`WeightFormatError`] on I/O failure or format mismatch.
-pub fn load_params(params: &mut Params, path: impl AsRef<Path>) -> Result<(), WeightFormatError> {
-    let data = fs::read(path)?;
-    decode_params(params, Bytes::from(data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,18 +117,6 @@ mod tests {
         for (a, b) in src.ids().zip(dst.ids()) {
             assert_eq!(src.value(a), dst.value(b));
         }
-    }
-
-    #[test]
-    fn round_trip_on_disk() {
-        let src = sample_params();
-        let dir = std::env::temp_dir().join("mapzero_nn_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("weights.mzw");
-        save_params(&src, &path).unwrap();
-        let mut dst = sample_params();
-        load_params(&mut dst, &path).unwrap();
-        assert_eq!(src.value(src.ids().next().unwrap()), dst.value(dst.ids().next().unwrap()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Two labeled extensions serve the ops plane (DESIGN.md §11):
 //! [`Family`] adds one bounded-cardinality label dimension (tenant,
 //! engine, outcome) to any instrument, and [`Sketch`] wraps the
-//! mergeable [`QuantileSketch`](crate::quantile::QuantileSketch) as a
+//! mergeable [`QuantileSketch`] as a
 //! registry instrument so `/metrics` can expose true p50/p99 instead of
 //! power-of-two bucket shapes.
 
@@ -19,7 +19,6 @@ use crate::quantile::QuantileSketch;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::Duration;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -97,11 +96,6 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Record a duration in microseconds.
-    pub fn record_duration_us(&self, d: Duration) {
-        self.record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-    }
-
     /// Immutable copy of the current state.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -165,11 +159,6 @@ impl Sketch {
     /// Record one observation.
     pub fn record(&self, value: u64) {
         self.0.lock().unwrap_or_else(PoisonError::into_inner).record(value);
-    }
-
-    /// Record a duration in microseconds.
-    pub fn record_duration_us(&self, d: Duration) {
-        self.record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     }
 
     /// Clone of the current sketch state (itself mergeable).
@@ -283,7 +272,6 @@ pub struct Registry {
     histograms: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
     sketches: Mutex<BTreeMap<&'static str, Arc<Sketch>>>,
     counter_families: Mutex<BTreeMap<&'static str, Arc<Family<Counter>>>>,
-    histogram_families: Mutex<BTreeMap<&'static str, Arc<Family<Histogram>>>>,
     sketch_families: Mutex<BTreeMap<&'static str, Arc<Family<Sketch>>>>,
 }
 
@@ -341,18 +329,6 @@ impl Registry {
         )
     }
 
-    /// The labeled histogram family under `name`.
-    #[must_use]
-    pub fn histogram_family(&self, name: &'static str) -> Arc<Family<Histogram>> {
-        Arc::clone(
-            self.histogram_families
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(name)
-                .or_insert_with(|| Arc::new(Family::new(name))),
-        )
-    }
-
     /// The labeled quantile-sketch family under `name`.
     #[must_use]
     pub fn sketch_family(&self, name: &'static str) -> Arc<Family<Sketch>> {
@@ -387,20 +363,13 @@ impl Registry {
                 counters.insert(labeled_key(family.name(), &label), counter.get());
             }
         }
-        let mut histograms: BTreeMap<String, HistogramSnapshot> = self
+        let histograms: BTreeMap<String, HistogramSnapshot> = self
             .histograms
             .lock()
             .expect("registry poisoned")
             .iter()
             .map(|(&k, v)| (k.to_owned(), v.snapshot()))
             .collect();
-        for family in
-            self.histogram_families.lock().unwrap_or_else(PoisonError::into_inner).values()
-        {
-            for (label, histogram) in family.entries() {
-                histograms.insert(labeled_key(family.name(), &label), histogram.snapshot());
-            }
-        }
         let mut sketches: BTreeMap<String, QuantileSketch> = self
             .sketches
             .lock()

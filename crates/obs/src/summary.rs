@@ -61,28 +61,6 @@ pub fn render_run(telemetry: &RunTelemetry, elapsed: Duration) -> String {
     out
 }
 
-/// Render a full registry snapshot as an aligned name/value table.
-#[must_use]
-pub fn render_metrics(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, value) in &snapshot.counters {
-        let _ = writeln!(out, "{name:<28} {value:>12}");
-    }
-    for (name, value) in &snapshot.gauges {
-        let _ = writeln!(out, "{name:<28} {value:>12}  (gauge)");
-    }
-    for (name, h) in &snapshot.histograms {
-        let _ = writeln!(
-            out,
-            "{name:<28} {:>12} obs, sum {}, mean {:.1}",
-            h.count,
-            h.sum,
-            h.mean()
-        );
-    }
-    out
-}
-
 /// Mangle one metric name for text exposition: `[a-zA-Z0-9_:]` pass
 /// through, everything else (dots in our names) becomes `_`.
 fn expo_name(name: &str) -> String {

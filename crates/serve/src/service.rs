@@ -31,7 +31,7 @@
 //! panic loses borrowed entries, never corrupts the slot).
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreakers};
-use crate::journal::{Journal, JournalSnapshot};
+use crate::journal::Journal;
 use crate::queue::{Job, JobQueue, QueueConfig, SubmitError};
 use crate::slo::{Anomaly, RequestRecord, SloConfig, SloTable};
 use crate::wire::{MapRequest, MapResponse, Outcome};
@@ -443,12 +443,6 @@ impl MapService {
                 eprintln!("serve: journal flush failed: {e}");
             }
         }
-    }
-
-    /// Journal counters, when a journal is attached.
-    #[must_use]
-    pub fn journal_snapshot(&self) -> Option<JournalSnapshot> {
-        self.shared.journal.as_ref().map(Journal::snapshot)
     }
 
     /// Per-tenant circuit-breaker states, sorted by tenant.

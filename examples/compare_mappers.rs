@@ -17,7 +17,7 @@ fn main() {
     let mut mapzero = Compiler::new(MapZeroConfig::fast_test());
     let mut ilp = ExactMapper::default();
     let mut sa = SaMapper::default();
-    let mut lisa = LisaMapper::default();
+    let mut lisa = LisaMapper;
 
     println!("fabric: {}  (time limit {limit:?} per attempt)\n", cgra.name());
     println!(

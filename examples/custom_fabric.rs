@@ -1,6 +1,6 @@
 //! Build a custom heterogeneous CGRA with the fabric builder, inspect
 //! its properties, and map a hand-written DFG onto it — the workflow a
-//! CGRA architect would use for design-space exploration (§4.8).
+//! CGRA architect follows to try a new fabric.
 //!
 //! ```text
 //! cargo run --release --example custom_fabric

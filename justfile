@@ -35,8 +35,8 @@ serve-recovery:
 serve-status:
     scripts/serve_status.sh
 
-# Search-space bench: the §2.5.1 size estimates, written to
-# results/BENCH_search_space.json.
+# Search-space table: the §2.5.1 size estimates, written to
+# results/search_space.csv.
 bench-searchspace:
     cargo run --release -p mapzero-bench --bin search_space
 

@@ -30,6 +30,9 @@ done
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warning-free: no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> telemetry smoke (traced run + JSONL schema check)"
 trace="$(mktemp -t mapzero-ci-trace.XXXXXX.jsonl)"
 trap 'rm -f "$trace"' EXIT

@@ -110,7 +110,7 @@ fn all_mappers_agree_on_achievable_ii_for_tiny_kernel() {
     results.push(Mapper::map(&mut ilp, &dfg, &cgra, LIMIT).unwrap());
     let mut sa = SaMapper::default();
     results.push(Mapper::map(&mut sa, &dfg, &cgra, LIMIT).unwrap());
-    let mut lisa = LisaMapper::default();
+    let mut lisa = LisaMapper;
     results.push(Mapper::map(&mut lisa, &dfg, &cgra, LIMIT).unwrap());
     for r in &results {
         let m = r.mapping.as_ref().unwrap_or_else(|| panic!("{} failed", r.mapper));

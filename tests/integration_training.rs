@@ -3,7 +3,7 @@
 
 use mapzero::core::network::{MapZeroNet, NetConfig};
 use mapzero::core::validate::check_mapping;
-use mapzero::nn::{load_params, save_params};
+use mapzero::nn::{decode_params, encode_params};
 use mapzero::prelude::*;
 use std::time::Duration;
 
@@ -28,13 +28,10 @@ fn trained_weights_survive_checkpoint_round_trip() {
     trainer.run().unwrap();
     let net = trainer.into_net();
 
-    let dir = std::env::temp_dir().join("mapzero_ckpt_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("agent.mzw");
-    save_params(&net.params, &path).unwrap();
+    let bytes = encode_params(&net.params);
 
     let mut restored = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
-    load_params(&mut restored.params, &path).unwrap();
+    decode_params(&mut restored.params, bytes).unwrap();
 
     // Identical predictions after restore.
     let dfg = suite::by_name("sum").unwrap();
