@@ -1,8 +1,7 @@
-//! Fabric connectivity analyses: shortest-path metrics, diameter, and
-//! routing-capacity summaries used by the DSE area/performance models
-//! and the architecture reports.
+//! Fabric connectivity: all-pairs shortest hop distances, the bound
+//! behind candidate pruning's reachability test.
 
-use crate::{Cgra, PeId};
+use crate::Cgra;
 use std::collections::VecDeque;
 
 /// All-pairs shortest hop distances (BFS per source). `None` entries
@@ -29,79 +28,21 @@ pub fn shortest_paths(cgra: &Cgra) -> Vec<Vec<Option<u32>>> {
     out
 }
 
-/// Connectivity metrics of one fabric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FabricMetrics {
-    /// Longest shortest path between reachable pairs.
-    pub diameter: u32,
-    /// Mean shortest path over reachable ordered pairs.
-    pub avg_distance: f64,
-    /// True if every PE reaches every other PE.
-    pub strongly_connected: bool,
-    /// Mean out-degree.
-    pub avg_degree: f64,
-    /// Directed link count.
-    pub links: usize,
-}
-
-/// Compute [`FabricMetrics`].
-#[must_use]
-pub fn metrics(cgra: &Cgra) -> FabricMetrics {
-    let paths = shortest_paths(cgra);
-    let mut diameter = 0u32;
-    let mut total = 0u64;
-    let mut pairs = 0u64;
-    let mut connected = true;
-    let n = cgra.pe_count();
-    for (i, row) in paths.iter().enumerate() {
-        for (j, d) in row.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            match d {
-                Some(d) => {
-                    diameter = diameter.max(*d);
-                    total += u64::from(*d);
-                    pairs += 1;
-                }
-                None => connected = false,
-            }
-        }
-    }
-    FabricMetrics {
-        diameter,
-        avg_distance: if pairs == 0 { 0.0 } else { total as f64 / pairs as f64 },
-        strongly_connected: connected,
-        avg_degree: cgra.link_count() as f64 / n.max(1) as f64,
-        links: cgra.link_count(),
-    }
-}
-
-/// The PEs reachable from `src` within `hops` links (excluding `src`);
-/// the paper's motivational example reasons about exactly this
-/// ("routing capability" of the shaded PEs).
-#[must_use]
-pub fn reachable_within(cgra: &Cgra, src: PeId, hops: u32) -> Vec<PeId> {
-    let paths = shortest_paths(cgra);
-    cgra.pe_ids()
-        .filter(|&p| {
-            p != src
-                && paths[src.index()][p.index()].is_some_and(|d| d <= hops)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{presets, CgraBuilder, Interconnect};
+    use crate::{presets, CgraBuilder, Interconnect, PeId};
+
+    /// Longest shortest path, or `None` if some pair is unreachable.
+    fn diameter(cgra: &Cgra) -> Option<u32> {
+        shortest_paths(cgra).into_iter().flatten().try_fold(0, |d, hops| Some(d.max(hops?)))
+    }
 
     #[test]
     fn mesh_diameter_is_manhattan() {
-        let m = metrics(&presets::simple_mesh(4, 4));
-        assert_eq!(m.diameter, 6); // (0,0) -> (3,3)
-        assert!(m.strongly_connected);
-        assert_eq!(m.links, 48);
+        let g = presets::simple_mesh(4, 4);
+        assert_eq!(diameter(&g), Some(6)); // (0,0) -> (3,3)
+        assert_eq!(shortest_paths(&g)[0][5], Some(2)); // (0,0) -> (1,1)
     }
 
     #[test]
@@ -110,44 +51,16 @@ mod tests {
             .interconnect(Interconnect::Mesh)
             .interconnect(Interconnect::Toroidal)
             .finish();
-        let m = metrics(&torus);
-        assert_eq!(m.diameter, 4); // 2 + 2 with wrap
-        assert!(m.avg_distance < metrics(&presets::simple_mesh(4, 4)).avg_distance);
-    }
-
-    #[test]
-    fn one_hop_links_shrink_distances() {
-        let plain = metrics(&presets::simple_mesh(4, 4));
-        let hop = metrics(
-            &CgraBuilder::new("h", 4, 4)
-                .interconnect(Interconnect::Mesh)
-                .interconnect(Interconnect::OneHop)
-                .finish(),
-        );
-        assert!(hop.diameter < plain.diameter);
-        assert!(hop.avg_degree > plain.avg_degree);
+        assert_eq!(diameter(&torus), Some(4)); // 2 + 2 with wrap
     }
 
     #[test]
     fn disconnected_fabric_detected() {
         // Extra-links-only builder with a single link: not connected.
         let g = CgraBuilder::new("d", 2, 2).link(PeId(0), PeId(1)).finish();
-        let m = metrics(&g);
-        assert!(!m.strongly_connected);
-    }
-
-    #[test]
-    fn reachability_matches_motivational_example() {
-        let g = presets::motivational2x3();
-        // Shaded pe1 reaches more PEs in one hop than plain pe5.
-        let strong = reachable_within(&g, PeId(1), 1).len();
-        let weak = reachable_within(&g, PeId(5), 1).len();
-        assert!(strong > weak, "{strong} vs {weak}");
-        // Everything reaches everything within the fabric diameter.
-        let m = metrics(&g);
-        assert_eq!(
-            reachable_within(&g, PeId(0), m.diameter).len(),
-            g.pe_count() - 1
-        );
+        let paths = shortest_paths(&g);
+        assert_eq!(paths[0][1], Some(1));
+        assert_eq!(paths[1][0], None, "links are directed");
+        assert_eq!(diameter(&g), None);
     }
 }

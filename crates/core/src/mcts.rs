@@ -1170,8 +1170,7 @@ mod tests {
         /// With `leaf_batch == 1` the batched loop is bit-identical to
         /// the one-leaf-at-a-time loop: same best action, visit
         /// distribution, root value, tree size and solution presence,
-        /// with and without candidate pruning. Run under
-        /// `MAPZERO_SIMD=scalar` too (see `scripts/ci.sh`).
+        /// with and without candidate pruning.
         #[test]
         fn batch_of_one_is_bit_identical_to_scalar_loop(
             dfg in dfg_strategy(),

@@ -6,7 +6,7 @@ use crate::embed::Observation;
 use mapzero_nn::infer::{log_softmax_masked_fused_into, log_softmax_masked_into};
 use mapzero_nn::{
     clip_gradients, Adam, AdamState, BufId, GatLayer, InferCtx, Linear, Matrix,
-    MessageIndex, Mlp, Optimizer, Params, SeedRng,
+    MessageIndex, Mlp, Params, SeedRng,
 };
 use std::cell::RefCell;
 
@@ -870,8 +870,7 @@ mod tests {
 
     /// The tape-free train step must leave the parameters, the Adam
     /// state and the reported losses bit-identical to the tape step,
-    /// after every one of several consecutive updates. Run under
-    /// `MAPZERO_SIMD=scalar` too (see `scripts/ci.sh`).
+    /// after every one of several consecutive updates.
     #[test]
     fn train_batch_matches_tape_reference_bitwise() {
         let samples = mixed_samples();
@@ -957,8 +956,7 @@ mod tests {
         /// Tape-free predict, and `predict_batch` at K=1, equal the
         /// tape forward bit for bit at random points of random episodes,
         /// on the first call and on a repeat (which reuses the
-        /// per-thread message indices). Run under `MAPZERO_SIMD=scalar`
-        /// too (see `scripts/ci.sh`).
+        /// per-thread message indices).
         #[test]
         fn fast_predict_is_bit_identical_to_reference(
             dfg in dfg_strategy(),

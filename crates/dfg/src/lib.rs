@@ -45,16 +45,13 @@ mod error;
 mod graph;
 mod op;
 
-pub mod analysis;
 pub mod dot;
 pub mod features;
-pub mod kernels;
 pub mod mii;
 pub mod random;
 pub mod schedule;
 pub mod suite;
 pub mod textfmt;
-pub mod transform;
 
 pub use error::DfgError;
 pub use graph::{Dfg, DfgBuilder, Edge, EdgeId, Node, NodeId};

@@ -104,7 +104,7 @@ pub fn small() -> Vec<Dfg> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random::is_weakly_connected;
+    use crate::random::tests::is_weakly_connected;
 
     #[test]
     fn table2_counts_match_exactly() {

@@ -194,8 +194,8 @@ impl Graph {
         self.push(Op::Relu(a), v)
     }
 
-    /// Hyperbolic tangent (kernel-dispatched so the tape and tape-free
-    /// forwards stay bit-identical under either SIMD kind).
+    /// Hyperbolic tangent (the same kernel as [`crate::InferCtx::tanh`], so the
+    /// tape and tape-free forwards stay bit-identical).
     pub fn tanh(&mut self, a: VarId) -> VarId {
         let mut v = self.value(a).clone();
         crate::simd::tanh_map(v.data_mut());
@@ -270,8 +270,8 @@ impl Graph {
         let mut sum = vec![0.0f32; nseg];
         let mut exps: Vec<f32> =
             seg.iter().enumerate().map(|(i, &s)| va[(i, 0)] - max[s]).collect();
-        // Same dispatched exp kernel as `InferCtx::segment_softmax`, so
-        // tape and tape-free softmax stay bit-identical per kind.
+        // Same exp kernel as the fused GAT pass, so tape and tape-free
+        // softmax stay bit-identical.
         crate::simd::exp_neg_map(&mut exps);
         for (&e, &s) in exps.iter().zip(seg) {
             sum[s] += e;

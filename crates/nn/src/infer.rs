@@ -225,10 +225,10 @@ impl InferCtx {
     /// `index.n()`); each copy runs over the same index with its own
     /// row offset. Bit-identical per copy to the tape chain
     /// `gather_rows` → `add` → `leaky_relu` → `segment_softmax` →
-    /// `col_mul` → `scatter_add_rows` under either [`crate::simd::SimdKind`]:
-    /// the CSR keeps every destination's messages in ascending edge
-    /// order, so each output element sees the same operations on the
-    /// same values in the same order. See `simd::gat_aggregate`.
+    /// `col_mul` → `scatter_add_rows`: the CSR keeps every
+    /// destination's messages in ascending edge order, so each output
+    /// element sees the same operations on the same values in the same
+    /// order. See `simd::gat_aggregate`.
     ///
     /// # Panics
     /// Panics on shape mismatches, if `rows` is not a positive multiple
@@ -486,8 +486,7 @@ pub fn log_softmax_masked_into(logits: &[f32], mask: &[bool], out: &mut Vec<f32>
 /// sum. Results therefore match the scalar form only within the kernel
 /// tolerance contract (≤1e-5); masked entries are still exactly
 /// `NEG_INF`. Used by the K>1 batched forward, whose contract is
-/// tolerance- rather than bit-governed; honors `MAPZERO_SIMD=scalar`,
-/// under which it degrades to the scalar form exactly.
+/// tolerance- rather than bit-governed.
 ///
 /// # Panics
 /// Same contract as [`log_softmax_masked_into`].

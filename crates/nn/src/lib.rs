@@ -13,8 +13,8 @@
 //!   primitives (gather / scatter-add / per-segment softmax) required by
 //!   graph attention layers — the reference the tape-free paths are
 //!   held to,
-//! * optimizers: SGD with momentum and Adam, both with gradient
-//!   clipping, plus step-decay learning-rate schedules,
+//! * the Adam optimizer with gradient clipping, plus step-decay
+//!   learning-rate schedules,
 //! * deterministic Xavier initialization and a self-describing binary
 //!   weight format.
 //!
@@ -53,7 +53,7 @@ pub use infer::{BufId, InferCtx, MessageIndex};
 pub use init::{RngState, SeedRng};
 pub use layers::{GatLayer, Linear, Mlp};
 pub use matrix::Matrix;
-pub use optim::{clip_gradients, Adam, AdamState, LrSchedule, Optimizer, Sgd};
+pub use optim::{clip_gradients, Adam, AdamState, LrSchedule};
 pub use serialize::{decode_params, encode_params, WeightFormatError};
 
 /// The value masked-out logits are pinned to (also used by the

@@ -169,67 +169,25 @@ impl Matrix {
     /// rhs.cols`.
     ///
     /// Each output element accumulates its `k` contributions in
-    /// ascending order with the same zero skip regardless of kernel
-    /// kind. Under `Lanes8` the register-blocked columns fuse each
-    /// product into its accumulation (`mul_add`, one rounding instead
-    /// of two — see [`crate::simd::matmul_lanes8`]), so the two kinds
-    /// can differ by that rounding; what the inference path pins on is
-    /// that the tape and tape-free forwards share this one kernel, so
-    /// they agree bitwise under whichever kind is active.
+    /// ascending order with the zero skip. The register-blocked columns
+    /// fuse each product into its accumulation (`mul_add`, one rounding
+    /// instead of two — see `simd::matmul_acc`); what the inference
+    /// path pins on is that the tape and tape-free forwards share this
+    /// one kernel, so they agree bitwise.
     fn accumulate_matmul(&self, rhs: &Matrix, out: &mut Matrix) {
         if rhs.cols == 1 {
             // Matvec (attention-score projections are the common case):
             // each output element is a single accumulation over one row
-            // of `self` and the contiguous column vector — one fused
-            // loop per row instead of one length-1 axpy call per
-            // (row, k) pair. Accumulation order and the zero skip are
-            // exactly those of the axpy loop below, so this stays
-            // bit-identical under either kernel kind; the `Lanes8`
-            // selection interleaves four rows' accumulator chains to
-            // hide the add latency (see `simd::matvec_lanes8`).
-            if matches!(crate::simd::kind(), crate::simd::SimdKind::Lanes8) {
-                crate::simd::matvec_lanes8(&self.data, self.cols, &rhs.data, &mut out.data);
-                return;
-            }
-            for i in 0..self.rows {
-                let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                let mut acc = out.data[i];
-                for (&a, &b) in a_row.iter().zip(&rhs.data) {
-                    if a != 0.0 {
-                        acc += a * b;
-                    }
-                }
-                out.data[i] = acc;
-            }
+            // of `self` and the contiguous column vector, four rows'
+            // accumulator chains interleaved to hide the add latency
+            // (see `simd::matvec_acc`).
+            crate::simd::matvec_acc(&self.data, self.cols, &rhs.data, &mut out.data);
             return;
         }
-        // Resolve the kernel kind once: the per-call atomic load and
-        // match inside `simd::axpy` are measurable at head-dim-sized
-        // rows (thousands of 16-element calls per forward), and hoisting
-        // lets LLVM unswitch the nested loop into two specialized
-        // bodies with the kernel inlined.
-        let kind = crate::simd::kind();
-        match kind {
-            crate::simd::SimdKind::Scalar => {
-                for i in 0..self.rows {
-                    for k in 0..self.cols {
-                        let a = self.data[i * self.cols + k];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let lhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                        let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                        crate::simd::axpy_scalar(out_row, a, lhs_row);
-                    }
-                }
-            }
-            crate::simd::SimdKind::Lanes8 => {
-                // Register-blocked fused accumulation in `simd` (one
-                // AVX2+FMA dispatch for the whole product — see
-                // `simd::matmul_lanes8` for the rounding contract).
-                crate::simd::matmul_lanes8(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
-            }
-        }
+        // Register-blocked fused accumulation in `simd` (one AVX2+FMA
+        // dispatch for the whole product — see `simd::matmul_acc` for the
+        // rounding contract).
+        crate::simd::matmul_acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
     /// Matrix product `self x rhsᵀ` without materializing the
@@ -241,8 +199,8 @@ impl Matrix {
     /// skip of zero left-hand elements as `self.matmul(&rhs.transpose())`,
     /// with separate multiply-then-add per step — bit-identical to the
     /// explicit-transpose product for output widths below 8; on wider
-    /// outputs the `Lanes8` matmul fuses its leading column blocks
-    /// (see `simd::matmul_lanes8`), so the two agree only
+    /// outputs the matmul fuses its leading column blocks
+    /// (see `simd::matmul_acc`), so the two agree only
     /// within one rounding per product there. Backward-pass use is
     /// tolerance-governed either way.
     ///
@@ -321,8 +279,8 @@ impl Matrix {
     /// `self.transpose().matmul(rhs)`, through the order-preserving
     /// [`crate::simd::axpy`] kernel (separate multiply-then-add) —
     /// bit-identical to the explicit-transpose product for output
-    /// widths below 8; on wider outputs the `Lanes8` matmul fuses its
-    /// leading column blocks (see `simd::matmul_lanes8`), so
+    /// widths below 8; on wider outputs the matmul fuses its
+    /// leading column blocks (see `simd::matmul_acc`), so
     /// the two agree only within one rounding per product there.
     ///
     /// # Panics

@@ -1,55 +1,6 @@
-//! Optimizers, gradient clipping and learning-rate schedules.
+//! The Adam optimizer, gradient clipping and learning-rate schedules.
 
 use crate::{Matrix, Params};
-
-/// Common optimizer interface: consume the accumulated gradients in
-/// `params` and update the values (gradients are *not* zeroed; call
-/// [`Params::zero_grads`] afterwards).
-pub trait Optimizer {
-    /// Apply one update step with the given learning rate.
-    fn step(&mut self, params: &mut Params, lr: f32);
-}
-
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    momentum: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Create with the given momentum coefficient (0 disables momentum).
-    #[must_use]
-    pub fn new(momentum: f32) -> Self {
-        Sgd { momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Params, lr: f32) {
-        let ids: Vec<_> = params.ids().collect();
-        if self.velocity.len() != ids.len() {
-            self.velocity = ids
-                .iter()
-                .map(|&id| {
-                    let g = params.grad(id);
-                    Matrix::zeros(g.rows(), g.cols())
-                })
-                .collect();
-        }
-        for (i, id) in ids.into_iter().enumerate() {
-            // v = momentum*v - lr*g, fused in place (no scaled copy,
-            // no delta clone — the old defensive clones were pure
-            // allocator traffic).
-            let v = &mut self.velocity[i];
-            v.scale_assign(self.momentum);
-            for (vi, &gi) in v.data_mut().iter_mut().zip(params.grad(id).data()) {
-                *vi -= lr * gi;
-            }
-            params.value_mut(id).add_assign(v);
-        }
-    }
-}
 
 /// Adam optimizer.
 #[derive(Debug, Clone)]
@@ -100,16 +51,11 @@ impl Adam {
         self.m = state.m;
         self.v = state.v;
     }
-}
 
-impl Default for Adam {
-    fn default() -> Self {
-        Adam::new()
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut Params, lr: f32) {
+    /// Apply one update step with the given learning rate, consuming
+    /// the accumulated gradients in `params` (gradients are *not*
+    /// zeroed; call [`Params::zero_grads`] afterwards).
+    pub fn step(&mut self, params: &mut Params, lr: f32) {
         let ids: Vec<_> = params.ids().collect();
         if self.m.len() != ids.len() {
             self.m = ids
@@ -145,6 +91,12 @@ impl Optimizer for Adam {
                 *val -= lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
+    }
+}
+
+impl Default for Adam {
+    fn default() -> Self {
+        Adam::new()
     }
 }
 
@@ -211,29 +163,6 @@ mod tests {
         let out = g.value(loss)[(0, 0)];
         g.backward(loss, params);
         out
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let (mut params, id) = quadratic_setup();
-        let mut opt = Sgd::new(0.0);
-        let first = accumulate_quadratic_grad(&mut params, id);
-        opt.step(&mut params, 0.1);
-        params.zero_grads();
-        let second = accumulate_quadratic_grad(&mut params, id);
-        assert!(second < first);
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let (mut params, id) = quadratic_setup();
-        let mut opt = Sgd::new(0.9);
-        for _ in 0..200 {
-            let _ = accumulate_quadratic_grad(&mut params, id);
-            opt.step(&mut params, 0.01);
-            params.zero_grads();
-        }
-        assert!(params.value(id).norm() < 0.1);
     }
 
     #[test]

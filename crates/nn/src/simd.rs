@@ -1,32 +1,30 @@
-//! Explicit-SIMD f32 kernels with a scalar fallback, selected once at
-//! runtime.
+//! Explicit-SIMD f32 kernels: one kernel family, with AVX2+FMA twins
+//! picked once per process from the CPU.
 //!
 //! `std::simd` is still nightly-only, so these kernels are written as
 //! manually 8-lane-unrolled loops over fixed-size `[f32; 8]` blocks —
 //! the shape LLVM reliably turns into vector instructions on every
-//! target the workspace builds for — plus a scalar remainder for ragged
-//! tails. `MAPZERO_SIMD=scalar` (or `off`/`0`) forces the scalar
-//! fallback, which is useful for bisecting numeric differences and for
-//! benchmarking the kernels against their reference forms.
+//! target the workspace builds for — plus a sequential remainder for
+//! ragged tails. The kernel tests hold each body to a sequential
+//! reference loop.
 //!
 //! # Determinism contract
 //!
-//! The kernels come in two flavours with different guarantees:
+//! The kernels come in three flavours with different guarantees:
 //!
 //! - **Order-preserving** ([`axpy`], [`max_masked`]): every output
 //!   element sees exactly the operations, in exactly the order, of the
-//!   scalar reference loop (`axpy` touches each lane independently;
+//!   sequential reference loop (`axpy` touches each lane independently;
 //!   `max` is associative and commutative over non-NaN floats). These
-//!   are **bit-exact** under either [`SimdKind`] and are safe inside
-//!   paths pinned by bit-equality tests, e.g. the forward pass that
-//!   must match `predict_reference`. One carve-out: the `Lanes8`
-//!   matmul's register-blocked columns fuse each product into its
-//!   accumulation (`mul_add`, one rounding instead of two), so for the
-//!   general matmul shape the two kinds differ by that rounding — but
-//!   the order, the zero skip, and the per-element operation sequence
-//!   are still fixed by shape alone, and every forward path (tape,
-//!   tape-free, batched) runs the same kernel, so all paths remain
-//!   mutually bit-identical under whichever kind is active.
+//!   are **bit-exact** to it and are safe inside paths pinned by
+//!   bit-equality tests, e.g. the forward pass that must match the tape
+//!   reference. One carve-out: the matmul's register-blocked columns
+//!   fuse each product into its accumulation (`mul_add`, one rounding
+//!   instead of two), so for the general matmul shape it differs from a
+//!   multiply-then-add loop by that rounding — but the order, the zero
+//!   skip, and the per-element operation sequence are still fixed by
+//!   shape alone, and every forward path (tape, tape-free, batched) runs
+//!   the same kernel, so all paths remain mutually bit-identical.
 //! - **Fused-order** ([`dot`], [`sum_exp_masked`]): the reduction runs
 //!   in 8 parallel accumulators folded with a fixed tree, which
 //!   reassociates the floating-point sum. Results match the sequential
@@ -35,107 +33,55 @@
 //!   tolerance contract against the sequential form: the matmul input
 //!   gradient (shared by the tape and the tape-free backward, which
 //!   therefore agree bitwise) and the K>1 batched-inference softmax.
-//! - **Elementwise-approximate** ([`tanh1`], [`tanh_map`]): under
-//!   `Lanes8` a vectorizable polynomial replaces the libm call, within
-//!   1e-5 absolute of it. The output depends only on the input bits and
-//!   the active kind — never on position or batch composition — so all
-//!   forward paths (tape, tape-free, batched) remain mutually
-//!   bit-identical under whichever kind is active; only cross-kind runs
-//!   differ.
+//! - **Elementwise-approximate** ([`tanh1`], [`tanh_map`],
+//!   [`exp_neg_map`]): a vectorizable polynomial replaces the libm call,
+//!   within 1e-5 of it. The output depends only on the input bits —
+//!   never on position or batch composition — so all forward paths
+//!   (tape, tape-free, batched) remain mutually bit-identical.
 //!
-//! On x86-64 the `Lanes8` kernels additionally dispatch (cached runtime
-//! detection of AVX2 + FMA) to `#[target_feature(enable = "avx2,fma")]`
+//! On x86-64 the kernels dispatch (cached runtime detection of AVX2 +
+//! FMA, reported by [`kind`]) to `#[target_feature(enable = "avx2,fma")]`
 //! twins of the same bodies. Bodies written as `a*b + c` stay separate
 //! multiply-then-add — Rust never contracts them — so their twins
 //! change throughput, never bits. Bodies written with `mul_add` (the
 //! matmul column blocks) mean fused single-rounding semantics on every
-//! path: hardware FMA inside the twins, libm `fmaf` in the non-AVX2
-//! fallback — same bits either way, the fallback is just slower (it
-//! only runs on pre-2013 x86-64 or non-x86 hosts).
+//! path: hardware FMA inside the twins, libm `fmaf` in the portable
+//! body — same bits either way, the portable body is just slower (it
+//! only runs on pre-2013 x86-64 or non-x86 hosts). The unit test
+//! `avx2_twins_match_portable_bodies_bitwise` pins this.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which kernel family [`kind`] selected for this process.
+/// The kernel build [`kind`] detected on this CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdKind {
-    /// Plain sequential loops (reference semantics).
-    Scalar,
-    /// 8-lane unrolled kernels.
-    Lanes8,
+    /// x86-64 with AVX2 and FMA: every dispatching kernel runs its
+    /// `#[target_feature(enable = "avx2,fma")]` twin.
+    Avx2Fma,
+    /// Any other CPU: the same bodies at the target's baseline features.
+    Portable,
 }
 
-const KIND_UNSET: u8 = 0;
-const KIND_SCALAR: u8 = 1;
-const KIND_LANES8: u8 = 2;
-
-static KIND: AtomicU8 = AtomicU8::new(KIND_UNSET);
-
-/// Runtime kernel selection, decided once per process from the
-/// environment: 8-lane unrolled kernels unless `MAPZERO_SIMD` is set to
-/// `scalar`, `off`, or `0`. [`force_kind`] can override the selection
-/// afterwards (benchmark support).
+/// The kernel build in use, detected once per process from the CPU.
+/// Both builds compile the same bodies and give the same bits; only
+/// throughput differs.
 #[must_use]
 pub fn kind() -> SimdKind {
-    match KIND.load(Ordering::Relaxed) {
-        KIND_SCALAR => SimdKind::Scalar,
-        KIND_LANES8 => SimdKind::Lanes8,
-        _ => {
-            let selected = match std::env::var("MAPZERO_SIMD").as_deref() {
-                Ok("scalar" | "off" | "0") => SimdKind::Scalar,
-                _ => SimdKind::Lanes8,
-            };
-            force_kind(selected);
-            selected
-        }
+    if avx2() {
+        SimdKind::Avx2Fma
+    } else {
+        SimdKind::Portable
     }
 }
 
-/// Override the kernel selection for the rest of the process (or until
-/// the next call). Test support: the kernel oracles run both kinds
-/// inside one process. Normal operation never switches kinds mid-run —
-/// predictions are deterministic per kind, not across kinds.
-pub fn force_kind(k: SimdKind) {
-    let code = match k {
-        SimdKind::Scalar => KIND_SCALAR,
-        SimdKind::Lanes8 => KIND_LANES8,
-    };
-    KIND.store(code, Ordering::Relaxed);
-}
-
-const LANES: usize = 8;
-
-/// `out[j] += a * x[j]` — the axpy update behind every matmul in the
-/// workspace. Each lane is read-modify-written independently, so the
-/// unrolled form is bit-exact to the scalar loop and safe in
-/// bit-equality-pinned paths.
-///
-/// # Panics
-/// Panics unless `out.len() == x.len()`.
-#[inline]
-pub fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
-    assert_eq!(out.len(), x.len(), "axpy length mismatch");
-    match kind() {
-        SimdKind::Scalar => axpy_scalar(out, a, x),
-        SimdKind::Lanes8 => axpy_lanes8(out, a, x),
-    }
-}
-
-#[inline]
-pub(crate) fn axpy_scalar(out: &mut [f32], a: f32, x: &[f32]) {
-    for (o, &b) in out.iter_mut().zip(x) {
-        *o += a * b;
-    }
-}
-
-/// Cached AVX2+FMA runtime detection for the `Lanes8` kernels. The
-/// twins run the *same* Rust bodies compiled for 256-bit registers:
-/// `a*b + c` bodies keep separate multiply-then-add (Rust never
-/// contracts them) and `mul_add` bodies are fused on either path
-/// (hardware FMA in the twin, libm `fmaf` in the fallback), so the
-/// detection outcome changes throughput, never bits.
+/// Cached AVX2+FMA runtime detection. The twins run the *same* Rust
+/// bodies compiled for 256-bit registers: `a*b + c` bodies keep
+/// separate multiply-then-add (Rust never contracts them) and `mul_add`
+/// bodies are fused on either path (hardware FMA in the twin, libm
+/// `fmaf` in the portable body), so the detection outcome changes
+/// throughput, never bits.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx2() -> bool {
+    use std::sync::atomic::{AtomicU8, Ordering};
     static AVX2: AtomicU8 = AtomicU8::new(0);
     match AVX2.load(Ordering::Relaxed) {
         1 => true,
@@ -149,8 +95,44 @@ fn avx2() -> bool {
     }
 }
 
+/// No AVX2 twins exist off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+fn avx2() -> bool {
+    false
+}
+
+const LANES: usize = 8;
+
+/// `out[j] += a * x[j]` — the axpy update behind every matmul in the
+/// workspace. Each lane is read-modify-written independently, so the
+/// unrolled form is bit-exact to the sequential loop and safe in
+/// bit-equality-pinned paths.
+///
+/// # Panics
+/// Panics unless `out.len() == x.len()`.
+#[inline]
+pub fn axpy(out: &mut [f32], a: f32, x: &[f32]) {
+    assert_eq!(out.len(), x.len(), "axpy length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { axpy_avx2(out, a, x) };
+    }
+    axpy_body(out, a, x)
+}
+
+/// The sequential axpy: the ragged tail of [`axpy_body`] and its
+/// reference.
+#[inline]
+fn axpy_scalar(out: &mut [f32], a: f32, x: &[f32]) {
+    for (o, &b) in out.iter_mut().zip(x) {
+        *o += a * b;
+    }
+}
+
 #[inline(always)]
-fn axpy_lanes8_body(out: &mut [f32], a: f32, x: &[f32]) {
+fn axpy_body(out: &mut [f32], a: f32, x: &[f32]) {
     let mut oc = out.chunks_exact_mut(LANES);
     let mut xc = x.chunks_exact(LANES);
     for (o, b) in oc.by_ref().zip(xc.by_ref()) {
@@ -165,65 +147,44 @@ fn axpy_lanes8_body(out: &mut [f32], a: f32, x: &[f32]) {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn axpy_lanes8_avx2(out: &mut [f32], a: f32, x: &[f32]) {
-    axpy_lanes8_body(out, a, x);
-}
-
-#[inline]
-pub(crate) fn axpy_lanes8(out: &mut [f32], a: f32, x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-        return unsafe { axpy_lanes8_avx2(out, a, x) };
-    }
-    axpy_lanes8_body(out, a, x)
+fn axpy_avx2(out: &mut [f32], a: f32, x: &[f32]) {
+    axpy_body(out, a, x);
 }
 
 /// `out += lhsᵀ · rhs` for row-major `lhs` (`rows x cols`), `rhs`
 /// (`rows x n`) and `out` (`cols x n`): per `lhs` element in row-major
 /// order, skipping zeros, one [`axpy`] of its `rhs` row into an `out`
 /// row — the loop behind [`crate::Matrix::transpose_matmul`]. Each
-/// output element takes its terms in ascending row order. The kernel
-/// kind is resolved once per product instead of once per `axpy`, which
-/// dominates at the network's row widths of 1 to 16; the bodies are
-/// [`axpy`]'s, so the bits are too.
+/// output element takes its terms in ascending row order. The AVX2
+/// dispatch is resolved once per product instead of once per `axpy`,
+/// which dominates at the network's row widths of 1 to 16; the bodies
+/// are [`axpy`]'s, so the bits are too.
 pub(crate) fn transpose_matmul_acc(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
-    match kind() {
-        SimdKind::Scalar => transpose_matmul_body::<false>(lhs, cols, rhs, n, out),
-        SimdKind::Lanes8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2() {
-                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-                return unsafe { transpose_matmul_avx2(lhs, cols, rhs, n, out) };
-            }
-            transpose_matmul_body::<true>(lhs, cols, rhs, n, out);
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { transpose_matmul_avx2(lhs, cols, rhs, n, out) };
     }
+    transpose_matmul_body(lhs, cols, rhs, n, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn transpose_matmul_avx2(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
-    transpose_matmul_body::<true>(lhs, cols, rhs, n, out);
+    transpose_matmul_body(lhs, cols, rhs, n, out);
 }
 
 #[inline(always)]
-fn transpose_matmul_body<const LANES8: bool>(
-    lhs: &[f32],
-    cols: usize,
-    rhs: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
+fn transpose_matmul_body(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
     for (a_row, b_row) in lhs.chunks_exact(cols).zip(rhs.chunks_exact(n)) {
         for (out_row, &a) in out.chunks_exact_mut(n).zip(a_row) {
             if a == 0.0 {
                 continue;
             }
-            // Below one lane block the `Lanes8` body is its scalar
+            // Below one lane block the unrolled body is its sequential
             // remainder loop; skip its setup.
-            if LANES8 && n >= LANES {
-                axpy_lanes8_body(out_row, a, b_row);
+            if n >= LANES {
+                axpy_body(out_row, a, b_row);
             } else {
                 axpy_scalar(out_row, a, b_row);
             }
@@ -233,46 +194,37 @@ fn transpose_matmul_body<const LANES8: bool>(
 
 /// `out[i][j] += dot(lhs row i, rhs row j)` for row-major `lhs`
 /// (`rows x k`), `rhs` (`m x k`) and `out` (`rows x m`), with each
-/// product from [`dot`]'s body for the active kind — the input-side
-/// gradient of a matmul, resolved once per product.
+/// product from [`dot`]'s body — the input-side gradient of a matmul,
+/// with one AVX2 dispatch per product.
 pub(crate) fn matmul_transposed_acc(lhs: &[f32], rhs: &[f32], k: usize, out: &mut [f32]) {
-    match kind() {
-        SimdKind::Scalar => matmul_transposed_body::<false>(lhs, rhs, k, out),
-        SimdKind::Lanes8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2() {
-                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-                return unsafe { matmul_transposed_avx2(lhs, rhs, k, out) };
-            }
-            matmul_transposed_body::<true>(lhs, rhs, k, out);
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { matmul_transposed_avx2(lhs, rhs, k, out) };
     }
+    matmul_transposed_body(lhs, rhs, k, out);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn matmul_transposed_avx2(lhs: &[f32], rhs: &[f32], k: usize, out: &mut [f32]) {
-    matmul_transposed_body::<true>(lhs, rhs, k, out);
+    matmul_transposed_body(lhs, rhs, k, out);
 }
 
 #[inline(always)]
-fn matmul_transposed_body<const LANES8: bool>(lhs: &[f32], rhs: &[f32], k: usize, out: &mut [f32]) {
+fn matmul_transposed_body(lhs: &[f32], rhs: &[f32], k: usize, out: &mut [f32]) {
     let m = rhs.len() / k;
     for (a_row, out_row) in lhs.chunks_exact(k).zip(out.chunks_exact_mut(m)) {
         for (o, b_row) in out_row.iter_mut().zip(rhs.chunks_exact(k)) {
-            // Below one lane block `dot_lanes8` folds eight zero lanes
+            // Below one lane block `dot_body` folds eight zero lanes
             // onto its sequential tail, i.e. returns `0.0 + dot_scalar`.
-            *o += match (LANES8, k < LANES) {
-                (true, false) => dot_lanes8(a_row, b_row),
-                (true, true) => 0.0 + dot_scalar(a_row, b_row),
-                (false, _) => dot_scalar(a_row, b_row),
-            };
+            *o += if k < LANES { 0.0 + dot_scalar(a_row, b_row) } else { dot_body(a_row, b_row) };
         }
     }
 }
 
-/// The `Lanes8` matmul accumulation loop behind
-/// [`crate::Matrix::matmul`]: `out` (`rows x n`, row-major) accumulates
+/// The matmul accumulation loop behind [`crate::Matrix::matmul`]:
+/// `out` (`rows x n`, row-major) accumulates
 /// `lhs` (`rows x cols`) times `rhs` (`cols x n`). Register-blocked:
 /// output rows are processed four at a time in fixed-width column
 /// chunks (16/8 columns, then a ragged tail of fewer than 8) whose
@@ -280,18 +232,18 @@ fn matmul_transposed_body<const LANES8: bool>(lhs: &[f32], rhs: &[f32], k: usize
 /// and are stored once — instead of the output row being loaded and
 /// stored again per `k` step. The 16/8-column blocks accumulate with
 /// `mul_add` (fused, one rounding per product), so this kernel differs
-/// from the scalar one by at most that rounding; the order and the zero
-/// skip are exactly the scalar kernel's, and which columns fuse is
-/// fixed by the shape alone (`n - n % 8` leading columns), never by
-/// row, batch composition, or CPU. The ragged tail keeps separate
-/// multiply-then-add, so it is bit-exact to the scalar kernel.
+/// from a sequential multiply-then-add loop by at most that rounding;
+/// the order and the zero skip are exactly that loop's, and which
+/// columns fuse is fixed by the shape alone (`n - n % 8` leading
+/// columns), never by row, batch composition, or CPU. The ragged tail
+/// keeps separate multiply-then-add, so it is bit-exact to that loop.
 ///
 /// Lives here (not in `matrix.rs`) so the whole loop gets one AVX2
 /// dispatch per matmul with the block kernels inlined into the twin.
 ///
 /// # Panics
 /// Panics if the slice lengths are inconsistent with `cols`/`n`.
-pub(crate) fn matmul_lanes8(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+pub(crate) fn matmul_acc(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
     if cols == 0 {
         return;
     }
@@ -300,15 +252,15 @@ pub(crate) fn matmul_lanes8(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out
     #[cfg(target_arch = "x86_64")]
     if avx2() {
         // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-        return unsafe { matmul_lanes8_avx2(lhs, cols, rhs, n, out) };
+        return unsafe { matmul_acc_avx2(lhs, cols, rhs, n, out) };
     }
-    matmul_lanes8_kernel(lhs, cols, rhs, n, out)
+    matmul_kernel(lhs, cols, rhs, n, out)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn matmul_lanes8_avx2(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
-    matmul_lanes8_kernel(lhs, cols, rhs, n, out);
+fn matmul_acc_avx2(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    matmul_kernel(lhs, cols, rhs, n, out);
 }
 
 /// One accumulation step: fused (`mul_add`, one rounding) in the
@@ -326,8 +278,8 @@ fn madd<const FUSED: bool>(a: f32, r: f32, acc: f32) -> f32 {
 /// in a fixed-size accumulator array — registers, once vectorized —
 /// across the whole ascending-`k` loop and stored once, instead of
 /// being loaded and stored again per `k` step. Per lane the
-/// accumulations run in exactly the scalar kernel's order with the
-/// same zero skip (see [`matmul_lanes8`] for the rounding contract).
+/// accumulations run in ascending `k` order with the zero skip (see
+/// [`matmul_acc`] for the rounding contract).
 #[inline(always)]
 fn matmul_row_block<const W: usize, const FUSED: bool>(
     a_row: &[f32],
@@ -442,7 +394,7 @@ fn matmul_one_row(a_row: &[f32], rhs: &[f32], n: usize, out_row: &mut [f32]) {
 }
 
 #[inline(always)]
-fn matmul_lanes8_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+fn matmul_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
     let mut lhs_quads = lhs.chunks_exact(4 * cols);
     let mut out_quads = out.chunks_exact_mut(4 * n);
     for (lq, oq) in lhs_quads.by_ref().zip(out_quads.by_ref()) {
@@ -494,17 +446,18 @@ fn matmul_lanes8_kernel(lhs: &[f32], cols: usize, rhs: &[f32], n: usize, out: &m
     }
 }
 
-/// The `Lanes8` matvec loop behind [`crate::Matrix::matmul`] when the
+/// The matvec loop behind [`crate::Matrix::matmul`] when the
 /// right-hand side is a single column (the attention-score projections
 /// `hw · a`): four output rows are accumulated as interleaved
 /// independent chains, so one row's serial float-add latency overlaps
 /// the other three. Each row still accumulates its products in
-/// ascending `k` order with the same zero skip as the scalar matvec
-/// loop, so the result is bit-identical to it.
+/// ascending `k` order with the zero skip and separate
+/// multiply-then-add, so the result is bit-identical to the sequential
+/// loop.
 ///
 /// # Panics
 /// Panics if the slice lengths are inconsistent with `cols`.
-pub(crate) fn matvec_lanes8(lhs: &[f32], cols: usize, rhs: &[f32], out: &mut [f32]) {
+pub(crate) fn matvec_acc(lhs: &[f32], cols: usize, rhs: &[f32], out: &mut [f32]) {
     if cols == 0 {
         return;
     }
@@ -559,9 +512,8 @@ pub(crate) fn matvec_lanes8(lhs: &[f32], cols: usize, rhs: &[f32], out: &mut [f3
 ///
 /// 1. scores `LeakyReLU(score_dst[v] + score_src[u])`, each
 ///    destination's running max, and the max-shifted scores;
-/// 2. one elementwise `exp` over all of them — libm under
-///    [`SimdKind::Scalar`], the [`exp_neg_map`] polynomial under
-///    [`SimdKind::Lanes8`];
+/// 2. one elementwise `exp` over all of them, the [`exp_neg_map`]
+///    polynomial;
 /// 3. per destination, the sequential sum, `α = exp / max(sum,
 ///    MIN_POSITIVE)` and `Σ α · hw[u]` with separate multiply-then-add,
 ///    held in a fixed-width register accumulator at `d` = 4/8/16.
@@ -569,7 +521,7 @@ pub(crate) fn matvec_lanes8(lhs: &[f32], cols: usize, rhs: &[f32], out: &mut [f3
 /// Every value a destination sees — and the order it sees them in — is
 /// that of the tape's `segment_softmax` and `scatter_add_rows` over the
 /// edge-ordered message list, so the result is bit-identical to the
-/// composed ops per kind. The whole pass is one AVX2 dispatch.
+/// composed ops. The whole pass is one AVX2 dispatch.
 ///
 /// # Panics
 /// Panics if the slice lengths are inconsistent.
@@ -585,21 +537,12 @@ pub(crate) fn gat_aggregate(
     slope: f32,
     scratch: &mut Vec<f32>,
 ) {
-    match kind() {
-        SimdKind::Scalar => {
-            gat_kernel::<false>(out, stride, col, hw, d, scores, index, slope, scratch)
-        }
-        SimdKind::Lanes8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2() {
-                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-                return unsafe {
-                    gat_kernel_avx2(out, stride, col, hw, d, scores, index, slope, scratch)
-                };
-            }
-            gat_kernel::<true>(out, stride, col, hw, d, scores, index, slope, scratch);
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { gat_kernel_avx2(out, stride, col, hw, d, scores, index, slope, scratch) };
     }
+    gat_kernel(out, stride, col, hw, d, scores, index, slope, scratch);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -616,12 +559,12 @@ fn gat_kernel_avx2(
     slope: f32,
     scratch: &mut Vec<f32>,
 ) {
-    gat_kernel::<true>(out, stride, col, hw, d, scores, index, slope, scratch);
+    gat_kernel(out, stride, col, hw, d, scores, index, slope, scratch);
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gat_kernel<const FAST_EXP: bool>(
+fn gat_kernel(
     out: &mut [f32],
     stride: usize,
     col: usize,
@@ -636,7 +579,7 @@ fn gat_kernel<const FAST_EXP: bool>(
     let n = index.n();
     for base in (0..score_dst.len()).step_by(n) {
         let scores = (&score_dst[base..base + n], &score_src[base..base + n]);
-        gat_exps::<FAST_EXP>(scores, index, slope, scratch);
+        gat_exps(scores, index, slope, scratch);
         let o = &mut out[base * stride..(base + n) * stride];
         let x = &hw[base * d..(base + n) * d];
         match d {
@@ -665,7 +608,7 @@ fn gat_kernel<const FAST_EXP: bool>(
 /// each message's LeakyReLU score shifted by its destination's maximum
 /// — the segment-softmax numerators.
 #[inline(always)]
-fn gat_exps<const FAST_EXP: bool>(
+fn gat_exps(
     (sd, ss): (&[f32], &[f32]),
     index: &crate::MessageIndex,
     slope: f32,
@@ -691,13 +634,7 @@ fn gat_exps<const FAST_EXP: bool>(
             *e -= max;
         }
     }
-    if FAST_EXP {
-        exp_neg_map_body(scratch);
-    } else {
-        for e in scratch.iter_mut() {
-            *e = e.exp();
-        }
-    }
+    exp_neg_map_body(scratch);
 }
 
 /// The backward of [`gat_aggregate`] for one head, behind
@@ -719,7 +656,7 @@ fn gat_exps<const FAST_EXP: bool>(
 ///
 /// Every sum runs from zero in the tape's order with separate
 /// multiply-then-add, so the result is bit-identical to
-/// `Graph::backward` through the composed ops per kind. Widths 4, 8
+/// `Graph::backward` through the composed ops. Widths 4, 8
 /// and 16 get fixed-size inner loops, like the forward.
 ///
 /// # Panics
@@ -735,21 +672,14 @@ pub(crate) fn gat_aggregate_backward(
     grads: (&mut [f32], &mut [f32], &mut [f32]),
     scratch: (&mut Vec<f32>, &mut Vec<f32>),
 ) {
-    match kind() {
-        SimdKind::Scalar => gat_backward_kernel::<false>(
-            (g_out, stride, col), hw, d, scores, index, slope, grads, scratch,
-        ),
-        SimdKind::Lanes8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2() {
-                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-                return unsafe {
-                    gat_backward_avx2((g_out, stride, col), hw, d, scores, index, slope, grads, scratch)
-                };
-            }
-            gat_backward_kernel::<true>((g_out, stride, col), hw, d, scores, index, slope, grads, scratch);
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe {
+            gat_backward_avx2((g_out, stride, col), hw, d, scores, index, slope, grads, scratch)
+        };
     }
+    gat_backward_kernel((g_out, stride, col), hw, d, scores, index, slope, grads, scratch);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -765,12 +695,12 @@ fn gat_backward_avx2(
     grads: (&mut [f32], &mut [f32], &mut [f32]),
     scratch: (&mut Vec<f32>, &mut Vec<f32>),
 ) {
-    gat_backward_kernel::<true>(g_out, hw, d, scores, index, slope, grads, scratch);
+    gat_backward_kernel(g_out, hw, d, scores, index, slope, grads, scratch);
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gat_backward_kernel<const FAST_EXP: bool>(
+fn gat_backward_kernel(
     g_out: (&[f32], usize, usize),
     hw: &[f32],
     d: usize,
@@ -781,17 +711,17 @@ fn gat_backward_kernel<const FAST_EXP: bool>(
     scratch: (&mut Vec<f32>, &mut Vec<f32>),
 ) {
     match d {
-        4 => gat_backward_width::<FAST_EXP, 4>(g_out, hw, d, scores, index, slope, grads, scratch),
-        8 => gat_backward_width::<FAST_EXP, 8>(g_out, hw, d, scores, index, slope, grads, scratch),
-        16 => gat_backward_width::<FAST_EXP, 16>(g_out, hw, d, scores, index, slope, grads, scratch),
-        _ => gat_backward_width::<FAST_EXP, 0>(g_out, hw, d, scores, index, slope, grads, scratch),
+        4 => gat_backward_width::<4>(g_out, hw, d, scores, index, slope, grads, scratch),
+        8 => gat_backward_width::<8>(g_out, hw, d, scores, index, slope, grads, scratch),
+        16 => gat_backward_width::<16>(g_out, hw, d, scores, index, slope, grads, scratch),
+        _ => gat_backward_width::<0>(g_out, hw, d, scores, index, slope, grads, scratch),
     }
 }
 
 /// [`gat_backward_kernel`] at a constant width `W` (`0`: width `d`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gat_backward_width<const FAST_EXP: bool, const W: usize>(
+fn gat_backward_width<const W: usize>(
     (g_out, stride, col): (&[f32], usize, usize),
     hw: &[f32],
     d: usize,
@@ -806,7 +736,7 @@ fn gat_backward_width<const FAST_EXP: bool, const W: usize>(
     ge.resize(sources.len(), 0.0);
     for base in (0..score_dst.len()).step_by(n) {
         let (sd, ss) = (&score_dst[base..base + n], &score_src[base..base + n]);
-        gat_exps::<FAST_EXP>((sd, ss), index, slope, alpha);
+        gat_exps((sd, ss), index, slope, alpha);
         let g_row = |v: usize| {
             let at = (base + v) * stride + col;
             &g_out[at..at + d]
@@ -890,11 +820,11 @@ fn gat_weighted_sum<const W: usize>(
     }
 }
 
-/// Fused-order dot product: 8 parallel accumulators plus a scalar tail,
-/// folded pairwise. Reassociates the sum relative to the sequential
-/// reference (tolerance contract, see the module docs). Unlike
-/// [`crate::Matrix::matmul_transposed`] there is no zero-skip, so a
-/// non-finite element always propagates.
+/// Fused-order dot product: 8 parallel accumulators plus a sequential
+/// tail, folded pairwise. Reassociates the sum relative to the
+/// sequential reference (tolerance contract, see the module docs).
+/// Unlike [`crate::Matrix::matmul_transposed`] there is no zero-skip, so
+/// a non-finite element always propagates.
 ///
 /// # Panics
 /// Panics unless `a.len() == b.len()`.
@@ -902,12 +832,11 @@ fn gat_weighted_sum<const W: usize>(
 #[must_use]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    match kind() {
-        SimdKind::Scalar => dot_scalar(a, b),
-        SimdKind::Lanes8 => dot_lanes8(a, b),
-    }
+    dot_body(a, b)
 }
 
+/// The sequential dot product: what [`dot_body`] reduces to below one
+/// lane block, and its reference.
 #[inline(always)]
 fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0f32;
@@ -918,7 +847,7 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[inline(always)]
-fn dot_lanes8(a: &[f32], b: &[f32]) -> f32 {
+fn dot_body(a: &[f32], b: &[f32]) -> f32 {
     let mut lanes = [0.0f32; LANES];
     let mut ac = a.chunks_exact(LANES);
     let mut bc = b.chunks_exact(LANES);
@@ -948,34 +877,21 @@ fn dot_lanes8(a: &[f32], b: &[f32]) -> f32 {
 #[must_use]
 pub fn max_masked(xs: &[f32], mask: &[bool]) -> f32 {
     assert_eq!(xs.len(), mask.len(), "max_masked length mismatch");
-    match kind() {
-        SimdKind::Scalar => {
-            let mut m = f32::NEG_INFINITY;
-            for (&v, &keep) in xs.iter().zip(mask) {
-                if keep {
-                    m = m.max(v);
-                }
-            }
-            m
-        }
-        SimdKind::Lanes8 => {
-            let mut lanes = [f32::NEG_INFINITY; LANES];
-            let mut xc = xs.chunks_exact(LANES);
-            let mut mc = mask.chunks_exact(LANES);
-            for (x, keep) in xc.by_ref().zip(mc.by_ref()) {
-                for j in 0..LANES {
-                    lanes[j] = lanes[j].max(if keep[j] { x[j] } else { f32::NEG_INFINITY });
-                }
-            }
-            let mut m = lanes.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-            for (&v, &keep) in xc.remainder().iter().zip(mc.remainder()) {
-                if keep {
-                    m = m.max(v);
-                }
-            }
-            m
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    let mut xc = xs.chunks_exact(LANES);
+    let mut mc = mask.chunks_exact(LANES);
+    for (x, keep) in xc.by_ref().zip(mc.by_ref()) {
+        for j in 0..LANES {
+            lanes[j] = lanes[j].max(if keep[j] { x[j] } else { f32::NEG_INFINITY });
         }
     }
+    let mut m = lanes.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    for (&v, &keep) in xc.remainder().iter().zip(mc.remainder()) {
+        if keep {
+            m = m.max(v);
+        }
+    }
+    m
 }
 
 /// Fused-order `Σ exp(x − shift)` over the unmasked lanes: 8 parallel
@@ -988,84 +904,55 @@ pub fn max_masked(xs: &[f32], mask: &[bool]) -> f32 {
 #[must_use]
 pub fn sum_exp_masked(xs: &[f32], mask: &[bool], shift: f32) -> f32 {
     assert_eq!(xs.len(), mask.len(), "sum_exp_masked length mismatch");
-    match kind() {
-        SimdKind::Scalar => {
-            let mut sum = 0.0f32;
-            for (&v, &keep) in xs.iter().zip(mask) {
-                if keep {
-                    sum += (v - shift).exp();
-                }
-            }
-            sum
-        }
-        SimdKind::Lanes8 => {
-            let mut lanes = [0.0f32; LANES];
-            let mut xc = xs.chunks_exact(LANES);
-            let mut mc = mask.chunks_exact(LANES);
-            for (x, keep) in xc.by_ref().zip(mc.by_ref()) {
-                for j in 0..LANES {
-                    lanes[j] += if keep[j] { (x[j] - shift).exp() } else { 0.0 };
-                }
-            }
-            let mut tail = 0.0f32;
-            for (&v, &keep) in xc.remainder().iter().zip(mc.remainder()) {
-                if keep {
-                    tail += (v - shift).exp();
-                }
-            }
-            let l0 = (lanes[0] + lanes[4]) + (lanes[2] + lanes[6]);
-            let l1 = (lanes[1] + lanes[5]) + (lanes[3] + lanes[7]);
-            (l0 + l1) + tail
+    let mut lanes = [0.0f32; LANES];
+    let mut xc = xs.chunks_exact(LANES);
+    let mut mc = mask.chunks_exact(LANES);
+    for (x, keep) in xc.by_ref().zip(mc.by_ref()) {
+        for j in 0..LANES {
+            lanes[j] += if keep[j] { (x[j] - shift).exp() } else { 0.0 };
         }
     }
+    let mut tail = 0.0f32;
+    for (&v, &keep) in xc.remainder().iter().zip(mc.remainder()) {
+        if keep {
+            tail += (v - shift).exp();
+        }
+    }
+    let l0 = (lanes[0] + lanes[4]) + (lanes[2] + lanes[6]);
+    let l1 = (lanes[1] + lanes[5]) + (lanes[3] + lanes[7]);
+    (l0 + l1) + tail
 }
 
-/// Hyperbolic tangent of one value under the selected kernel kind.
-///
-/// Under [`SimdKind::Scalar`] this is exactly [`f32::tanh`] (libm).
-/// Under [`SimdKind::Lanes8`] it is a polynomial approximation (see
-/// [`tanh_map`]) within `1e-5` absolute of libm — in practice ~1e-6.
-/// Either way the function is **elementwise-deterministic**: the output
-/// depends only on the input bits and the active kind, never on
-/// position, slice length, or batch composition, so every forward path
-/// (tape, tape-free, batched) that routes through it stays mutually
-/// bit-identical.
+/// Hyperbolic tangent of one value: the polynomial of [`tanh_map`],
+/// within `1e-5` absolute of libm — in practice ~1e-6. The function is
+/// **elementwise-deterministic**: the output depends only on the input
+/// bits, never on position, slice length, or batch composition, so
+/// every forward path (tape, tape-free, batched) that routes through it
+/// stays mutually bit-identical.
 #[inline]
 #[must_use]
 pub fn tanh1(x: f32) -> f32 {
-    match kind() {
-        SimdKind::Scalar => x.tanh(),
-        SimdKind::Lanes8 => tanh_fast(x),
-    }
+    tanh_fast(x)
 }
 
 /// In-place elementwise tanh over a slice.
 ///
-/// The libm `tanhf` call is the single most expensive instruction
+/// The libm `tanhf` call was the single most expensive instruction
 /// stream in the inference hot path (~11 ns/element, ~2.8k elements per
-/// forward on conv3/HReA — more than the matmuls). The `Lanes8` kernel
-/// replaces it with a branch-free `exp2`-based polynomial that LLVM
+/// forward on conv3/HReA — more than the matmuls). This kernel replaces
+/// it with a branch-free `exp2`-based polynomial that LLVM
 /// auto-vectorizes: `tanh(|x|) = 1 − 2/(e^{2|x|} + 1)` with
 /// `e^{2|x|} = 2^k · p(f)`, `p` a degree-6 Taylor/Horner evaluation of
 /// `2^f` on `|f| ≤ 0.5`. Absolute error vs libm is ≤ 1e-5 (contract;
 /// measured ~1e-6); NaN propagates; ±0 and saturation signs match libm.
 #[inline]
 pub fn tanh_map(xs: &mut [f32]) {
-    match kind() {
-        SimdKind::Scalar => {
-            for v in xs {
-                *v = v.tanh();
-            }
-        }
-        SimdKind::Lanes8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2() {
-                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-                return unsafe { tanh_fast_map_avx2(xs) };
-            }
-            tanh_fast_map_body(xs)
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { tanh_fast_map_avx2(xs) };
     }
+    tanh_fast_map_body(xs)
 }
 
 #[inline(always)]
@@ -1081,7 +968,7 @@ fn tanh_fast_map_avx2(xs: &mut [f32]) {
     tanh_fast_map_body(xs);
 }
 
-/// Branch-free polynomial tanh (the `Lanes8` kernel of [`tanh_map`]).
+/// Branch-free polynomial tanh (the body of [`tanh_map`]).
 #[inline]
 fn tanh_fast(x: f32) -> f32 {
     // t = 2|x|·log2(e), so e^{2|x|} = 2^t. Saturation: tanh rounds to
@@ -1117,40 +1004,29 @@ fn tanh_fast(x: f32) -> f32 {
 /// In-place elementwise `e^x` over max-shifted softmax inputs
 /// (`x ≤ 0`; every segment's maximum maps to exactly `0.0`).
 ///
-/// Elementwise-approximate (module docs): under [`SimdKind::Scalar`]
-/// this is the libm `expf` loop, bit-identical to the historical
-/// segment-softmax numerator. Under [`SimdKind::Lanes8`] it is the same
-/// branch-free `2^k · p(f)` construction as [`tanh_map`], within `1e-5`
-/// relative of libm (measured ~1e-7), and LLVM vectorizes the loop —
-/// libm `expf` is the dominant cost of `segment_softmax`, the second
-/// hottest call in the batched forward after the matmuls.
+/// Elementwise-approximate (module docs): the same branch-free
+/// `2^k · p(f)` construction as [`tanh_map`], within `1e-5` relative of
+/// libm (measured ~1e-7), and LLVM vectorizes the loop — libm `expf`
+/// was the dominant cost of `segment_softmax`, the second hottest call
+/// in the batched forward after the matmuls.
 ///
-/// Both kernels depend only on the element bits, so the tape and
-/// tape-free softmax stay mutually bit-identical per kind. Inputs below
-/// `-126·ln 2` (where `e^x` is subnormal) flush toward zero under
-/// `Lanes8`; softmax ratios are unaffected because every segment sum
-/// includes the shifted maximum's `e^0 = 1`.
+/// The kernel depends only on the element bits, so the tape and
+/// tape-free softmax stay mutually bit-identical. Inputs below
+/// `-126·ln 2` (where `e^x` is subnormal) flush toward zero; softmax
+/// ratios are unaffected because every segment sum includes the shifted
+/// maximum's `e^0 = 1`.
 ///
 /// # Panics
 /// Debug-panics if an element is positive (callers shift by the
 /// segment max first).
 #[inline]
 pub fn exp_neg_map(xs: &mut [f32]) {
-    match kind() {
-        SimdKind::Scalar => {
-            for v in xs {
-                *v = v.exp();
-            }
-        }
-        SimdKind::Lanes8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2() {
-                // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-                return unsafe { exp_neg_map_avx2(xs) };
-            }
-            exp_neg_map_body(xs)
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `avx2()` confirmed the CPU supports AVX2.
+        return unsafe { exp_neg_map_avx2(xs) };
     }
+    exp_neg_map_body(xs)
 }
 
 #[inline(always)]
@@ -1167,7 +1043,7 @@ fn exp_neg_map_avx2(xs: &mut [f32]) {
     exp_neg_map_body(xs);
 }
 
-/// Branch-free polynomial `e^x` for `x ≤ 0` (the `Lanes8` kernel of
+/// Branch-free polynomial `e^x` for `x ≤ 0` (the body of
 /// [`exp_neg_map`]).
 #[inline]
 #[allow(clippy::manual_clamp)] // `clamp` would keep a NaN, `max` maps it to -126
@@ -1209,20 +1085,24 @@ mod tests {
         (0..n).map(|i| ((i as f32 + phase) * 0.37).sin() * 1.7).collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn axpy_lanes_is_bit_exact_to_scalar() {
+    fn axpy_is_bit_exact_to_sequential_loop() {
         for n in [0usize, 1, 7, 8, 9, 16, 31, 64] {
             let x = series(n, 0.3);
             let mut a = series(n, 1.1);
             let mut b = a.clone();
             axpy_scalar(&mut a, 0.73, &x);
-            axpy_lanes8(&mut b, 0.73, &x);
+            axpy(&mut b, 0.73, &x);
             assert_eq!(a, b, "n={n}");
         }
     }
 
     #[test]
-    fn matmul_lanes8_is_bit_exact_to_sequential_reference() {
+    fn matmul_acc_is_bit_exact_to_sequential_reference() {
         // Widths crossing the block sizes and the ragged tail, row
         // counts crossing the 4-row tile and its remainder, and zero
         // coefficients sprinkled in to exercise the skip. The reference
@@ -1255,13 +1135,13 @@ mod tests {
                 }
             }
             let mut blocked = vec![0.0f32; rows * n];
-            matmul_lanes8(&lhs, cols, &rhs, n, &mut blocked);
+            matmul_acc(&lhs, cols, &rhs, n, &mut blocked);
             assert_eq!(seq, blocked, "{rows}x{cols}x{n}");
         }
     }
 
     #[test]
-    fn matvec_lanes8_is_bit_exact_to_scalar_loop() {
+    fn matvec_acc_is_bit_exact_to_sequential_loop() {
         // Row counts crossing the 4-row interleave and its remainder,
         // with zero coefficients sprinkled in to exercise the skip.
         for (rows, cols) in [(9usize, 16usize), (4, 7), (3, 12), (8, 1), (2, 0)] {
@@ -1281,7 +1161,7 @@ mod tests {
                 seq[i] = acc;
             }
             let mut quad = vec![0.0f32; rows];
-            matvec_lanes8(&lhs, cols, &rhs, &mut quad);
+            matvec_acc(&lhs, cols, &rhs, &mut quad);
             if cols == 0 {
                 continue; // early return leaves `out` untouched
             }
@@ -1321,20 +1201,16 @@ mod tests {
         let mut mapped = xs.clone();
         exp_neg_map(&mut mapped);
         for (m, x) in mapped.iter().zip(&xs) {
-            let one = match kind() {
-                SimdKind::Scalar => x.exp(),
-                SimdKind::Lanes8 => exp_fast_neg(*x),
-            };
-            assert_eq!(m.to_bits(), one.to_bits());
+            assert_eq!(m.to_bits(), exp_fast_neg(*x).to_bits());
         }
     }
 
     #[test]
-    fn dot_lanes_matches_scalar_within_tolerance() {
+    fn dot_matches_sequential_loop_within_tolerance() {
         for n in [0usize, 1, 7, 8, 9, 40, 129] {
             let a = series(n, 0.0);
             let b = series(n, 2.0);
-            let fused = dot_lanes8(&a, &b);
+            let fused = dot(&a, &b);
             let seq = dot_scalar(&a, &b);
             assert!((fused - seq).abs() <= 1e-5 * (1.0 + seq.abs()), "n={n}: {fused} vs {seq}");
         }
@@ -1363,8 +1239,125 @@ mod tests {
     }
 
     #[test]
-    fn kind_is_stable_within_a_process() {
-        assert_eq!(kind(), kind());
+    fn kind_reports_the_cpu_features() {
+        #[cfg(target_arch = "x86_64")]
+        let detected =
+            std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        let want = if detected { SimdKind::Avx2Fma } else { SimdKind::Portable };
+        assert_eq!(kind(), want);
+    }
+
+    /// Every `#[target_feature(enable = "avx2,fma")]` twin gives the bits
+    /// of its portable body on the same inputs: the twins may change
+    /// throughput, never results.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_twins_match_portable_bodies_bitwise() {
+        if !avx2() {
+            return;
+        }
+        // SAFETY (every `unsafe` below): `avx2()` confirmed AVX2 and FMA.
+        // Widths crossing the 32/16/8 column blocks and every ragged
+        // tail, row counts crossing the 4-row tile and its remainder,
+        // and zero coefficients sprinkled in for the skip.
+        let shapes =
+            [(3usize, 9usize, 16usize), (2, 16, 40), (5, 7, 5), (4, 12, 33), (9, 6, 24), (7, 3, 47), (8, 5, 1)];
+        for (rows, cols, n) in shapes {
+            let mut lhs = series(rows * cols, 0.4);
+            for v in lhs.iter_mut().step_by(5) {
+                *v = 0.0;
+            }
+            let what = format!("{rows}x{cols}x{n}");
+            // out (rows x n) += lhs · rhs (cols x n)
+            let rhs = series(cols * n, 1.3);
+            let mut portable = series(rows * n, 2.1);
+            let mut twin = portable.clone();
+            matmul_kernel(&lhs, cols, &rhs, n, &mut portable);
+            unsafe { matmul_acc_avx2(&lhs, cols, &rhs, n, &mut twin) };
+            assert_eq!(bits(&portable), bits(&twin), "matmul {what}");
+            // out (cols x n) += lhsᵀ · rhs (rows x n)
+            let rhs = series(rows * n, 0.8);
+            let mut portable = series(cols * n, 0.2);
+            let mut twin = portable.clone();
+            transpose_matmul_body(&lhs, cols, &rhs, n, &mut portable);
+            unsafe { transpose_matmul_avx2(&lhs, cols, &rhs, n, &mut twin) };
+            assert_eq!(bits(&portable), bits(&twin), "transpose_matmul {what}");
+            // out (rows x n) += lhs · rhsᵀ, rhs (n x cols)
+            let rhs = series(n * cols, 1.7);
+            let mut portable = series(rows * n, 0.6);
+            let mut twin = portable.clone();
+            matmul_transposed_body(&lhs, &rhs, cols, &mut portable);
+            unsafe { matmul_transposed_avx2(&lhs, &rhs, cols, &mut twin) };
+            assert_eq!(bits(&portable), bits(&twin), "matmul_transposed {what}");
+        }
+        for len in [0usize, 1, 7, 8, 9, 31, 64, 100] {
+            let xs: Vec<f32> = series(len, 0.6).iter().map(|v| v * 6.0).collect();
+            let (mut portable, mut twin) = (xs.clone(), xs.clone());
+            tanh_fast_map_body(&mut portable);
+            unsafe { tanh_fast_map_avx2(&mut twin) };
+            assert_eq!(bits(&portable), bits(&twin), "tanh len {len}");
+            let neg: Vec<f32> = xs.iter().map(|v| -v.abs() * 10.0).collect();
+            let (mut portable, mut twin) = (neg.clone(), neg);
+            exp_neg_map_body(&mut portable);
+            unsafe { exp_neg_map_avx2(&mut twin) };
+            assert_eq!(bits(&portable), bits(&twin), "exp len {len}");
+            let (mut portable, mut twin) = (series(len, 1.1), series(len, 1.1));
+            axpy_body(&mut portable, 0.73, &xs);
+            unsafe { axpy_avx2(&mut twin, 0.73, &xs) };
+            assert_eq!(bits(&portable), bits(&twin), "axpy len {len}");
+        }
+        // Two stacked copies of a 7-node graph with a duplicate edge, an
+        // explicit self-edge and an isolated node; `d` = 3 takes the
+        // generic width, 4/8/16 the fixed-width accumulators.
+        let n = 7;
+        let edges = [(0, 1), (2, 1), (1, 3), (3, 4), (4, 2), (0, 5), (0, 5), (5, 5), (2, 4)];
+        let mut index = crate::MessageIndex::new();
+        index.rebuild(&edges, n);
+        let (rows, slope) = (2 * n, 0.2);
+        let (sd, ss) = (series(rows, 1.4), series(rows, 2.6));
+        for d in [3usize, 4, 8, 16] {
+            let (stride, col) = (d + 5, 2);
+            let hw = series(rows * d, 0.9);
+            let (mut portable, mut twin) = (vec![0.0; rows * stride], vec![0.0; rows * stride]);
+            let (mut s1, mut s2) = (Vec::new(), Vec::new());
+            gat_kernel(&mut portable, stride, col, &hw, d, (&sd, &ss), &index, slope, &mut s1);
+            unsafe {
+                gat_kernel_avx2(&mut twin, stride, col, &hw, d, (&sd, &ss), &index, slope, &mut s2);
+            }
+            assert_eq!(bits(&portable), bits(&twin), "gat forward d={d}");
+            let g_out = series(rows * stride, 0.3);
+            let mut p = (vec![0.0; rows * d], vec![0.0; rows], vec![0.0; rows]);
+            let mut t = p.clone();
+            let mut p_scratch = (Vec::new(), Vec::new());
+            let mut t_scratch = (Vec::new(), Vec::new());
+            gat_backward_kernel(
+                (&g_out, stride, col),
+                &hw,
+                d,
+                (&sd, &ss),
+                &index,
+                slope,
+                (&mut p.0, &mut p.1, &mut p.2),
+                (&mut p_scratch.0, &mut p_scratch.1),
+            );
+            unsafe {
+                gat_backward_avx2(
+                    (&g_out, stride, col),
+                    &hw,
+                    d,
+                    (&sd, &ss),
+                    &index,
+                    slope,
+                    (&mut t.0, &mut t.1, &mut t.2),
+                    (&mut t_scratch.0, &mut t_scratch.1),
+                );
+            }
+            assert_eq!(bits(&p.0), bits(&t.0), "gat backward hw d={d}");
+            assert_eq!(bits(&p.1), bits(&t.1), "gat backward score_dst d={d}");
+            assert_eq!(bits(&p.2), bits(&t.2), "gat backward score_src d={d}");
+        }
     }
 
     #[test]

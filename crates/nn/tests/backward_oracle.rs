@@ -1,14 +1,10 @@
 //! Oracle tests for the hand-derived backward: `Linear`, `Mlp` and
 //! `GatLayer` `backward` over an `InferCtx` forward must
 //! produce the parameter gradients and the input gradient of the tape
-//! `forward` + `Graph::backward`, bit for bit, under both SIMD kinds —
-//! on awkward random graphs, at every head width the kernels special-
-//! case, and accumulated over several samples like a training batch.
-//!
-//! The kernel kind is process-global, so everything lives in one test
-//! function (integration tests run in their own process).
+//! `forward` + `Graph::backward`, bit for bit — on awkward random
+//! graphs, at every head width the kernels special-case, and
+//! accumulated over several samples like a training batch.
 
-use mapzero_nn::simd::{self, SimdKind};
 use mapzero_nn::{
     BufId, GatLayer, Graph, InferCtx, Linear, Matrix, MessageIndex, Mlp, Params,
     SeedRng, VarId,
@@ -133,9 +129,9 @@ fn check_layer(
     }
 }
 
-fn check_kind(kind: SimdKind) {
-    simd::force_kind(kind);
-    let mut rng = SeedRng::new(0xbac4 ^ kind as u64);
+#[test]
+fn backward_matches_tape() {
+    let mut rng = SeedRng::new(0xbac5);
     let mut ctx = InferCtx::new();
     let mut index = MessageIndex::new();
     for case in 0..8 {
@@ -159,18 +155,9 @@ fn check_kind(kind: SimdKind) {
                 let inputs: Vec<(Matrix, Matrix)> = (0..SAMPLES)
                     .map(|_| (random(&mut rng, n, in_dim), random(&mut rng, n, out_cols)))
                     .collect();
-                let what = format!("{kind:?} case {case} width {width} layer {l} (edges {edges:?})");
+                let what = format!("case {case} width {width} layer {l} (edges {edges:?})");
                 check_layer(layer, &params, &inputs, &edges, &mut ctx, &index, &what);
             }
         }
     }
-}
-
-#[test]
-fn backward_matches_tape_under_both_kinds() {
-    let default = simd::kind();
-    for kind in [SimdKind::Scalar, SimdKind::Lanes8] {
-        check_kind(kind);
-    }
-    simd::force_kind(default);
 }

@@ -1,11 +1,8 @@
 //! Oracle tests for the tape-free message passing: `GatLayer::infer`
-//! (the fused CSR kernel) must equal the tape `forward` bit for bit under both SIMD kinds, on awkward random
-//! graphs and on row-stacked batches of several graph copies.
-//!
-//! The kernel kind is process-global, so everything lives in one test
-//! function (integration tests run in their own process).
+//! (the fused CSR kernel) must equal the tape `forward` bit for bit, on
+//! awkward random graphs and on row-stacked batches of several graph
+//! copies.
 
-use mapzero_nn::simd::{self, SimdKind};
 use mapzero_nn::{GatLayer, Graph, InferCtx, Matrix, MessageIndex, Params, SeedRng};
 
 const HEAD_WIDTHS: [usize; 7] = [1, 3, 4, 5, 8, 16, 17];
@@ -61,9 +58,9 @@ fn infer(
     ctx.value(y).clone()
 }
 
-fn check_kind(kind: SimdKind) {
-    simd::force_kind(kind);
-    let mut rng = SeedRng::new(0x5eed ^ kind as u64);
+#[test]
+fn message_passing_matches_tape() {
+    let mut rng = SeedRng::new(0x5eec);
     let mut ctx = InferCtx::new();
     let mut index = MessageIndex::new();
     for case in 0..12 {
@@ -89,7 +86,7 @@ fn check_kind(kind: SimdKind) {
                         .all(|(a, b)| a.to_bits() == b.to_bits());
                     assert!(
                         same,
-                        "{kind:?} case {case} width {width} K={k} copy {c}: \
+                        "case {case} width {width} K={k} copy {c}: \
                          infer {got:?} != tape {:?} (edges {edges:?})",
                         want.data()
                     );
@@ -97,13 +94,4 @@ fn check_kind(kind: SimdKind) {
             }
         }
     }
-}
-
-#[test]
-fn message_passing_matches_tape_under_both_kinds() {
-    let default = simd::kind();
-    for kind in [SimdKind::Scalar, SimdKind::Lanes8] {
-        check_kind(kind);
-    }
-    simd::force_kind(default);
 }

@@ -10,23 +10,6 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> scalar-kernel tests (MAPZERO_SIMD=scalar)"
-# The default run above takes the Lanes8 branch of every kernel; this
-# reruns the kernel and hot-path suites, and the network- and
-# search-level oracles (tape-free forward and train step vs the tape,
-# the batched K=1 search loop vs the one-leaf loop), on the Scalar
-# branch.
-MAPZERO_SIMD=scalar cargo test -q -p mapzero-nn
-MAPZERO_SIMD=scalar cargo test -q --test proptest_hotpath --test proptest_batch
-for oracle in \
-    network::tests::train_batch_matches_tape_reference_bitwise \
-    network::tests::fast_predict_is_bit_identical_to_reference \
-    network::tests::fast_predict_matches_reference_bitwise \
-    network::tests::alternating_batch_sizes_share_one_index \
-    mcts::tests::batch_of_one_is_bit_identical_to_scalar_loop; do
-    MAPZERO_SIMD=scalar cargo test -q -p mapzero-core --lib -- --exact "$oracle"
-done
-
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

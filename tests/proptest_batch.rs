@@ -10,10 +10,9 @@
 //! * **Kernel level** — the SIMD matmul/softmax kernels obey the
 //!   determinism contract in `mapzero_nn::simd`: the register-blocked
 //!   matmul is bit-exact against a sequential reference that models
-//!   the active kind's documented rounding split (under `Lanes8` fused
-//!   `mul_add` on the leading `n - n % 8` columns and separate
-//!   multiply-then-add on the ragged tail; separate everywhere under
-//!   `Scalar`); fused-order kernels (dot-based transposed matmul, the
+//!   its documented rounding split (fused `mul_add` on the leading
+//!   `n - n % 8` columns and separate multiply-then-add on the ragged
+//!   tail); fused-order kernels (dot-based transposed matmul, the
 //!   fused masked log-softmax, `predict_batch` at K>1) match within
 //!   1e-5 over random shapes including ragged (non-multiple-of-8)
 //!   tails. `predict_batch` is held to `predict` per observation;
@@ -27,7 +26,6 @@ use mapzero::core::validate::check_mapping;
 use mapzero::core::MapEnv;
 use mapzero::dfg::random::{random_dfg, RandomDfgConfig};
 use mapzero::nn::infer::{log_softmax_masked_fused_into, log_softmax_masked_into};
-use mapzero::nn::simd::{self, SimdKind};
 use mapzero::nn::Matrix;
 use mapzero::prelude::*;
 use proptest::prelude::*;
@@ -47,18 +45,14 @@ fn dfg_strategy() -> impl Strategy<Value = Dfg> {
     })
 }
 
-/// Sequential triple-loop matmul modelling the active kernel kind's
-/// rounding contract exactly (DESIGN §9): ascending `k` with the zero
-/// skip; under `Lanes8` (see `mapzero_nn::simd::matmul_lanes8`) fused
-/// accumulation on the leading `n - n % 8` columns and separate
-/// multiply-then-add on the ragged tail, under `Scalar` separate
-/// multiply-then-add everywhere.
+/// Sequential triple-loop matmul modelling the kernel's rounding
+/// contract exactly (DESIGN §9): ascending `k` with the zero skip, fused
+/// accumulation on the leading `n - n % 8` columns (see
+/// `mapzero_nn::simd::matmul_acc`) and separate multiply-then-add on the
+/// ragged tail.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let n = b.cols();
-    let fused_cols = match simd::kind() {
-        SimdKind::Lanes8 => n - n % 8,
-        SimdKind::Scalar => 0,
-    };
+    let fused_cols = n - n % 8;
     let mut out = Matrix::zeros(a.rows(), n);
     for i in 0..a.rows() {
         for l in 0..a.cols() {

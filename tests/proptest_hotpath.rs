@@ -68,8 +68,8 @@ proptest! {
     }
 
     /// `matmul_transposed(b)` == `matmul(&b.transpose())`, bitwise.
-    /// Output widths stay below 8: from 8 columns up the `Lanes8`
-    /// matmul fuses its leading blocks (`simd::matmul_lanes8`) and the
+    /// Output widths stay below 8: from 8 columns up the
+    /// matmul fuses its leading blocks (`simd::matmul_acc`) and the
     /// transposed form keeps separate rounding, so bitwise equality is
     /// only contracted for sub-block widths.
     #[test]
