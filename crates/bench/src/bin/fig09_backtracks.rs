@@ -14,8 +14,14 @@ fn main() {
     let mut fabrics: Vec<String> = mapzero.iter().map(|r| r.fabric.clone()).collect();
     fabrics.sort();
     fabrics.dedup();
-    let mut kernels: Vec<String> = mapzero.iter().map(|r| r.kernel.clone()).collect();
-    kernels.dedup();
+    // Kernels in first-appearance order, each once (the rows come
+    // grouped by fabric, so neighbours are rarely equal).
+    let mut kernels: Vec<String> = Vec::new();
+    for r in &mapzero {
+        if !kernels.contains(&r.kernel) {
+            kernels.push(r.kernel.clone());
+        }
+    }
 
     let header: Vec<&str> = std::iter::once("kernel")
         .chain(fabrics.iter().map(String::as_str))

@@ -89,25 +89,22 @@ fn matrix_from_rows<const D: usize>(rows: &[[f32; D]]) -> Matrix {
     Matrix::from_vec(rows.len(), D, data)
 }
 
-/// Identity of the problem an [`Observer`] was primed for; a mismatch
-/// forces a full rebuild instead of an incremental patch.
+/// Identity of the problem an [`Observer`] was primed for: its
+/// structural fingerprint (the DFG and the fabric, see
+/// `Problem::fingerprint`) and II, which together fix every static
+/// tensor of the observation. A mismatch forces a full rebuild instead
+/// of an incremental patch. (The problem's address is no identity: two
+/// problems built one after the other can share it.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ProblemSig {
-    ptr: usize,
+    fingerprint: u64,
     ii: u32,
-    nodes: usize,
-    pes: usize,
 }
 
 impl ProblemSig {
     fn of(env: &MapEnv<'_>) -> Self {
         let problem = env.problem();
-        ProblemSig {
-            ptr: std::ptr::from_ref(problem) as usize,
-            ii: problem.ii(),
-            nodes: problem.dfg().node_count(),
-            pes: problem.cgra().pe_count(),
-        }
+        ProblemSig { fingerprint: problem.fingerprint(), ii: problem.ii() }
     }
 }
 
@@ -284,6 +281,25 @@ mod tests {
         assert_eq!(*observer.observe(&env1), observe(&env1));
         let env2 = MapEnv::new(&p2);
         assert_eq!(*observer.observe(&env2), observe(&env2));
+    }
+
+    /// Two problems of equal size and II built one after the other in
+    /// a loop (cap and mults2 on ADRES, 42 nodes each, II 2) can sit at
+    /// the same address; the observer must still rebuild for the second.
+    #[test]
+    fn observer_rebuilds_for_an_equal_shape_problem_at_the_same_address() {
+        let cgra = presets::adres();
+        let mut observer = Observer::new();
+        for kernel in ["cap", "mults2", "cap"] {
+            let dfg = suite::by_name(kernel).unwrap();
+            let problem = Problem::new(&dfg, &cgra, 2).unwrap();
+            let mut env = MapEnv::new(&problem);
+            for step in 0..4 {
+                assert_eq!(*observer.observe(&env), observe(&env), "{kernel} step {step}");
+                let legal = env.legal_actions();
+                env.step(legal[step % legal.len()]);
+            }
+        }
     }
 
     #[test]

@@ -1084,6 +1084,29 @@ mod tests {
         assert_eq!(cold.root_value.to_bits(), warm.root_value.to_bits());
     }
 
+    /// One `Mcts` reused across two problems of equal size and II —
+    /// built in one loop, so they can share an address — searches the
+    /// second exactly like a fresh `Mcts` does: no observation or
+    /// prediction of the first leaks into it.
+    #[test]
+    fn reused_search_matches_fresh_search_across_equal_shape_problems() {
+        let cgra = presets::adres();
+        let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
+        let config = MctsConfig { playout: false, ..MctsConfig::fast_test() };
+        let mut reused = Mcts::new(&net, config);
+        for kernel in ["cap", "mults2"] {
+            let dfg = suite::by_name(kernel).unwrap();
+            let problem = Problem::new(&dfg, &cgra, 2).unwrap();
+            let env = MapEnv::new(&problem);
+            reused.reset();
+            let got = reused.search(&env);
+            let want = Mcts::new(&net, config).search(&env);
+            assert_eq!(got.best_action, want.best_action, "{kernel}");
+            assert_eq!(got.visit_distribution, want.visit_distribution, "{kernel}");
+            assert_eq!(got.root_value.to_bits(), want.root_value.to_bits(), "{kernel}");
+        }
+    }
+
     /// `reset` must drop cache entries when the network parameters
     /// changed (the training-rollback bug), and must keep them when the
     /// parameters are unchanged.

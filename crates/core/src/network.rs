@@ -5,7 +5,7 @@
 use crate::embed::Observation;
 use mapzero_nn::infer::{log_softmax_masked_fused_into, log_softmax_masked_into};
 use mapzero_nn::{
-    clip_gradients, Adam, AdamState, BufId, GatLayer, InferCtx, Linear, Matrix,
+    clip_gradients, Adam, AdamState, BufId, GatLayer, GatMemo, InferCtx, Linear, Matrix,
     MessageIndex, Mlp, Params, SeedRng,
 };
 use std::cell::RefCell;
@@ -121,17 +121,22 @@ pub struct LossBreakdown {
     pub grad_norm: f32,
 }
 
-/// Per-thread scratch for the tape-free forward and backward: the
+/// Per-thread state of the tape-free forward and backward: the
 /// bump-arena workspace, the two message indices, which are kept while
-/// the problem's graphs stay the same, and the training step's policy
-/// row. Thread-local so [`MapZeroNet::predict`] keeps its `&self`
-/// signature and the net stays shareable across self-play worker
-/// threads.
+/// the problem's graphs stay the same, the four GAT layers' memos of
+/// the last forward (so the next one recomputes only the rows a
+/// placement touched) and the training step's policy row.
+/// Thread-local so [`MapZeroNet::predict`] keeps its `&self` signature
+/// and the net stays shareable across self-play worker threads.
 #[derive(Default)]
 struct InferState {
     ctx: InferCtx,
     dfg_index: MessageIndex,
     cgra_index: MessageIndex,
+    /// Memos of `gat_dfg1` and `gat_dfg2`.
+    dfg_memos: [GatMemo; 2],
+    /// Memos of `gat_cgra1` and `gat_cgra2`.
+    cgra_memos: [GatMemo; 2],
     log_probs: Vec<f32>,
 }
 
@@ -202,6 +207,10 @@ impl MapZeroNet {
         let policy_head =
             Mlp::new(&mut params, config.state_dim, &[config.head_hidden, action_count], &mut rng);
         let value_head = Mlp::new(&mut params, config.state_dim, &[config.head_hidden, 1], &mut rng);
+        // Register the delta-forward pair up front, so metric dumps show
+        // both even before the first forward.
+        mapzero_obs::counter!("nn.gat.rows", 0);
+        mapzero_obs::counter!("nn.gat.recomputed", 0);
         MapZeroNet {
             params,
             config,
@@ -281,9 +290,20 @@ impl MapZeroNet {
     /// are no cross-observation messages. Per-graph pooling uses
     /// [`InferCtx::mean_rows_grouped`].
     ///
+    /// The GAT encoders are incremental per thread
+    /// ([`GatLayer::infer`]): each observation is diffed row by row
+    /// against the one before it — the first against the last
+    /// observation this thread's previous forward saw, if that ran
+    /// under the same parameters and graphs — and on graphs of 32 nodes
+    /// or more only the rows a placement touched are recomputed. The
+    /// rest is copied, which gives the same bits, so this never changes
+    /// an output.
+    ///
     /// # Determinism contract
     /// - `K == 1` is [`MapZeroNet::predict`] and therefore
     ///   **bit-identical** to the tape forward.
+    /// - Outputs never depend on what the thread computed before: the
+    ///   incremental forward is bit-identical to a cold one.
     /// - `K > 1` is deterministic (same inputs → same outputs) and
     ///   bit-identical to the unbatched pass everywhere except the
     ///   policy log-softmax, whose normalizer uses the fused-order SIMD
@@ -363,21 +383,21 @@ impl MapZeroNet {
     /// the same ops.
     fn forward_slots(&self, st: &mut InferState, obs: &[&Observation]) -> ForwardSlots {
         let k = obs.len();
-        let InferState { ctx, dfg_index, cgra_index, .. } = st;
+        let InferState { ctx, dfg_index, cgra_index, dfg_memos, cgra_memos, .. } = st;
         ctx.begin();
 
         dfg_index.rebuild(&obs[0].dfg_edges, obs[0].dfg_nodes.rows());
         let dfg_mats: Vec<&Matrix> = obs.iter().map(|o| &o.dfg_nodes).collect();
         let x_dfg = ctx.load_stacked(&dfg_mats);
-        let h1 = self.gat_dfg1.infer(ctx, &self.params, x_dfg, dfg_index);
-        let h2 = self.gat_dfg2.infer(ctx, &self.params, h1, dfg_index);
+        let dfg_layers = [&self.gat_dfg1, &self.gat_dfg2];
+        let (h1, h2) = Self::encode(&self.params, dfg_layers, ctx, x_dfg, dfg_index, dfg_memos);
         let dfg_emb = ctx.mean_rows_grouped(h2, k);
 
         cgra_index.rebuild(&obs[0].cgra_edges, obs[0].cgra_nodes.rows());
         let cgra_mats: Vec<&Matrix> = obs.iter().map(|o| &o.cgra_nodes).collect();
         let x_cgra = ctx.load_stacked(&cgra_mats);
-        let c1 = self.gat_cgra1.infer(ctx, &self.params, x_cgra, cgra_index);
-        let c2 = self.gat_cgra2.infer(ctx, &self.params, c1, cgra_index);
+        let cgra_layers = [&self.gat_cgra1, &self.gat_cgra2];
+        let (c1, c2) = Self::encode(&self.params, cgra_layers, ctx, x_cgra, cgra_index, cgra_memos);
         let cgra_emb = ctx.mean_rows_grouped(c2, k);
 
         let meta_mats: Vec<&Matrix> = obs.iter().map(|o| &o.metadata).collect();
@@ -409,6 +429,26 @@ impl MapZeroNet {
             logits,
             values,
         }
+    }
+
+    /// One graph's two stacked GAT layers, the second driven by the
+    /// rows the first recomputed; counts the destination rows a full
+    /// forward would compute (`nn.gat.rows`) and those it did
+    /// (`nn.gat.recomputed`).
+    fn encode(
+        params: &Params,
+        [first, second]: [&GatLayer; 2],
+        ctx: &mut InferCtx,
+        x: BufId,
+        index: &MessageIndex,
+        [m1, m2]: &mut [GatMemo; 2],
+    ) -> (BufId, BufId) {
+        let h1 = first.infer(ctx, params, x, index, m1, None);
+        let h2 = second.infer(ctx, params, h1, index, m2, Some(m1.dirty()));
+        let rows = ctx.value(x).rows();
+        mapzero_obs::counter!("nn.gat.rows", 2 * rows as u64);
+        mapzero_obs::counter!("nn.gat.recomputed", (m1.dirty().len() + m2.dirty().len()) as u64);
+        (h1, h2)
     }
 
     /// A cheap identity fingerprint of the current parameter values
@@ -499,7 +539,7 @@ impl MapZeroNet {
     ) -> (f32, f32) {
         let obs = &sample.observation;
         let f = self.forward_slots(st, &[obs]);
-        let InferState { ctx, dfg_index, cgra_index, log_probs } = st;
+        let InferState { ctx, dfg_index, cgra_index, log_probs, .. } = st;
         log_softmax_masked_into(ctx.value(f.logits).row_slice(0), &obs.mask, log_probs);
         let value = mapzero_nn::simd::tanh1(ctx.value(f.values)[(0, 0)]);
         let diff = value - sample.value;
@@ -735,6 +775,130 @@ mod tests {
                 assert_eq!(batch, first_three, "same batch, same bits");
             }
         }
+    }
+
+    /// A prediction's exact bits (signed zeros and NaNs included).
+    fn pred_bits(p: &Prediction) -> (Vec<u32>, u32) {
+        (p.log_probs.iter().map(|v| v.to_bits()).collect(), p.value.to_bits())
+    }
+
+    /// `batch` through a fresh thread: cold per-thread state, so every
+    /// GAT row is computed.
+    fn cold_predict_batch(net: &MapZeroNet, batch: &[&Observation]) -> Vec<Prediction> {
+        std::thread::scope(|s| s.spawn(|| net.predict_batch(batch)).join().expect("cold forward"))
+    }
+
+    /// The delta-forward oracle: random step/undo walks on 3×3, 8×8 and
+    /// 16×16 fabrics, with candidate pruning on and off, query batches of
+    /// mixed K (the walk's state plus sibling states one step further,
+    /// like MCTS leaves) on one thread, whose GAT layers recompute only
+    /// the rows that changed since the observation before. Every
+    /// prediction must equal a cold forward bit for bit, and at K=1 the
+    /// tape forward too.
+    #[test]
+    fn delta_forward_matches_cold_forward_and_tape_on_random_walks() {
+        const WIDTHS: [usize; 7] = [1, 3, 1, 8, 2, 1, 5];
+        let cases = [
+            (presets::simple_mesh(3, 3), "sum"),
+            (presets::simple_mesh(3, 3), "mac"),
+            (presets::baseline8(), "mults1"),
+            (presets::baseline16(), "stencil_u"),
+        ];
+        for (c, (cgra, kernel)) in cases.iter().enumerate() {
+            let dfg = suite::by_name(kernel).unwrap();
+            let ii = Problem::mii(&dfg, cgra).unwrap();
+            for pruning in [false, true] {
+                let problem = Problem::new(&dfg, cgra, ii).unwrap();
+                let problem = if pruning { problem.with_candidate_pruning() } else { problem };
+                let config = NetConfig { seed: c as u64, ..NetConfig::tiny() };
+                let net = MapZeroNet::new(cgra.pe_count(), config);
+                let mut rng = SeedRng::new(17 + c as u64);
+                let mut env = MapEnv::new(&problem);
+                for step in 0..20 {
+                    let mut batch = vec![observe(&env)];
+                    let legal = env.legal_actions();
+                    for &pe in legal.iter().take(WIDTHS[step % WIDTHS.len()] - 1) {
+                        env.step(pe);
+                        batch.push(observe(&env));
+                        env.undo();
+                    }
+                    batch.retain(|o| o.mask.iter().any(|&m| m));
+                    let refs: Vec<&Observation> = batch.iter().collect();
+                    let at = format!("{kernel} on {} pruning {pruning} step {step}", cgra.name());
+                    if !refs.is_empty() {
+                        let got = net.predict_batch(&refs);
+                        let cold = cold_predict_batch(&net, &refs);
+                        for (i, (g, w)) in got.iter().zip(&cold).enumerate() {
+                            let k = refs.len();
+                            assert_eq!(pred_bits(g), pred_bits(w), "{at}, K={k} obs {i}");
+                        }
+                        if refs.len() == 1 {
+                            let tape = net.predict_reference(refs[0]);
+                            assert_eq!(pred_bits(&got[0]), pred_bits(&tape), "{at}: tape");
+                        }
+                    }
+                    // Walk on: mostly forward, sometimes back.
+                    let stuck = legal.is_empty() || env.done();
+                    if env.placed_count() > 0 && (stuck || rng.below(4) == 0) {
+                        env.undo();
+                    } else if !stuck {
+                        env.step(legal[rng.below(legal.len())]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-thread GAT memos must never serve rows computed under
+    /// other parameters, by another net or over other graph links:
+    /// the same observation predicted right after a training step, a
+    /// parameter restore, a forward of another net, or a forward with
+    /// equal features but rewired CGRA or DFG edges must still equal
+    /// the tape forward.
+    #[test]
+    fn delta_forward_is_invalidated_by_params_nets_and_links() {
+        let cgra = presets::baseline8();
+        let states = episode_obs("mults1", &cgra, 5);
+        assert!(states.len() >= 4, "episode too short: {}", states.len());
+        let mut net = MapZeroNet::new(64, NetConfig::tiny());
+        let other = MapZeroNet::new(64, NetConfig { seed: 7, ..NetConfig::tiny() });
+        let check = |net: &MapZeroNet, obs: &Observation, at: &str| {
+            let want = net.predict_reference(obs);
+            assert_eq!(pred_bits(&net.predict(obs)), pred_bits(&want), "{at}");
+        };
+        for (i, obs) in states.iter().enumerate() {
+            check(&net, obs, &format!("warm-up {i}"));
+        }
+        // Two nets alternating on one thread, on the same observation.
+        for (i, obs) in states.iter().enumerate() {
+            check(&other, obs, &format!("other net {i}"));
+            check(&net, obs, &format!("net after other {i}"));
+        }
+        // A training step, then the observation the memos hold.
+        let obs = &states[states.len() - 1];
+        let snapshot = net.params.clone();
+        let policy = vec![1.0 / 64.0; 64];
+        let sample = TrainSample { observation: states[1].clone(), policy, value: 0.4 };
+        let _ = net.train_batch(std::slice::from_ref(&sample), 0.01, 5.0);
+        check(&net, obs, "after train_batch");
+        // Back to the snapshot, with and without a forward in between.
+        net.restore_params(snapshot.clone());
+        check(&net, obs, "after restore_params");
+        let _ = net.train_batch(&[sample], 0.01, 5.0);
+        net.restore_params(snapshot);
+        check(&net, obs, "after train_batch then restore_params");
+        // Equal features, other links: one CGRA link, then one DFG
+        // edge, redirected.
+        let mut rewired = obs.clone();
+        let (s, _) = rewired.cgra_edges[0];
+        rewired.cgra_edges[0] = (s, (s + 9) % 64);
+        check(&net, &rewired, "rewired CGRA link");
+        check(&net, obs, "original CGRA links");
+        let mut rewired = obs.clone();
+        let (s, d) = rewired.dfg_edges[0];
+        rewired.dfg_edges[0] = (d, s);
+        check(&net, &rewired, "rewired DFG edge");
+        check(&net, obs, "original DFG edges");
     }
 
     impl MapZeroNet {

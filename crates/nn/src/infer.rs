@@ -24,6 +24,12 @@
 //! [`InferCtx::begin`]; ops that produce a new value always allocate a
 //! slot *after* their inputs, which is what lets the arena hand out
 //! disjoint borrows without interior mutability.
+//!
+//! The graph-attention layer is incremental: with a [`GatMemo`] of its
+//! previous call, [`crate::GatLayer::infer`] recomputes only the rows
+//! whose inputs changed (and the destinations they send to) and copies
+//! the rest — still bit-identical, because no row's numerics depend on
+//! any other row's position or presence.
 
 use crate::{Matrix, NEG_INF};
 
@@ -33,7 +39,9 @@ use crate::{Matrix, NEG_INF};
 pub struct BufId(pub(crate) usize);
 
 /// Bump-arena workspace for tape-free forward passes and, through
-/// [`InferCtx::begin_backward`], their gradients.
+/// [`InferCtx::begin_backward`], their gradients. It also holds the
+/// scratch of the incremental GAT layer; the layer's state between
+/// forwards lives in a caller-owned [`GatMemo`].
 #[derive(Default)]
 pub struct InferCtx {
     slots: Vec<Matrix>,
@@ -46,6 +54,13 @@ pub struct InferCtx {
     edge_grad: Vec<f32>,
     /// The last parameter gradient a backward op produced.
     param_grad: Matrix,
+    /// Stacked input rows of a GAT layer that differ from the copy
+    /// before them.
+    changed: Vec<usize>,
+    /// Per stacked row: does a changed row send it a message?
+    marks: Vec<bool>,
+    /// Runs of rows a GAT layer copies.
+    gaps: Vec<std::ops::Range<usize>>,
 }
 
 impl InferCtx {
@@ -206,68 +221,303 @@ impl InferCtx {
         out
     }
 
-    /// Allocate a zeroed `rows x cols` slot, for ops that fill it in
-    /// column blocks ([`InferCtx::gat_aggregate`]).
-    pub fn zeros(&mut self, rows: usize, cols: usize) -> BufId {
-        self.alloc(rows, cols)
-    }
-
-    /// One GAT head's message pass (Eqs. 6–7), before the output
-    /// nonlinearity, written into columns `col..col + d` of `out`
-    /// (zero there on entry): per destination `v`, the scores
-    /// `LeakyReLU(score_dst[v] + score_src[u])` over its in-edges are
-    /// softmax-normalized and `Σ α_uv · hw[u]` is accumulated. Writing
-    /// each head into its block of one layer output is the tape's
-    /// per-head `concat_cols`, without the copies.
+    /// One graph-attention layer (Eqs. 5–8) over the stacked copies in
+    /// `x`, recomputing only what changed since the copy before: the
+    /// body of [`crate::GatLayer::infer`], which documents the contract.
+    /// `head(h)` gives head `h`'s `[W, a_dst, a_src]`; `key` identifies
+    /// the parameters, the layer and the index the rows in `memo` were
+    /// computed under.
     ///
-    /// `hw` (`rows x d`) and the `rows x 1` score columns hold one or
-    /// more stacked copies of `index`'s graph (`rows` a multiple of
-    /// `index.n()`); each copy runs over the same index with its own
-    /// row offset. Bit-identical per copy to the tape chain
-    /// `gather_rows` → `add` → `leaky_relu` → `segment_softmax` →
-    /// `col_mul` → `scatter_add_rows`: the CSR keeps every
-    /// destination's messages in ascending edge order, so each output
-    /// element sees the same operations on the same values in the same
-    /// order. See `simd::gat_aggregate`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches, if `rows` is not a positive multiple
-    /// of the index's node count, or if `out` aliases an input.
+    /// Allocates the output, then per head `hw`, `score_dst` and
+    /// `score_src`, and fills every row of each.
     #[allow(clippy::too_many_arguments)]
-    pub fn gat_aggregate(
+    pub(crate) fn gat_layer<'p>(
         &mut self,
-        hw: BufId,
-        score_dst: BufId,
-        score_src: BufId,
+        x: BufId,
+        heads: usize,
+        head: impl Fn(usize) -> [&'p Matrix; 3],
         index: &MessageIndex,
         slope: f32,
-        out: BufId,
-        col: usize,
-    ) {
-        assert!(
-            out.0 < self.used && ![hw, score_dst, score_src].contains(&out),
-            "bad output slot"
-        );
-        let mut o = std::mem::take(&mut self.slots[out.0]);
-        let hwv = &self.slots[hw.0];
-        let (sd, ss) = (&self.slots[score_dst.0], &self.slots[score_src.0]);
-        let (rows, d) = (hwv.rows(), hwv.cols());
+        memo: &mut GatMemo,
+        key: MemoKey,
+        candidates: Option<&[usize]>,
+    ) -> BufId {
+        let (rows, in_dim) = (self.slots[x.0].rows(), self.slots[x.0].cols());
         index.check_rows(rows);
-        assert!(sd.data().len() == rows && ss.data().len() == rows, "one score per node row");
-        assert!(o.rows() == rows && col + d <= o.cols(), "output block out of bounds");
-        let stride = o.cols();
-        crate::simd::gat_aggregate(
-            o.data_mut(),
-            stride,
-            col,
-            hwv.data(),
-            d,
-            (sd.data(), ss.data()),
-            index,
-            slope,
-            &mut self.edge_scratch,
-        );
-        self.slots[out.0] = o;
+        let (n, d) = (index.n(), head(0)[0].cols());
+        // The memo stays invalid until this call completes, so a panic
+        // mid-layer leaves the next call cold rather than stale. Graphs
+        // under `MIN_DELTA_NODES` nodes skip it: their rows are too few
+        // for the bookkeeping to pay.
+        let small = n < MIN_DELTA_NODES;
+        let warm = memo.key.take() == Some(key) && !small;
+        let out = self.alloc(rows, heads * d);
+        for _ in 0..heads {
+            self.alloc(rows, d);
+            self.alloc(rows, 1);
+            self.alloc(rows, 1);
+        }
+        let InferCtx { slots, edge_scratch, changed, marks, gaps, .. } = self;
+        let GatMemo { key: memo_key, rows: prev, dirty } = memo;
+        let (inputs, rest) = slots.split_at_mut(out.0);
+        let layer = &mut rest[..1 + 3 * heads];
+        let xv = inputs[x.0].data();
+        let row = |r: usize| &xv[r * in_dim..(r + 1) * in_dim];
+
+        // 1. Input rows that differ from the same row of the copy before
+        // (of the last call's last copy, for the first), bit for bit.
+        // Without a warm memo the first copy is all new.
+        let cold = if warm { 0 } else { n };
+        let differs = |&r: &usize| {
+            let before = if r >= n { row(r - n) } else { prev[0].row_slice(r) };
+            row(r).iter().zip(before).any(|(a, b)| a.to_bits() != b.to_bits())
+        };
+        changed.clear();
+        match candidates {
+            _ if small => changed.extend(0..rows),
+            None => {
+                changed.extend(0..cold);
+                changed.extend((cold..rows).filter(differs));
+            }
+            Some(c) => {
+                changed.extend(0..cold);
+                changed.extend(c.iter().copied().filter(|&r| r >= cold && differs(&r)));
+            }
+        }
+
+        // 2. Destinations with a changed in-source (a changed row's own
+        // destination included, through its self-loop): all of them
+        // when every row changed.
+        dirty.clear();
+        if changed.len() == rows {
+            dirty.extend(0..rows);
+        } else {
+            marks.clear();
+            marks.resize(rows, false);
+            for (base, u) in by_copy(changed, n) {
+                for &(_, v) in index.out_messages(u) {
+                    marks[base + v] = true;
+                }
+            }
+            dirty.extend((0..rows).filter(|&r| marks[r]));
+        }
+
+        // 3. Every head's `hw` and scores on each run of changed rows,
+        // in place; then every other row from the copy before. Layer
+        // slot `i` is kept at `prev[i + 1]`, after the input.
+        for run in runs(changed) {
+            for h in 0..heads {
+                let [w, a_dst, a_src] = head(h);
+                let [hw, sd, ss] = &mut layer[1 + 3 * h..4 + 3 * h] else { unreachable!() };
+                let x_rows = &xv[run.start * in_dim..run.end * in_dim];
+                Matrix::accumulate_rows(x_rows, in_dim, w, zeroed_rows(hw, run.clone()));
+                let hw_rows = &hw.data()[run.start * d..run.end * d];
+                Matrix::accumulate_rows(hw_rows, d, a_dst, zeroed_rows(sd, run.clone()));
+                Matrix::accumulate_rows(hw_rows, d, a_src, zeroed_rows(ss, run.clone()));
+            }
+        }
+        gaps_of(changed, rows, n, gaps);
+        for (i, slot) in layer[1..].iter_mut().enumerate() {
+            fill_gaps(slot, n, warm.then(|| &prev[i + 2]), gaps);
+        }
+
+        // 4. Their messages, each head into its column block of the
+        // output, and σ on their rows; then every other row from the
+        // copy before.
+        let (output, per_head) = layer.split_at_mut(1);
+        let (output, width) = (&mut output[0], heads * d);
+        for h in 0..heads {
+            let (hw, sd, ss) = (&per_head[3 * h], &per_head[3 * h + 1], &per_head[3 * h + 2]);
+            crate::simd::gat_aggregate(
+                output.data_mut(),
+                width,
+                h * d,
+                hw.data(),
+                d,
+                (sd.data(), ss.data()),
+                index,
+                dirty,
+                slope,
+                edge_scratch,
+            );
+        }
+        for run in runs(dirty) {
+            crate::simd::tanh_map(&mut output.data_mut()[run.start * width..run.end * width]);
+        }
+        gaps_of(dirty, rows, n, gaps);
+        fill_gaps(output, n, warm.then(|| &prev[1]), gaps);
+
+        if small {
+            return out;
+        }
+        // 5. Keep the last copy for the next call to diff against. A
+        // warm memo already holds the copy before the first, so only
+        // rows that some copy changed can differ from it.
+        let last = rows - n;
+        if warm && changed.len() < rows {
+            touched_runs(changed, n, marks, gaps);
+            copy_runs(&mut prev[0], &inputs[x.0], last, gaps);
+            for (kept, slot) in prev[2..].iter_mut().zip(&layer[1..]) {
+                copy_runs(kept, slot, last, gaps);
+            }
+            touched_runs(dirty, n, marks, gaps);
+            copy_runs(&mut prev[1], &layer[0], last, gaps);
+        } else {
+            prev.resize_with(2 + 3 * heads, Matrix::default);
+            prev[0].copy_rows_from(&inputs[x.0], last, n);
+            for (kept, slot) in prev[1..].iter_mut().zip(&*layer) {
+                kept.copy_rows_from(slot, last, n);
+            }
+        }
+        *memo_key = Some(key);
+        out
+    }
+}
+
+/// `(copy base, node)` of each of the ascending stacked `rows` of
+/// `n`-row graph copies.
+fn by_copy(rows: &[usize], n: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    rows.iter().scan(0, move |base, &r| {
+        while r >= *base + n {
+            *base += n;
+        }
+        Some((*base, r - *base))
+    })
+}
+
+/// The node count from which a GAT layer keeps a memo and recomputes
+/// only changed rows; smaller graphs recompute every row.
+const MIN_DELTA_NODES: usize = 32;
+
+/// Maximal runs of consecutive rows in an ascending row list.
+fn runs(rows: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut rest = rows;
+    std::iter::from_fn(move || {
+        let &first = rest.first()?;
+        let len = rest.iter().enumerate().take_while(|&(i, &r)| r == first + i).count();
+        rest = &rest[len..];
+        Some(first..first + len)
+    })
+}
+
+/// Zero a run of rows of `slot` and hand them out for accumulation.
+fn zeroed_rows(slot: &mut Matrix, run: std::ops::Range<usize>) -> &mut [f32] {
+    let w = slot.cols();
+    let rows = &mut slot.data_mut()[run.start * w..run.end * w];
+    rows.fill(0.0);
+    rows
+}
+
+/// The runs of stacked rows (of `rows`, in `n`-row copies) missing
+/// from the ascending list `fresh`, split at copy boundaries.
+fn gaps_of(fresh: &[usize], rows: usize, n: usize, gaps: &mut Vec<std::ops::Range<usize>>) {
+    gaps.clear();
+    if fresh.len() == rows {
+        return;
+    }
+    let mut fresh = fresh.iter().copied().peekable();
+    for base in (0..rows).step_by(n) {
+        let mut r = base;
+        while r < base + n {
+            if fresh.next_if_eq(&r).is_some() {
+                r += 1;
+                continue;
+            }
+            let end = fresh.peek().map_or(base + n, |&f| f.min(base + n));
+            gaps.push(r..end);
+            r = end;
+        }
+    }
+}
+
+/// The runs of graph nodes (rows of one `n`-row copy) that the
+/// ascending stacked `rows` touch in any copy.
+fn touched_runs(
+    rows: &[usize],
+    n: usize,
+    marks: &mut Vec<bool>,
+    runs: &mut Vec<std::ops::Range<usize>>,
+) {
+    marks.clear();
+    marks.resize(n, false);
+    for (_, v) in by_copy(rows, n) {
+        marks[v] = true;
+    }
+    runs.clear();
+    let mut v = 0;
+    while v < n {
+        let start = v;
+        while v < n && marks[v] {
+            v += 1;
+        }
+        if v > start {
+            runs.push(start..v);
+        }
+        v += 1;
+    }
+}
+
+/// Copy the `runs` of node rows of the copy starting at stacked row
+/// `first` of `slot` into the same rows of `kept`.
+fn copy_runs(kept: &mut Matrix, slot: &Matrix, first: usize, runs: &[std::ops::Range<usize>]) {
+    let w = slot.cols();
+    for run in runs {
+        kept.data_mut()[run.start * w..run.end * w]
+            .copy_from_slice(&slot.data()[(first + run.start) * w..(first + run.end) * w]);
+    }
+}
+
+/// Fill each gap (ascending runs of stacked rows of `slot`, which
+/// stacks `n`-row copies, from [`gaps_of`]) with the same rows of the
+/// copy before — of `prev` in the first copy — in order, so each copy
+/// starts from its predecessor's final rows. Without `prev`, no gap
+/// may lie in the first copy.
+fn fill_gaps(slot: &mut Matrix, n: usize, prev: Option<&Matrix>, gaps: &[std::ops::Range<usize>]) {
+    let w = slot.cols();
+    let data = slot.data_mut();
+    for gap in gaps {
+        let (lo, hi) = (gap.start * w, gap.end * w);
+        if gap.start >= n {
+            data.copy_within(lo - n * w..hi - n * w, lo);
+        } else {
+            let prev = prev.expect("a cold first copy is all fresh");
+            data[lo..hi].copy_from_slice(&prev.data()[lo..hi]);
+        }
+    }
+}
+
+/// `(parameter fingerprint, first head weight, message-index stamp)`:
+/// the identity of the values a [`GatMemo`] holds.
+pub(crate) type MemoKey = (u64, usize, u64);
+
+/// What one graph-attention layer keeps of its last forward, so that
+/// the next [`crate::GatLayer::infer`] recomputes only the rows that
+/// changed: the last stacked copy's input rows and every slot the layer
+/// wrote for it (output, then per head `hw`, `score_dst`, `score_src`),
+/// keyed on the parameters, the layer and the [`MessageIndex`] they
+/// were computed under, and the stacked output rows the last call
+/// recomputed — the next layer's candidates.
+#[derive(Debug, Default)]
+pub struct GatMemo {
+    key: Option<MemoKey>,
+    rows: Vec<Matrix>,
+    dirty: Vec<usize>,
+}
+
+impl GatMemo {
+    /// An empty memo: the first forward through it computes every row.
+    #[must_use]
+    pub fn new() -> Self {
+        GatMemo::default()
+    }
+
+    /// The stacked output rows the last [`crate::GatLayer::infer`]
+    /// through this memo recomputed, ascending. Every other output row
+    /// equals the same row of the copy before it (of the previous
+    /// call's last copy, for the first).
+    #[must_use]
+    pub fn dirty(&self) -> &[usize] {
+        &self.dirty
     }
 }
 
@@ -396,7 +646,7 @@ impl InferCtx {
         self.grads[out.0] = go;
     }
 
-    /// Backward of one [`InferCtx::gat_aggregate`] head: reads the
+    /// Backward of one [`crate::GatLayer::infer`] head: reads the
     /// gradient of `out`'s columns `col..col + d` (already through the
     /// output tanh) and accumulates into the gradients of `hw`,
     /// `score_dst` and `score_src` — the tape's chain from
@@ -517,6 +767,9 @@ pub fn log_softmax_masked_fused_into(logits: &[f32], mask: &[bool], out: &mut Ve
 /// graphs over and over builds each index once.
 #[derive(Debug, Default, Clone)]
 pub struct MessageIndex {
+    /// Process-unique id of the last real rebuild (0: never built), so
+    /// a [`GatMemo`] can tell an unchanged index from a new one.
+    stamp: u64,
     edges: Vec<(usize, usize)>,
     offsets: Vec<usize>,
     sources: Vec<usize>,
@@ -550,6 +803,8 @@ impl MessageIndex {
         if self.offsets.len() == n + 1 && self.edges == edges {
             return;
         }
+        static STAMPS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        self.stamp = STAMPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
         self.edges.clear();
         self.edges.extend_from_slice(edges);
         // Counts land one slot right so the prefix sum yields starts.
@@ -597,6 +852,12 @@ impl MessageIndex {
         self.offsets.len().saturating_sub(1)
     }
 
+    /// Identity of this index's current contents: equal stamps mean
+    /// the same build (or a clone of it).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
     /// CSR row offsets: node `v`'s messages are
     /// `sources()[offsets()[v]..offsets()[v + 1]]`.
     #[must_use]
@@ -627,7 +888,7 @@ impl MessageIndex {
 
     /// Assert that `rows` stacks a positive whole number of copies of
     /// this index's graph.
-    fn check_rows(&self, rows: usize) {
+    pub(crate) fn check_rows(&self, rows: usize) {
         let n = self.n();
         assert!(
             n > 0 && rows.is_multiple_of(n),

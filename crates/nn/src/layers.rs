@@ -1,6 +1,6 @@
 //! Network layers: fully-connected, MLP, and multi-head graph attention.
 
-use crate::infer::{BufId, InferCtx, MessageIndex};
+use crate::infer::{BufId, GatMemo, InferCtx, MessageIndex};
 use crate::{Graph, Matrix, ParamId, Params, SeedRng, VarId};
 
 /// A fully-connected layer `y = x W + b`.
@@ -228,29 +228,44 @@ impl GatLayer {
     /// `index` must have been rebuilt for the same edge list and node
     /// count; `x` may stack several copies of that graph row-wise (the
     /// batched forward), each of which is bit-identical to its own
-    /// single-graph pass. Each head's message pass is one fused
-    /// [`InferCtx::gat_aggregate`] over the index's CSR, written into
-    /// the head's column block of the layer output.
+    /// single-graph pass. Each head's message pass is one fused kernel
+    /// over the index's CSR, written into the head's column block of the
+    /// layer output.
+    ///
+    /// **Incremental.** Each copy is computed from the one before it —
+    /// the first from the last copy of the previous call through `memo`,
+    /// if that call ran under the same parameters, layer and index.
+    /// Only input rows that differ bit for bit get their `hw` and
+    /// attention scores recomputed, and only destinations with such an
+    /// in-source get their messages re-aggregated; every other row is
+    /// copied. Every row's numerics depend only on its own inputs (the
+    /// matmul is row-position independent, the message pass and σ run
+    /// per destination and per element), so the output is bit-identical
+    /// to computing every row, which is what a cold `memo` does.
+    /// `candidates`, when given, lists every stacked row of `x` that can
+    /// differ from the copy before it (the previous layer's
+    /// [`GatMemo::dirty`]); other rows are not compared. Graphs of fewer
+    /// than 32 nodes recompute every row and keep no memo: there the
+    /// diffing and copying cost more than the rows they save.
     ///
     /// Slot layout, which [`GatLayer::backward`] relies on: the output,
-    /// then per head `hw`, `score_dst`, `score_src`.
+    /// then per head `hw`, `score_dst`, `score_src` — every row filled.
     pub fn infer(
         &self,
         ctx: &mut InferCtx,
         params: &Params,
         x: BufId,
         index: &MessageIndex,
+        memo: &mut GatMemo,
+        candidates: Option<&[usize]>,
     ) -> BufId {
-        let d = params.value(self.heads[0].weight).cols();
-        let out = ctx.zeros(ctx.value(x).rows(), d * self.heads.len());
-        for (h, head) in self.heads.iter().enumerate() {
-            let hw = ctx.matmul(x, params.value(head.weight)); // (n x d)
-            let score_dst = ctx.matmul(hw, params.value(head.att_dst)); // (n x 1)
-            let score_src = ctx.matmul(hw, params.value(head.att_src));
-            ctx.gat_aggregate(hw, score_dst, score_src, index, self.negative_slope, out, h * d);
-        }
-        ctx.tanh(out);
-        out
+        let key = (params.fingerprint(), self.heads[0].weight.0, index.stamp());
+        let head = |h: usize| {
+            let head = &self.heads[h];
+            [head.weight, head.att_dst, head.att_src].map(|id| params.value(id))
+        };
+        let slope = self.negative_slope;
+        ctx.gat_layer(x, self.heads.len(), head, index, slope, memo, key, candidates)
     }
 
     /// Backward of [`GatLayer::infer`] from `x` to `out` (see
@@ -370,7 +385,7 @@ mod tests {
         let gy = gat.forward(&mut g, &params, gx, &edges);
         ctx.begin();
         let cx = ctx.load(&x);
-        let cy = gat.infer(&mut ctx, &params, cx, &index);
+        let cy = gat.infer(&mut ctx, &params, cx, &index, &mut GatMemo::new(), None);
         assert_eq!(ctx.value(cy), g.value(gy), "GAT infer diverged");
 
         // MLP (ReLU between layers)

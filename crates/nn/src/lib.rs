@@ -49,7 +49,7 @@ mod serialize;
 pub mod simd;
 
 pub use graph::{Graph, VarId};
-pub use infer::{BufId, InferCtx, MessageIndex};
+pub use infer::{BufId, GatMemo, InferCtx, MessageIndex};
 pub use init::{RngState, SeedRng};
 pub use layers::{GatLayer, Linear, Mlp};
 pub use matrix::Matrix;

@@ -131,6 +131,15 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Become a copy of `count` rows of `src` starting at row `first`,
+    /// reusing the allocation.
+    pub(crate) fn copy_rows_from(&mut self, src: &Matrix, first: usize, count: usize) {
+        self.rows = count;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data[first * src.cols..(first + count) * src.cols]);
+    }
+
     /// Become an element-wise copy of `src`, reusing the allocation.
     pub fn copy_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
@@ -147,7 +156,7 @@ impl Matrix {
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.accumulate_matmul(rhs, &mut out);
+        Matrix::accumulate_rows(&self.data, self.cols, rhs, &mut out.data);
         out
     }
 
@@ -161,33 +170,36 @@ impl Matrix {
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
         out.resize_to(self.rows, rhs.cols);
-        self.accumulate_matmul(rhs, out);
+        Matrix::accumulate_rows(&self.data, self.cols, rhs, &mut out.data);
     }
 
     /// The shared i-k-j accumulation kernel behind `matmul` /
-    /// `matmul_into`. `out` must be zeroed and shaped `self.rows x
-    /// rhs.cols`.
+    /// `matmul_into`, on raw row-major slices: adds `lhs @ rhs` (`lhs`
+    /// holding whole rows of width `cols`) into `out`.
     ///
     /// Each output element accumulates its `k` contributions in
     /// ascending order with the zero skip. The register-blocked columns
     /// fuse each product into its accumulation (`mul_add`, one rounding
     /// instead of two — see `simd::matmul_acc`); what the inference
     /// path pins on is that the tape and tape-free forwards share this
-    /// one kernel, so they agree bitwise.
-    fn accumulate_matmul(&self, rhs: &Matrix, out: &mut Matrix) {
+    /// one kernel, so they agree bitwise. Row position never changes an
+    /// element's numerics, so a run of rows computed alone equals the
+    /// same rows of a whole product, bit for bit.
+    pub(crate) fn accumulate_rows(lhs: &[f32], cols: usize, rhs: &Matrix, out: &mut [f32]) {
+        assert_eq!(cols, rhs.rows, "matmul dimension mismatch");
         if rhs.cols == 1 {
             // Matvec (attention-score projections are the common case):
             // each output element is a single accumulation over one row
-            // of `self` and the contiguous column vector, four rows'
+            // of `lhs` and the contiguous column vector, four rows'
             // accumulator chains interleaved to hide the add latency
             // (see `simd::matvec_acc`).
-            crate::simd::matvec_acc(&self.data, self.cols, &rhs.data, &mut out.data);
+            crate::simd::matvec_acc(lhs, cols, &rhs.data, out);
             return;
         }
         // Register-blocked fused accumulation in `simd` (one AVX2+FMA
         // dispatch for the whole product — see `simd::matmul_acc` for the
         // rounding contract).
-        crate::simd::matmul_acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
+        crate::simd::matmul_acc(lhs, cols, &rhs.data, rhs.cols, out);
     }
 
     /// Matrix product `self x rhsᵀ` without materializing the

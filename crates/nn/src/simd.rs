@@ -501,14 +501,15 @@ pub(crate) fn matvec_acc(lhs: &[f32], cols: usize, rhs: &[f32], out: &mut [f32])
 }
 
 /// The fused GAT-head message pass behind
-/// [`crate::InferCtx::gat_aggregate`], over the destination-grouped
-/// (CSR) `index`: node `v`'s in-sources come in ascending original
-/// message order. `hw` is `rows x d` and the score columns are `rows`
-/// long, where `rows` stacks whole copies of the index's graph; the
-/// head's output goes to columns `col..col + d` of the row-major `out`
-/// (row stride `stride`), which must be zero there.
+/// [`crate::GatLayer::infer`], over the destination-grouped (CSR)
+/// `index`: node `v`'s in-sources come in ascending original message
+/// order. `hw` is `rows x d` and the score columns are `rows` long,
+/// where `rows` stacks whole copies of the index's graph. `dests`
+/// lists the stacked rows to aggregate, ascending, and each result
+/// overwrites columns `col..col + d` of its row of the row-major `out`
+/// (row stride `stride`); no other element is touched.
 ///
-/// Per copy it makes three flat passes over the CSR order:
+/// It makes three flat passes over the destinations' messages:
 ///
 /// 1. scores `LeakyReLU(score_dst[v] + score_src[u])`, each
 ///    destination's running max, and the max-shifted scores;
@@ -521,7 +522,8 @@ pub(crate) fn matvec_acc(lhs: &[f32], cols: usize, rhs: &[f32], out: &mut [f32])
 /// Every value a destination sees — and the order it sees them in — is
 /// that of the tape's `segment_softmax` and `scatter_add_rows` over the
 /// edge-ordered message list, so the result is bit-identical to the
-/// composed ops. The whole pass is one AVX2 dispatch.
+/// composed ops, whichever other destinations the list holds. The
+/// whole pass is one AVX2 dispatch.
 ///
 /// # Panics
 /// Panics if the slice lengths are inconsistent.
@@ -534,15 +536,18 @@ pub(crate) fn gat_aggregate(
     d: usize,
     scores: (&[f32], &[f32]),
     index: &crate::MessageIndex,
+    dests: &[usize],
     slope: f32,
     scratch: &mut Vec<f32>,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2() {
         // SAFETY: `avx2()` confirmed the CPU supports AVX2.
-        return unsafe { gat_kernel_avx2(out, stride, col, hw, d, scores, index, slope, scratch) };
+        return unsafe {
+            gat_kernel_avx2(out, stride, col, hw, d, scores, index, dests, slope, scratch)
+        };
     }
-    gat_kernel(out, stride, col, hw, d, scores, index, slope, scratch);
+    gat_kernel(out, stride, col, hw, d, scores, index, dests, slope, scratch);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -556,10 +561,11 @@ fn gat_kernel_avx2(
     d: usize,
     scores: (&[f32], &[f32]),
     index: &crate::MessageIndex,
+    dests: &[usize],
     slope: f32,
     scratch: &mut Vec<f32>,
 ) {
-    gat_kernel(out, stride, col, hw, d, scores, index, slope, scratch);
+    gat_kernel(out, stride, col, hw, d, scores, index, dests, slope, scratch);
 }
 
 #[inline(always)]
@@ -570,30 +576,41 @@ fn gat_kernel(
     col: usize,
     hw: &[f32],
     d: usize,
-    (score_dst, score_src): (&[f32], &[f32]),
+    scores: (&[f32], &[f32]),
     index: &crate::MessageIndex,
+    dests: &[usize],
     slope: f32,
     scratch: &mut Vec<f32>,
 ) {
-    let (offsets, sources) = (index.offsets(), index.sources());
+    // One pass per graph copy over its destinations (node `v` of the
+    // copy is stacked row `base + v`).
     let n = index.n();
-    for base in (0..score_dst.len()).step_by(n) {
-        let scores = (&score_dst[base..base + n], &score_src[base..base + n]);
-        gat_exps(scores, index, slope, scratch);
-        let o = &mut out[base * stride..(base + n) * stride];
-        let x = &hw[base * d..(base + n) * d];
+    let mut rest = dests;
+    while let Some(&first) = rest.first() {
+        let base = first - first % n;
+        let (block, tail) = rest.split_at(rest.partition_point(|&r| r < base + n));
+        rest = tail;
+        let nodes = block.iter().map(|&r| r - base);
+        gat_exps(scores, index, base, nodes.clone(), slope, scratch);
         match d {
-            4 => gat_weighted_sum::<4>(o, stride, col, x, scratch, index),
-            8 => gat_weighted_sum::<8>(o, stride, col, x, scratch, index),
-            16 => gat_weighted_sum::<16>(o, stride, col, x, scratch, index),
+            4 => gat_weighted_sum::<4>(out, stride, col, hw, scratch, index, base, nodes),
+            8 => gat_weighted_sum::<8>(out, stride, col, hw, scratch, index, base, nodes),
+            16 => gat_weighted_sum::<16>(out, stride, col, hw, scratch, index, base, nodes),
             _ => {
-                for v in 0..n {
+                let (offsets, sources) = (index.offsets(), index.sources());
+                let mut at = 0;
+                for v in nodes {
                     let (lo, hi) = (offsets[v], offsets[v + 1]);
-                    let denom = softmax_denominator(&scratch[lo..hi]);
-                    let orow = &mut o[v * stride + col..v * stride + col + d];
-                    for (&e, &u) in scratch[lo..hi].iter().zip(&sources[lo..hi]) {
+                    let exps = &scratch[at..at + hi - lo];
+                    at += hi - lo;
+                    let denom = softmax_denominator(exps);
+                    let at_out = (base + v) * stride + col;
+                    let orow = &mut out[at_out..at_out + d];
+                    orow.fill(0.0);
+                    for (&e, &u) in exps.iter().zip(&sources[lo..hi]) {
                         let alpha = e / denom;
-                        for (acc, &m) in orow.iter_mut().zip(&x[u * d..(u + 1) * d]) {
+                        let m = &hw[(base + u) * d..(base + u + 1) * d];
+                        for (acc, &m) in orow.iter_mut().zip(m) {
                             *acc += alpha * m;
                         }
                     }
@@ -603,24 +620,32 @@ fn gat_kernel(
     }
 }
 
-/// Passes 1 and 2 of [`gat_kernel`] for one graph copy: `scratch`
-/// (resized to the message count) receives, in CSR order, `exp` of
-/// each message's LeakyReLU score shifted by its destination's maximum
-/// — the segment-softmax numerators.
+/// Passes 1 and 2 of [`gat_kernel`] for the `nodes` of the graph copy
+/// whose first stacked row is `base`: `scratch` receives `exp` of each
+/// of their messages' LeakyReLU scores shifted by the node's maximum —
+/// the segment-softmax numerators, the nodes' segments concatenated in
+/// `nodes` order, each in CSR order (for every node in order, exactly
+/// the CSR layout).
 #[inline(always)]
 fn gat_exps(
     (sd, ss): (&[f32], &[f32]),
     index: &crate::MessageIndex,
+    base: usize,
+    nodes: impl Iterator<Item = usize>,
     slope: f32,
     scratch: &mut Vec<f32>,
 ) {
     let (offsets, sources) = (index.offsets(), index.sources());
+    // Room for every message of the copy; the nodes' come first.
     scratch.resize(sources.len(), 0.0);
-    for v in 0..index.n() {
+    let mut at = 0;
+    for v in nodes {
         let (lo, hi) = (offsets[v], offsets[v + 1]);
+        let segment = &mut scratch[at..at + hi - lo];
+        at += hi - lo;
         let mut max = f32::NEG_INFINITY;
-        for (e, &u) in scratch[lo..hi].iter_mut().zip(&sources[lo..hi]) {
-            let s = sd[v] + ss[u];
+        for (e, &u) in segment.iter_mut().zip(&sources[lo..hi]) {
+            let s = sd[base + v] + ss[base + u];
             *e = if s >= 0.0 { s } else { slope * s };
             // `f32::max` without its NaN fix-up sequence (a NaN score
             // is skipped either way). Only the sign of a zero maximum
@@ -630,11 +655,11 @@ fn gat_exps(
                 max = *e;
             }
         }
-        for e in &mut scratch[lo..hi] {
+        for e in segment {
             *e -= max;
         }
     }
-    exp_neg_map_body(scratch);
+    exp_neg_map_body(&mut scratch[..at]);
 }
 
 /// The backward of [`gat_aggregate`] for one head, behind
@@ -735,8 +760,9 @@ fn gat_backward_width<const W: usize>(
     let (offsets, sources, n) = (index.offsets(), index.sources(), index.n());
     ge.resize(sources.len(), 0.0);
     for base in (0..score_dst.len()).step_by(n) {
+        // Every destination of the copy in order: `alpha` in CSR order.
+        gat_exps((score_dst, score_src), index, base, 0..n, slope, alpha);
         let (sd, ss) = (&score_dst[base..base + n], &score_src[base..base + n]);
-        gat_exps((sd, ss), index, slope, alpha);
         let g_row = |v: usize| {
             let at = (base + v) * stride + col;
             &g_out[at..at + d]
@@ -794,8 +820,9 @@ fn softmax_denominator(exps: &[f32]) -> f32 {
 
 /// Pass 3 of [`gat_kernel`] at a constant width `W`: each
 /// destination's block lives in a `[f32; W]` accumulator across its
-/// in-edges and is stored once.
+/// in-edges and is stored once, to the destination's stacked row.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn gat_weighted_sum<const W: usize>(
     out: &mut [f32],
     stride: usize,
@@ -803,20 +830,26 @@ fn gat_weighted_sum<const W: usize>(
     hw: &[f32],
     exps: &[f32],
     index: &crate::MessageIndex,
+    base: usize,
+    nodes: impl Iterator<Item = usize>,
 ) {
     let (offsets, sources) = (index.offsets(), index.sources());
-    for v in 0..index.n() {
+    let mut at = 0;
+    for v in nodes {
         let (lo, hi) = (offsets[v], offsets[v + 1]);
-        let denom = softmax_denominator(&exps[lo..hi]);
+        let exps = &exps[at..at + hi - lo];
+        at += hi - lo;
+        let denom = softmax_denominator(exps);
         let mut acc = [0.0f32; W];
-        for (&e, &u) in exps[lo..hi].iter().zip(&sources[lo..hi]) {
+        for (&e, &u) in exps.iter().zip(&sources[lo..hi]) {
             let alpha = e / denom;
-            let m = &hw[u * W..u * W + W];
+            let m = &hw[(base + u) * W..(base + u) * W + W];
             for j in 0..W {
                 acc[j] += alpha * m[j];
             }
         }
-        out[v * stride + col..v * stride + col + W].copy_from_slice(&acc);
+        let at_out = (base + v) * stride + col;
+        out[at_out..at_out + W].copy_from_slice(&acc);
     }
 }
 
@@ -1322,9 +1355,13 @@ mod tests {
             let hw = series(rows * d, 0.9);
             let (mut portable, mut twin) = (vec![0.0; rows * stride], vec![0.0; rows * stride]);
             let (mut s1, mut s2) = (Vec::new(), Vec::new());
-            gat_kernel(&mut portable, stride, col, &hw, d, (&sd, &ss), &index, slope, &mut s1);
+            let dests: Vec<usize> = (0..rows).collect();
+            let scores = (sd.as_slice(), ss.as_slice());
+            gat_kernel(&mut portable, stride, col, &hw, d, scores, &index, &dests, slope, &mut s1);
             unsafe {
-                gat_kernel_avx2(&mut twin, stride, col, &hw, d, (&sd, &ss), &index, slope, &mut s2);
+                gat_kernel_avx2(
+                    &mut twin, stride, col, &hw, d, scores, &index, &dests, slope, &mut s2,
+                );
             }
             assert_eq!(bits(&portable), bits(&twin), "gat forward d={d}");
             let g_out = series(rows * stride, 0.3);

@@ -6,7 +6,7 @@
 //! accumulated over several samples like a training batch.
 
 use mapzero_nn::{
-    BufId, GatLayer, Graph, InferCtx, Linear, Matrix, MessageIndex, Mlp, Params,
+    BufId, GatLayer, GatMemo, Graph, InferCtx, Linear, Matrix, MessageIndex, Mlp, Params,
     SeedRng, VarId,
 };
 
@@ -62,7 +62,7 @@ impl Layer {
         match self {
             Layer::Linear(l) => l.infer(ctx, params, x),
             Layer::Mlp(l) => l.infer(ctx, params, x),
-            Layer::Gat(l) => l.infer(ctx, params, x, index),
+            Layer::Gat(l) => l.infer(ctx, params, x, index, &mut GatMemo::new(), None),
         }
     }
 

@@ -10,6 +10,10 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> delta-forward oracle under release codegen (row loops vectorise differently)"
+cargo test --release -q -p mapzero-nn --test message_passing_oracle
+cargo test --release -q -p mapzero-core --lib delta_forward
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
