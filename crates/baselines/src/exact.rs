@@ -3,16 +3,20 @@
 //! A systematic depth-first search over placements in schedule order
 //! with incremental routing: every partial placement whose newest node
 //! cannot be routed is pruned immediately (the combinatorial
-//! "systematic backtracking algorithm" of §1). Complete: within the
+//! "systematic backtracking algorithm" of §1). It is the agent's
+//! [`search::depth_first`] with flat scores, so candidates are tried
+//! closest to the placed neighbours first, and no backtrack limit over
+//! the unpruned [`Problem::new`]. Complete: within the
 //! time limit it finds a valid mapping at the target II under the fixed
 //! modulo schedule whenever one exists, or proves there is none. Like
 //! the ILP it therefore delivers optimal IIs on small kernels and times
 //! out on large ones.
 
-use mapzero_core::env::MapEnv;
-use mapzero_core::mapping::{MapError, MapReport, Mapper, Mapping};
+use mapzero_core::mapping::{MapError, MapReport, Mapper};
 use mapzero_core::problem::Problem;
-use mapzero_arch::{Cgra, PeId};
+use mapzero_core::search::{self, Ranked};
+use mapzero_core::supervise::Budget;
+use mapzero_arch::Cgra;
 use mapzero_dfg::Dfg;
 use std::time::{Duration, Instant};
 
@@ -41,62 +45,6 @@ impl ExactMapper {
     pub fn new(config: ExactConfig) -> Self {
         ExactMapper { config }
     }
-
-    /// Solve one fixed-II instance. Returns `(mapping, backtracks,
-    /// explored, timed_out)`.
-    fn solve(problem: &Problem<'_>, deadline: Instant) -> (Option<Mapping>, u64, u64, bool) {
-        let mut env = MapEnv::new(problem);
-        let mut backtracks = 0u64;
-        let mut explored = 0u64;
-        // DFS stack: per depth, remaining candidate actions.
-        let mut stack: Vec<Vec<PeId>> = Vec::with_capacity(problem.node_count());
-        stack.push(candidates(&env));
-        loop {
-            if Instant::now() > deadline {
-                return (None, backtracks, explored, true);
-            }
-            let Some(frame) = stack.last_mut() else {
-                // Exhausted the whole tree: proven infeasible.
-                return (None, backtracks, explored, false);
-            };
-            match frame.pop() {
-                Some(action) => {
-                    let outcome = env.step(action);
-                    explored += 1;
-                    if outcome.failed_routes > 0 {
-                        env.undo();
-                        backtracks += 1;
-                        continue;
-                    }
-                    if env.done() {
-                        if env.success() {
-                            return (env.final_mapping(), backtracks, explored, false);
-                        }
-                        env.undo();
-                        backtracks += 1;
-                        continue;
-                    }
-                    stack.push(candidates(&env));
-                }
-                None => {
-                    stack.pop();
-                    if env.undo().is_some() {
-                        backtracks += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Candidate PEs for the current node, ordered by grid distance to its
-/// placed neighbours, farthest first (the DFS pops from the back, so
-/// the closest PE is tried first).
-fn candidates(env: &MapEnv<'_>) -> Vec<PeId> {
-    let mut legal = env.legal_actions();
-    let dist = env.neighbour_distance();
-    legal.sort_by_key(|&pe| std::cmp::Reverse(dist(pe)));
-    legal
 }
 
 impl Mapper for ExactMapper {
@@ -133,12 +81,22 @@ impl Mapper for ExactMapper {
                 let remaining = deadline - now;
                 now + remaining / remaining_iis
             };
-            let (m, b, e, t) = Self::solve(&problem, slice_deadline);
-            backtracks += b;
-            explored += e;
-            timed_out |= t;
-            if m.is_some() {
-                mapping = m;
+            // Flat scores: candidates in pure distance order, closest
+            // first, with no backtrack limit.
+            let walk = search::depth_first(
+                &problem,
+                &Budget::from_deadline_at(slice_deadline),
+                u64::MAX,
+                |env, _| Ranked::Next {
+                    candidates: search::rank(env, env.legal_actions(), |_| 0.0),
+                    data: (),
+                },
+            );
+            backtracks += walk.backtracks;
+            explored += walk.steps;
+            timed_out |= walk.timed_out;
+            if walk.mapping.is_some() {
+                mapping = walk.mapping;
                 timed_out = false;
                 break;
             }

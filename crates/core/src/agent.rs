@@ -12,8 +12,8 @@ use crate::mapping::Mapping;
 use crate::mcts::{Mcts, MctsConfig, PredictCache};
 use crate::network::MapZeroNet;
 use crate::problem::Problem;
+use crate::search::{self, Ranked};
 use crate::supervise::Budget;
-use mapzero_arch::PeId;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -163,9 +163,8 @@ impl<'n> MapZeroAgent<'n> {
     /// Create an agent whose episodes drain and refill a cache shared
     /// with other agents (the serve worker pool). Entries are keyed by
     /// the problem's structural fingerprint and the search state, so a
-    /// hit replays a prediction of the same state; it can differ from a
-    /// recompute only within the batched forward's tolerance (see
-    /// [`PredictCache`]).
+    /// hit replays a prediction of the same state, bit-identical to a
+    /// recompute (see [`PredictCache`]).
     #[must_use]
     pub fn with_shared_cache(
         net: &'n MapZeroNet,
@@ -196,197 +195,110 @@ impl<'n> MapZeroAgent<'n> {
 
     /// The placement loop of one episode (see
     /// [`MapZeroAgent::run_episode_budgeted`], which wraps it with the
-    /// prediction-cache handover).
+    /// prediction-cache handover): the shared depth-first search,
+    /// ranking each state once, on its first visit. Re-deciding after a
+    /// backtrack walks down that stored ranking instead of re-searching,
+    /// so backtracking costs no network call (§3.6.2: "timely remediate
+    /// ... with little time overhead").
     fn episode_loop(
         &self,
         mcts: &mut Mcts<'_>,
         problem: &Problem<'_>,
         budget: &Budget,
     ) -> EpisodeResult {
-        let mut env = MapEnv::new(problem);
+        let AgentConfig { backtrack_budget, mcts_backtrack_cutoff, .. } = self.config;
         let mut probs_scratch: Vec<f32> = Vec::new();
-        // Actions banned per depth, as bitsets over PE ids.
-        let mut banned: Vec<Vec<u64>> = vec![vec![0; problem.words()]; problem.node_count() + 1];
-        // Cached policy per depth: re-deciding after a backtrack walks
-        // down the stored MCTS ranking instead of re-searching, so
-        // backtracking costs O(1) network-free decisions (§3.6.2:
-        // "timely remediate ... with little time overhead").
-        let mut cached: Vec<Option<Vec<f32>>> = vec![None; problem.node_count() + 1];
-        let mut trajectory: Vec<TrajectoryStep> = Vec::new();
-        let mut backtracks = 0u64;
-        let mut steps = 0u64;
-        let mut timed_out = false;
-        let mut peak_placed = 0usize;
-
-        while !env.done() {
-            if budget.exhausted() {
-                timed_out = true;
-                break;
-            }
-            let depth = env.placed_count();
-            // Pick an action not banned at this depth.
-            let decision = self.decide(
-                mcts,
-                &env,
-                &banned[depth],
-                &mut cached[depth],
-                backtracks >= self.config.mcts_backtrack_cutoff,
-                budget,
-                &mut probs_scratch,
-            );
-            let Some((action, policy, solution)) = decision else {
-                // Everything at this depth is banned or illegal:
-                // backtrack if allowed, otherwise the episode is stuck.
-                if backtracks < self.config.backtrack_budget && depth > 0 {
-                    // Capture the parent action before unwinding it.
-                    let parent_node = problem.order()[depth - 1];
-                    let parent_action = env.placement(parent_node).map(|p| p.pe);
-                    if env.undo().is_some() {
-                        backtracks += 1;
-                        banned[depth].fill(0);
-                        cached[depth] = None;
-                        trajectory.pop();
-                        if let Some(prev) = parent_action {
-                            ban(&mut banned[depth - 1], prev);
-                        }
-                        continue;
-                    }
-                }
-                break;
-            };
-            if let Some(mapping) = solution {
-                // Early exit: a rollout completed the mapping (§3.5).
-                mapzero_obs::counter!("agent.backtracks", backtracks);
-                mapzero_obs::counter!("agent.steps", steps);
-                return EpisodeResult {
-                    mapping: Some(mapping),
-                    backtracks,
-                    steps,
-                    total_reward: env.total_reward(),
-                    trajectory,
-                    timed_out: false,
-                    peak_placed: problem.node_count(),
-                    routed_edges: problem.dfg().edge_count() as u64,
-                };
-            }
-            let observation =
-                if self.config.collect_trajectory { Some(observe(&env)) } else { None };
-            let outcome = env.step(action);
-            steps += 1;
-            peak_placed = peak_placed.max(env.placed_count());
-            // Any stale policy cached for the next depth belonged to a
-            // different prefix.
-            cached[env.placed_count()] = None;
-            if let Some(observation) = observation {
-                trajectory.push(TrajectoryStep { observation, policy, reward: outcome.reward });
-            }
-            if outcome.failed_routes > 0 && backtracks < self.config.backtrack_budget {
-                // Undesirable reward: unmap and try a different action.
-                env.undo();
-                backtracks += 1;
-                ban(&mut banned[depth], action);
-                trajectory.pop();
-            }
-        }
-
-        mapzero_obs::counter!("agent.backtracks", backtracks);
-        mapzero_obs::counter!("agent.steps", steps);
+        let walk = search::depth_first(problem, budget, backtrack_budget, |env, backtracks| {
+            let cheap_mode = backtracks >= mcts_backtrack_cutoff;
+            self.rank_state(mcts, env, cheap_mode, budget, &mut probs_scratch)
+        });
+        mapzero_obs::counter!("agent.backtracks", walk.backtracks);
+        mapzero_obs::counter!("agent.steps", walk.steps);
+        let pe_count = problem.cgra().pe_count();
+        let trajectory = walk
+            .path
+            .into_iter()
+            .filter_map(|step| {
+                let Decision { observation, policy } = step.data?;
+                let policy = policy.unwrap_or_else(|| {
+                    let mut one_hot = vec![0.0f32; pe_count];
+                    one_hot[step.action.index()] = 1.0;
+                    one_hot
+                });
+                Some(TrajectoryStep { observation, policy, reward: step.reward })
+            })
+            .collect();
         EpisodeResult {
-            mapping: env.final_mapping(),
-            backtracks,
-            steps,
-            total_reward: env.total_reward(),
+            mapping: walk.mapping,
+            backtracks: walk.backtracks,
+            steps: walk.steps,
+            total_reward: walk.total_reward,
             trajectory,
-            timed_out,
-            peak_placed,
-            routed_edges: env.routed_edge_count(),
+            timed_out: walk.timed_out,
+            peak_placed: walk.peak_placed,
+            routed_edges: walk.routed_edges,
         }
     }
 
-    /// Choose an action for the current state. Returns `None` if no
-    /// unbanned legal action exists; otherwise the action, the policy
-    /// target, and (for MCTS) an early-exit solution if one was found.
-    ///
-    /// `cached` holds the policy computed on the first visit to this
-    /// depth under the current prefix, so post-backtrack re-decisions
-    /// just walk down the stored ranking.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
+    /// Rank the candidates of a newly visited state: by MCTS visit
+    /// counts, by the network policy in the greedy ablation, or — in
+    /// `cheap_mode`, the systematic-search fallback — by the distance
+    /// tie-break of [`search::rank`] alone. A doomed or action-less
+    /// state gets no candidates; an MCTS rollout that completed the
+    /// mapping ends the episode. The decision is kept for the
+    /// trajectory when one is collected.
+    fn rank_state(
         &self,
         mcts: &mut Mcts<'_>,
         env: &MapEnv<'_>,
-        banned: &[u64],
-        cached: &mut Option<Vec<f32>>,
         cheap_mode: bool,
         budget: &Budget,
         probs_scratch: &mut Vec<f32>,
-    ) -> Option<(PeId, Vec<f32>, Option<Mapping>)> {
+    ) -> Ranked<Option<Decision>> {
         if env.doomed() {
             // Forward checking proved no conflict-free completion exists
             // here; force a backtrack instead of searching the subtree.
             mapzero_obs::counter!("search.prune.dead_state");
-            return None;
+            return Ranked::Next { candidates: Vec::new(), data: None };
         }
-        let legal = env.search_actions_except(banned);
+        let legal = env.search_actions();
         if legal.is_empty() {
-            return None;
+            return Ranked::Next { candidates: legal, data: None };
         }
-        if let Some(policy) = cached.as_ref() {
-            let action = best_by_score(&legal, policy, env)?;
-            return Some((action, policy.clone(), None));
-        }
-        if cheap_mode {
-            // Systematic-search fallback: flat policy, ordering purely
-            // by the distance tie-break in `best_by_score`.
+        let collect = self.config.collect_trajectory;
+        let (candidates, observation, policy) = if cheap_mode {
             let pe_count = env.problem().cgra().pe_count();
-            let flat = vec![1.0 / pe_count as f32; pe_count];
-            let action = best_by_score(&legal, &flat, env)?;
-            *cached = Some(flat.clone());
-            return Some((action, flat, None));
-        }
-        if self.config.use_mcts {
+            let flat = collect.then(|| vec![1.0 / pe_count as f32; pe_count]);
+            (search::rank(env, legal, |_| 0.0), None, flat)
+        } else if self.config.use_mcts {
             let result = mcts.search_with_budget(env, budget);
-            if result.solution.is_some() {
-                return Some((result.best_action, result.visit_distribution, result.solution));
+            if let Some(mapping) = result.solution {
+                // Early exit: a rollout completed the mapping (§3.5).
+                return Ranked::Solved(mapping);
             }
-            let action = best_by_score(&legal, &result.visit_distribution, env)?;
-            *cached = Some(result.visit_distribution.clone());
-            Some((action, result.visit_distribution, None))
+            let visits = result.visit_distribution;
+            (search::rank(env, legal, |pe| visits[pe.index()]), None, collect.then_some(visits))
         } else {
-            // Greedy policy placement (no-MCTS ablation). The episode's
-            // scratch buffer absorbs the softmax output, so the per-
-            // decision allocation is only the cached copy.
-            let pred = self.net.predict(&observe(env));
-            pred.probs_into(probs_scratch);
-            let action = best_by_score(&legal, probs_scratch, env)?;
-            *cached = Some(probs_scratch.clone());
-            let pe_count = env.problem().cgra().pe_count();
-            let mut policy = vec![0.0f32; pe_count];
-            policy[action.index()] = 1.0;
-            Some((action, policy, None))
-        }
+            // Greedy policy placement (no-MCTS ablation); its target is
+            // one-hot on the action stepped.
+            let observation = observe(env);
+            self.net.predict(&observation).probs_into(probs_scratch);
+            (search::rank(env, legal, |pe| probs_scratch[pe.index()]), Some(observation), None)
+        };
+        let data = collect.then(|| Decision {
+            observation: observation.unwrap_or_else(|| observe(env)),
+            policy,
+        });
+        Ranked::Next { candidates, data }
     }
 }
 
-/// Add `pe` to a per-depth ban bitset.
-fn ban(banned: &mut [u64], pe: PeId) {
-    banned[pe.index() / 64] |= 1u64 << (pe.index() % 64);
-}
-
-/// Highest-scoring action among `legal` under a per-PE score vector,
-/// breaking ties (an untrained or flat policy) by grid distance to the
-/// current node's placed neighbours. The tie-break makes the
-/// post-backtrack walk down the ranking degrade gracefully into the
-/// same distance-ordered systematic search the exact mapper uses.
-/// Returns `None` on an empty candidate set; NaN scores (a poisoned
-/// network) order below every finite score instead of panicking.
-fn best_by_score(legal: &[PeId], scores: &[f32], env: &MapEnv<'_>) -> Option<PeId> {
-    let dist = env.neighbour_distance();
-    legal.iter().copied().max_by(|a, b| {
-        scores[a.index()]
-            .total_cmp(&scores[b.index()])
-            .then_with(|| dist(*b).cmp(&dist(*a)))
-    })
+/// What a collected trajectory keeps of one state's ranking.
+struct Decision {
+    observation: Observation,
+    /// The policy target; `None` is one-hot on the action stepped (the
+    /// greedy ablation).
+    policy: Option<Vec<f32>>,
 }
 
 #[cfg(test)]
@@ -432,9 +344,11 @@ mod tests {
 
     #[test]
     fn trajectory_collection_records_steps() {
-        let dfg = suite::by_name("sum").unwrap();
+        // conv3 backtracks on the 4x4 mesh, so some targets are recorded
+        // at states re-decided after a backtrack.
+        let dfg = suite::by_name("conv3").unwrap();
         let cgra = presets::simple_mesh(4, 4);
-        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
+        let problem = Problem::new(&dfg, &cgra, Problem::mii(&dfg, &cgra).unwrap()).unwrap();
         let net = agent_net(16);
         let config = AgentConfig {
             collect_trajectory: true,
@@ -443,10 +357,12 @@ mod tests {
         };
         let agent = MapZeroAgent::new(&net, config);
         let result = agent.run_episode(&problem, Duration::from_secs(30));
+        assert!(result.backtracks > 0);
         assert!(!result.trajectory.is_empty());
         for step in &result.trajectory {
-            let total: f32 = step.policy.iter().sum();
-            assert!((total - 1.0).abs() < 1e-4);
+            // The greedy ablation's target is one-hot on the action taken.
+            assert_eq!(step.policy.iter().filter(|&&p| p == 1.0).count(), 1);
+            assert_eq!(step.policy.iter().filter(|&&p| p == 0.0).count(), step.policy.len() - 1);
         }
     }
 

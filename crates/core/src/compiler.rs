@@ -93,14 +93,6 @@ pub struct IiBounds {
     pub max: Option<u32>,
 }
 
-impl IiBounds {
-    /// No constraints: the compiler's default window.
-    #[must_use]
-    pub fn unbounded() -> Self {
-        IiBounds::default()
-    }
-}
-
 /// The MapZero compiler. Caches one network per action-space size, so
 /// fabrics with equal PE counts share weights (§4.5).
 ///
@@ -289,10 +281,11 @@ impl Compiler {
         if let Some(cap) = self.config.expansion_budget {
             budget = budget.with_expansion_cap(cap);
         }
-        self.map_with_budget(dfg, cgra, &budget)
+        self.map_request(dfg, cgra, &budget, IiBounds::default())
     }
 
-    /// Map under an explicit [`Budget`] — the full supervised pipeline:
+    /// Map under an explicit [`Budget`] and II window — the full
+    /// supervised pipeline, and the serve layer's entry point:
     ///
     /// 1. The II search runs attempts under per-attempt slices of the
     ///    budget; each attempt is panic-isolated (a fault in routing or
@@ -310,22 +303,10 @@ impl Compiler {
     ///    returned report carries per-phase budget attribution in
     ///    `MapReport::telemetry`.
     ///
-    /// # Errors
-    /// Same contract as [`Compiler::map`].
-    pub fn map_with_budget(
-        &mut self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        budget: &Budget,
-    ) -> Result<MapReport, MapError> {
-        self.map_request(dfg, cgra, budget, IiBounds::unbounded())
-    }
-
-    /// [`Compiler::map_with_budget`] with an explicit II window — the
-    /// serve layer's entry point. `bounds` is intersected with the
-    /// compiler's own window `mii ..= mii + max_extra_ii`; an empty
-    /// intersection is [`MapError::NoSchedule`] (the request asked for
-    /// an II this kernel/fabric pair cannot satisfy).
+    /// `bounds` is intersected with the compiler's own window
+    /// `mii ..= mii + max_extra_ii`; an empty intersection is
+    /// [`MapError::NoSchedule`] (the request asked for an II this
+    /// kernel/fabric pair cannot satisfy).
     ///
     /// # Errors
     /// Same contract as [`Compiler::map`], plus `NoSchedule` for an
@@ -372,7 +353,7 @@ impl Compiler {
         })
     }
 
-    /// The unsupervised body of [`Compiler::map_with_budget`] — the
+    /// The unsupervised body of [`Compiler::map_request`] — the
     /// wrapper adds the run-level telemetry capture and outcome
     /// counters around it.
     fn map_attempts(

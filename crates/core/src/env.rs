@@ -259,16 +259,6 @@ impl<'a> MapEnv<'a> {
         pe_ids(&self.action_words(true))
     }
 
-    /// [`MapEnv::search_actions`] minus the PEs set in `banned` (a bitset
-    /// over PE ids), ascending.
-    pub(crate) fn search_actions_except(&self, banned: &[u64]) -> Vec<PeId> {
-        let mut words = self.action_words(true);
-        for (w, b) in words.iter_mut().zip(banned) {
-            *w &= !b;
-        }
-        pe_ids(&words)
-    }
-
     /// Place the current node on `pe`, route every edge whose endpoints
     /// are now both placed, and return the step outcome.
     ///

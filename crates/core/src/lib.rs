@@ -56,6 +56,7 @@ pub mod persist;
 pub mod problem;
 pub mod replay;
 pub mod router;
+pub mod search;
 pub mod search_space;
 pub mod supervise;
 pub mod train;

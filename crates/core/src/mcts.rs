@@ -43,8 +43,8 @@ pub struct MctsConfig {
     /// sweep collects up to this many leaves under virtual loss and
     /// evaluates them in one [`MapZeroNet::predict_batch`] call. Values
     /// `< 1` behave as 1. At larger batch sizes selection diverges by
-    /// design (virtual loss) and leaf evaluations follow the
-    /// batched-forward tolerance contract.
+    /// design (virtual loss); each leaf evaluation is bit-identical to
+    /// an unbatched one.
     pub leaf_batch: usize,
 }
 
@@ -449,14 +449,12 @@ impl<'n> Mcts<'n> {
     /// network, the config, the root state and the cache contents.
     /// Cache hits are resolved at flush time — they skip the forward
     /// pass but never change which walks run or when values are applied.
-    /// A hit does replay the prediction of whichever forward first
-    /// computed that state: a batch of one is exact, a wider batch
-    /// carries the fused softmax's ≤ 1e-5 log-prior deviation. So a
-    /// warm cache can shift priors within that tolerance and, through a
-    /// near-tie, a search result; a cold and a warm cache agree
-    /// whenever no such tie is hit. With `leaf_batch == 1` each sweep
-    /// holds one leaf and the loop reproduces the one-leaf-at-a-time
-    /// recursion (the test-only `simulate`) update for update.
+    /// A hit replays the prediction of whichever forward first computed
+    /// that state, which is bit-identical to a recompute at any batch
+    /// width, so a warm and a cold cache give the same search. With
+    /// `leaf_batch == 1` each sweep holds one leaf and the loop
+    /// reproduces the one-leaf-at-a-time recursion (the test-only
+    /// `simulate`) update for update.
     fn run_batched_sims<'p>(
         &mut self,
         root_env: &MapEnv<'p>,

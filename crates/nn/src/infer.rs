@@ -729,29 +729,6 @@ pub fn log_softmax_masked_into(logits: &[f32], mask: &[bool], out: &mut Vec<f32>
     );
 }
 
-/// SIMD variant of [`log_softmax_masked_into`]: the masked max runs
-/// through the order-insensitive [`crate::simd::max_masked`] reduction
-/// (bit-exact) and the normalizer through the fused-order
-/// [`crate::simd::sum_exp_masked`] reduction, which reassociates the
-/// sum. Results therefore match the scalar form only within the kernel
-/// tolerance contract (≤1e-5); masked entries are still exactly
-/// `NEG_INF`. Used by the K>1 batched forward, whose contract is
-/// tolerance- rather than bit-governed.
-///
-/// # Panics
-/// Same contract as [`log_softmax_masked_into`].
-pub fn log_softmax_masked_fused_into(logits: &[f32], mask: &[bool], out: &mut Vec<f32>) {
-    assert_eq!(mask.len(), logits.len(), "one mask bit per logit");
-    assert!(mask.iter().any(|&m| m), "at least one action must be legal");
-    let max = crate::simd::max_masked(logits, mask);
-    let sum = crate::simd::sum_exp_masked(logits, mask, max);
-    let lse = max + sum.ln();
-    out.clear();
-    out.extend(
-        logits.iter().zip(mask).map(|(&v, &m)| if m { v - lse } else { NEG_INF }),
-    );
-}
-
 /// Precomputed message routing for one graph, in compressed sparse
 /// row (CSR) form grouped by destination: the messages are the
 /// `(src, dst)` edges with one self-loop per node appended — exactly
@@ -1024,23 +1001,6 @@ mod tests {
             let gm = g.input(m.clone());
             let mean = g.mean_rows(gm);
             assert_eq!(ctx.value(means).row_slice(row), g.value(mean).row_slice(0));
-        }
-    }
-
-    #[test]
-    fn fused_log_softmax_stays_within_tolerance_of_scalar() {
-        let logits = test_matrix(1, 21, 2.3);
-        let mask: Vec<bool> = (0..21).map(|i| i % 4 != 1).collect();
-        let mut scalar = Vec::new();
-        log_softmax_masked_into(logits.row_slice(0), &mask, &mut scalar);
-        let mut fused = Vec::new();
-        log_softmax_masked_fused_into(logits.row_slice(0), &mask, &mut fused);
-        for ((s, f), &m) in scalar.iter().zip(&fused).zip(&mask) {
-            if m {
-                assert!((s - f).abs() <= 1e-5, "unmasked entry drifted: {s} vs {f}");
-            } else {
-                assert_eq!(*f, NEG_INF, "masked entries must stay pinned");
-            }
         }
     }
 

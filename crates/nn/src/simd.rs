@@ -12,10 +12,9 @@
 //!
 //! The kernels come in three flavours with different guarantees:
 //!
-//! - **Order-preserving** ([`axpy`], [`max_masked`]): every output
-//!   element sees exactly the operations, in exactly the order, of the
-//!   sequential reference loop (`axpy` touches each lane independently;
-//!   `max` is associative and commutative over non-NaN floats). These
+//! - **Order-preserving** ([`axpy`]): every output element sees
+//!   exactly the operations, in exactly the order, of the sequential
+//!   reference loop (`axpy` touches each lane independently). These
 //!   are **bit-exact** to it and are safe inside paths pinned by
 //!   bit-equality tests, e.g. the forward pass that must match the tape
 //!   reference. One carve-out: the matmul's register-blocked columns
@@ -25,14 +24,14 @@
 //!   skip, and the per-element operation sequence are still fixed by
 //!   shape alone, and every forward path (tape, tape-free, batched) runs
 //!   the same kernel, so all paths remain mutually bit-identical.
-//! - **Fused-order** ([`dot`], [`sum_exp_masked`]): the reduction runs
+//! - **Fused-order** ([`dot`]): the reduction runs
 //!   in 8 parallel accumulators folded with a fixed tree, which
 //!   reassociates the floating-point sum. Results match the sequential
 //!   reference only within a small tolerance (the kernel proptests pin
 //!   1e-5 relative), so these are reserved for paths with an explicit
 //!   tolerance contract against the sequential form: the matmul input
 //!   gradient (shared by the tape and the tape-free backward, which
-//!   therefore agree bitwise) and the K>1 batched-inference softmax.
+//!   therefore agree bitwise).
 //! - **Elementwise-approximate** ([`tanh1`], [`tanh_map`],
 //!   [`exp_neg_map`]): a vectorizable polynomial replaces the libm call,
 //!   within 1e-5 of it. The output depends only on the input bits —
@@ -899,63 +898,6 @@ fn dot_body(a: &[f32], b: &[f32]) -> f32 {
     (l0 + l1) + tail
 }
 
-/// Maximum of the unmasked lanes (masked lanes contribute
-/// `f32::NEG_INFINITY`). `max` over non-NaN floats is associative and
-/// commutative, so the lane-parallel reduction is bit-exact to the
-/// sequential masked scan.
-///
-/// # Panics
-/// Panics unless `xs.len() == mask.len()`.
-#[inline]
-#[must_use]
-pub fn max_masked(xs: &[f32], mask: &[bool]) -> f32 {
-    assert_eq!(xs.len(), mask.len(), "max_masked length mismatch");
-    let mut lanes = [f32::NEG_INFINITY; LANES];
-    let mut xc = xs.chunks_exact(LANES);
-    let mut mc = mask.chunks_exact(LANES);
-    for (x, keep) in xc.by_ref().zip(mc.by_ref()) {
-        for j in 0..LANES {
-            lanes[j] = lanes[j].max(if keep[j] { x[j] } else { f32::NEG_INFINITY });
-        }
-    }
-    let mut m = lanes.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    for (&v, &keep) in xc.remainder().iter().zip(mc.remainder()) {
-        if keep {
-            m = m.max(v);
-        }
-    }
-    m
-}
-
-/// Fused-order `Σ exp(x − shift)` over the unmasked lanes: 8 parallel
-/// accumulators folded pairwise (tolerance contract — the softmax
-/// normalizer of the K>1 batched forward runs through this).
-///
-/// # Panics
-/// Panics unless `xs.len() == mask.len()`.
-#[inline]
-#[must_use]
-pub fn sum_exp_masked(xs: &[f32], mask: &[bool], shift: f32) -> f32 {
-    assert_eq!(xs.len(), mask.len(), "sum_exp_masked length mismatch");
-    let mut lanes = [0.0f32; LANES];
-    let mut xc = xs.chunks_exact(LANES);
-    let mut mc = mask.chunks_exact(LANES);
-    for (x, keep) in xc.by_ref().zip(mc.by_ref()) {
-        for j in 0..LANES {
-            lanes[j] += if keep[j] { (x[j] - shift).exp() } else { 0.0 };
-        }
-    }
-    let mut tail = 0.0f32;
-    for (&v, &keep) in xc.remainder().iter().zip(mc.remainder()) {
-        if keep {
-            tail += (v - shift).exp();
-        }
-    }
-    let l0 = (lanes[0] + lanes[4]) + (lanes[2] + lanes[6]);
-    let l1 = (lanes[1] + lanes[5]) + (lanes[3] + lanes[7]);
-    (l0 + l1) + tail
-}
-
 /// Hyperbolic tangent of one value: the polynomial of [`tanh_map`],
 /// within `1e-5` absolute of libm — in practice ~1e-6. The function is
 /// **elementwise-deterministic**: the output depends only on the input
@@ -1247,28 +1189,6 @@ mod tests {
             let seq = dot_scalar(&a, &b);
             assert!((fused - seq).abs() <= 1e-5 * (1.0 + seq.abs()), "n={n}: {fused} vs {seq}");
         }
-    }
-
-    #[test]
-    fn masked_reductions_respect_the_mask() {
-        let xs = series(21, 0.5);
-        let mask: Vec<bool> = (0..21).map(|i| i % 3 != 0).collect();
-        let max = max_masked(&xs, &mask);
-        let expect = xs
-            .iter()
-            .zip(&mask)
-            .filter(|&(_, &m)| m)
-            .map(|(&v, _)| v)
-            .fold(f32::NEG_INFINITY, f32::max);
-        assert_eq!(max, expect);
-        let sum = sum_exp_masked(&xs, &mask, max);
-        let seq: f32 = xs
-            .iter()
-            .zip(&mask)
-            .filter(|&(_, &m)| m)
-            .map(|(&v, _)| (v - max).exp())
-            .sum();
-        assert!((sum - seq).abs() <= 1e-5 * (1.0 + seq.abs()));
     }
 
     #[test]

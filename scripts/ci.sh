@@ -17,6 +17,9 @@ cargo test --release -q -p mapzero-core --lib delta_forward
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy on perf_ledger (its own workspace, which --workspace does not reach)"
+cargo clippy --offline --manifest-path perf_ledger/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo doc (warning-free: no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

@@ -1,0 +1,68 @@
+//! The exact mapper and the agent's systematic fallback are one search.
+//!
+//! An agent whose MCTS cutoff is 0 ranks every state by the distance
+//! heuristic alone, and with an unlimited backtrack budget it never
+//! keeps a step whose routes fail. That is the exact mapper's
+//! depth-first search: on the same unpruned [`Problem`] and II ladder
+//! both must return the same mapping after the same number of
+//! backtracks and placement steps.
+
+use mapzero::baselines::ExactConfig;
+use mapzero::core::agent::{AgentConfig, MapZeroAgent};
+use mapzero::core::network::{MapZeroNet, NetConfig};
+use mapzero::prelude::*;
+use std::time::Duration;
+
+const LIMIT: Duration = Duration::from_secs(60);
+
+/// The systematic agent over the exact mapper's II ladder: the first
+/// mapping found, with backtracks and steps summed over every II tried.
+fn systematic_agent(dfg: &Dfg, cgra: &Cgra) -> (Option<Mapping>, u64, u64) {
+    let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
+    let config = AgentConfig {
+        mcts_backtrack_cutoff: 0,
+        backtrack_budget: u64::MAX,
+        ..AgentConfig::default()
+    };
+    let agent = MapZeroAgent::new(&net, config);
+    let mii = Problem::mii(dfg, cgra).unwrap();
+    let (mut backtracks, mut steps) = (0, 0);
+    for ii in mii..=mii + ExactConfig::default().max_extra_ii {
+        let problem = match Problem::new(dfg, cgra, ii) {
+            Ok(p) => p,
+            Err(MapError::NoSchedule(_)) => continue,
+            Err(e) => panic!("{}: {e}", dfg.name()),
+        };
+        let result = agent.run_episode(&problem, LIMIT);
+        assert!(!result.timed_out, "{} on {} timed out", dfg.name(), cgra.name());
+        backtracks += result.backtracks;
+        steps += result.steps;
+        if result.mapping.is_some() {
+            return (result.mapping, backtracks, steps);
+        }
+    }
+    (None, backtracks, steps)
+}
+
+#[test]
+fn exact_mapper_and_systematic_agent_walk_the_same_tree() {
+    let kernels = ["sum", "mac", "conv2", "accumulate", "conv3", "matmul"];
+    let fabrics = [
+        presets::hrea(),
+        presets::hycube(),
+        presets::simple_mesh(4, 4),
+        presets::simple_mesh(3, 3),
+    ];
+    for cgra in &fabrics {
+        for name in kernels {
+            let dfg = suite::by_name(name).unwrap();
+            let what = format!("{name} on {}", cgra.name());
+            let report = ExactMapper::default().map(&dfg, cgra, LIMIT).unwrap();
+            assert!(!report.timed_out, "{what}: exact mapper timed out");
+            let (mapping, backtracks, steps) = systematic_agent(&dfg, cgra);
+            assert_eq!(mapping, report.mapping, "{what}: mapping");
+            assert_eq!(backtracks, report.backtracks, "{what}: backtracks");
+            assert_eq!(steps, report.explored, "{what}: explored");
+        }
+    }
+}
