@@ -43,7 +43,12 @@ fn main() {
             for name in kernels {
                 let dfg = mapzero_dfg::suite::by_name(name).expect("kernel exists");
                 let Ok(mii) = Problem::mii(&dfg, cgra) else { continue };
-                let Ok(problem) = Problem::new(&dfg, cgra, mii) else { continue };
+                // The pruned problem the compiler and trainer search.
+                let Ok(problem) =
+                    Problem::new(&dfg, cgra, mii).map(Problem::with_candidate_pruning)
+                else {
+                    continue;
+                };
                 total += 1;
                 let start = std::time::Instant::now();
                 let result = agent.run_episode(&problem, limit);

@@ -50,7 +50,12 @@ fn main() {
                 // Same II climb as the compiler.
                 let mut success = false;
                 for ii in mii..=mii + config.max_extra_ii {
-                    let Ok(problem) = Problem::new(&dfg, cgra, ii) else { continue };
+                    // The pruned problem the compiler and trainer search.
+                    let Ok(problem) =
+                        Problem::new(&dfg, cgra, ii).map(Problem::with_candidate_pruning)
+                    else {
+                        continue;
+                    };
                     let result = agent.run_episode(&problem, limit);
                     if let Some(m) = result.mapping {
                         success = m.ii == mii; // the ablation counts MII hits

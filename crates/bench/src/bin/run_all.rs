@@ -5,14 +5,11 @@
 use mapzero_bench::Harness;
 use std::process::Command;
 
-const HARNESSES: [&str; 12] = [
+const HARNESSES: [&str; 9] = [
     "table1_architectures",
     "table2_dfg_stats",
     "search_space",
-    "fig08_mapping_quality",
-    "fig09_backtracks",
-    "fig10_backtracks_vs_annealing",
-    "fig11_compile_time",
+    "headtohead",
     "fig12_learning_curves",
     "fig13_scalability",
     "fig15_heterogeneous",

@@ -1,8 +1,9 @@
 //! Shared harness utilities for the table/figure reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the index) and prints the same
-//! rows/series the paper reports, additionally writing CSV into
+//! paper (see DESIGN.md §4 for the index), or in the case of
+//! `headtohead` the four views of one run (Figs. 8–11), and prints the
+//! same rows/series the paper reports, additionally writing CSV into
 //! `results/`.
 //!
 //! Scale control: the experiments honour two environment variables so
@@ -221,8 +222,7 @@ fn failed_report(name: &str, dfg: &Dfg, cgra: &Cgra) -> MapReport {
     }
 }
 
-/// A flattened mapping result, cacheable as CSV so Figs. 8–11 share one
-/// set of raw runs.
+/// A flattened mapping result: one row of a head-to-head table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawResult {
     /// Mapper name.
@@ -271,76 +271,6 @@ impl RawResult {
             f64::from(self.mii) / f64::from(self.ii)
         }
     }
-
-    fn to_csv_row(&self) -> Vec<String> {
-        vec![
-            self.mapper.clone(),
-            self.kernel.clone(),
-            self.fabric.clone(),
-            self.mii.to_string(),
-            self.ii.to_string(),
-            format!("{:.6}", self.secs),
-            self.backtracks.to_string(),
-            self.explored.to_string(),
-            self.timed_out.to_string(),
-        ]
-    }
-
-    fn from_csv_row(row: &[&str]) -> Option<Self> {
-        if row.len() != 9 {
-            return None;
-        }
-        Some(RawResult {
-            mapper: row[0].to_owned(),
-            kernel: row[1].to_owned(),
-            fabric: row[2].to_owned(),
-            mii: row[3].parse().ok()?,
-            ii: row[4].parse().ok()?,
-            secs: row[5].parse().ok()?,
-            backtracks: row[6].parse().ok()?,
-            explored: row[7].parse().ok()?,
-            timed_out: row[8].parse().ok()?,
-        })
-    }
-}
-
-const HEADTOHEAD_HEADER: [&str; 9] =
-    ["mapper", "kernel", "fabric", "mii", "ii", "secs", "backtracks", "explored", "timed_out"];
-
-/// Run (or load from cache) the §4.2/§4.3 head-to-head experiment: all
-/// four mappers × the mode's kernels × the four evaluation fabrics.
-/// The raw rows are cached in `results/headtohead_raw.csv`; delete that
-/// file to re-run.
-pub fn headtohead_results(mode: BenchMode) -> Vec<RawResult> {
-    let cache = results_dir().join("headtohead_raw.csv");
-    if let Ok(text) = fs::read_to_string(&cache) {
-        let rows: Vec<RawResult> = text
-            .lines()
-            .skip(1)
-            .filter_map(|l| RawResult::from_csv_row(&l.split(',').collect::<Vec<_>>()))
-            .collect();
-        if !rows.is_empty() {
-            println!("[loaded {} cached rows from {}]", rows.len(), cache.display());
-            return rows;
-        }
-    }
-    let limit = mode.time_limit();
-    let mut compiler = Compiler::new(mode.mapzero_config());
-    let mut results = Vec::new();
-    for cgra in mapzero_arch::presets::evaluation_fabrics() {
-        for name in mode.kernels() {
-            let dfg = mapzero_dfg::suite::by_name(name).expect("kernel exists");
-            eprintln!("running {} on {} …", name, cgra.name());
-            for report in run_all_mappers(&mut compiler, &dfg, &cgra, limit) {
-                results.push(RawResult::from_report(&report));
-            }
-        }
-    }
-    let mut csv =
-        vec![HEADTOHEAD_HEADER.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>()];
-    csv.extend(results.iter().map(RawResult::to_csv_row));
-    write_csv("headtohead_raw", &csv);
-    results
 }
 
 /// Geometric mean of a set of positive values.
@@ -375,12 +305,6 @@ pub fn write_csv(name: &str, rows: &[Vec<String>]) {
         let _ = writeln!(file, "{}", row.join(","));
     }
     println!("\n[csv written to {}]", path.display());
-}
-
-/// Format a duration in seconds with millisecond precision.
-#[must_use]
-pub fn secs(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
 }
 
 /// Pretty-print an aligned table: `widths` per column, header first.

@@ -68,8 +68,8 @@ impl AgentConfig {
 pub struct TrajectoryStep {
     /// The observation the decision was made from.
     pub observation: Observation,
-    /// The policy target (MCTS visit distribution, or one-hot for the
-    /// greedy ablation).
+    /// The policy target (MCTS visit distribution, or one-hot on the
+    /// action stepped for the greedy ablation and cheap mode).
     pub policy: Vec<f32>,
     /// Immediate environment reward.
     pub reward: f64,
@@ -267,9 +267,9 @@ impl<'n> MapZeroAgent<'n> {
         }
         let collect = self.config.collect_trajectory;
         let (candidates, observation, policy) = if cheap_mode {
-            let pe_count = env.problem().cgra().pe_count();
-            let flat = collect.then(|| vec![1.0 / pe_count as f32; pe_count]);
-            (search::rank(env, legal, |_| 0.0), None, flat)
+            // Systematic-search fallback; its target is one-hot on the
+            // action stepped, as in the greedy ablation.
+            (search::rank(env, legal, |_| 0.0), None, None)
         } else if self.config.use_mcts {
             let result = mcts.search_with_budget(env, budget);
             if let Some(mapping) = result.solution {
@@ -297,7 +297,7 @@ impl<'n> MapZeroAgent<'n> {
 struct Decision {
     observation: Observation,
     /// The policy target; `None` is one-hot on the action stepped (the
-    /// greedy ablation).
+    /// greedy ablation and the cheap-mode fallback).
     policy: Option<Vec<f32>>,
 }
 
@@ -350,19 +350,32 @@ mod tests {
         let cgra = presets::simple_mesh(4, 4);
         let problem = Problem::new(&dfg, &cgra, Problem::mii(&dfg, &cgra).unwrap()).unwrap();
         let net = agent_net(16);
-        let config = AgentConfig {
-            collect_trajectory: true,
-            use_mcts: false,
-            ..AgentConfig::fast_test()
-        };
-        let agent = MapZeroAgent::new(&net, config);
-        let result = agent.run_episode(&problem, Duration::from_secs(30));
-        assert!(result.backtracks > 0);
-        assert!(!result.trajectory.is_empty());
-        for step in &result.trajectory {
-            // The greedy ablation's target is one-hot on the action taken.
-            assert_eq!(step.policy.iter().filter(|&&p| p == 1.0).count(), 1);
-            assert_eq!(step.policy.iter().filter(|&&p| p == 0.0).count(), step.policy.len() - 1);
+        // The greedy ablation, and MCTS whose every state is decided in
+        // cheap mode (cutoff 0): both record a one-hot target on the
+        // action taken, which the recorded mask allows.
+        let configs = [
+            AgentConfig { collect_trajectory: true, use_mcts: false, ..AgentConfig::fast_test() },
+            AgentConfig {
+                collect_trajectory: true,
+                mcts_backtrack_cutoff: 0,
+                ..AgentConfig::fast_test()
+            },
+        ];
+        for config in configs {
+            let agent = MapZeroAgent::new(&net, config);
+            let result = agent.run_episode(&problem, Duration::from_secs(30));
+            assert!(result.backtracks > 0);
+            assert!(!result.trajectory.is_empty());
+            for step in &result.trajectory {
+                let hot: Vec<usize> =
+                    (0..step.policy.len()).filter(|&pe| step.policy[pe] == 1.0).collect();
+                assert_eq!(hot.len(), 1, "{:?}", step.policy);
+                assert_eq!(
+                    step.policy.iter().filter(|&&p| p == 0.0).count(),
+                    step.policy.len() - 1
+                );
+                assert!(step.observation.mask[hot[0]], "target on a masked PE");
+            }
         }
     }
 

@@ -60,12 +60,24 @@ pub struct TrainState {
 
 /// A stable fingerprint of the configuration fields that shape the
 /// training stream. Two configs with equal fingerprints generate the
-/// same curriculum, batch schedule and RNG demand, so a checkpoint from
-/// one resumes correctly under the other.
+/// same curriculum, batch schedule, RNG demand, self-play search and
+/// updates, so a checkpoint from one resumes correctly under the other.
+///
+/// Left out, because they cannot change the stream:
+/// - `workers`: self-play episodes are seeded per (epoch, episode) and
+///   merged in episode order, so any worker count gives the same stream;
+/// - `episode_deadline`: a wall-clock safety net, not a work bound;
+/// - `mcts.cache_capacity`: the prediction cache returns what the
+///   network would compute, so its size changes speed only;
+/// - `mcts.seed` and `mcts.playout`: self-play overrides both, and with
+///   playouts off evaluation never draws from the search RNG;
+/// - `max_retries`: it only decides when a diverging run gives up, and
+///   the stream up to that point is the same.
 #[must_use]
 pub fn config_fingerprint(config: &TrainConfig) -> u64 {
+    let mcts = &config.mcts;
     let rendered = format!(
-        "seed={};epochs={};eppe={};batch={};updates={};cap={};aug={};curr={:?};cps={};lr={:08x}/{:08x}/{}/{:08x}",
+        "seed={};epochs={};eppe={};batch={};updates={};cap={};aug={};curr={:?};cps={};lr={:08x}/{:08x}/{}/{:08x};clip={:08x};gn={:08x};mcts={}/{}/{:016x}/{}/{}",
         config.seed,
         config.epochs,
         config.episodes_per_epoch,
@@ -79,6 +91,13 @@ pub fn config_fingerprint(config: &TrainConfig) -> u64 {
         config.lr.decay.to_bits(),
         config.lr.step_every,
         config.lr.floor.to_bits(),
+        config.clip.to_bits(),
+        config.max_grad_norm.to_bits(),
+        mcts.simulations,
+        mcts.expansion_cap,
+        mcts.c_puct.to_bits(),
+        mcts.playout_step_limit,
+        mcts.leaf_batch,
     );
     crate::checkpoint::fnv1a64(rendered.as_bytes())
 }
@@ -394,6 +413,18 @@ mod tests {
         assert_ne!(config_fingerprint(&base), config_fingerprint(&other_seed));
         let other_epochs = TrainConfig { epochs: base.epochs + 1, ..base };
         assert_ne!(config_fingerprint(&base), config_fingerprint(&other_epochs));
+        let other_clip = TrainConfig { clip: base.clip * 2.0, ..base };
+        assert_ne!(config_fingerprint(&base), config_fingerprint(&other_clip));
+        let other_guard = TrainConfig { max_grad_norm: base.max_grad_norm * 2.0, ..base };
+        assert_ne!(config_fingerprint(&base), config_fingerprint(&other_guard));
+        let other_search = TrainConfig {
+            mcts: crate::mcts::MctsConfig {
+                simulations: base.mcts.simulations + 1,
+                ..base.mcts
+            },
+            ..base
+        };
+        assert_ne!(config_fingerprint(&base), config_fingerprint(&other_search));
         // Non-shaping fields (wall-clock deadline) don't change it.
         let other_deadline = TrainConfig {
             episode_deadline: std::time::Duration::from_secs(999),

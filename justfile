@@ -45,6 +45,11 @@ bench-searchspace:
 ledger W:
     cargo run --quiet --release --offline --manifest-path perf_ledger/Cargo.toml --bin perf_ledger -- --workload {{W}} --seed 1
 
+# Rerun the deterministic tables (Table 1, Table 2, search space) and
+# diff their CSVs against results/.
+tables-check:
+    scripts/tables_check.sh
+
 # Regenerate every paper table/figure (quick mode).
 figures:
     cargo run --release -p mapzero-bench --bin run_all

@@ -41,6 +41,9 @@ scripts/serve_smoke.sh
 echo "==> serve recovery smoke (journal crash-replay + SIGTERM drain + validator gate)"
 scripts/serve_recovery_smoke.sh
 
+echo "==> deterministic tables (Table 1, Table 2, search space) match results/"
+scripts/tables_check.sh
+
 echo "==> perf ledger suite (unit tests, smoke runs, traced-replay count check)"
 cargo test --offline --manifest-path perf_ledger/Cargo.toml
 
