@@ -69,7 +69,7 @@ pub fn evaluate(problem: &Problem<'_>, assignment: &[PeId]) -> Evaluation {
         }
         if cgra.row_shared_mem_bus()
             && op.class() == OpClass::Memory
-            && !ledger.claim_membus(cgra.pe(pe).row, slot, u)
+            && !ledger.claim_membus(cgra.pe(pe).row, slot)
         {
             violations += 1;
         }

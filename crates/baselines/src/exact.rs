@@ -97,7 +97,6 @@ impl Mapper for ExactMapper {
             timed_out |= walk.timed_out;
             if walk.mapping.is_some() {
                 mapping = walk.mapping;
-                timed_out = false;
                 break;
             }
             if Instant::now() >= deadline {
@@ -176,6 +175,36 @@ mod tests {
         assert!(report.mapping.is_none());
         assert!(!report.timed_out);
         assert!(report.backtracks > 0);
+    }
+
+    #[test]
+    fn a_clock_cut_lower_ii_stays_reported_when_a_higher_ii_maps() {
+        // One constant feeding five adds on a 4x4 mesh: at II=1 the adds
+        // need five distinct neighbours of the constant's PE in one
+        // slot, which no PE has. Five const→add pairs, placed first,
+        // fill the slot to all 16 PEs, so exhausting II=1 takes far
+        // longer than its half of the clock. At II=2 an add can sit on
+        // the constant's own PE, and the search maps at once.
+        let mut b = mapzero_dfg::DfgBuilder::new("fanout5-full");
+        for _ in 0..5 {
+            let c = b.node(mapzero_dfg::Opcode::Const);
+            let a = b.node(mapzero_dfg::Opcode::Add);
+            b.edge(c, a).unwrap();
+        }
+        let src = b.node(mapzero_dfg::Opcode::Const);
+        for _ in 0..5 {
+            let a = b.node(mapzero_dfg::Opcode::Add);
+            b.edge(src, a).unwrap();
+        }
+        let dfg = b.finish().unwrap();
+        let cgra = presets::simple_mesh(4, 4);
+        let mut mapper = ExactMapper::new(ExactConfig { max_extra_ii: 1 });
+        let report = mapper.map(&dfg, &cgra, Duration::from_secs(1)).unwrap();
+        assert_eq!(report.mii, 1);
+        let mapping = report.mapping.expect("maps at II 2");
+        assert_eq!(mapping.ii, 2);
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
+        assert!(report.timed_out, "the II=1 slice ended on the clock");
     }
 
     #[test]

@@ -20,11 +20,14 @@
 //! arc-consistency fixpoint over the routability constraints: a PE
 //! stays a candidate for `u` only while every neighbour `v` retains a
 //! compatible candidate. [`CandidateState`] then forward-checks the
-//! live sets during search — each committed placement removes
-//! candidates its occupancy and distance bounds invalidate, and a trail
-//! restores them exactly on backtrack, so the live sets are a pure
-//! function of the current placement set (the property that keeps the
-//! MCTS transposition cache sound).
+//! distance bounds during search — each committed placement removes
+//! the candidates of its unplaced neighbours that lie out of reach, and
+//! a trail restores them exactly on backtrack. Exclusivity is never
+//! written into the live sets: the ledger already holds it as per-slot
+//! FU-busy and bus-busy bitsets, so the environment reads a node's
+//! effective candidates as its live set intersected with its legal
+//! actions. Both halves are pure functions of the current placement
+//! set (the property that keeps the MCTS transposition cache sound).
 //!
 //! The search consumes the sets three ways on any problem built with
 //! [`Problem::with_candidate_pruning`](crate::problem::Problem::with_candidate_pruning)
@@ -33,9 +36,8 @@
 //! fail-first placement ordering (scarcest node first), and
 //! dead-state early termination ([`MapEnv::doomed`](crate::env::MapEnv::doomed)).
 
-use crate::mapping::Placement;
 use mapzero_arch::{Cgra, PeId, RoutingStyle};
-use mapzero_dfg::{Dfg, NodeId, OpClass, Schedule};
+use mapzero_dfg::{Dfg, NodeId, Schedule};
 
 /// One routability constraint incident to a node, from that node's own
 /// perspective.
@@ -49,7 +51,7 @@ struct Constraint {
     /// True when the value flows from this node to `other`.
     forward: bool,
     /// Both endpoints share a modulo slot, so they also need distinct
-    /// PEs.
+    /// PEs (used by the static fixpoint only).
     same_slot: bool,
 }
 
@@ -70,14 +72,6 @@ pub struct CandidateMap {
     fwd: Vec<Vec<u64>>,
     /// `rev[b]`: bit `q` of row `p` set iff `hops(q→p) ≤ b`.
     rev: Vec<Vec<u64>>,
-    /// Nodes per modulo slot (for FU-exclusivity propagation).
-    slot_nodes: Vec<Vec<u32>>,
-    slot_of: Vec<u32>,
-    /// Memory-class flag per node (row-bus propagation).
-    is_mem: Vec<bool>,
-    /// Row-shared memory bus: PEs per row, as bitsets.
-    row_sets: Option<Vec<Vec<u64>>>,
-    row_of: Vec<u32>,
 }
 
 #[inline]
@@ -110,15 +104,6 @@ pub(crate) fn capability_sets(dfg: &Dfg, cgra: &Cgra) -> Vec<u64> {
         }
     }
     sets
-}
-
-/// The PEs of each fabric row, as bitsets (the row-shared memory bus).
-pub(crate) fn row_sets(cgra: &Cgra) -> Vec<Vec<u64>> {
-    let mut rows = vec![vec![0u64; cgra.pe_count().div_ceil(64)]; cgra.rows()];
-    for p in cgra.pe_ids() {
-        set_bit(&mut rows[cgra.pe(p).row], p.index());
-    }
-    rows
 }
 
 impl CandidateMap {
@@ -193,30 +178,8 @@ impl CandidateMap {
             });
         }
 
-        let slot_of: Vec<u32> = dfg.node_ids().map(|u| schedule.modulo_slot(u)).collect();
-        let mut slot_nodes: Vec<Vec<u32>> = vec![Vec::new(); ii as usize];
-        for u in dfg.node_ids() {
-            slot_nodes[slot_of[u.index()] as usize].push(u.0);
-        }
-        let is_mem: Vec<bool> =
-            dfg.node_ids().map(|u| dfg.node(u).opcode.class() == OpClass::Memory).collect();
-        let row_of: Vec<u32> = cgra.pe_ids().map(|p| cgra.pe(p).row as u32).collect();
-        let row_sets = cgra.row_shared_mem_bus().then(|| row_sets(cgra));
-
-        let mut map = CandidateMap {
-            pe_count,
-            words,
-            sets,
-            counts: vec![0; n],
-            constraints,
-            fwd,
-            rev,
-            slot_nodes,
-            slot_of,
-            is_mem,
-            row_sets,
-            row_of,
-        };
+        let mut map =
+            CandidateMap { pe_count, words, sets, counts: vec![0; n], constraints, fwd, rev };
         map.arc_consistency();
         for u in 0..n {
             map.counts[u] = map.node_set(NodeId(u as u32)).iter().map(|w| w.count_ones()).sum();
@@ -307,10 +270,15 @@ struct Removal {
 }
 
 /// Live candidate sets during an episode: the static [`CandidateMap`]
-/// narrowed by forward checking from every committed placement, with a
+/// narrowed by the distance bounds of every committed placement, with a
 /// trail so [`CandidateState::on_undo`] restores the previous state
-/// exactly. Cloned with the environment (MCTS walks clone their root
-/// env), so all bookkeeping lives in flat vectors.
+/// exactly. FU and bus-row exclusivity are not applied here: the
+/// environment intersects a live set with the ledger's free PEs of the
+/// node's slot when it reads it ([`MapEnv::search_mask`](crate::env::MapEnv::search_mask),
+/// [`MapEnv::doomed`](crate::env::MapEnv::doomed)), so a placement
+/// writes trail entries only for the neighbours it constrains. Cloned
+/// with the environment (MCTS walks clone their root env), so all
+/// bookkeeping lives in flat vectors.
 #[derive(Debug, Clone)]
 pub struct CandidateState {
     /// Bitset words per node.
@@ -360,18 +328,10 @@ impl CandidateState {
 
     /// Forward-check one committed placement: `u` landed on `p`.
     ///
-    /// Removes `p` from every unplaced node sharing `u`'s modulo slot
-    /// (FU exclusivity), the whole row from unplaced same-slot memory
-    /// nodes on row-bus fabrics, and every PE outside the placement's
-    /// reach from unplaced neighbours of `u` (distance bounds). Must be
-    /// called after the environment records the placement.
-    pub fn on_place(
-        &mut self,
-        map: &CandidateMap,
-        u: NodeId,
-        p: PeId,
-        placements: &[Option<Placement>],
-    ) {
+    /// Removes every PE outside the placement's reach from the unplaced
+    /// neighbours of `u` (distance bounds). Exclusivity is left to the
+    /// ledger (see the type docs).
+    pub fn on_place(&mut self, map: &CandidateMap, u: NodeId, p: PeId) {
         self.frames.push((self.trail.len(), u.0));
         let ui = u.index();
         if self.counts[ui] == 0 {
@@ -379,31 +339,9 @@ impl CandidateState {
         }
         self.placed[ui] = true;
 
-        let slot = map.slot_of[ui] as usize;
-        let (pe_word, pe_bit) = (p.index() / 64, 1u64 << (p.index() % 64));
-        for &w in &map.slot_nodes[slot] {
-            let wi = w as usize;
-            if wi != ui && placements[wi].is_none() {
-                self.clear(wi, pe_word, pe_bit);
-            }
-        }
-        if let Some(rows) = &map.row_sets {
-            if map.is_mem[ui] {
-                let row = &rows[map.row_of[p.index()] as usize];
-                for &w in &map.slot_nodes[slot] {
-                    let wi = w as usize;
-                    if wi == ui || !map.is_mem[wi] || placements[wi].is_some() {
-                        continue;
-                    }
-                    for (k, &r) in row.iter().enumerate() {
-                        self.clear(wi, k, r);
-                    }
-                }
-            }
-        }
         for c in &map.constraints[ui] {
             let vi = c.other as usize;
-            if placements[vi].is_some() {
+            if self.placed[vi] {
                 continue;
             }
             for (k, &r) in map.reach(*c, p.index()).iter().enumerate() {
@@ -434,30 +372,19 @@ impl CandidateState {
         }
     }
 
-    /// True when some unplaced node has an empty live candidate set: no
-    /// conflict-free completion exists from this state.
+    /// True when some unplaced node has an empty live set: no
+    /// conflict-free completion exists from this state. A `false` here
+    /// still leaves exclusivity to check ([`MapEnv::doomed`](crate::env::MapEnv::doomed)).
     #[must_use]
     pub fn doomed(&self) -> bool {
         self.empty_unplaced > 0
     }
 
-    /// The live candidate bitset of `u` (bit `p` set iff PE `p` is a
-    /// live candidate).
+    /// The live candidate bitset of `u`: bit `p` is set iff PE `p` is a
+    /// static candidate within every placed neighbour's distance bound.
     #[must_use]
     pub fn live_set(&self, u: NodeId) -> &[u64] {
         &self.sets[u.index() * self.words..(u.index() + 1) * self.words]
-    }
-
-    /// True when `p` is a live candidate for `u`.
-    #[must_use]
-    pub fn is_candidate(&self, u: NodeId, p: PeId) -> bool {
-        test_bit(self.live_set(u), p.index())
-    }
-
-    /// Live candidate count of `u`.
-    #[must_use]
-    pub fn candidate_count(&self, u: NodeId) -> u32 {
-        self.counts[u.index()]
     }
 }
 
@@ -501,16 +428,15 @@ mod tests {
         let problem = Problem::new(&dfg, &cgra, 1).unwrap();
         let map = CandidateMap::build(&dfg, &cgra, problem.schedule());
         let mut live = CandidateState::new(&map);
-        // Place the load on PE 0. At II=1 the mul has slack 1: it must
-        // sit on PE 0's neighbourhood minus PE 0 itself (FU exclusivity)
-        // = {1, 2} on a 2x2 mesh.
-        let mut placements = vec![None; 3];
-        placements[0] = Some(Placement { pe: PeId(0), time: 0 });
-        live.on_place(&map, NodeId(0), PeId(0), &placements);
-        assert!(!live.is_candidate(NodeId(1), PeId(0)), "FU exclusivity");
-        assert!(!live.is_candidate(NodeId(1), PeId(3)), "diagonal exceeds slack");
-        assert!(live.is_candidate(NodeId(1), PeId(1)));
-        assert!(live.is_candidate(NodeId(1), PeId(2)));
+        // Place the load on PE 0. At II=1 the mul has slack 1: the
+        // distance bound keeps PE 0's neighbourhood {0, 1, 2} on a 2x2
+        // mesh (FU exclusivity on PE 0 is the ledger's, see
+        // `env::tests::search_mask_applies_fu_exclusivity`).
+        live.on_place(&map, NodeId(0), PeId(0));
+        let mul = live.live_set(NodeId(1));
+        assert!(!test_bit(mul, 3), "diagonal exceeds slack");
+        assert!(test_bit(mul, 1));
+        assert!(test_bit(mul, 2));
         assert!(!live.doomed());
     }
 
@@ -522,11 +448,8 @@ mod tests {
         let map = CandidateMap::build(&dfg, &cgra, problem.schedule());
         let mut live = CandidateState::new(&map);
         let baseline = live.clone();
-        let mut placements = vec![None; 3];
-        placements[0] = Some(Placement { pe: PeId(0), time: 0 });
-        live.on_place(&map, NodeId(0), PeId(0), &placements);
-        placements[1] = Some(Placement { pe: PeId(1), time: 1 });
-        live.on_place(&map, NodeId(1), PeId(1), &placements);
+        live.on_place(&map, NodeId(0), PeId(0));
+        live.on_place(&map, NodeId(1), PeId(1));
         live.on_undo();
         live.on_undo();
         assert_eq!(live.sets, baseline.sets);
@@ -537,10 +460,10 @@ mod tests {
 
     #[test]
     fn doomed_when_propagation_empties_a_set() {
-        // Two adds feeding a sink on a 1x3 strip at II=1: parking the
-        // sources on PEs 0 and 1 leaves the sink no PE that is within
-        // one hop of both and unoccupied — forward checking must empty
-        // its set and flag the state doomed.
+        // Two adds feeding a sink on a 1x4 strip at II=1: parking the
+        // sources on the two ends leaves the sink no PE within one hop
+        // of both, so the distance bounds empty its live set and flag
+        // the state doomed.
         let mut b = DfgBuilder::new("vee-strip");
         let a = b.node(Opcode::Add);
         let c = b.node(Opcode::Add);
@@ -548,17 +471,14 @@ mod tests {
         b.edge(a, d).unwrap();
         b.edge(c, d).unwrap();
         let dfg = b.finish().unwrap();
-        let cgra = presets::simple_mesh(1, 3);
+        let cgra = presets::simple_mesh(1, 4);
         let problem = Problem::new(&dfg, &cgra, 1).unwrap();
         let map = CandidateMap::build(&dfg, &cgra, problem.schedule());
         let mut live = CandidateState::new(&map);
-        let mut placements = vec![None; 3];
-        placements[0] = Some(Placement { pe: PeId(0), time: 0 });
-        live.on_place(&map, NodeId(0), PeId(0), &placements);
+        live.on_place(&map, a, PeId(0));
         assert!(!live.doomed());
-        placements[1] = Some(Placement { pe: PeId(1), time: 0 });
-        live.on_place(&map, NodeId(1), PeId(1), &placements);
-        assert_eq!(live.candidate_count(NodeId(2)), 0);
+        live.on_place(&map, c, PeId(3));
+        assert!(live.live_set(d).iter().all(|&w| w == 0));
         assert!(live.doomed());
         live.on_undo();
         assert!(!live.doomed());

@@ -174,20 +174,21 @@ impl<'a> MapEnv<'a> {
         self.ledger.slice_occupancy(slot)
     }
 
+    /// True when `u` is a memory op on a fabric whose rows share one
+    /// memory bus, so it also needs its row's bus free.
+    fn on_bus(&self, u: NodeId) -> bool {
+        self.problem.cgra().row_shared_mem_bus()
+            && self.problem.dfg().node(u).opcode.class() == OpClass::Memory
+    }
+
     /// Word `k` of the legal-action bitset of node `u`: capable, functional
     /// unit free in the node's modulo slice, and (on ADRES) memory bus
     /// free.
     fn legal_word(&self, u: NodeId, k: usize) -> u64 {
         let slot = self.problem.schedule().modulo_slot(u);
         let mut word = self.problem.capable(u)[k] & !self.ledger.fu_busy(slot)[k];
-        if let Some(rows) = self.problem.bus_rows() {
-            if self.problem.dfg().node(u).opcode.class() == OpClass::Memory {
-                for (row, pes) in rows.iter().enumerate() {
-                    if self.ledger.membus(row, slot).is_some() {
-                        word &= !pes[k];
-                    }
-                }
-            }
+        if self.on_bus(u) {
+            word &= !self.ledger.bus_busy(slot)[k];
         }
         word
     }
@@ -234,13 +235,33 @@ impl<'a> MapEnv<'a> {
         self.cands.is_some()
     }
 
-    /// True when some unplaced node has an empty live candidate set —
-    /// no conflict-free completion exists from this state, so the
-    /// search can back a failure value up immediately instead of
-    /// expanding the subtree. Always `false` without candidate pruning.
+    /// True when some unplaced node has no live candidate left that is
+    /// also free in its modulo slot — no conflict-free completion exists
+    /// from this state, so the search can back a failure value up
+    /// immediately instead of expanding the subtree. Always `false`
+    /// without candidate pruning.
+    ///
+    /// The live sets carry the distance bounds only; exclusivity is read
+    /// here from the ledger, one AND per word against the slot's FU-busy
+    /// bitset (and its bus-busy bitset for memory ops on row-bus
+    /// fabrics). `order[cursor..]` is exactly the set of unplaced nodes.
     #[must_use]
     pub fn doomed(&self) -> bool {
-        self.cands.as_ref().is_some_and(CandidateState::doomed)
+        let Some(cands) = self.cands.as_ref() else { return false };
+        if cands.doomed() {
+            return true;
+        }
+        let schedule = self.problem.schedule();
+        self.problem.order()[self.cursor..].iter().any(|&w| {
+            let slot = schedule.modulo_slot(w);
+            let (live, fu) = (cands.live_set(w), self.ledger.fu_busy(slot));
+            if self.on_bus(w) {
+                let bus = self.ledger.bus_busy(slot);
+                live.iter().zip(fu).zip(bus).all(|((&l, &f), &b)| l & !f & !b == 0)
+            } else {
+                live.iter().zip(fu).all(|(&l, &f)| l & !f == 0)
+            }
+        })
     }
 
     /// [`MapEnv::action_mask`] intersected with the current node's live
@@ -280,9 +301,9 @@ impl<'a> MapEnv<'a> {
 
         let checkpoint = self.ledger.checkpoint();
         assert!(self.ledger.claim_fu(pe, slot, u), "mask guaranteed a free FU");
-        if cgra.row_shared_mem_bus() && dfg.node(u).opcode.class() == OpClass::Memory {
+        if self.on_bus(u) {
             assert!(
-                self.ledger.claim_membus(cgra.pe(pe).row, slot, u),
+                self.ledger.claim_membus(cgra.pe(pe).row, slot),
                 "mask guaranteed a free bus"
             );
         }
@@ -290,7 +311,7 @@ impl<'a> MapEnv<'a> {
         self.placements[u.index()] = Some(placement);
         if let Some(cands) = self.cands.as_mut() {
             let map = self.problem.candidates().expect("live state implies a map");
-            cands.on_place(map, u, pe, &self.placements);
+            cands.on_place(map, u, pe);
         }
 
         // Route every edge whose endpoints are now both placed. Those
@@ -509,6 +530,51 @@ mod tests {
             assert!(!mask[cgra.at(0, col).index()], "col {col} should be masked");
         }
         assert!(mask[cgra.at(1, 0).index()]);
+    }
+
+    #[test]
+    fn search_mask_applies_fu_exclusivity() {
+        // Load on PE 0 at II=1: the mul's live set keeps PE 0 (one hop
+        // is within its slack), but the search mask drops it because the
+        // load holds PE 0's FU in the shared slot.
+        let dfg = chain3();
+        let cgra = presets::simple_mesh(2, 2);
+        let problem = Problem::new(&dfg, &cgra, 1).unwrap().with_candidate_pruning();
+        assert_eq!(problem.order()[0], NodeId(0));
+        let mut env = MapEnv::new(&problem);
+        env.step(PeId(0));
+        assert_eq!(env.current_node(), Some(NodeId(1)));
+        assert!(env.cands.as_ref().unwrap().live_set(NodeId(1))[0] & 1 != 0);
+        assert_eq!(env.search_mask(), vec![false, true, true, false]);
+        assert!(!env.doomed());
+    }
+
+    #[test]
+    fn doomed_when_exclusivity_empties_a_set() {
+        // Two adds feeding a sink on a 1x3 strip at II=1: parking the
+        // sources on PEs 0 and 1 leaves the sink no PE that is within
+        // one hop of both and unoccupied. Its live set still holds
+        // {0, 1}; the ledger's FU claims empty it, so the state is
+        // doomed, and undo lifts the doom.
+        let mut b = DfgBuilder::new("vee-strip");
+        let a = b.node(Opcode::Add);
+        let c = b.node(Opcode::Add);
+        let d = b.node(Opcode::Add);
+        b.edge(a, d).unwrap();
+        b.edge(c, d).unwrap();
+        let dfg = b.finish().unwrap();
+        let cgra = presets::simple_mesh(1, 3);
+        let problem = Problem::new(&dfg, &cgra, 1).unwrap().with_candidate_pruning();
+        assert_eq!(problem.order(), &[a, c, d]);
+        let mut env = MapEnv::new(&problem);
+        env.step(PeId(0));
+        assert!(!env.doomed());
+        env.step(PeId(1));
+        assert!(!env.cands.as_ref().unwrap().doomed(), "no distance bound emptied a set");
+        assert_eq!(env.search_mask(), vec![false; 3]);
+        assert!(env.doomed());
+        env.undo();
+        assert!(!env.doomed());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Tracks, per modulo time slice, which DFG node occupies each PE's
 //! functional unit, which *signal* (producer node) occupies each PE's
 //! output register and crossbar switch, and — for ADRES-style fabrics —
-//! which memory operation holds each row's shared memory bus.
+//! which rows' shared memory buses are held.
 //!
 //! All claims are journaled so the environment, the MCTS rollouts and
 //! the exact branch-and-bound baseline can undo back to any checkpoint
@@ -41,8 +41,11 @@ pub struct Ledger {
     reg: Vec<Option<NodeId>>,
     /// `switch[slot * pes + pe]` — the signal crossing there.
     switch: Vec<Option<NodeId>>,
-    /// `membus[slot * rows + row]` — the memory op holding the bus.
-    membus: Vec<Option<NodeId>>,
+    /// `row_pes[row * words ..]` — the PEs of a row, as a bitset.
+    row_pes: Vec<u64>,
+    /// `bus_busy[slot * words ..]` — bit `pe` set iff `pe`'s row bus is
+    /// held in that slot.
+    bus_busy: Vec<u64>,
     journal: Vec<Resource>,
 }
 
@@ -63,6 +66,10 @@ impl Ledger {
         let rows = cgra.rows();
         let n = ii as usize * pes;
         let words = pes.div_ceil(64);
+        let mut row_pes = vec![0u64; rows * words];
+        for p in cgra.pe_ids() {
+            row_pes[cgra.pe(p).row * words + p.index() / 64] |= 1u64 << (p.index() % 64);
+        }
         Ledger {
             ii,
             pes,
@@ -72,7 +79,8 @@ impl Ledger {
             fu_busy: vec![0; ii as usize * words],
             reg: vec![None; n],
             switch: vec![None; n],
-            membus: vec![None; ii as usize * rows],
+            row_pes,
+            bus_busy: vec![0; ii as usize * words],
             journal: Vec::new(),
         }
     }
@@ -94,14 +102,6 @@ impl Ledger {
         slot as usize * self.pes + pe.index()
     }
 
-    /// Flat index of a `(row, slot)` memory-bus coordinate (same
-    /// invariant as [`Ledger::idx`]).
-    fn bus_idx(&self, row: usize, slot: u32) -> usize {
-        debug_assert!(slot < self.ii, "slot {slot} out of range for II {}", self.ii);
-        debug_assert!(row < self.rows, "row {row} out of range for {} rows", self.rows);
-        slot as usize * self.rows + row
-    }
-
     /// Index into `fu_busy` of the word holding `(pe, slot)` (same
     /// invariant as [`Ledger::idx`]).
     fn busy_word(&self, pe: PeId, slot: u32) -> usize {
@@ -114,6 +114,22 @@ impl Ledger {
     pub(crate) fn fu_busy(&self, slot: u32) -> &[u64] {
         let start = slot as usize * self.words;
         &self.fu_busy[start..start + self.words]
+    }
+
+    /// PEs whose row bus is held in a slot, as a bitset.
+    #[must_use]
+    pub(crate) fn bus_busy(&self, slot: u32) -> &[u64] {
+        let start = slot as usize * self.words;
+        &self.bus_busy[start..start + self.words]
+    }
+
+    /// Set (`hold`) or clear the bits of `row`'s PEs in `bus_busy` for
+    /// `slot`.
+    fn mark_bus(&mut self, row: usize, slot: u32, hold: bool) {
+        let busy = &mut self.bus_busy[slot as usize * self.words..][..self.words];
+        for (b, &r) in busy.iter_mut().zip(&self.row_pes[row * self.words..]) {
+            *b = if hold { *b | r } else { *b & !r };
+        }
     }
 
     /// Occupant of a functional unit.
@@ -134,10 +150,10 @@ impl Ledger {
         self.switch.get(self.idx(pe, slot)).copied().flatten()
     }
 
-    /// Memory op on a row bus.
-    #[must_use]
-    pub fn membus(&self, row: usize, slot: u32) -> Option<NodeId> {
-        self.membus.get(self.bus_idx(row, slot)).copied().flatten()
+    /// True when `row`'s memory bus is held in `slot`.
+    fn membus_held(&self, row: usize, slot: u32) -> bool {
+        let row_pes = &self.row_pes[row * self.words..][..self.words];
+        self.bus_busy(slot).iter().zip(row_pes).any(|(&b, &r)| b & r != 0)
     }
 
     /// Take a checkpoint for later [`Ledger::undo_to`].
@@ -177,12 +193,7 @@ impl Ledger {
                         *cell = None;
                     }
                 }
-                Resource::MemBus { row, slot } => {
-                    let i = self.bus_idx(row, slot);
-                    if let Some(cell) = self.membus.get_mut(i) {
-                        *cell = None;
-                    }
-                }
+                Resource::MemBus { row, slot } => self.mark_bus(row, slot, false),
             }
         }
     }
@@ -234,15 +245,14 @@ impl Ledger {
         }
     }
 
-    /// Claim a row memory bus for `node`.
-    pub fn claim_membus(&mut self, row: usize, slot: u32, node: NodeId) -> bool {
-        let i = self.bus_idx(row, slot);
-        let Some(cell) = self.membus.get_mut(i) else { return false };
-        if cell.is_some() {
+    /// Claim a row memory bus. Fails (returns `false`, claiming nothing)
+    /// if it is held or out of range.
+    pub fn claim_membus(&mut self, row: usize, slot: u32) -> bool {
+        if row >= self.rows || slot >= self.ii || self.membus_held(row, slot) {
             return false;
         }
-        *cell = Some(node);
         self.journal.push(Resource::MemBus { row, slot });
+        self.mark_bus(row, slot, true);
         true
     }
 
@@ -318,12 +328,17 @@ mod tests {
         assert!(l.claim_fu(PeId(1), 0, NodeId(2)));
         assert!(l.claim_reg(PeId(2), 1, NodeId(2)));
         assert!(l.claim_switch(PeId(3), 0, NodeId(2)));
-        assert!(l.claim_membus(0, 0, NodeId(2)));
+        assert!(l.claim_membus(0, 0));
+        assert!(!l.claim_membus(0, 0), "bus already held");
+        // Row 0 of the 2x2 mesh is PEs 0 and 1.
+        assert_eq!(l.bus_busy(0), &[0b0011]);
+        assert_eq!(l.bus_busy(1), &[0]);
         l.undo_to(cp);
         assert_eq!(l.fu(PeId(1), 0), None);
         assert_eq!(l.reg(PeId(2), 1), None);
         assert_eq!(l.switch(PeId(3), 0), None);
-        assert_eq!(l.membus(0, 0), None);
+        assert!(!l.membus_held(0, 0));
+        assert_eq!(l.bus_busy(0), &[0]);
         // The pre-checkpoint claim survives.
         assert_eq!(l.fu(PeId(0), 0), Some(NodeId(1)));
     }

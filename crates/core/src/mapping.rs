@@ -154,7 +154,8 @@ pub struct MapReport {
     pub backtracks: u64,
     /// Number of placement attempts explored.
     pub explored: u64,
-    /// Whether the attempt hit its time limit.
+    /// Whether the attempt hit its time limit. Stays set when a lower
+    /// II ended on the clock and a higher II then mapped.
     pub timed_out: bool,
     /// Per-phase budget attribution and metric deltas for this run —
     /// `Some` when telemetry was enabled (see `mapzero_obs`), `None`

@@ -1,6 +1,6 @@
 //! A fully-specified mapping problem instance at a fixed II.
 
-use crate::candidates::{capability_sets, row_sets, CandidateMap};
+use crate::candidates::{capability_sets, CandidateMap};
 use crate::checkpoint::Fnv64;
 use crate::mapping::MapError;
 use mapzero_arch::Cgra;
@@ -28,8 +28,6 @@ pub struct Problem<'a> {
     words: usize,
     /// Per-node capability bitsets, node-major.
     capable: Vec<u64>,
-    /// PEs per row, as bitsets, on row-shared-memory-bus fabrics.
-    bus_rows: Option<Vec<Vec<u64>>>,
     /// Per-node incident DFG edge indices, ascending (a self-loop once).
     incident: Vec<Vec<usize>>,
     /// Structural hash of the DFG and the fabric (see
@@ -73,7 +71,6 @@ impl<'a> Problem<'a> {
             candidates: None,
             words: cgra.pe_count().div_ceil(64),
             capable: capability_sets(dfg, cgra),
-            bus_rows: cgra.row_shared_mem_bus().then(|| row_sets(cgra)),
             incident,
             fingerprint: fingerprint(dfg, cgra),
         })
@@ -173,11 +170,6 @@ impl<'a> Problem<'a> {
     /// PEs whose functional unit supports `u`'s opcode, as a bitset.
     pub(crate) fn capable(&self, u: NodeId) -> &[u64] {
         &self.capable[u.index() * self.words..(u.index() + 1) * self.words]
-    }
-
-    /// PEs per row as bitsets when memory ops of a row share one bus.
-    pub(crate) fn bus_rows(&self) -> Option<&[Vec<u64>]> {
-        self.bus_rows.as_deref()
     }
 
     /// Indices of the DFG edges incident to `u`, ascending.

@@ -16,6 +16,9 @@ use std::fmt;
 pub struct Schedule {
     ii: u32,
     time: Vec<u32>,
+    /// `time % ii` per node, kept because the search reads it per
+    /// unplaced node on every dead-state check.
+    slot: Vec<u32>,
 }
 
 impl Schedule {
@@ -34,7 +37,7 @@ impl Schedule {
     /// Modulo time slice (`time % II`) of `node`.
     #[must_use]
     pub fn modulo_slot(&self, node: NodeId) -> u32 {
-        self.time[node.index()] % self.ii
+        self.slot[node.index()]
     }
 
     /// Total schedule length (latest start time + 1).
@@ -160,7 +163,8 @@ pub fn modulo_schedule_at(
             }
         }
     }
-    Ok(Schedule { ii, time })
+    let slot = time.iter().map(|t| t % ii).collect();
+    Ok(Schedule { ii, time, slot })
 }
 
 /// Compute a modulo schedule, starting at MII and increasing the II until

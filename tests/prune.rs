@@ -117,6 +117,56 @@ proptest! {
     }
 }
 
+/// The same oracle check on full-size kernels, in the regimes where
+/// exclusivity does most of the pruning: stencil_u on the 16×16 baseline
+/// at II 1 (all 141 nodes share one modulo slot, so every placement
+/// takes a PE from every unplaced node) and mulul on ADRES at MII (28
+/// memory ops over 8 row buses). A seeded walk of 200 step/undo
+/// operations, stepping from doomed states too, checks the masks, PE
+/// lists and doomed flag at every state.
+#[test]
+fn oracle_walks_hold_on_full_size_kernels() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    for (kernel, cgra, at_ii) in [
+        ("stencil_u", presets::baseline16(), Some(1)),
+        ("mulul", presets::adres(), None),
+    ] {
+        let dfg = suite::by_name(kernel).expect("kernel exists");
+        let ii = at_ii.unwrap_or_else(|| Problem::mii(&dfg, &cgra).unwrap());
+        let problem = Problem::new(&dfg, &cgra, ii).unwrap().with_candidate_pruning();
+        let oracle = Oracle::new(&problem);
+        let mut env = MapEnv::new(&problem);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut doomed_states, mut max_depth) = (0usize, 0usize);
+        for op in 0..200 {
+            let (legal, live) = oracle.masks(&env);
+            let search: Vec<bool> = legal.iter().zip(&live).map(|(l, c)| *l && *c).collect();
+            assert_eq!(env.action_mask(), legal, "{kernel}: legal mask at op {op}");
+            assert_eq!(env.search_mask(), search, "{kernel}: search mask at op {op}");
+            let ids = |mask: &[bool]| -> Vec<PeId> {
+                (0..mask.len()).filter(|&p| mask[p]).map(|p| PeId(p as u32)).collect()
+            };
+            let (legal_ids, search_ids) = (ids(&legal), ids(&search));
+            assert_eq!(env.legal_actions(), legal_ids, "{kernel}: legal ids at op {op}");
+            assert_eq!(env.search_actions(), search_ids, "{kernel}: search ids at op {op}");
+            let doomed = env.doomed();
+            assert_eq!(doomed, oracle.doomed(&env), "{kernel}: doomed at op {op}");
+            doomed_states += usize::from(doomed);
+            max_depth = max_depth.max(env.placed_count());
+            let pool = if search_ids.is_empty() { legal_ids } else { search_ids };
+            if rng.gen_range(0usize..4) == 0 || env.done() || pool.is_empty() {
+                env.undo();
+            } else {
+                env.step(pool[rng.gen_range(0..pool.len())]);
+            }
+        }
+        assert!(doomed_states > 0, "{kernel}: the walk never reached a doomed state");
+        assert!(max_depth >= 50, "{kernel}: the walk only reached depth {max_depth}");
+    }
+}
+
 /// Per-PE restatement of the action mask and the forward-checked live
 /// candidate sets, from public accessors only: the static candidate
 /// sets, the schedule, hop distances and the current placements.
