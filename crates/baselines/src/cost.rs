@@ -81,16 +81,12 @@ pub fn evaluate(problem: &Problem<'_>, assignment: &[PeId]) -> Evaluation {
     for e in dfg.edges() {
         let from = Placement { pe: assignment[e.src.index()], time: schedule.time(e.src) };
         let to = Placement { pe: assignment[e.dst.index()], time: schedule.time(e.dst) };
-        match route_edge(cgra, &mut ledger, e.src, from, to, e.dist) {
-            Some(route) => {
-                wirelen += route.cost;
-                routes.push(route.hops);
-            }
-            None => {
-                violations += 1;
-                routes.push(Vec::new());
-            }
+        let mut hops = Vec::new();
+        match route_edge(cgra, &mut ledger, e.src, from, to, e.dist, &mut hops) {
+            Some(cost) => wirelen += cost,
+            None => violations += 1,
         }
+        routes.push(hops);
     }
 
     let mapping = (violations == 0).then(|| Mapping {

@@ -277,8 +277,9 @@ struct Removal {
 /// node's slot when it reads it ([`MapEnv::search_mask`](crate::env::MapEnv::search_mask),
 /// [`MapEnv::doomed`](crate::env::MapEnv::doomed)), so a placement
 /// writes trail entries only for the neighbours it constrains. Cloned
-/// with the environment (MCTS walks clone their root env), so all
-/// bookkeeping lives in flat vectors.
+/// with the environment (every MCTS walk clones its root env), so all
+/// bookkeeping lives in five flat vectors — sets, counts, placed flags,
+/// trail and frames — and a clone is one copy of each.
 #[derive(Debug, Clone)]
 pub struct CandidateState {
     /// Bitset words per node.

@@ -8,9 +8,9 @@
 
 use crate::candidates::CandidateState;
 use crate::ledger::Ledger;
-use crate::mapping::{Mapping, Placement};
+use crate::mapping::{Mapping, Placement, RouteHop};
 use crate::problem::Problem;
-use crate::router::{route_edge, Route};
+use crate::router::route_edge;
 use mapzero_arch::PeId;
 use mapzero_dfg::{EdgeId, NodeId, OpClass};
 
@@ -31,22 +31,46 @@ pub struct StepOutcome {
     pub done: bool,
 }
 
-#[derive(Debug, Clone)]
+/// What one step appended, for [`MapEnv::undo`]: the lengths of the
+/// ledger journal and the hop arena before it, and its reward.
+#[derive(Debug, Clone, Copy)]
 struct StepRecord {
     checkpoint: crate::ledger::Checkpoint,
-    routed_edges: Vec<usize>,
-    failed_edges: Vec<usize>,
+    hops_len: usize,
     reward: f64,
 }
 
+/// The routing state of one DFG edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EdgeRoute {
+    /// An endpoint is unplaced.
+    Pending,
+    /// Routed: its hops are `hops[start..start + len]` of the arena.
+    Routed { start: u32, len: u32 },
+    /// Both endpoints placed, but no route exists.
+    Failed,
+}
+
 /// The placement environment over one [`Problem`].
+///
+/// Every step's state lives in flat vectors: the ledger's journal and
+/// one arena holding the hops of every committed route grow and shrink
+/// LIFO, with one `Copy` record per step; each edge holds a span of the
+/// arena. Undo truncates them, so a clone (every MCTS walk clones its
+/// root environment) is a fixed handful of `memcpy`s with no per-edge
+/// or per-step allocation.
 #[derive(Debug, Clone)]
 pub struct MapEnv<'a> {
     problem: &'a Problem<'a>,
     ledger: Ledger,
     placements: Vec<Option<Placement>>,
-    routes: Vec<Option<Route>>,
-    edge_failed: Vec<bool>,
+    /// Per edge, indexed like the DFG's edges.
+    edges: Vec<EdgeRoute>,
+    /// Hops of every committed route, in step order.
+    hops: Vec<RouteHop>,
+    /// Number of `EdgeRoute::Routed` and `EdgeRoute::Failed` entries.
+    routed: usize,
+    failed: usize,
     cursor: usize,
     history: Vec<StepRecord>,
     total_reward: f64,
@@ -65,8 +89,10 @@ impl<'a> MapEnv<'a> {
             problem,
             ledger: Ledger::new(problem.cgra(), problem.ii()),
             placements: vec![None; n],
-            routes: vec![None; e],
-            edge_failed: vec![false; e],
+            edges: vec![EdgeRoute::Pending; e],
+            hops: Vec::new(),
+            routed: 0,
+            failed: 0,
             cursor: 0,
             history: Vec::with_capacity(n),
             total_reward: 0.0,
@@ -107,7 +133,7 @@ impl<'a> MapEnv<'a> {
     /// Number of edges that failed to route so far.
     #[must_use]
     pub fn failed_route_count(&self) -> usize {
-        self.edge_failed.iter().filter(|&&f| f).count()
+        self.failed
     }
 
     /// True when the episode ended with a complete, conflict-free
@@ -161,7 +187,7 @@ impl<'a> MapEnv<'a> {
     /// Number of DFG edges with a committed route right now.
     #[must_use]
     pub fn routed_edge_count(&self) -> u64 {
-        self.routes.iter().filter(|r| r.is_some()).count() as u64
+        self.routed as u64
     }
 
     /// Occupancy of the modulo slice the current node is scheduled into
@@ -299,7 +325,11 @@ impl<'a> MapEnv<'a> {
         let time = schedule.time(u);
         let slot = schedule.modulo_slot(u);
 
-        let checkpoint = self.ledger.checkpoint();
+        let record = StepRecord {
+            checkpoint: self.ledger.checkpoint(),
+            hops_len: self.hops.len(),
+            reward: 0.0,
+        };
         assert!(self.ledger.claim_fu(pe, slot, u), "mask guaranteed a free FU");
         if self.on_bus(u) {
             assert!(
@@ -321,33 +351,34 @@ impl<'a> MapEnv<'a> {
         // routing order of a full edge scan.
         let mut failed = 0usize;
         let mut cost = 0usize;
-        let mut routed_edges = Vec::new();
-        let mut failed_edges = Vec::new();
         for &idx in self.problem.incident_edges(u) {
             let e = dfg.edge(EdgeId(idx as u32));
-            debug_assert!(self.routes[idx].is_none() && !self.edge_failed[idx]);
+            debug_assert_eq!(self.edges[idx], EdgeRoute::Pending);
             let (Some(from), Some(to)) =
                 (self.placements[e.src.index()], self.placements[e.dst.index()])
             else {
                 continue;
             };
-            match route_edge(cgra, &mut self.ledger, e.src, from, to, e.dist) {
-                Some(route) => {
-                    cost += route.cost;
-                    self.routes[idx] = Some(route);
-                    routed_edges.push(idx);
-                }
-                None => {
-                    failed += 1;
-                    self.edge_failed[idx] = true;
-                    failed_edges.push(idx);
-                }
-            }
+            let start = self.hops.len();
+            self.edges[idx] =
+                match route_edge(cgra, &mut self.ledger, e.src, from, to, e.dist, &mut self.hops) {
+                    Some(c) => {
+                        cost += c;
+                        self.routed += 1;
+                        let span = |n: usize| u32::try_from(n).expect("hop arena fits u32");
+                        EdgeRoute::Routed { start: span(start), len: span(self.hops.len() - start) }
+                    }
+                    None => {
+                        failed += 1;
+                        self.failed += 1;
+                        EdgeRoute::Failed
+                    }
+                };
         }
 
         let reward = -(CONFLICT_PENALTY * failed as f64 + cost as f64);
         self.total_reward += reward;
-        self.history.push(StepRecord { checkpoint, routed_edges, failed_edges, reward });
+        self.history.push(StepRecord { reward, ..record });
         self.cursor += 1;
         StepOutcome { reward, failed_routes: failed, route_cost: cost, done: self.done() }
     }
@@ -361,18 +392,32 @@ impl<'a> MapEnv<'a> {
         self.cursor -= 1;
         let u = self.problem.order()[self.cursor];
         self.placements[u.index()] = None;
-        for idx in record.routed_edges {
-            self.routes[idx] = None;
+        // The step resolved exactly the incident edges of `u` that are
+        // not pending: every later node is already unplaced.
+        for &idx in self.problem.incident_edges(u) {
+            let edge = &mut self.edges[idx];
+            match *edge {
+                EdgeRoute::Routed { .. } => self.routed -= 1,
+                EdgeRoute::Failed => self.failed -= 1,
+                EdgeRoute::Pending => continue,
+            }
+            *edge = EdgeRoute::Pending;
         }
-        for idx in record.failed_edges {
-            self.edge_failed[idx] = false;
-        }
+        self.hops.truncate(record.hops_len);
         self.ledger.undo_to(record.checkpoint);
         self.total_reward -= record.reward;
         if let Some(cands) = self.cands.as_mut() {
             cands.on_undo();
         }
         Some(u)
+    }
+
+    /// The hops of an edge's committed route (empty unless routed).
+    fn route_hops(&self, edge: EdgeRoute) -> &[RouteHop] {
+        match edge {
+            EdgeRoute::Routed { start, len } => &self.hops[start as usize..][..len as usize],
+            EdgeRoute::Pending | EdgeRoute::Failed => &[],
+        }
     }
 
     /// Extract the final mapping after a successful episode.
@@ -390,11 +435,7 @@ impl<'a> MapEnv<'a> {
                 return None;
             }
         };
-        let routes = self
-            .routes
-            .iter()
-            .map(|r| r.as_ref().map(|r| r.hops.clone()).unwrap_or_default())
-            .collect();
+        let routes = self.edges.iter().map(|&e| self.route_hops(e).to_vec()).collect();
         Some(Mapping { ii: self.problem.ii(), placements, routes })
     }
 }
@@ -640,6 +681,93 @@ mod tests {
         assert_eq!(dist(cgra.at(3, 0)), 9);
     }
 
+    /// The committed route of edge `idx`, if any.
+    fn hops_of(env: &MapEnv<'_>, idx: usize) -> Option<Vec<RouteHop>> {
+        let edge = env.edges[idx];
+        matches!(edge, EdgeRoute::Routed { .. }).then(|| env.route_hops(edge).to_vec())
+    }
+
+    /// The failed flag of every edge.
+    fn failed_flags(env: &MapEnv<'_>) -> Vec<bool> {
+        env.edges.iter().map(|&e| e == EdgeRoute::Failed).collect()
+    }
+
+    /// Every claim the ledger holds, per slot: FU occupants, register and
+    /// switch signals, and the bus-busy bitset.
+    type Claims = Vec<(Vec<Option<NodeId>>, Vec<Option<NodeId>>, Vec<Option<NodeId>>, Vec<u64>)>;
+
+    fn claims(ledger: &Ledger, pes: usize) -> Claims {
+        (0..ledger.ii())
+            .map(|slot| {
+                let per_pe = |f: &dyn Fn(PeId) -> Option<NodeId>| {
+                    (0..pes).map(|p| f(PeId(p as u32))).collect::<Vec<_>>()
+                };
+                (
+                    per_pe(&|pe| ledger.fu(pe, slot)),
+                    per_pe(&|pe| ledger.reg(pe, slot)),
+                    per_pe(&|pe| ledger.switch(pe, slot)),
+                    ledger.bus_busy(slot).to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    /// Seeded 200-operation step/undo walks on a registered fabric
+    /// (stencil_u on the 16x16 baseline at II 1) and the circuit-switched
+    /// one (conv3 on HyCube at MII). After every operation the walked
+    /// environment's route store — each edge's hops, the failed flags,
+    /// the total reward and the ledger's claims — equals that of a fresh
+    /// environment that replays the same placements in order.
+    #[test]
+    fn step_undo_route_store_matches_a_fresh_replay() {
+        for (kernel, cgra, at_ii) in [
+            ("stencil_u", presets::baseline16(), Some(1)),
+            ("conv3", presets::hycube(), None),
+        ] {
+            let dfg = mapzero_dfg::suite::by_name(kernel).expect("kernel exists");
+            let ii = at_ii.unwrap_or_else(|| Problem::mii(&dfg, &cgra).unwrap());
+            let problem = Problem::new(&dfg, &cgra, ii).unwrap();
+            let mut env = MapEnv::new(&problem);
+            let mut rng = mapzero_nn::SeedRng::new(0x5eed);
+            let (mut routed, mut failed, mut max_depth) = (0usize, 0usize, 0usize);
+            for op in 0..200 {
+                let legal = env.legal_actions();
+                if rng.below(4) == 0 || env.done() || legal.is_empty() {
+                    env.undo();
+                } else {
+                    env.step(legal[rng.below(legal.len())]);
+                }
+                max_depth = max_depth.max(env.placed_count());
+                let mut fresh = MapEnv::new(&problem);
+                for &u in &problem.order()[..env.placed_count()] {
+                    fresh.step(env.placement(u).expect("placed prefix").pe);
+                }
+                for idx in 0..dfg.edge_count() {
+                    let hops = hops_of(&env, idx);
+                    assert_eq!(hops, hops_of(&fresh, idx), "{kernel}: edge {idx} at op {op}");
+                    routed += usize::from(hops.is_some());
+                }
+                let flags = failed_flags(&env);
+                assert_eq!(flags, failed_flags(&fresh), "{kernel}: failed at op {op}");
+                failed += flags.iter().filter(|&&f| f).count();
+                assert_eq!(env.failed_route_count(), fresh.failed_route_count());
+                assert_eq!(env.routed_edge_count(), fresh.routed_edge_count());
+                assert_eq!(
+                    env.total_reward().to_bits(),
+                    fresh.total_reward().to_bits(),
+                    "{kernel}: reward at op {op}"
+                );
+                assert_eq!(
+                    claims(&env.ledger, cgra.pe_count()),
+                    claims(&fresh.ledger, cgra.pe_count()),
+                    "{kernel}: ledger claims at op {op}"
+                );
+            }
+            assert!(routed > 0 && failed > 0, "{kernel}: routed {routed}, failed {failed}");
+            assert!(max_depth >= 10, "{kernel}: the walk only reached depth {max_depth}");
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
@@ -682,8 +810,8 @@ mod tests {
                 }
                 for (idx, e) in dfg.edges().enumerate() {
                     let placed = env.placement(e.src).is_some() && env.placement(e.dst).is_some();
-                    let routed = env.routes[idx].is_some();
-                    let failed = env.edge_failed[idx];
+                    let routed = matches!(env.edges[idx], EdgeRoute::Routed { .. });
+                    let failed = env.edges[idx] == EdgeRoute::Failed;
                     proptest::prop_assert!(!(routed && failed), "edge {idx} routed and failed");
                     proptest::prop_assert_eq!(routed || failed, placed, "edge {}", idx);
                 }

@@ -387,10 +387,10 @@ mod tests {
         let placements =
             vec![Placement { pe: PeId(0), time: 0 }, Placement { pe: PeId(1), time: 1 }];
         let mut ledger = Ledger::new(&cgra, ii);
-        let r =
-            route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0)
-                .unwrap();
-        let m = Mapping { ii, placements, routes: vec![r.hops] };
+        let mut hops = Vec::new();
+        route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0, &mut hops)
+            .unwrap();
+        let m = Mapping { ii, placements, routes: vec![hops] };
         assert_eq!(check_mapping(&dfg, &cgra, &m, ii), Ok(()));
     }
 
@@ -402,11 +402,11 @@ mod tests {
         let placements =
             vec![Placement { pe: PeId(0), time: 0 }, Placement { pe: PeId(15), time: 1 }];
         let mut ledger = Ledger::new(&cgra, ii);
-        let r =
-            route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0)
-                .unwrap();
-        assert!(!r.hops.is_empty(), "corner to corner crosses switches");
-        let m = Mapping { ii, placements, routes: vec![r.hops] };
+        let mut hops = Vec::new();
+        route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0, &mut hops)
+            .unwrap();
+        assert!(!hops.is_empty(), "corner to corner crosses switches");
+        let m = Mapping { ii, placements, routes: vec![hops] };
         assert_eq!(check_mapping(&dfg, &cgra, &m, ii), Ok(()));
     }
 
@@ -420,10 +420,10 @@ mod tests {
         let placements =
             vec![Placement { pe: PeId(0), time: 0 }, Placement { pe: PeId(1), time: 3 }];
         let mut ledger = Ledger::new(&cgra, ii);
-        let r =
-            route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0)
-                .unwrap();
-        let m = Mapping { ii, placements, routes: vec![r.hops] };
+        let mut hops = Vec::new();
+        route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0, &mut hops)
+            .unwrap();
+        let m = Mapping { ii, placements, routes: vec![hops] };
         assert_eq!(check_mapping(&dfg, &cgra, &m, ii), Ok(()));
     }
 
@@ -499,14 +499,13 @@ mod tests {
             Placement { pe: PeId(2), time: 1 },
         ];
         let mut ledger = Ledger::new(&cgra, ii);
-        let r0 =
-            route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0)
-                .unwrap();
-        let r1 =
-            route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[2], 0)
-                .unwrap();
-        assert_eq!(r1.cost, 0, "fan-out shares the register");
-        let m = Mapping { ii, placements, routes: vec![r0.hops, r1.hops] };
+        let (mut r0, mut r1) = (Vec::new(), Vec::new());
+        route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0, &mut r0)
+            .unwrap();
+        let cost =
+            route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[2], 0, &mut r1);
+        assert_eq!(cost, Some(0), "fan-out shares the register");
+        let m = Mapping { ii, placements, routes: vec![r0, r1] };
         assert_eq!(check_mapping(&dfg, &cgra, &m, ii), Ok(()));
     }
 
@@ -724,10 +723,10 @@ mod tests {
         let placements =
             vec![Placement { pe: PeId(0), time: 0 }, Placement { pe: PeId(1), time: 1 }];
         let mut ledger = Ledger::new(&cgra, ii);
-        let r =
-            route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0)
-                .unwrap();
-        let mut m = Mapping { ii, placements, routes: vec![r.hops] };
+        let mut hops = Vec::new();
+        route_edge(&cgra, &mut ledger, NodeId(0), placements[0], placements[1], 0, &mut hops)
+            .unwrap();
+        let mut m = Mapping { ii, placements, routes: vec![hops] };
         assert_eq!(check_mapping(&dfg, &cgra, &m, ii), Ok(()));
         corrupt(&mut m);
         assert!(check_mapping(&dfg, &cgra, &m, ii).is_err());

@@ -42,6 +42,12 @@ for seed in 20261019 20261020; do
     PROPTEST_SEED=$seed cargo test --release -q --test prune
 done
 
+echo "==> router and step-journal oracles under release codegen (fixed proptest seed)"
+# Routes checked against the validator both ways, scratch reuse against
+# a fresh thread, and step/undo walks against a fresh replay.
+PROPTEST_SEED=20261025 cargo test --release -q --test proptest_routing
+PROPTEST_SEED=20261025 cargo test --release -q -p mapzero-core --lib step_undo_route_store
+
 echo "==> serve smoke (service batch with an armed worker-death failpoint)"
 scripts/serve_smoke.sh
 
