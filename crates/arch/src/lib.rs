@@ -33,7 +33,6 @@ mod cgra;
 mod topology;
 
 pub mod analysis;
-pub mod dot;
 pub mod features;
 pub mod presets;
 pub mod symmetry;

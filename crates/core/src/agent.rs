@@ -14,8 +14,7 @@ use crate::network::MapZeroNet;
 use crate::problem::Problem;
 use crate::search::{self, Ranked};
 use crate::supervise::Budget;
-use std::cell::RefCell;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Agent configuration.
@@ -99,79 +98,38 @@ pub struct EpisodeResult {
     pub routed_edges: u64,
 }
 
-/// Where an agent keeps its prediction cache between episodes.
-///
-/// The local variant carries the cache across one agent's episodes (and
-/// the compiler's II attempts, which share early search states). The
-/// shared variant is the serve worker pool's: every worker's agent
-/// drains and refills one process-wide cache, so requests for the same
-/// fabric warm each other up. Either way a panic mid-episode merely
-/// loses the borrowed cache contents, never corrupts the slot — the
-/// cache is moved out by value before the episode runs.
-enum CacheSlot {
-    Local(RefCell<PredictCache>),
-    Shared(Arc<Mutex<PredictCache>>),
-}
-
-impl CacheSlot {
-    /// Move the cache out, leaving a placeholder; guarantees at least
-    /// `capacity` on what is handed to the episode.
-    fn take(&self, capacity: usize) -> PredictCache {
-        let mut cache = match self {
-            CacheSlot::Local(cell) => cell.take(),
-            CacheSlot::Shared(slot) => std::mem::take(
-                &mut *slot.lock().unwrap_or_else(PoisonError::into_inner),
-            ),
-        };
-        cache.reserve_capacity(capacity);
-        cache
-    }
-
-    /// Return the cache after an episode. Two workers may have raced
-    /// for a shared slot (the loser ran on the placeholder); keep
-    /// whichever copy memoizes more states.
-    fn put_back(&self, cache: PredictCache) {
-        match self {
-            CacheSlot::Local(cell) => {
-                cell.replace(cache);
-            }
-            CacheSlot::Shared(slot) => {
-                let mut held = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                if cache.len() >= held.len() {
-                    *held = cache;
-                }
-            }
-        }
-    }
-}
-
 /// The MapZero placement agent.
 pub struct MapZeroAgent<'n> {
     net: &'n MapZeroNet,
     config: AgentConfig,
-    cache: CacheSlot,
+    /// Read and written by every episode's search: the agent's own, or
+    /// one shared with other agents.
+    cache: Arc<Mutex<PredictCache>>,
 }
 
 impl<'n> MapZeroAgent<'n> {
-    /// Create an agent around a (possibly pre-trained) network.
+    /// Create an agent around a (possibly pre-trained) network, with a
+    /// private prediction cache carried across its episodes (and the
+    /// compiler's II attempts, which share early search states).
     #[must_use]
     pub fn new(net: &'n MapZeroNet, config: AgentConfig) -> Self {
-        let cache = CacheSlot::Local(RefCell::new(PredictCache::new(config.mcts.cache_capacity)));
+        let cache = Arc::new(Mutex::new(PredictCache::new(PredictCache::CAPACITY)));
         MapZeroAgent { net, config, cache }
     }
 
-    /// Create an agent whose episodes drain and refill a cache shared
-    /// with other agents (the serve worker pool). Entries are keyed by
-    /// the problem's structural fingerprint and the search state, so a
-    /// hit replays a prediction of the same state, bit-identical to a
-    /// recompute (see [`PredictCache`]).
+    /// Create an agent whose episodes read and write a cache shared
+    /// with other agents, possibly on other threads and networks (the
+    /// serve worker pool). Entries are keyed by the network's
+    /// parameters, the problem's structural fingerprint and the search
+    /// state, so a hit replays a prediction of the same state,
+    /// bit-identical to a recompute (see [`PredictCache`]).
     #[must_use]
     pub fn with_shared_cache(
         net: &'n MapZeroNet,
         config: AgentConfig,
         cache: Arc<Mutex<PredictCache>>,
     ) -> Self {
-        MapZeroAgent { net, config, cache: CacheSlot::Shared(cache) }
+        MapZeroAgent { net, config, cache }
     }
 
     /// Run one mapping episode on `problem` with a wall-clock deadline.
@@ -184,33 +142,20 @@ impl<'n> MapZeroAgent<'n> {
     /// *and* the MCTS inside each decision poll the shared `budget`, so
     /// an exhausted budget interrupts mid-search rather than waiting for
     /// the current (possibly long) decision to finish.
-    #[must_use]
-    pub fn run_episode_budgeted(&self, problem: &Problem<'_>, budget: &Budget) -> EpisodeResult {
-        let cache = self.cache.take(self.config.mcts.cache_capacity);
-        let mut mcts = Mcts::with_cache(self.net, self.config.mcts, cache);
-        let result = self.episode_loop(&mut mcts, problem, budget);
-        self.cache.put_back(mcts.into_cache());
-        result
-    }
-
-    /// The placement loop of one episode (see
-    /// [`MapZeroAgent::run_episode_budgeted`], which wraps it with the
-    /// prediction-cache handover): the shared depth-first search,
-    /// ranking each state once, on its first visit. Re-deciding after a
+    ///
+    /// The placement loop is the shared depth-first search, ranking
+    /// each state once, on its first visit. Re-deciding after a
     /// backtrack walks down that stored ranking instead of re-searching,
     /// so backtracking costs no network call (§3.6.2: "timely remediate
     /// ... with little time overhead").
-    fn episode_loop(
-        &self,
-        mcts: &mut Mcts<'_>,
-        problem: &Problem<'_>,
-        budget: &Budget,
-    ) -> EpisodeResult {
+    #[must_use]
+    pub fn run_episode_budgeted(&self, problem: &Problem<'_>, budget: &Budget) -> EpisodeResult {
         let AgentConfig { backtrack_budget, mcts_backtrack_cutoff, .. } = self.config;
+        let mut mcts = Mcts::with_cache(self.net, self.config.mcts, Arc::clone(&self.cache));
         let mut probs_scratch: Vec<f32> = Vec::new();
         let walk = search::depth_first(problem, budget, backtrack_budget, |env, backtracks| {
             let cheap_mode = backtracks >= mcts_backtrack_cutoff;
-            self.rank_state(mcts, env, cheap_mode, budget, &mut probs_scratch)
+            self.rank_state(&mut mcts, env, cheap_mode, budget, &mut probs_scratch)
         });
         mapzero_obs::counter!("agent.backtracks", walk.backtracks);
         mapzero_obs::counter!("agent.steps", walk.steps);

@@ -103,10 +103,11 @@ pub struct Compiler {
     config: MapZeroConfig,
     nets: HashMap<usize, Arc<MapZeroNet>>,
     fallback: Option<Box<dyn Mapper + Send>>,
-    /// When set, agents drain/refill this cache instead of a private
-    /// one, so concurrent compilers warm each other up. Entries are
-    /// keyed by problem fingerprint and search state, so a hit replays
-    /// a prediction of the same state.
+    /// When set, agents read and write this cache instead of a private
+    /// one per `map*` call, so compilers sharing it — on any thread,
+    /// for any fabric — warm each other up. Entries are keyed by the
+    /// network's parameters, the problem's fingerprint and the search
+    /// state, so a hit replays a prediction of the same state.
     shared_cache: Option<Arc<Mutex<PredictCache>>>,
 }
 
@@ -128,8 +129,9 @@ impl Compiler {
     }
 
     /// Share a prediction cache with other compilers (the serve worker
-    /// pool): every mapping episode drains it, runs, and puts the
-    /// warmer copy back.
+    /// pool): every mapping episode's search reads and writes it under
+    /// its lock, which is held only around probes and inserts. Without
+    /// one, each `map*` call starts from an empty private cache.
     #[must_use]
     pub fn with_shared_cache(mut self, cache: Arc<Mutex<PredictCache>>) -> Self {
         self.shared_cache = Some(cache);
@@ -523,6 +525,7 @@ impl Mapper for Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::Mapping;
     use crate::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
@@ -761,6 +764,70 @@ mod tests {
         assert!(!cache.lock().unwrap().is_empty(), "cap must warm the shared cache");
         let warm = shared.map(&mults2, &cgra).unwrap();
         assert_eq!(cold.mapping, warm.mapping);
+    }
+
+    fn cold_mapping(dfg: &Dfg, cgra: &Cgra) -> Option<Mapping> {
+        Compiler::new(MapZeroConfig::fast_test()).map(dfg, cgra).unwrap().mapping
+    }
+
+    /// One shared cache keeps every network's entries side by side:
+    /// `sum` on HReA, then `mults1` on ADRES (another fabric size, so
+    /// another network), then `sum` on HReA again through one compiler.
+    /// The third compile hits on every state, so the cache does not
+    /// grow, and each mapping equals a cold compile's.
+    #[test]
+    fn shared_cache_keeps_entries_across_network_switches() {
+        let (hrea, adres) = (presets::hrea(), presets::adres());
+        let sum = suite::by_name("sum").unwrap();
+        let mults1 = suite::by_name("mults1").unwrap();
+        assert_ne!(hrea.pe_count(), adres.pe_count());
+        let cache = Arc::new(Mutex::new(PredictCache::new(PredictCache::CAPACITY)));
+        let mut shared =
+            Compiler::new(MapZeroConfig::fast_test()).with_shared_cache(Arc::clone(&cache));
+        assert_eq!(shared.map(&sum, &hrea).unwrap().mapping, cold_mapping(&sum, &hrea));
+        assert_eq!(shared.map(&mults1, &adres).unwrap().mapping, cold_mapping(&mults1, &adres));
+        let entries = cache.lock().unwrap().len();
+        assert_eq!(shared.map(&sum, &hrea).unwrap().mapping, cold_mapping(&sum, &hrea));
+        assert_eq!(cache.lock().unwrap().len(), entries, "the repeated compile missed the cache");
+    }
+
+    /// Two threads, each with its own compiler over one shared cache and
+    /// shared networks, interleave HReA and ADRES kernels: every mapping
+    /// equals its cold compile's, whatever the other thread inserted.
+    #[test]
+    fn shared_cache_across_threads_matches_cold_compiles() {
+        let (hrea, adres) = (presets::hrea(), presets::adres());
+        let jobs: Vec<(Dfg, &Cgra)> =
+            [("sum", &hrea), ("mults1", &adres), ("mac", &hrea), ("cap", &adres)]
+                .into_iter()
+                .map(|(kernel, cgra)| (suite::by_name(kernel).unwrap(), cgra))
+                .collect();
+        let cold: Vec<Option<Mapping>> =
+            jobs.iter().map(|(dfg, cgra)| cold_mapping(dfg, cgra)).collect();
+        let cache = Arc::new(Mutex::new(PredictCache::new(PredictCache::CAPACITY)));
+        let mut owner = Compiler::new(MapZeroConfig::fast_test());
+        owner.ensure_net(&hrea);
+        owner.ensure_net(&adres);
+        let nets =
+            [hrea.pe_count(), adres.pe_count()].map(|pes| owner.shared_net_for(pes).unwrap());
+        std::thread::scope(|scope| {
+            for offset in 0..2 {
+                let (jobs, cold, cache, nets) = (&jobs, &cold, &cache, &nets);
+                scope.spawn(move || {
+                    let mut compiler = Compiler::new(MapZeroConfig::fast_test())
+                        .with_shared_cache(Arc::clone(cache));
+                    for net in nets {
+                        compiler.install_shared_net(Arc::clone(net));
+                    }
+                    for i in (0..jobs.len()).map(|k| (k + offset) % jobs.len()) {
+                        let (dfg, cgra) = &jobs[i];
+                        let report = compiler.map(dfg, cgra).unwrap();
+                        assert_eq!(report.mapping, cold[i], "{} on thread {offset}", dfg.name());
+                    }
+                });
+            }
+        });
+        assert!(!cache.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::network::{MapZeroNet, Prediction};
 use crate::supervise::Budget;
 use mapzero_arch::PeId;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// MCTS hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,8 +38,6 @@ pub struct MctsConfig {
     pub playout_step_limit: usize,
     /// Playout RNG seed (tie-breaking).
     pub seed: u64,
-    /// Capacity of the prediction cache (entries).
-    pub cache_capacity: usize,
     /// Maximum leaves evaluated per batched forward (K): each selection
     /// sweep collects up to this many leaves under virtual loss and
     /// evaluates them in one [`MapZeroNet::predict_batch`] call. Values
@@ -57,7 +56,6 @@ impl Default for MctsConfig {
             playout: true,
             playout_step_limit: usize::MAX,
             seed: 0,
-            cache_capacity: 4096,
             leaf_batch: 8,
         }
     }
@@ -111,22 +109,24 @@ pub struct SearchResult {
 
 /// Transposition-keyed memo of network predictions.
 ///
-/// The placement vector plus the problem's identity (its structural
-/// `Problem::fingerprint`, II and pruning flag) uniquely determines the
-/// observation — placement order is fixed by `Problem::order` — so a
-/// cached [`Prediction`] is what the network computed for that state.
-/// The tree is reset at every decision, so hits come from states an
-/// earlier decision's search already evaluated: the subtree below the
-/// chosen action, re-decisions after backtracking, shared early states
-/// across a compiler's II attempts and episodes (the agent carries the
-/// cache between episodes), and repeated requests through a shared
-/// cache.
+/// The network's parameter fingerprint, the placement vector and the
+/// problem's identity (its structural `Problem::fingerprint`, II and
+/// pruning flag) determine a prediction: placement order is fixed by
+/// `Problem::order`, so they fix the observation, and equal parameter
+/// fingerprints mean equal weights. A cached [`Prediction`] is
+/// therefore what the network computes for that state, and a hit is
+/// bit-identical to a recompute. The tree is reset at every decision,
+/// so hits come from states an earlier decision's search already
+/// evaluated: the subtree below the chosen action, re-decisions after
+/// backtracking, shared early states across a compiler's II attempts
+/// and episodes (the agent holds one cache for all of them), and
+/// repeated requests through a cache shared by several agents.
 ///
-/// Entries are pinned to the network parameters they were computed
-/// under: [`PredictCache::ensure_net`] compares the stored parameter
-/// fingerprint against the live network and clears everything on a
-/// mismatch, so a weight update or a training rollback can never serve
-/// stale predictions.
+/// Nothing is ever invalidated. A weight update draws a new parameter
+/// fingerprint, so older entries stop matching and age out; a training
+/// rollback restores the snapshot's fingerprint together with its
+/// values, so the snapshot's entries are exact again. Networks of
+/// different fabric sizes keep their entries side by side.
 ///
 /// Bounded by a two-segment ("flip-flop") LRU approximation: inserts go
 /// to the current segment; when it fills, the previous segment is
@@ -138,10 +138,12 @@ pub struct PredictCache {
     cur: HashMap<u64, Prediction>,
     prev: HashMap<u64, Prediction>,
     capacity: usize,
-    fingerprint: Option<u64>,
 }
 
 impl PredictCache {
+    /// Entries held by the cache of every search, agent and serve pool.
+    pub const CAPACITY: usize = 4096;
+
     /// Create an empty cache holding at most ~`capacity` entries.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -151,27 +153,7 @@ impl PredictCache {
         // than zero).
         mapzero_obs::counter!("search.predict_cache.hit", 0);
         mapzero_obs::counter!("search.predict_cache.miss", 0);
-        PredictCache {
-            cur: HashMap::new(),
-            prev: HashMap::new(),
-            capacity: capacity.max(2),
-            fingerprint: None,
-        }
-    }
-
-    /// Re-key the cache to the network's current parameters, dropping
-    /// every entry if they changed since the last call. Must run before
-    /// any `get` against a possibly-updated network.
-    pub fn ensure_net(&mut self, net: &MapZeroNet) {
-        let fp = net.params_fingerprint();
-        if self.fingerprint != Some(fp) {
-            if self.fingerprint.is_some() {
-                mapzero_obs::counter!("search.predict_cache.rekey");
-            }
-            self.cur.clear();
-            self.prev.clear();
-            self.fingerprint = Some(fp);
-        }
+        PredictCache { cur: HashMap::new(), prev: HashMap::new(), capacity: capacity.max(2) }
     }
 
     /// Look up a state key, promoting previous-segment hits.
@@ -193,13 +175,6 @@ impl PredictCache {
         self.cur.insert(key, pred);
     }
 
-    /// Raise the capacity to at least `capacity` without dropping any
-    /// entries. Used when an episode takes over a shared cache that was
-    /// created (or reset by [`std::mem::take`]) at placeholder size.
-    pub fn reserve_capacity(&mut self, capacity: usize) {
-        self.capacity = self.capacity.max(capacity.max(2));
-    }
-
     /// Number of live entries across both segments.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -213,20 +188,21 @@ impl PredictCache {
     }
 }
 
-impl Default for PredictCache {
-    /// A minimal-capacity cache — the transient placeholder
-    /// `RefCell::take` leaves behind while an episode borrows the real
-    /// one.
-    fn default() -> Self {
-        PredictCache::new(0)
-    }
+/// Lock a (possibly shared) cache. The lock is held only around probes
+/// and inserts, never across a forward pass or a failpoint, so a panic
+/// in a search cannot leave the cache half-written: a poisoned lock is
+/// recovered, not propagated.
+fn lock(cache: &Mutex<PredictCache>) -> MutexGuard<'_, PredictCache> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Hash the search state: problem identity plus the placement ledger
-/// (which uniquely determines the observation — see [`PredictCache`]).
-fn state_key(env: &MapEnv<'_>) -> u64 {
+/// Hash the search state: the network's parameters, the problem's
+/// identity and the placement ledger (which together determine the
+/// prediction — see [`PredictCache`]).
+fn state_key(net: &MapZeroNet, env: &MapEnv<'_>) -> u64 {
     let problem = env.problem();
     let mut h = Fnv64::new();
+    h.write_u64(net.params_fingerprint());
     h.write_u64(u64::from(problem.ii()));
     // Pruned and unpruned runs observe different masks for the same
     // placement set, so they must never share cache entries.
@@ -252,7 +228,7 @@ pub struct Mcts<'n> {
     root: usize,
     rng: mapzero_nn::SeedRng,
     observer: Observer,
-    cache: PredictCache,
+    cache: Arc<Mutex<PredictCache>>,
 }
 
 /// Normalize an environment step reward to roughly [−1, 0].
@@ -299,25 +275,29 @@ enum WalkResult<'p> {
 }
 
 impl<'n> Mcts<'n> {
-    /// Create a search over the given network.
+    /// Create a search over the given network with a private
+    /// prediction cache.
     #[must_use]
     pub fn new(net: &'n MapZeroNet, config: MctsConfig) -> Self {
-        Mcts::with_cache(net, config, PredictCache::new(config.cache_capacity))
+        let cache = Arc::new(Mutex::new(PredictCache::new(PredictCache::CAPACITY)));
+        Mcts::with_cache(net, config, cache)
     }
 
-    /// Create a search reusing an existing prediction cache (the agent
-    /// carries one across episodes and II attempts). The cache is
-    /// re-keyed to `net` immediately, so entries from a different
-    /// parameter state are dropped up front.
+    /// Create a search that reads and writes a given prediction cache
+    /// (the agent's, held across episodes and II attempts, or one
+    /// shared by several agents).
     #[must_use]
-    pub fn with_cache(net: &'n MapZeroNet, config: MctsConfig, mut cache: PredictCache) -> Self {
+    pub fn with_cache(
+        net: &'n MapZeroNet,
+        config: MctsConfig,
+        cache: Arc<Mutex<PredictCache>>,
+    ) -> Self {
         // Pre-register the batching counters so metric dumps show zeros
         // (not absences) for runs that never flush a batch.
         mapzero_obs::counter!("search.batch.flush", 0);
         mapzero_obs::counter!("search.batch.partial", 0);
         mapzero_obs::counter!("search.batch.cache_short_circuit", 0);
         mapzero_obs::counter!("search.expand.offered", 0);
-        cache.ensure_net(net);
         let rng = mapzero_nn::SeedRng::new(config.seed);
         Mcts {
             net,
@@ -330,12 +310,6 @@ impl<'n> Mcts<'n> {
         }
     }
 
-    /// Surrender the prediction cache for reuse by a later search.
-    #[must_use]
-    pub fn into_cache(self) -> PredictCache {
-        self.cache
-    }
-
     /// Number of nodes currently in the tree.
     #[must_use]
     pub fn tree_size(&self) -> usize {
@@ -343,17 +317,10 @@ impl<'n> Mcts<'n> {
     }
 
     /// Reset the tree (e.g. after the environment was rolled back).
-    ///
-    /// Deliberately does NOT clear the prediction cache — cached
-    /// predictions are keyed by state, not by tree, and stay valid
-    /// across resets. It does re-verify the parameter fingerprint, so
-    /// if the network was updated or rolled back since the last search
-    /// (the tree is reset per decision), stale entries are dropped
-    /// before they can be served.
+    /// The prediction cache is keyed by state, not by tree, and stays.
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.root = 0;
-        self.cache.ensure_net(self.net);
     }
 
     /// Run simulations from `root_env` and pick an action for the
@@ -589,7 +556,7 @@ impl<'n> Mcts<'n> {
                     // sweep can never overshoot the pool by more than
                     // the node the pre-walk poll already allowed.
                     budget.charge(1);
-                    let key = state_key(&env);
+                    let key = state_key(self.net, &env);
                     return WalkResult::Pending(Box::new(PendingLeaf {
                         path,
                         rewards,
@@ -603,10 +570,10 @@ impl<'n> Mcts<'n> {
     }
 
     /// Evaluate and resolve every pending leaf of a sweep, in selection
-    /// order: probe the transposition cache (hits never occupy a batch
-    /// slot), run one batched forward over the misses, then expand,
-    /// play out and back up each leaf. Returns the summed root-level
-    /// values.
+    /// order: predict all of them through the cache (hits never occupy
+    /// a batch slot; the misses share one batched forward), then
+    /// expand, play out and back up each leaf. Returns the summed
+    /// root-level values.
     fn flush_pending(
         &mut self,
         pending: &mut Vec<PendingLeaf<'_>>,
@@ -617,32 +584,11 @@ impl<'n> Mcts<'n> {
         if pending.len() < batch {
             mapzero_obs::counter!("search.batch.partial");
         }
-        let mut predictions: Vec<Option<Prediction>> = Vec::with_capacity(pending.len());
-        let mut miss_obs: Vec<crate::embed::Observation> = Vec::new();
-        let mut miss_at: Vec<usize> = Vec::new();
-        for (i, leaf) in pending.iter().enumerate() {
-            if let Some(pred) = self.cache.get(leaf.key) {
-                mapzero_obs::counter!("search.predict_cache.hit");
-                mapzero_obs::counter!("search.batch.cache_short_circuit");
-                predictions.push(Some(pred));
-                continue;
-            }
-            mapzero_obs::counter!("search.predict_cache.miss");
-            miss_obs.push(self.observer.observe(&leaf.env).clone());
-            miss_at.push(i);
-            predictions.push(None);
-        }
-        if !miss_obs.is_empty() {
-            let refs: Vec<&crate::embed::Observation> = miss_obs.iter().collect();
-            let batch_preds = self.net.predict_batch(&refs);
-            for (i, pred) in miss_at.into_iter().zip(batch_preds) {
-                self.cache.insert(pending[i].key, pred.clone());
-                predictions[i] = Some(pred);
-            }
-        }
+        let states: Vec<(u64, &MapEnv<'_>)> =
+            pending.iter().map(|leaf| (leaf.key, &leaf.env)).collect();
+        let predictions = self.predict_cached(&states, true);
         let mut total = 0.0f64;
         for (leaf, pred) in pending.drain(..).zip(predictions) {
-            let pred = pred.expect("every pending leaf was evaluated");
             let (child, net_value) = self.expand_scored(leaf.legal, &pred);
             let &(parent, edge_idx) = leaf.path.last().expect("pending walk has a path");
             self.nodes[parent].edges[edge_idx].child = Some(child);
@@ -695,8 +641,8 @@ impl<'n> Mcts<'n> {
             self.nodes.push(TreeNode { edges: Vec::new(), visits: 0 });
             return (self.nodes.len() - 1, -1.0);
         }
-        let pred = self.predict(env);
-        self.expand_scored(legal, &pred)
+        let preds = self.predict_cached(&[(state_key(self.net, env), env)], false);
+        self.expand_scored(legal, &preds[0])
     }
 
     /// Create a tree node from an already-computed prediction; the
@@ -731,20 +677,52 @@ impl<'n> Mcts<'n> {
         (self.nodes.len() - 1, f64::from(pred.value))
     }
 
-    /// Network evaluation of the environment state, through the
-    /// transposition cache. Cache hits skip featurization and the
-    /// forward pass entirely; hits and misses are counted as
-    /// `search.predict_cache.{hit,miss}`.
-    fn predict(&mut self, env: &MapEnv<'_>) -> Prediction {
-        let key = state_key(env);
-        if let Some(pred) = self.cache.get(key) {
-            mapzero_obs::counter!("search.predict_cache.hit");
-            return pred;
+    /// Network predictions for keyed states, in order, through the
+    /// cache: the one place a search reads or writes it. One locked
+    /// probe, the forward over the misses with the lock released, then
+    /// one locked insert. Hits skip featurization and the forward pass
+    /// entirely. `batched` (the leaf flush) runs the misses through one
+    /// [`MapZeroNet::predict_batch`] and counts its hits as
+    /// `search.batch.cache_short_circuit`; otherwise (the root) each
+    /// miss gets its own [`MapZeroNet::predict`]. Hits and misses are
+    /// counted as `search.predict_cache.{hit,miss}`.
+    fn predict_cached(
+        &mut self,
+        states: &[(u64, &MapEnv<'_>)],
+        batched: bool,
+    ) -> Vec<Prediction> {
+        let mut preds: Vec<Option<Prediction>> = {
+            let mut cache = lock(&self.cache);
+            states.iter().map(|&(key, _)| cache.get(key)).collect()
+        };
+        let mut miss_at: Vec<usize> = Vec::new();
+        for (i, pred) in preds.iter().enumerate() {
+            if pred.is_some() {
+                mapzero_obs::counter!("search.predict_cache.hit");
+                if batched {
+                    mapzero_obs::counter!("search.batch.cache_short_circuit");
+                }
+            } else {
+                mapzero_obs::counter!("search.predict_cache.miss");
+                miss_at.push(i);
+            }
         }
-        mapzero_obs::counter!("search.predict_cache.miss");
-        let pred = self.net.predict(self.observer.observe(env));
-        self.cache.insert(key, pred.clone());
-        pred
+        if !miss_at.is_empty() {
+            let fresh: Vec<Prediction> = if batched {
+                let obs: Vec<crate::embed::Observation> =
+                    miss_at.iter().map(|&i| self.observer.observe(states[i].1).clone()).collect();
+                self.net.predict_batch(&obs.iter().collect::<Vec<_>>())
+            } else {
+                let observer = &mut self.observer;
+                miss_at.iter().map(|&i| self.net.predict(observer.observe(states[i].1))).collect()
+            };
+            let mut cache = lock(&self.cache);
+            for (i, pred) in miss_at.into_iter().zip(fresh) {
+                cache.insert(states[i].0, pred.clone());
+                preds[i] = Some(pred);
+            }
+        }
+        preds.into_iter().map(|p| p.expect("every state was predicted")).collect()
     }
 
     /// Greedy playout to the end of the episode: each remaining node is
@@ -1068,13 +1046,14 @@ mod tests {
         let base = MctsConfig { playout: false, ..MctsConfig::fast_test() };
         let cold = Mcts::new(&net, base).search(&env);
 
-        let mut warmer = Mcts::new(&net, MctsConfig { seed: 99, leaf_batch: 3, ..base });
+        let cache = Arc::new(Mutex::new(PredictCache::new(PredictCache::CAPACITY)));
+        let warmer_config = MctsConfig { seed: 99, leaf_batch: 3, ..base };
+        let mut warmer = Mcts::with_cache(&net, warmer_config, Arc::clone(&cache));
         let first = warmer.search(&env);
         let mut child = env.clone();
         child.step(first.best_action);
         let _ = warmer.search(&child);
-        let cache = warmer.into_cache();
-        assert!(!cache.is_empty(), "the warming searches must fill the cache");
+        assert!(!lock(&cache).is_empty(), "the warming searches must fill the cache");
         let warm = Mcts::with_cache(&net, base, cache).search(&env);
 
         assert_eq!(cold.best_action, warm.best_action);
@@ -1105,48 +1084,51 @@ mod tests {
         }
     }
 
-    /// `reset` must drop cache entries when the network parameters
-    /// changed (the training-rollback bug), and must keep them when the
-    /// parameters are unchanged.
+    /// Entries are keyed by the network's parameters: after a weight
+    /// update a search through the warm cache equals a cold search
+    /// under the new weights, and after a rollback to a snapshot the
+    /// snapshot's entries hit again.
     #[test]
-    fn reset_rekeys_cache_on_weight_change_only() {
+    fn cache_follows_weight_updates_and_rollbacks() {
         let dfg = suite::by_name("mac").unwrap();
         let cgra = presets::simple_mesh(4, 4);
         let problem = Problem::new(&dfg, &cgra, 1).unwrap();
         let env = MapEnv::new(&problem);
         let mut net = MapZeroNet::new(16, NetConfig::tiny());
+        // No playouts: the root value is a mix of network values alone,
+        // so a stale prediction shows in its bits.
+        let config = MctsConfig { playout: false, ..MctsConfig::fast_test() };
+        let cache = Arc::new(Mutex::new(PredictCache::new(PredictCache::CAPACITY)));
+        let snapshot = net.params.clone();
+        let before = Mcts::with_cache(&net, config, Arc::clone(&cache)).search(&env);
+        assert!(!lock(&cache).is_empty(), "search should have populated the cache");
 
-        let mut mcts = Mcts::new(&net, MctsConfig::fast_test());
-        let _ = mcts.search(&env);
-        let mut cache = mcts.into_cache();
-        assert!(!cache.is_empty(), "search should have populated the cache");
-
-        // Same parameters: entries survive a reset.
-        let mut mcts = Mcts::with_cache(&net, MctsConfig::fast_test(), cache);
-        mcts.reset();
-        cache = mcts.into_cache();
-        assert!(!cache.is_empty(), "reset must not clear a valid cache");
-
-        // Parameter update: entries must be dropped.
-        let obs = crate::embed::observe(&env);
         let sample = crate::network::TrainSample {
-            observation: obs,
+            observation: crate::embed::observe(&env),
             policy: vec![1.0 / 16.0; 16],
             value: 0.1,
         };
         let _ = net.train_batch(&[sample], 0.01, 5.0);
-        let mcts = Mcts::with_cache(&net, MctsConfig::fast_test(), cache);
-        assert!(
-            mcts.into_cache().is_empty(),
-            "stale entries survived a weight change"
-        );
+        let warm = Mcts::with_cache(&net, config, Arc::clone(&cache)).search(&env);
+        let cold = Mcts::new(&net, config).search(&env);
+        assert_ne!(warm.root_value.to_bits(), before.root_value.to_bits(), "served a stale entry");
+        assert_eq!(warm.best_action, cold.best_action);
+        assert_eq!(warm.visit_distribution, cold.visit_distribution);
+        assert_eq!(warm.root_value.to_bits(), cold.root_value.to_bits());
+
+        net.restore_params(snapshot);
+        let entries = lock(&cache).len();
+        let restored = Mcts::with_cache(&net, config, Arc::clone(&cache)).search(&env);
+        assert_eq!(lock(&cache).len(), entries, "every state of the snapshot must hit");
+        assert_eq!(restored.best_action, before.best_action);
+        assert_eq!(restored.visit_distribution, before.visit_distribution);
+        assert_eq!(restored.root_value.to_bits(), before.root_value.to_bits());
     }
 
     /// The flip-flop LRU keeps the entry count bounded by the capacity.
     #[test]
     fn predict_cache_is_bounded() {
         let mut cache = PredictCache::new(8);
-        cache.fingerprint = Some(1);
         for k in 0..100u64 {
             cache.insert(k, Prediction { log_probs: vec![0.0], value: 0.0 });
         }

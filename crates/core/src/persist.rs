@@ -67,8 +67,6 @@ pub struct TrainState {
 /// - `workers`: self-play episodes are seeded per (epoch, episode) and
 ///   merged in episode order, so any worker count gives the same stream;
 /// - `episode_deadline`: a wall-clock safety net, not a work bound;
-/// - `mcts.cache_capacity`: the prediction cache returns what the
-///   network would compute, so its size changes speed only;
 /// - `mcts.seed` and `mcts.playout`: self-play overrides both, and with
 ///   playouts off evaluation never draws from the search RNG;
 /// - `max_retries`: it only decides when a diverging run gives up, and

@@ -11,10 +11,18 @@
 //! ```
 //!
 //! Lines: `dfg <name>`, `node <id> <opcode>`, `edge <src> <dst> [dist]`.
-//! `#` starts a comment; node ids must be dense and in order.
+//! `#` starts a comment; node ids must be dense and in order; `dist` is
+//! at most [`MAX_DISTANCE`].
 
 use crate::{Dfg, DfgBuilder, DfgError, NodeId, Opcode};
 use std::fmt;
+
+/// Largest loop-carried distance [`parse`] accepts. Every suite kernel
+/// uses distance 1. A mapper routes a distance-`d` edge over up to
+/// `d · II` cycles, and the router sizes its search by that horizon, so
+/// an unbounded distance from untrusted text would be an unbounded
+/// allocation.
+pub const MAX_DISTANCE: u32 = 64;
 
 /// Errors from [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,8 +73,9 @@ pub fn emit(dfg: &Dfg) -> String {
 /// Parse the text format back into a DFG.
 ///
 /// # Errors
-/// Returns [`ParseDfgError::Syntax`] for malformed lines and
-/// [`ParseDfgError::Graph`] if the edges violate DFG invariants.
+/// Returns [`ParseDfgError::Syntax`] for malformed lines (a distance
+/// above [`MAX_DISTANCE`] included) and [`ParseDfgError::Graph`] if the
+/// edges violate DFG invariants.
 pub fn parse(text: &str) -> Result<Dfg, ParseDfgError> {
     let mut name = String::from("unnamed");
     let mut pending_nodes: Vec<(usize, Opcode)> = Vec::new();
@@ -108,6 +117,12 @@ pub fn parse(text: &str) -> Result<Dfg, ParseDfgError> {
                         .map_err(|_| syntax(lineno, "distance must be an integer"))?,
                     None => 0,
                 };
+                if dist > MAX_DISTANCE {
+                    return Err(syntax(
+                        lineno,
+                        &format!("distance {dist} exceeds the limit of {MAX_DISTANCE}"),
+                    ));
+                }
                 pending_edges.push((src, dst, dist, lineno));
             }
             other => return Err(syntax(lineno, &format!("unknown keyword `{other}`"))),
@@ -173,6 +188,18 @@ mod tests {
         let g = parse("dfg t\nnode 0 add\nedge 0 0 2\n").unwrap();
         let e = g.edges().next().unwrap();
         assert_eq!(e.dist, 2);
+    }
+
+    #[test]
+    fn rejects_distances_above_the_limit() {
+        let at_limit = format!("dfg t\nnode 0 add\nedge 0 0 {MAX_DISTANCE}\n");
+        assert_eq!(parse(&at_limit).unwrap().max_dist(), MAX_DISTANCE);
+        for dist in [u64::from(MAX_DISTANCE) + 1, 100_000_000] {
+            let err = parse(&format!("dfg t\nnode 0 add\n\nedge 0 0 {dist}\n")).unwrap_err();
+            assert!(matches!(err, ParseDfgError::Syntax { line: 4, .. }), "{err:?}");
+            assert!(err.to_string().contains("exceeds the limit"), "{err}");
+        }
+        assert!(suite::all().iter().all(|g| g.max_dist() <= MAX_DISTANCE));
     }
 
     #[test]

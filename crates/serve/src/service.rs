@@ -27,8 +27,9 @@
 //!
 //! Shared state is confined to things a dying worker cannot poison: the
 //! queue (mutex with explicit poison recovery), `Arc`'d read-only
-//! networks, and the prediction cache (drained by value per episode — a
-//! panic loses borrowed entries, never corrupts the slot).
+//! networks, and the prediction cache (one map keyed by network and
+//! state, locked only around probes and inserts — never across a
+//! forward pass or a failpoint — with poison recovery).
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreakers};
 use crate::journal::Journal;
@@ -208,13 +209,12 @@ impl MapService {
     /// [`MapService::submit_replayed`] after this returns.
     #[must_use]
     pub fn start_with_journal(config: ServeConfig, journal: Option<Journal>) -> Self {
-        let cache_capacity = config.compiler.agent.mcts.cache_capacity.max(2);
         let workers = config.workers.max(1);
         let breakers = CircuitBreakers::new(config.breaker);
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue),
             nets: Mutex::new(HashMap::new()),
-            cache: Arc::new(Mutex::new(PredictCache::new(cache_capacity))),
+            cache: Arc::new(Mutex::new(PredictCache::new(PredictCache::CAPACITY))),
             handles: Mutex::new(Vec::new()),
             stats: ServiceStats::default(),
             tenant_gauges: Mutex::new(HashMap::new()),

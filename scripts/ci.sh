@@ -48,6 +48,11 @@ echo "==> router and step-journal oracles under release codegen (fixed proptest 
 PROPTEST_SEED=20261025 cargo test --release -q --test proptest_routing
 PROPTEST_SEED=20261025 cargo test --release -q -p mapzero-core --lib step_undo_route_store
 
+echo "==> shared prediction cache under release codegen (cross-thread and chaos isolation)"
+# Several workers read and write the one locked cache while others die.
+cargo test --release -q -p mapzero-core --lib shared_cache_across_threads
+cargo test --release -q -p mapzero-serve --test chaos_isolation
+
 echo "==> serve smoke (service batch with an armed worker-death failpoint)"
 scripts/serve_smoke.sh
 
