@@ -10,9 +10,18 @@
 //! capability 1 2 logic+mem
 //! link 0 15                 # extra directed link by PE id
 //! ```
+//!
+//! A grid has at most [`MAX_SIDE`] rows and [`MAX_SIDE`] columns.
 
 use crate::{Capability, Cgra, CgraBuilder, Interconnect, PeId};
 use std::fmt;
+
+/// Largest row or column count [`parse`] accepts: twice the largest
+/// preset (the 16×16 baseline). A mapper's per-problem tables grow
+/// quadratically with the PE count (all-pairs hop distances, and
+/// reachability bitsets per hop bound), so untrusted text must not set
+/// it without bound; at 32×32 they stay within tens of MB.
+pub const MAX_SIDE: usize = 32;
 
 /// Errors from [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,7 +110,7 @@ fn parse_interconnect(tok: &str) -> Option<Interconnect> {
 ///
 /// # Errors
 /// Returns [`ParseCgraError`] with the offending line on malformed
-/// input.
+/// input, a grid side above [`MAX_SIDE`] included.
 pub fn parse(text: &str) -> Result<Cgra, ParseCgraError> {
     let err = |line: usize, message: &str| ParseCgraError { line, message: message.to_owned() };
     let mut builder: Option<CgraBuilder> = None;
@@ -127,6 +136,12 @@ pub fn parse(text: &str) -> Result<Cgra, ParseCgraError> {
                     .ok_or_else(|| err(lineno, "missing or invalid column count"))?;
                 if rows == 0 || cols == 0 {
                     return Err(err(lineno, "grid must be non-empty"));
+                }
+                if rows > MAX_SIDE || cols > MAX_SIDE {
+                    return Err(err(
+                        lineno,
+                        &format!("grid {rows}x{cols} exceeds the limit of {MAX_SIDE} per side"),
+                    ));
                 }
                 dims = (rows, cols);
                 builder = Some(CgraBuilder::new(name.replace('_', " "), rows, cols));
@@ -218,6 +233,19 @@ mod tests {
         assert!(g.pe(PeId(5)).capability.memory);
         assert!(!g.pe(PeId(5)).capability.arithmetic);
         assert!(g.links_from(PeId(0)).contains(&PeId(5)));
+    }
+
+    #[test]
+    fn rejects_grid_sides_above_the_limit() {
+        let at_limit = parse(&format!("cgra x {MAX_SIDE} {MAX_SIDE}\n")).unwrap();
+        assert_eq!(at_limit.pe_count(), MAX_SIDE * MAX_SIDE);
+        for (rows, cols) in [(MAX_SIDE + 1, 1), (1, MAX_SIDE + 1), (1 << 20, 1 << 20)] {
+            let e = parse(&format!("# big\ncgra x {rows} {cols}\n")).unwrap_err();
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.message.contains("exceeds the limit"), "{e}");
+        }
+        let presets = presets::table1().into_iter().chain([presets::heterogeneous()]);
+        assert!(presets.into_iter().all(|f| f.rows() <= MAX_SIDE && f.cols() <= MAX_SIDE));
     }
 
     #[test]

@@ -4,13 +4,18 @@
 //! with incremental routing: every partial placement whose newest node
 //! cannot be routed is pruned immediately (the combinatorial
 //! "systematic backtracking algorithm" of §1). It is the agent's
-//! [`search::depth_first`] with flat scores, so candidates are tried
-//! closest to the placed neighbours first, and no backtrack limit over
-//! the unpruned [`Problem::new`]. Complete: within the
-//! time limit it finds a valid mapping at the target II under the fixed
-//! modulo schedule whenever one exists, or proves there is none. Like
-//! the ILP it therefore delivers optimal IIs on small kernels and times
-//! out on large ones.
+//! [`search::depth_first`] ranked by [`search::systematic`], with no
+//! backtrack limit: each state offers its live candidates (the
+//! problem's forward-checked candidate sets, see
+//! [`mapzero_core::candidates`]) closest to the placed neighbours
+//! first, and a doomed state offers none. Exact over that pruned
+//! problem: the live sets and the doomed check never drop a
+//! conflict-free completion (`tests/prune.rs` enumerates every
+//! completion of small kernels to check it), so within the time limit
+//! it finds a valid mapping at the target II under the fixed modulo
+//! schedule whenever one exists, or proves there is none. Like the ILP
+//! it therefore delivers optimal IIs on small kernels and times out on
+//! large ones.
 
 use mapzero_core::mapping::{MapError, MapReport, Mapper};
 use mapzero_core::problem::Problem;
@@ -81,16 +86,13 @@ impl Mapper for ExactMapper {
                 let remaining = deadline - now;
                 now + remaining / remaining_iis
             };
-            // Flat scores: candidates in pure distance order, closest
-            // first, with no backtrack limit.
+            // Live candidates in pure distance order, closest first,
+            // with no backtrack limit.
             let walk = search::depth_first(
                 &problem,
                 &Budget::from_deadline_at(slice_deadline),
                 u64::MAX,
-                |env, _| Ranked::Next {
-                    candidates: search::rank(env, env.legal_actions(), |_| 0.0),
-                    data: (),
-                },
+                |env, _| Ranked::Next { candidates: search::systematic(env), data: () },
             );
             backtracks += walk.backtracks;
             explored += walk.steps;

@@ -188,9 +188,9 @@ impl<'n> MapZeroAgent<'n> {
     /// Rank the candidates of a newly visited state: by MCTS visit
     /// counts, by the network policy in the greedy ablation, or — in
     /// `cheap_mode`, the systematic-search fallback — by the distance
-    /// tie-break of [`search::rank`] alone. A doomed or action-less
-    /// state gets no candidates; an MCTS rollout that completed the
-    /// mapping ends the episode. The decision is kept for the
+    /// tie-break of [`search::systematic`], the exact mapper's ranking.
+    /// A doomed state gets no candidates; an MCTS rollout that completed
+    /// the mapping ends the episode. The decision is kept for the
     /// trajectory when one is collected.
     fn rank_state(
         &self,
@@ -200,22 +200,21 @@ impl<'n> MapZeroAgent<'n> {
         budget: &Budget,
         probs_scratch: &mut Vec<f32>,
     ) -> Ranked<Option<Decision>> {
+        let collect = self.config.collect_trajectory;
+        if cheap_mode {
+            // Systematic-search fallback; its target is one-hot on the
+            // action stepped, as in the greedy ablation.
+            let candidates = search::systematic(env);
+            let data = (collect && !candidates.is_empty())
+                .then(|| Decision { observation: observe(env), policy: None });
+            return Ranked::Next { candidates, data };
+        }
         if env.doomed() {
-            // Forward checking proved no conflict-free completion exists
-            // here; force a backtrack instead of searching the subtree.
             mapzero_obs::counter!("search.prune.dead_state");
             return Ranked::Next { candidates: Vec::new(), data: None };
         }
         let legal = env.search_actions();
-        if legal.is_empty() {
-            return Ranked::Next { candidates: legal, data: None };
-        }
-        let collect = self.config.collect_trajectory;
-        let (candidates, observation, policy) = if cheap_mode {
-            // Systematic-search fallback; its target is one-hot on the
-            // action stepped, as in the greedy ablation.
-            (search::rank(env, legal, |_| 0.0), None, None)
-        } else if self.config.use_mcts {
+        let (candidates, observation, policy) = if self.config.use_mcts {
             let result = mcts.search_with_budget(env, budget);
             if let Some(mapping) = result.solution {
                 // Early exit: a rollout completed the mapping (§3.5).

@@ -29,12 +29,18 @@
 //! actions. Both halves are pure functions of the current placement
 //! set (the property that keeps the MCTS transposition cache sound).
 //!
-//! The search consumes the sets three ways on any problem built with
+//! Every [`Problem`](crate::problem::Problem) carries its map, built on
+//! first use, and every environment forward-checks. The search consumes
+//! the sets three ways: action-mask hard pruning
+//! ([`MapEnv::search_mask`](crate::env::MapEnv::search_mask)),
+//! dead-state early termination ([`MapEnv::doomed`](crate::env::MapEnv::doomed)),
+//! and, on problems re-sorted by
 //! [`Problem::with_candidate_pruning`](crate::problem::Problem::with_candidate_pruning)
-//! (the compiler and the trainer always build them so):
-//! action-mask hard pruning ([`MapEnv::search_mask`](crate::env::MapEnv::search_mask)),
-//! fail-first placement ordering (scarcest node first), and
-//! dead-state early termination ([`MapEnv::doomed`](crate::env::MapEnv::doomed)).
+//! (the compiler and the trainer always do), fail-first placement
+//! ordering (scarcest node first). Neither prune drops a conflict-free
+//! completion: `tests/prune.rs` enumerates every completion of small
+//! kernels on every fabric kind to check it, so a systematic search of
+//! the pruned problem stays exact.
 
 use mapzero_arch::{Cgra, PeId, RoutingStyle};
 use mapzero_dfg::{Dfg, NodeId, Schedule};

@@ -74,9 +74,8 @@ pub struct MapEnv<'a> {
     cursor: usize,
     history: Vec<StepRecord>,
     total_reward: f64,
-    /// Live candidate sets (forward checking), present iff the problem
-    /// was built with [`Problem::with_candidate_pruning`].
-    cands: Option<CandidateState>,
+    /// Live candidate sets (forward checking).
+    cands: CandidateState,
 }
 
 impl<'a> MapEnv<'a> {
@@ -96,7 +95,7 @@ impl<'a> MapEnv<'a> {
             cursor: 0,
             history: Vec::with_capacity(n),
             total_reward: 0.0,
-            cands: problem.candidates().map(CandidateState::new),
+            cands: CandidateState::new(problem.candidates()),
         }
     }
 
@@ -221,15 +220,15 @@ impl<'a> MapEnv<'a> {
 
     /// The action bitset of the current node (empty when done): the
     /// legal actions, intersected with the live candidate set when
-    /// `search` is set and pruning is on. The legal actions pruned away
-    /// are counted as `search.prune.masked_actions`.
+    /// `search` is set. The legal actions pruned away are counted as
+    /// `search.prune.masked_actions`.
     fn action_words(&self, search: bool) -> Vec<u64> {
         let words = self.problem.words();
         let Some(u) = self.current_node() else { return vec![0; words] };
         let mut out: Vec<u64> = (0..words).map(|k| self.legal_word(u, k)).collect();
-        if let (true, Some(cands)) = (search, self.cands.as_ref()) {
+        if search {
             let mut removed = 0u64;
-            for (w, live) in out.iter_mut().zip(cands.live_set(u)) {
+            for (w, live) in out.iter_mut().zip(self.cands.live_set(u)) {
                 removed += u64::from((*w & !live).count_ones());
                 *w &= live;
             }
@@ -254,18 +253,12 @@ impl<'a> MapEnv<'a> {
         pe_ids(&self.action_words(false))
     }
 
-    /// True when this environment carries live candidate sets (the
-    /// problem was built with [`Problem::with_candidate_pruning`]).
-    #[must_use]
-    pub fn pruning_enabled(&self) -> bool {
-        self.cands.is_some()
-    }
-
     /// True when some unplaced node has no live candidate left that is
     /// also free in its modulo slot — no conflict-free completion exists
     /// from this state, so the search can back a failure value up
-    /// immediately instead of expanding the subtree. Always `false`
-    /// without candidate pruning.
+    /// immediately instead of expanding the subtree. A live set lies
+    /// within its node's capable set, so a current node with no search
+    /// action makes the state doomed.
     ///
     /// The live sets carry the distance bounds only; exclusivity is read
     /// here from the ledger, one AND per word against the slot's FU-busy
@@ -273,7 +266,7 @@ impl<'a> MapEnv<'a> {
     /// fabrics). `order[cursor..]` is exactly the set of unplaced nodes.
     #[must_use]
     pub fn doomed(&self) -> bool {
-        let Some(cands) = self.cands.as_ref() else { return false };
+        let cands = &self.cands;
         if cands.doomed() {
             return true;
         }
@@ -291,8 +284,7 @@ impl<'a> MapEnv<'a> {
     }
 
     /// [`MapEnv::action_mask`] intersected with the current node's live
-    /// candidate set. Identical to the plain mask without pruning; the
-    /// pruned-away legal actions are counted as
+    /// candidate set; the pruned-away legal actions are counted as
     /// `search.prune.masked_actions`.
     #[must_use]
     pub fn search_mask(&self) -> Vec<bool> {
@@ -300,7 +292,7 @@ impl<'a> MapEnv<'a> {
     }
 
     /// Legal actions restricted to the current node's live candidate
-    /// set (equal to [`MapEnv::legal_actions`] without pruning).
+    /// set.
     #[must_use]
     pub fn search_actions(&self) -> Vec<PeId> {
         pe_ids(&self.action_words(true))
@@ -339,10 +331,7 @@ impl<'a> MapEnv<'a> {
         }
         let placement = Placement { pe, time };
         self.placements[u.index()] = Some(placement);
-        if let Some(cands) = self.cands.as_mut() {
-            let map = self.problem.candidates().expect("live state implies a map");
-            cands.on_place(map, u, pe);
-        }
+        self.cands.on_place(self.problem.candidates(), u, pe);
 
         // Route every edge whose endpoints are now both placed. Those
         // are exactly the edges incident to `u` with the other end
@@ -406,9 +395,7 @@ impl<'a> MapEnv<'a> {
         self.hops.truncate(record.hops_len);
         self.ledger.undo_to(record.checkpoint);
         self.total_reward -= record.reward;
-        if let Some(cands) = self.cands.as_mut() {
-            cands.on_undo();
-        }
+        self.cands.on_undo();
         Some(u)
     }
 
@@ -585,7 +572,7 @@ mod tests {
         let mut env = MapEnv::new(&problem);
         env.step(PeId(0));
         assert_eq!(env.current_node(), Some(NodeId(1)));
-        assert!(env.cands.as_ref().unwrap().live_set(NodeId(1))[0] & 1 != 0);
+        assert!(env.cands.live_set(NodeId(1))[0] & 1 != 0);
         assert_eq!(env.search_mask(), vec![false, true, true, false]);
         assert!(!env.doomed());
     }
@@ -611,7 +598,7 @@ mod tests {
         env.step(PeId(0));
         assert!(!env.doomed());
         env.step(PeId(1));
-        assert!(!env.cands.as_ref().unwrap().doomed(), "no distance bound emptied a set");
+        assert!(!env.cands.doomed(), "no distance bound emptied a set");
         assert_eq!(env.search_mask(), vec![false; 3]);
         assert!(env.doomed());
         env.undo();

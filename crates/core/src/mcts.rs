@@ -19,6 +19,9 @@ use mapzero_arch::PeId;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+/// Exploration constant (`C_p` in Eq. 4).
+const C_PUCT: f64 = 1.4;
+
 /// MCTS hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MctsConfig {
@@ -26,8 +29,6 @@ pub struct MctsConfig {
     pub simulations: usize,
     /// Maximum children created per expansion stage.
     pub expansion_cap: usize,
-    /// Exploration constant (`C_p` in Eq. 4).
-    pub c_puct: f64,
     /// Run a greedy distance-guided playout from each expanded leaf.
     /// Playouts complete mappings, enabling the §3.5 early exit; with
     /// `false` the leaf value is the network estimate alone.
@@ -52,7 +53,6 @@ impl Default for MctsConfig {
         MctsConfig {
             simulations: 64,
             expansion_cap: 100,
-            c_puct: 1.4,
             playout: true,
             playout_step_limit: usize::MAX,
             seed: 0,
@@ -109,10 +109,11 @@ pub struct SearchResult {
 
 /// Transposition-keyed memo of network predictions.
 ///
-/// The network's parameter fingerprint, the placement vector and the
-/// problem's identity (its structural `Problem::fingerprint`, II and
-/// pruning flag) determine a prediction: placement order is fixed by
-/// `Problem::order`, so they fix the observation, and equal parameter
+/// The network's parameter fingerprint, the problem's identity (its
+/// structural `Problem::fingerprint` and II), the node being placed and
+/// the placement vector determine a prediction: they fix the
+/// observation, its search mask included (the live candidate sets are
+/// a pure function of the placements), and equal parameter
 /// fingerprints mean equal weights. A cached [`Prediction`] is
 /// therefore what the network computes for that state, and a hit is
 /// bit-identical to a recompute. The tree is reset at every decision,
@@ -197,16 +198,16 @@ fn lock(cache: &Mutex<PredictCache>) -> MutexGuard<'_, PredictCache> {
 }
 
 /// Hash the search state: the network's parameters, the problem's
-/// identity and the placement ledger (which together determine the
-/// prediction — see [`PredictCache`]).
+/// identity, the node being placed and the placement ledger (which
+/// together determine the prediction — see [`PredictCache`]). Under one
+/// placement order the current node follows from the placements; it is
+/// hashed because two orders can reach the same placements.
 fn state_key(net: &MapZeroNet, env: &MapEnv<'_>) -> u64 {
     let problem = env.problem();
     let mut h = Fnv64::new();
     h.write_u64(net.params_fingerprint());
     h.write_u64(u64::from(problem.ii()));
-    // Pruned and unpruned runs observe different masks for the same
-    // placement set, so they must never share cache entries.
-    h.write_usize(usize::from(env.pruning_enabled()));
+    h.write_usize(env.current_node().map_or(0, |u| 1 + u.index()));
     h.write_u64(problem.fingerprint());
     for p in env.placements() {
         match p {
@@ -327,7 +328,8 @@ impl<'n> Mcts<'n> {
     /// current node.
     ///
     /// # Panics
-    /// Panics if the episode is already done or no action is legal.
+    /// Panics if the episode is already done or the root state is
+    /// [doomed](MapEnv::doomed).
     pub fn search(&mut self, root_env: &MapEnv<'_>) -> SearchResult {
         self.search_with_budget(root_env, &Budget::unlimited())
     }
@@ -343,7 +345,8 @@ impl<'n> Mcts<'n> {
     /// budget, so `best_action` is always a legal move).
     ///
     /// # Panics
-    /// Panics if the episode is already done or no action is legal.
+    /// Panics if the episode is already done or the root state is
+    /// [doomed](MapEnv::doomed).
     pub fn search_with_budget(&mut self, root_env: &MapEnv<'_>, budget: &Budget) -> SearchResult {
         let _span = mapzero_obs::span!("mcts.search");
         let _phase = mapzero_obs::phase::phase_guard(mapzero_obs::Phase::Expand);
@@ -363,7 +366,7 @@ impl<'n> Mcts<'n> {
         budget.charge(1);
         assert!(
             !self.nodes[root].edges.is_empty(),
-            "no legal action at the root"
+            "the root state is doomed"
         );
     }
 
@@ -535,23 +538,6 @@ impl<'n> Mcts<'n> {
                         return WalkResult::Resolved(self.backup(&path, &rewards, -1.0));
                     }
                     let legal = env.search_actions();
-                    if legal.is_empty() {
-                        // Dead-end leaf: expand inline (no network
-                        // query — the masked softmax needs a legal
-                        // action) exactly like `expand`.
-                        mapzero_obs::counter!("mcts.expansions");
-                        self.nodes.push(TreeNode { edges: Vec::new(), visits: 1 });
-                        let leaf = self.nodes.len() - 1;
-                        self.nodes[node].edges[edge_idx].child = Some(leaf);
-                        budget.charge(1);
-                        let leaf_value = if self.config.playout {
-                            let playout_value = self.playout(&mut env, solution);
-                            0.5 * (-1.0 + playout_value)
-                        } else {
-                            -1.0
-                        };
-                        return WalkResult::Resolved(self.backup(&path, &rewards, leaf_value));
-                    }
                     // Reserve the expansion against the budget now so a
                     // sweep can never overshoot the pool by more than
                     // the node the pre-walk poll already allowed.
@@ -633,14 +619,6 @@ impl<'n> Mcts<'n> {
             return (self.nodes.len() - 1, -1.0);
         }
         let legal = env.search_actions();
-        if legal.is_empty() {
-            mapzero_obs::counter!("mcts.expansions");
-            // Dead end: a scheduled node has no legal PE. Record an
-            // edge-less node valued as a failure; no network query (the
-            // masked softmax needs at least one legal action).
-            self.nodes.push(TreeNode { edges: Vec::new(), visits: 0 });
-            return (self.nodes.len() - 1, -1.0);
-        }
         let preds = self.predict_cached(&[(state_key(self.net, env), env)], false);
         self.expand_scored(legal, &preds[0])
     }
@@ -749,9 +727,6 @@ impl<'n> Mcts<'n> {
                 return (acc - 1.0).clamp(-1.0, 1.0);
             }
             let legal = env.search_actions();
-            if legal.is_empty() {
-                return (acc - 1.0).clamp(-1.0, 1.0);
-            }
             if env.current_node().is_none() {
                 // `!env.done()` at the loop head guarantees a current
                 // node; treat a violation as a dead-end playout.
@@ -806,7 +781,7 @@ impl<'n> Mcts<'n> {
         let mut best_score = f64::NEG_INFINITY;
         for (i, e) in n.edges.iter().enumerate() {
             let score = e.q()
-                + self.config.c_puct * e.prior * parent_visits.sqrt() / (1.0 + f64::from(e.visits));
+                + C_PUCT * e.prior * parent_visits.sqrt() / (1.0 + f64::from(e.visits));
             if score > best_score {
                 best_score = score;
                 best = i;
@@ -858,7 +833,7 @@ mod tests {
                 return if env.success() { 1.0 } else { -1.0 };
             }
             if self.nodes[node].edges.is_empty() {
-                // Dead end: a node is scheduled but no PE is legal.
+                // Dead end: the state is doomed.
                 return -1.0;
             }
             let edge_idx = self.select_edge(node);
@@ -882,8 +857,7 @@ mod tests {
                         self.nodes[node].edges[edge_idx].child = Some(child);
                         self.nodes[child].visits += 1;
                         // A doomed leaf cannot complete conflict-free, so a
-                        // playout from it is wasted work (no-op when pruning
-                        // is off — `doomed` is then always false).
+                        // playout from it is wasted work.
                         if self.config.playout && !env.doomed() {
                             let playout_value = self.playout(env, solution);
                             0.5 * (net_value + playout_value)
@@ -1173,19 +1147,19 @@ mod tests {
         /// With `leaf_batch == 1` the batched loop is bit-identical to
         /// the one-leaf-at-a-time loop: same best action, visit
         /// distribution, root value, tree size and solution presence,
-        /// with and without candidate pruning.
+        /// in schedule and fail-first order.
         #[test]
         fn batch_of_one_is_bit_identical_to_scalar_loop(
             dfg in dfg_strategy(),
             seed in any::<u64>(),
-            prune in any::<bool>(),
+            fail_first in any::<bool>(),
         ) {
             let cgra = presets::simple_mesh(3, 3);
             let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()) };
             let Ok(problem) = Problem::new(&dfg, &cgra, mii) else { return Ok(()) };
-            let problem = if prune { problem.with_candidate_pruning() } else { problem };
+            let problem = if fail_first { problem.with_candidate_pruning() } else { problem };
             let env = MapEnv::new(&problem);
-            if env.done() || env.doomed() || env.search_actions().is_empty() {
+            if env.done() || env.doomed() {
                 return Ok(());
             }
             let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());

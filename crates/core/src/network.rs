@@ -693,7 +693,8 @@ mod tests {
         assert_eq!(net.predict(&obs), updated, "after a weight update");
     }
 
-    /// Mid-episode observations of `kernel` on `cgra` (one problem).
+    /// Mid-episode observations of `kernel` on `cgra` (one problem),
+    /// up to the first doomed state (its search mask may be empty).
     fn episode_obs(kernel: &str, cgra: &mapzero_arch::Cgra, count: usize) -> Vec<Observation> {
         let dfg = suite::by_name(kernel).unwrap();
         let problem = Problem::new(&dfg, cgra, Problem::mii(&dfg, cgra).unwrap()).unwrap();
@@ -703,9 +704,10 @@ mod tests {
             let legal = env.legal_actions();
             let Some(&pe) = legal.get(out.len() % legal.len().max(1)) else { break };
             let _ = env.step(pe);
-            if !env.done() && !env.legal_actions().is_empty() {
-                out.push(observe(&env));
+            if env.done() || env.doomed() {
+                break;
             }
+            out.push(observe(&env));
         }
         out
     }
@@ -771,7 +773,7 @@ mod tests {
     }
 
     /// The delta-forward oracle: random step/undo walks on 3×3, 8×8 and
-    /// 16×16 fabrics, with candidate pruning on and off, query batches of
+    /// 16×16 fabrics, in schedule and fail-first order, query batches of
     /// mixed K (the walk's state plus sibling states one step further,
     /// like MCTS leaves) on one thread, whose GAT layers recompute only
     /// the rows that changed since the observation before. Every
@@ -789,9 +791,9 @@ mod tests {
         for (c, (cgra, kernel)) in cases.iter().enumerate() {
             let dfg = suite::by_name(kernel).unwrap();
             let ii = Problem::mii(&dfg, cgra).unwrap();
-            for pruning in [false, true] {
+            for fail_first in [false, true] {
                 let problem = Problem::new(&dfg, cgra, ii).unwrap();
-                let problem = if pruning { problem.with_candidate_pruning() } else { problem };
+                let problem = if fail_first { problem.with_candidate_pruning() } else { problem };
                 let config = NetConfig { seed: c as u64, ..NetConfig::tiny() };
                 let net = MapZeroNet::new(cgra.pe_count(), config);
                 let mut rng = SeedRng::new(17 + c as u64);
@@ -806,7 +808,8 @@ mod tests {
                     }
                     batch.retain(|o| o.mask.iter().any(|&m| m));
                     let refs: Vec<&Observation> = batch.iter().collect();
-                    let at = format!("{kernel} on {} pruning {pruning} step {step}", cgra.name());
+                    let at =
+                        format!("{kernel} on {} fail-first {fail_first} step {step}", cgra.name());
                     if !refs.is_empty() {
                         let got = net.predict_batch(&refs);
                         let cold = cold_predict_batch(&net, &refs);
@@ -1100,8 +1103,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Tape-free predict, and `predict_batch` at K=1, equal the
-        /// tape forward bit for bit at random points of random episodes,
-        /// on the first call and on a repeat (which reuses the
+        /// tape forward bit for bit at random points of random episodes
+        /// (up to the first doomed state, whose search mask may be
+        /// empty), on the first call and on a repeat (which reuses the
         /// per-thread message indices).
         #[test]
         fn fast_predict_is_bit_identical_to_reference(
@@ -1115,7 +1119,7 @@ mod tests {
             let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
             for (i, &pick) in choices.iter().enumerate() {
                 let legal = env.legal_actions();
-                if env.done() || legal.is_empty() {
+                if env.done() || env.doomed() {
                     break;
                 }
                 let obs = observe(&env);

@@ -75,25 +75,22 @@ pub struct TrainState {
 pub fn config_fingerprint(config: &TrainConfig) -> u64 {
     let mcts = &config.mcts;
     let rendered = format!(
-        "seed={};epochs={};eppe={};batch={};updates={};cap={};aug={};curr={:?};cps={};lr={:08x}/{:08x}/{}/{:08x};clip={:08x};gn={:08x};mcts={}/{}/{:016x}/{}/{}",
+        "seed={};epochs={};eppe={};batch={};updates={};cap={};curr={:?};cps={};lr={:08x}/{:08x}/{}/{:08x};gn={:08x};mcts={}/{}/{}/{}",
         config.seed,
         config.epochs,
         config.episodes_per_epoch,
         config.batch_size,
         config.updates_per_epoch,
         config.replay_capacity,
-        config.augment_copies,
         config.curriculum_nodes,
         config.curriculum_per_size,
         config.lr.initial.to_bits(),
         config.lr.decay.to_bits(),
         config.lr.step_every,
         config.lr.floor.to_bits(),
-        config.clip.to_bits(),
         config.max_grad_norm.to_bits(),
         mcts.simulations,
         mcts.expansion_cap,
-        mcts.c_puct.to_bits(),
         mcts.playout_step_limit,
         mcts.leaf_batch,
     );
@@ -411,8 +408,6 @@ mod tests {
         assert_ne!(config_fingerprint(&base), config_fingerprint(&other_seed));
         let other_epochs = TrainConfig { epochs: base.epochs + 1, ..base };
         assert_ne!(config_fingerprint(&base), config_fingerprint(&other_epochs));
-        let other_clip = TrainConfig { clip: base.clip * 2.0, ..base };
-        assert_ne!(config_fingerprint(&base), config_fingerprint(&other_clip));
         let other_guard = TrainConfig { max_grad_norm: base.max_grad_norm * 2.0, ..base };
         assert_ne!(config_fingerprint(&base), config_fingerprint(&other_guard));
         let other_search = TrainConfig {

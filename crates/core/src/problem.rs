@@ -5,13 +5,17 @@ use crate::checkpoint::Fnv64;
 use crate::mapping::MapError;
 use mapzero_arch::Cgra;
 use mapzero_dfg::{mii, modulo_schedule_at, Dfg, NodeId, Schedule, ScheduleError};
+use std::sync::OnceLock;
 
-/// A (DFG, CGRA, II) triple with the modulo schedule and the placement
-/// order fixed.
+/// A (DFG, CGRA, II) triple with the modulo schedule, the placement
+/// order and the candidate sets fixed.
 ///
 /// All mappers operate on `Problem`s: the compiler builds one per II in
 /// its outer search loop (§4.2: "start with MII and gradually increase
-/// the target II if mapping fails").
+/// the target II if mapping fails"). Every problem carries its
+/// [`CandidateMap`], built on first use, so every
+/// [`MapEnv`](crate::env::MapEnv) forward-checks; mappers that never
+/// build an environment (annealing, LISA) never pay for it.
 #[derive(Debug, Clone)]
 pub struct Problem<'a> {
     dfg: &'a Dfg,
@@ -19,11 +23,11 @@ pub struct Problem<'a> {
     schedule: Schedule,
     /// Placement order: ascending time slice, topological rank breaking
     /// ties (the paper's "scheduling order obtained by topological
-    /// sorting"). With candidate pruning the primary key becomes
-    /// candidate scarcity (fail-first).
+    /// sorting"). [`Problem::with_candidate_pruning`] makes candidate
+    /// scarcity the primary key (fail-first).
     order: Vec<NodeId>,
-    /// Precomputed per-node candidate sets (None on the unpruned path).
-    candidates: Option<CandidateMap>,
+    /// Precomputed per-node candidate sets, built on first use.
+    candidates: OnceLock<CandidateMap>,
     /// Bitset words per PE set: `pe_count.div_ceil(64)`.
     words: usize,
     /// Per-node capability bitsets, node-major.
@@ -68,7 +72,7 @@ impl<'a> Problem<'a> {
             cgra,
             schedule,
             order,
-            candidates: None,
+            candidates: OnceLock::new(),
             words: cgra.pe_count().div_ceil(64),
             capable: capability_sets(dfg, cgra),
             incident,
@@ -76,31 +80,31 @@ impl<'a> Problem<'a> {
         })
     }
 
-    /// Attach precomputed candidate sets (the space/time-decoupled
-    /// pruning of the monomorphism mappers) and re-sort the placement
-    /// order fail-first: scarcest candidate set first, then schedule
-    /// time, topological rank and node id — a fully deterministic key,
-    /// so identical runs stay bit-reproducible across platforms.
+    /// Re-sort the placement order fail-first: scarcest candidate set
+    /// first, then schedule time, topological rank and node id — a fully
+    /// deterministic key, so identical runs stay bit-reproducible across
+    /// platforms. Builds the candidate sets if they are not built yet.
     ///
-    /// Environments built from the returned problem prune their action
-    /// masks to the live candidate sets and detect doomed states; see
+    /// The search masks and doomed-state checks of
+    /// [`crate::env::MapEnv`] prune the same way in either order; see
     /// [`crate::env::MapEnv::search_mask`].
     #[must_use]
     pub fn with_candidate_pruning(mut self) -> Self {
-        let map = CandidateMap::build(self.dfg, self.cgra, &self.schedule);
+        let map =
+            self.candidates.get_or_init(|| CandidateMap::build(self.dfg, self.cgra, &self.schedule));
         let rank = self.dfg.topological_rank();
         let schedule = &self.schedule;
         self.order.sort_by_key(|u| {
             (map.candidate_count(*u), schedule.time(*u), rank[u.index()], u.0)
         });
-        self.candidates = Some(map);
         self
     }
 
-    /// The precomputed candidate sets, when pruning is enabled.
+    /// The precomputed candidate sets (the space/time-decoupled pruning
+    /// of the monomorphism mappers), built on the first call.
     #[must_use]
-    pub fn candidates(&self) -> Option<&CandidateMap> {
-        self.candidates.as_ref()
+    pub fn candidates(&self) -> &CandidateMap {
+        self.candidates.get_or_init(|| CandidateMap::build(self.dfg, self.cgra, &self.schedule))
     }
 
     /// The minimum II bound for this (DFG, CGRA) pair.

@@ -90,7 +90,22 @@ pub fn rank(env: &MapEnv<'_>, candidates: Vec<PeId>, score: impl Fn(PeId) -> f32
     keyed.into_iter().map(|(_, _, pe)| pe).collect()
 }
 
-/// Search `problem` depth-first in schedule order.
+/// The systematic ranking of a state: no candidates when it is doomed
+/// (counted as `search.prune.dead_state`), and otherwise its live legal
+/// actions ([`MapEnv::search_actions`]) in the flat-score distance order
+/// of [`rank`]. The exact mapper ranks every state with it, and the
+/// agent every state of its cheap mode.
+pub fn systematic(env: &MapEnv<'_>) -> Vec<PeId> {
+    if env.doomed() {
+        // Forward checking proved no conflict-free completion exists
+        // here; force a backtrack instead of searching the subtree.
+        mapzero_obs::counter!("search.prune.dead_state");
+        return Vec::new();
+    }
+    rank(env, env.search_actions(), |_| 0.0)
+}
+
+/// Search `problem` depth-first in its placement order.
 ///
 /// Each iteration polls `budget`, builds the current depth's frame with
 /// `rank_state(env, backtracks)` if it is new, and pops its next

@@ -24,6 +24,12 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Duration;
 
+/// Global gradient-norm clip.
+const CLIP: f32 = 5.0;
+
+/// Maximum symmetry copies per replayed sample.
+const AUGMENT_COPIES: usize = 4;
+
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
@@ -39,10 +45,6 @@ pub struct TrainConfig {
     pub replay_capacity: usize,
     /// Learning-rate schedule.
     pub lr: LrSchedule,
-    /// Global gradient-norm clip.
-    pub clip: f32,
-    /// Maximum symmetry copies per sample.
-    pub augment_copies: usize,
     /// Curriculum node-count range (paper: 3–30).
     pub curriculum_nodes: (usize, usize),
     /// Random DFGs per curriculum size.
@@ -74,8 +76,6 @@ impl Default for TrainConfig {
             updates_per_epoch: 8,
             replay_capacity: 10_000,
             lr: LrSchedule { initial: 3e-3, decay: 0.7, step_every: 5, floor: 3e-4 },
-            clip: 5.0,
-            augment_copies: 4,
             curriculum_nodes: (3, 30),
             curriculum_per_size: 2,
             mcts: MctsConfig { simulations: 24, ..MctsConfig::default() },
@@ -444,7 +444,7 @@ impl Trainer {
             reward_sum += reward;
             successes += usize::from(success);
             for sample in trajectory_to_samples(&trajectory, success) {
-                for aug in augment::augment(&sample, &self.cgra, self.config.augment_copies) {
+                for aug in augment::augment(&sample, &self.cgra, AUGMENT_COPIES) {
                     self.buffer.push(aug);
                 }
             }
@@ -461,7 +461,7 @@ impl Trainer {
                 break;
             }
             let batch = self.buffer.sample(self.config.batch_size, &mut self.rng);
-            let loss = self.net.train_batch(&batch, lr, self.config.clip);
+            let loss = self.net.train_batch(&batch, lr, CLIP);
             vloss += loss.value_loss;
             ploss += loss.policy_loss;
             max_grad = max_grad.max(loss.grad_norm);

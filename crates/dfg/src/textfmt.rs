@@ -12,7 +12,8 @@
 //!
 //! Lines: `dfg <name>`, `node <id> <opcode>`, `edge <src> <dst> [dist]`.
 //! `#` starts a comment; node ids must be dense and in order; `dist` is
-//! at most [`MAX_DISTANCE`].
+//! at most [`MAX_DISTANCE`]; a graph has at most [`MAX_NODES`] nodes and
+//! [`MAX_EDGES`] edges.
 
 use crate::{Dfg, DfgBuilder, DfgError, NodeId, Opcode};
 use std::fmt;
@@ -23,6 +24,17 @@ use std::fmt;
 /// an unbounded distance from untrusted text would be an unbounded
 /// allocation.
 pub const MAX_DISTANCE: u32 = 64;
+
+/// Largest node count [`parse`] accepts, several times the largest suite
+/// kernel (huf_u, 592 nodes). A mapper's per-problem tables (candidate
+/// sets, schedule, placements) grow with it, so untrusted text must not
+/// set it without bound.
+pub const MAX_NODES: usize = 4096;
+
+/// Largest edge count [`parse`] accepts, several times the largest
+/// suite kernel (huf_u, 720 edges); bounded for the same reason as
+/// [`MAX_NODES`].
+pub const MAX_EDGES: usize = 8192;
 
 /// Errors from [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +86,8 @@ pub fn emit(dfg: &Dfg) -> String {
 ///
 /// # Errors
 /// Returns [`ParseDfgError::Syntax`] for malformed lines (a distance
-/// above [`MAX_DISTANCE`] included) and [`ParseDfgError::Graph`] if the
+/// above [`MAX_DISTANCE`], or a node or edge beyond [`MAX_NODES`] or
+/// [`MAX_EDGES`], included) and [`ParseDfgError::Graph`] if the
 /// edges violate DFG invariants.
 pub fn parse(text: &str) -> Result<Dfg, ParseDfgError> {
     let mut name = String::from("unnamed");
@@ -106,6 +119,12 @@ pub fn parse(text: &str) -> Result<Dfg, ParseDfgError> {
                 if id != pending_nodes.len() {
                     return Err(syntax(lineno, "node ids must be dense and ordered"));
                 }
+                if id >= MAX_NODES {
+                    return Err(syntax(
+                        lineno,
+                        &format!("node count exceeds the limit of {MAX_NODES}"),
+                    ));
+                }
                 pending_nodes.push((id, op));
             }
             "edge" => {
@@ -121,6 +140,12 @@ pub fn parse(text: &str) -> Result<Dfg, ParseDfgError> {
                     return Err(syntax(
                         lineno,
                         &format!("distance {dist} exceeds the limit of {MAX_DISTANCE}"),
+                    ));
+                }
+                if pending_edges.len() >= MAX_EDGES {
+                    return Err(syntax(
+                        lineno,
+                        &format!("edge count exceeds the limit of {MAX_EDGES}"),
                     ));
                 }
                 pending_edges.push((src, dst, dist, lineno));
@@ -200,6 +225,41 @@ mod tests {
             assert!(err.to_string().contains("exceeds the limit"), "{err}");
         }
         assert!(suite::all().iter().all(|g| g.max_dist() <= MAX_DISTANCE));
+    }
+
+    #[test]
+    fn rejects_node_counts_above_the_limit() {
+        let nodes = |n: usize| -> String {
+            (0..n).map(|i| format!("node {i} add\n")).collect::<Vec<_>>().concat()
+        };
+        let at_limit = format!("dfg t\n{}", nodes(MAX_NODES));
+        assert_eq!(parse(&at_limit).unwrap().node_count(), MAX_NODES);
+        let err = parse(&format!("dfg t\n{}", nodes(MAX_NODES + 1))).unwrap_err();
+        assert!(matches!(err, ParseDfgError::Syntax { line, .. } if line == MAX_NODES + 2), "{err:?}");
+        assert!(err.to_string().contains("node count exceeds the limit"), "{err}");
+        assert!(suite::all().iter().all(|g| g.node_count() <= MAX_NODES));
+    }
+
+    #[test]
+    fn rejects_edge_counts_above_the_limit() {
+        // 200 nodes have 19 900 forward pairs, more than the limit.
+        let text = |edges: usize| -> String {
+            let mut t = String::from("dfg t\n");
+            for i in 0..200 {
+                t.push_str(&format!("node {i} add\n"));
+            }
+            let pairs = (0..200).flat_map(|i| (i + 1..200).map(move |j| (i, j)));
+            for (i, j) in pairs.take(edges) {
+                t.push_str(&format!("edge {i} {j}\n"));
+            }
+            t
+        };
+        assert_eq!(parse(&text(MAX_EDGES)).unwrap().edge_count(), MAX_EDGES);
+        let err = parse(&text(MAX_EDGES + 1)).unwrap_err();
+        let last = 1 + 200 + MAX_EDGES + 1;
+        assert!(matches!(err, ParseDfgError::Syntax { line, .. } if line == last), "{err:?}");
+        assert!(err.to_string().contains("edge count exceeds the limit"), "{err}");
+        assert!(suite::all().iter().all(|g| g.edge_count() <= MAX_EDGES));
     }
 
     #[test]

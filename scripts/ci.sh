@@ -35,9 +35,11 @@ echo "==> chaos smoke (failpoint injection + kill/resume + torn-write proptest)"
 # every CI run; local `just chaos` uses the same seed.
 PROPTEST_SEED=20260807 cargo test --release -q --test chaos
 
-echo "==> pruning oracle walks under release codegen (two fixed proptest seeds)"
-# The live-set/ledger split of exclusivity must match the per-PE oracle
-# on more walks than one seed draws, and under optimised codegen.
+echo "==> pruning soundness oracle and oracle walks under release codegen (two fixed proptest seeds)"
+# The live sets and the doomed check must keep every conflict-free
+# completion the exhaustive search enumerates, and the live-set/ledger
+# split of exclusivity must match the per-PE oracle, on more cases than
+# one seed draws and under optimised codegen.
 for seed in 20261019 20261020; do
     PROPTEST_SEED=$seed cargo test --release -q --test prune
 done

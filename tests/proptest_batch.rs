@@ -73,21 +73,17 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// Walk legal placements until `steps` states have been visited,
 /// collecting the observation at each prefix of one episode (so every
 /// observation shares the problem's graph shapes, like batched MCTS
-/// leaves do).
+/// leaves do). The walk stops at the first doomed state, as MCTS does:
+/// its search mask may be empty, and the network needs one action.
 fn episode_observations(env: &mut MapEnv<'_>, choices: &[usize]) -> Vec<mapzero::core::embed::Observation> {
     let mut out = vec![observe(env)];
     for &c in choices {
-        if env.done() {
-            break;
-        }
         let legal = env.legal_actions();
-        if legal.is_empty() {
+        env.step(legal[c % legal.len()]);
+        if env.done() || env.doomed() {
             break;
         }
-        env.step(legal[c % legal.len()]);
-        if !env.done() && !env.legal_actions().is_empty() {
-            out.push(observe(env));
-        }
+        out.push(observe(env));
     }
     out
 }
@@ -107,7 +103,7 @@ proptest! {
         let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()) };
         let Ok(problem) = Problem::new(&dfg, &cgra, mii) else { return Ok(()) };
         let env = MapEnv::new(&problem);
-        if env.done() || env.legal_actions().is_empty() {
+        if env.done() || env.doomed() {
             return Ok(());
         }
         let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
@@ -172,7 +168,7 @@ proptest! {
         let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()) };
         let Ok(problem) = Problem::new(&dfg, &cgra, mii) else { return Ok(()) };
         let mut env = MapEnv::new(&problem);
-        if env.done() || env.legal_actions().is_empty() {
+        if env.done() || env.doomed() {
             return Ok(());
         }
         let observations = episode_observations(&mut env, &choices);

@@ -1,11 +1,14 @@
-//! Candidate-pruning invariants (DESIGN.md §13): the action and pruned
-//! masks match a per-PE oracle along any step/undo walk (so the pruned
-//! mask is a subset of the legal mask and undo restores it exactly),
-//! mappings found with pruning on are valid, the fail-first order is
-//! deterministic, pruning shrinks the actions the search is offered,
-//! and it never loses a Table-2 kernel at equal budget.
+//! Candidate-pruning invariants (DESIGN.md §13): the live sets and the
+//! doomed check keep every conflict-free completion of small kernels
+//! (the soundness oracle), the action and pruned masks match a per-PE
+//! oracle along any step/undo walk (so the pruned mask is a subset of
+//! the legal mask and undo restores it exactly), mappings found with
+//! pruning are valid, the fail-first order is deterministic, pruning
+//! shrinks the actions the search is offered, and the fail-first order
+//! never loses a Table-2 kernel that schedule order maps at equal
+//! budget.
 
-use mapzero::arch::RoutingStyle;
+use mapzero::arch::{CgraBuilder, Interconnect, RoutingStyle};
 use mapzero::core::validate;
 use mapzero::core::{MapEnv, MapZeroAgent, MapZeroNet, Placement};
 use mapzero::dfg::Edge;
@@ -28,6 +31,109 @@ fn dfg_strategy() -> impl Strategy<Value = Dfg> {
             )
         },
     )
+}
+
+/// A tiny random kernel: `nodes` nodes of mixed op classes, a forward
+/// spanning tree plus up to two extra forward edges, and up to two
+/// loop-carried edges (self-loops included) of distance 1 or 2.
+fn tiny_kernel(nodes: usize, seed: u64) -> Dfg {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    const OPS: [Opcode; 6] =
+        [Opcode::Add, Opcode::Mul, Opcode::Load, Opcode::Store, Opcode::And, Opcode::Const];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = DfgBuilder::new("tiny");
+    let ids: Vec<NodeId> = (0..nodes).map(|_| b.node(OPS[rng.gen_range(0..OPS.len())])).collect();
+    for j in 1..nodes {
+        b.edge(ids[rng.gen_range(0..j)], ids[j]).expect("fresh tree edge");
+    }
+    for _ in 0..rng.gen_range(0usize..3) {
+        let j = rng.gen_range(1..nodes);
+        let i = rng.gen_range(0..j);
+        if !b.has_edge(ids[i], ids[j]) {
+            b.edge(ids[i], ids[j]).expect("fresh forward edge");
+        }
+    }
+    for _ in 0..rng.gen_range(0usize..3) {
+        let src = rng.gen_range(0..nodes);
+        let dst = rng.gen_range(0..src + 1);
+        if !b.has_edge(ids[src], ids[dst]) {
+            b.back_edge(ids[src], ids[dst], rng.gen_range(1u32..3)).expect("fresh back edge");
+        }
+    }
+    b.finish().expect("forward edges only point to later nodes")
+}
+
+/// Enumerate every conflict-free completion below `env` by depth-first
+/// search over the legal actions (a step whose routes fail is undone
+/// and not descended). `pruned` names the first doomed state or
+/// non-search step on the path so far; a completion reached through one
+/// is an error. Returns the number of completions.
+fn completions(env: &mut MapEnv<'_>, pruned: Option<&str>) -> Result<u64, String> {
+    if env.done() {
+        return match pruned {
+            None => Ok(1),
+            Some(why) => Err(format!("{why}; completion {:?}", env.placements())),
+        };
+    }
+    let pruned = pruned.or_else(|| env.doomed().then_some("a prefix state was doomed"));
+    let search = env.search_actions();
+    let mut found = 0;
+    for pe in env.legal_actions() {
+        if env.step(pe).failed_routes == 0 {
+            let step_pruned = (!search.contains(&pe)).then_some("a step was not a search action");
+            found += completions(env, pruned.or(step_pruned))?;
+        }
+        env.undo();
+    }
+    Ok(found)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The soundness oracle of candidate pruning: the live sets and the
+    /// doomed check drop no conflict-free completion. On a tiny random
+    /// kernel, one of every fabric kind (meshes, a row-bus mesh, the
+    /// Fig. 14 heterogeneous fabric, the HyCube crossbar, HReA), an II
+    /// from MII to MII + 2 and either placement order, an exhaustive
+    /// search over the legal actions finds every completion, and each
+    /// must have stepped only through search actions of states that were
+    /// not doomed.
+    #[test]
+    fn pruning_keeps_every_conflict_free_completion(
+        nodes in 3usize..7,
+        seed in any::<u64>(),
+        fabric in 0usize..7,
+        extra_ii in 0u32..3,
+        fail_first in any::<bool>(),
+    ) {
+        let dfg = tiny_kernel(nodes, seed);
+        let cgra = match fabric {
+            0 => presets::simple_mesh(2, 2),
+            1 => presets::simple_mesh(2, 3),
+            2 => presets::simple_mesh(3, 3),
+            3 => CgraBuilder::new("3x3 row-bus mesh", 3, 3)
+                .interconnect(Interconnect::Mesh)
+                .row_shared_mem_bus()
+                .finish(),
+            4 => presets::heterogeneous(),
+            5 => presets::hycube(),
+            _ => presets::hrea(),
+        };
+        let Ok(mii) = Problem::mii(&dfg, &cgra) else { return Ok(()); };
+        let Ok(problem) = Problem::new(&dfg, &cgra, mii + extra_ii) else { return Ok(()); };
+        let problem = if fail_first { problem.with_candidate_pruning() } else { problem };
+        let found = completions(&mut MapEnv::new(&problem), None);
+        prop_assert!(
+            found.is_ok(),
+            "{} at II {}, order {:?}: {}",
+            cgra.name(),
+            problem.ii(),
+            problem.order(),
+            found.unwrap_err()
+        );
+    }
 }
 
 proptest! {
@@ -225,7 +331,7 @@ impl<'p> Oracle<'p> {
             let slack = schedule.time(e.dst) + e.dist * self.problem.ii() - schedule.time(e.src);
             self.hops[from.index()][to.index()].is_some_and(|d| circuit || d <= slack)
         };
-        self.problem.candidates().expect("pruned problem").is_candidate(u, p)
+        self.problem.candidates().is_candidate(u, p)
             && !self.clashes(u, p, placements)
             && self.problem.dfg().edges().all(within_bound)
     }
@@ -289,53 +395,49 @@ fn pruned_compile_is_reproducible() {
 }
 
 /// Along one placement walk of a Fig. 13 kernel on the 16×16 baseline,
-/// the pruned problem offers the search strictly fewer actions than the
-/// unpruned one does (its legal mask) at the same states — the
-/// effective branching factor shrinks.
+/// the search is offered strictly fewer actions than the legal mask
+/// holds at the same states — the effective branching factor shrinks.
 #[test]
 fn pruning_shrinks_the_offered_actions_on_the_16x16_baseline() {
     let dfg = suite::by_name("stencil_u").expect("kernel exists");
     let cgra = presets::baseline16();
     let mii = Problem::mii(&dfg, &cgra).unwrap();
-    let unpruned = Problem::new(&dfg, &cgra, mii).unwrap();
-    let root = MapEnv::new(&unpruned);
-    assert_eq!(root.search_actions(), root.legal_actions(), "unpruned search offers the legal mask");
-
     let pruned = Problem::new(&dfg, &cgra, mii).unwrap().with_candidate_pruning();
     let mut env = MapEnv::new(&pruned);
-    let (mut offered_unpruned, mut offered_pruned, mut steps) = (0usize, 0usize, 0usize);
+    let (mut offered_legal, mut offered_pruned, mut steps) = (0usize, 0usize, 0usize);
     while !env.done() && !env.doomed() {
         let search = env.search_actions();
         let Some(&first) = search.first() else { break };
-        offered_unpruned += env.legal_actions().len();
+        offered_legal += env.legal_actions().len();
         offered_pruned += search.len();
         env.step(first);
         steps += 1;
     }
     assert!(steps > 1, "walk stopped after {steps} steps");
     assert!(
-        offered_pruned < offered_unpruned,
-        "pruning offered {offered_pruned} actions vs {offered_unpruned} unpruned over {steps} steps"
+        offered_pruned < offered_legal,
+        "pruning offered {offered_pruned} actions vs {offered_legal} legal over {steps} steps"
     );
 }
 
-/// Table-2 smoke at equal (deterministic) budget: the agent on pruned
-/// problems must not lose any kernel it maps on unpruned ones, trying
-/// II upward from MII as the compiler does, and every pruned mapping
-/// must pass the full validator.
+/// Table-2 smoke at equal (deterministic) budget: the agent in the
+/// fail-first order of [`Problem::with_candidate_pruning`] must not lose
+/// any kernel it maps in schedule order, trying II upward from MII as
+/// the compiler does, and every fail-first mapping must pass the full
+/// validator.
 #[test]
 fn pruning_never_loses_a_kernel_at_equal_budget() {
     let cgra = presets::hrea();
     let config = MapZeroConfig::fast_test();
     let net = MapZeroNet::new(cgra.pe_count(), config.net);
     for dfg in suite::small() {
-        let arm = |prune: bool| -> Option<Mapping> {
+        let arm = |fail_first: bool| -> Option<Mapping> {
             let agent = MapZeroAgent::new(&net, config.agent);
             let budget = Budget::unlimited().with_expansion_cap(6_000);
             let mii = Problem::mii(&dfg, &cgra).ok()?;
             for ii in mii..=mii + config.max_extra_ii {
                 let Ok(problem) = Problem::new(&dfg, &cgra, ii) else { continue };
-                let problem = if prune { problem.with_candidate_pruning() } else { problem };
+                let problem = if fail_first { problem.with_candidate_pruning() } else { problem };
                 for _ in 0..config.attempts_per_ii {
                     if budget.exhausted() {
                         return None;
@@ -347,18 +449,18 @@ fn pruning_never_loses_a_kernel_at_equal_budget() {
             }
             None
         };
-        let pruned = arm(true);
-        let unpruned = arm(false);
+        let fail_first = arm(true);
+        let schedule_order = arm(false);
         assert!(
-            pruned.is_some() >= unpruned.is_some(),
-            "{}: pruning lost the mapping (off={}, on={})",
+            fail_first.is_some() >= schedule_order.is_some(),
+            "{}: the fail-first order lost the mapping (schedule order={}, fail-first={})",
             dfg.name(),
-            unpruned.is_some(),
-            pruned.is_some()
+            schedule_order.is_some(),
+            fail_first.is_some()
         );
-        if let Some(mapping) = &pruned {
+        if let Some(mapping) = &fail_first {
             validate::check_mapping(&dfg, &cgra, mapping, mapping.ii)
-                .unwrap_or_else(|e| panic!("{}: pruned mapping invalid: {e:?}", dfg.name()));
+                .unwrap_or_else(|e| panic!("{}: fail-first mapping invalid: {e:?}", dfg.name()));
         }
     }
 }

@@ -3,9 +3,11 @@
 //! An agent whose MCTS cutoff is 0 ranks every state by the distance
 //! heuristic alone, and with an unlimited backtrack budget it never
 //! keeps a step whose routes fail. That is the exact mapper's
-//! depth-first search: on the same unpruned [`Problem`] and II ladder
-//! both must return the same mapping after the same number of
-//! backtracks and placement steps.
+//! depth-first search: both rank states with `search::systematic` (no
+//! candidates when doomed, else the live candidates in distance order),
+//! so on the same schedule-order [`Problem`] and II ladder both must
+//! return the same mapping after the same number of backtracks and
+//! placement steps.
 
 use mapzero::baselines::ExactConfig;
 use mapzero::core::agent::{AgentConfig, MapZeroAgent};
