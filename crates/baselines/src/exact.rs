@@ -19,37 +19,24 @@
 
 use mapzero_core::mapping::{MapError, MapReport, Mapper};
 use mapzero_core::problem::Problem;
-use mapzero_core::search::{self, Ranked};
+use mapzero_core::search::{self, Attempt, Ranked, MAX_EXTRA_II};
 use mapzero_core::supervise::Budget;
 use mapzero_arch::Cgra;
 use mapzero_dfg::Dfg;
-use std::time::{Duration, Instant};
-
-/// Configuration for the exact mapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExactConfig {
-    /// How many IIs above MII to try.
-    pub max_extra_ii: u32,
-}
-
-impl Default for ExactConfig {
-    fn default() -> Self {
-        ExactConfig { max_extra_ii: 4 }
-    }
-}
+use std::time::Duration;
 
 /// The exact branch-and-bound mapper.
 #[derive(Debug, Clone, Default)]
-pub struct ExactMapper {
-    config: ExactConfig,
-}
+pub struct ExactMapper;
 
-impl ExactMapper {
-    /// Create with the given configuration.
-    #[must_use]
-    pub fn new(config: ExactConfig) -> Self {
-        ExactMapper { config }
-    }
+/// One II of the exact search: the live candidates of every state in
+/// pure distance order, closest first, with no backtrack limit.
+fn attempt(problem: &Problem<'_>, budget: &Budget) -> Attempt {
+    search::depth_first(problem, budget, u64::MAX, |env, _| Ranked::Next {
+        candidates: search::systematic(env),
+        data: (),
+    })
+    .attempt
 }
 
 impl Mapper for ExactMapper {
@@ -63,68 +50,14 @@ impl Mapper for ExactMapper {
         cgra: &Cgra,
         time_limit: Duration,
     ) -> Result<MapReport, MapError> {
-        let start = Instant::now();
-        let deadline = start + time_limit;
-        let mii = Problem::mii(dfg, cgra)?;
-        let mut backtracks = 0u64;
-        let mut explored = 0u64;
-        let mut mapping = None;
-        let mut timed_out = false;
-        for ii in mii..=mii + self.config.max_extra_ii {
-            let problem = match Problem::new(dfg, cgra, ii) {
-                Ok(p) => p,
-                Err(MapError::NoSchedule(_)) => continue,
-                Err(e) => return Err(e),
-            };
-            // Budget slice per II so an unroutable MII cannot starve
-            // the larger IIs (mirrors the MapZero compiler loop).
-            let remaining_iis = mii + self.config.max_extra_ii - ii + 1;
-            let now = Instant::now();
-            let slice_deadline = if now >= deadline {
-                deadline
-            } else {
-                let remaining = deadline - now;
-                now + remaining / remaining_iis
-            };
-            // Live candidates in pure distance order, closest first,
-            // with no backtrack limit.
-            let walk = search::depth_first(
-                &problem,
-                &Budget::from_deadline_at(slice_deadline),
-                u64::MAX,
-                |env, _| Ranked::Next { candidates: search::systematic(env), data: () },
-            );
-            backtracks += walk.backtracks;
-            explored += walk.steps;
-            timed_out |= walk.timed_out;
-            if walk.mapping.is_some() {
-                mapping = walk.mapping;
-                break;
-            }
-            if Instant::now() >= deadline {
-                timed_out = true;
-                break;
-            }
-        }
-        Ok(MapReport {
-            mapper: self.name().to_owned(),
-            engine: self.name().to_owned(),
-            kernel: dfg.name().to_owned(),
-            fabric: cgra.name().to_owned(),
-            mii,
-            mapping,
-            elapsed: start.elapsed(),
-            backtracks,
-            explored,
-            timed_out,
-            telemetry: None,
-        })
+        search::map_climbing("ILP", dfg, cgra, MAX_EXTRA_II, time_limit, attempt)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapzero_core::search::{IiBounds, IiSearch};
     use mapzero_core::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
@@ -132,7 +65,7 @@ mod tests {
     #[test]
     fn maps_small_kernels_optimally() {
         let cgra = presets::hrea();
-        let mut mapper = ExactMapper::default();
+        let mut mapper = ExactMapper;
         for dfg in suite::small() {
             let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
             let mapping = report
@@ -148,7 +81,7 @@ mod tests {
     fn maps_on_hycube() {
         let cgra = presets::hycube();
         let dfg = suite::by_name("mac").unwrap();
-        let mut mapper = ExactMapper::default();
+        let mut mapper = ExactMapper;
         let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
         let mapping = report.mapping.expect("mac maps on HyCube");
         assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
@@ -157,25 +90,20 @@ mod tests {
 
     #[test]
     fn proves_infeasibility_by_exhaustion() {
-        // Node with 5 parents at the next cycle on a 4-neighbour 3x3
-        // mesh at II large enough to schedule: unroutable at low IIs but
-        // the search terminates and reports honestly.
-        let mut b = mapzero_dfg::DfgBuilder::new("fanin5");
-        let parents: Vec<_> = (0..5).map(|_| b.node(mapzero_dfg::Opcode::Const)).collect();
-        let sink = b.node(mapzero_dfg::Opcode::Add);
-        for p in parents {
-            b.edge(p, sink).unwrap();
-        }
-        let dfg = b.finish().unwrap();
-        let cgra = presets::simple_mesh(3, 3);
-        let mut mapper = ExactMapper::new(ExactConfig { max_extra_ii: 0 });
-        let report = mapper.map(&dfg, &cgra, Duration::from_secs(30)).unwrap();
-        // At II=1 all six nodes share one slice; the sink needs five
-        // simultaneously-adjacent live registers — a corner/edge PE
+        // A node with 5 parents at the next cycle on a 4-neighbour 3x3
+        // mesh. At II=1 all six nodes share one slice; the sink needs
+        // five simultaneously-adjacent live registers — a corner/edge PE
         // cannot host it, and with 4-neighbour links only 4 distinct
-        // neighbour registers exist. Mapping must fail, without timeout.
-        assert!(report.mapping.is_none());
-        assert!(!report.timed_out);
+        // neighbour registers exist. The search must exhaust II=1 (not
+        // stop on the clock) and map at II=2.
+        let dfg = crate::fanin5();
+        let cgra = presets::simple_mesh(3, 3);
+        let report = ExactMapper.map(&dfg, &cgra, Duration::from_secs(30)).unwrap();
+        assert_eq!(report.mii, 1);
+        let mapping = report.mapping.expect("maps at II 2");
+        assert_eq!(mapping.ii, 2);
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
+        assert!(!report.timed_out, "II=1 was exhausted, not cut by the clock");
         assert!(report.backtracks > 0);
     }
 
@@ -200,8 +128,12 @@ mod tests {
         }
         let dfg = b.finish().unwrap();
         let cgra = presets::simple_mesh(4, 4);
-        let mut mapper = ExactMapper::new(ExactConfig { max_extra_ii: 1 });
-        let report = mapper.map(&dfg, &cgra, Duration::from_secs(1)).unwrap();
+        let search = IiSearch::new(&dfg, &cgra, 1, IiBounds::default()).unwrap();
+        let budget = Budget::with_deadline(Duration::from_secs(1));
+        let climb = search
+            .climb(std::convert::identity, 1, &budget, |problem, slice| Ok(attempt(problem, slice)))
+            .unwrap();
+        let report = search.report(climb, "ILP", "ILP", &budget).unwrap();
         assert_eq!(report.mii, 1);
         let mapping = report.mapping.expect("maps at II 2");
         assert_eq!(mapping.ii, 2);
@@ -213,8 +145,10 @@ mod tests {
     fn times_out_on_large_kernel_with_tiny_budget() {
         let dfg = suite::by_name("arf").unwrap();
         let cgra = presets::hrea();
-        let mut mapper = ExactMapper::default();
-        let report = mapper.map(&dfg, &cgra, Duration::from_millis(50)).unwrap();
-        assert!(report.timed_out || report.mapping.is_some());
+        match ExactMapper.map(&dfg, &cgra, Duration::from_millis(50)) {
+            Ok(report) => assert!(report.mapping.is_some(), "{report:?}"),
+            Err(MapError::Timeout { best_partial }) => assert!(best_partial.explored > 0),
+            Err(e) => panic!("expected a mapping or a Timeout, got {e}"),
+        }
     }
 }

@@ -17,8 +17,9 @@
 //!   §4.2.
 //!
 //! All baselines implement the shared [`mapzero_core::Mapper`] trait and
-//! the same outer II search loop as MapZero (start at MII, increase on
-//! failure).
+//! climb II through MapZero's driver, [`mapzero_core::search::IiSearch`]:
+//! one attempt per II with its share of the clock, and
+//! [`mapzero_core::MapError::Timeout`] when the clock runs out unmapped.
 
 mod exact;
 mod lisa;
@@ -26,6 +27,19 @@ mod sa;
 
 pub mod cost;
 
-pub use exact::{ExactConfig, ExactMapper};
+pub use exact::ExactMapper;
 pub use lisa::LisaMapper;
-pub use sa::{SaConfig, SaMapper};
+pub use sa::SaMapper;
+
+/// Five constants feeding one add: unmappable at II 1 on a 4-neighbour
+/// mesh (the add would need five neighbours), mappable at II 2.
+#[cfg(test)]
+fn fanin5() -> mapzero_dfg::Dfg {
+    let mut b = mapzero_dfg::DfgBuilder::new("fanin5");
+    let parents: Vec<_> = (0..5).map(|_| b.node(mapzero_dfg::Opcode::Const)).collect();
+    let sink = b.node(mapzero_dfg::Opcode::Add);
+    for p in parents {
+        b.edge(p, sink).expect("a fresh edge between existing nodes");
+    }
+    b.finish().expect("an acyclic kernel")
+}

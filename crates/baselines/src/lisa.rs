@@ -13,11 +13,13 @@
 //! single-cycle multi-hop interconnect architectures like HyCube … and
 //! fails on other topologies."
 
-use crate::sa::{run_annealing_mapper, CostShaper, SaConfig};
+use crate::sa::{run_annealing_mapper, CostShaper};
 use mapzero_core::mapping::{MapError, MapReport, Mapper};
 use mapzero_core::problem::Problem;
+use mapzero_core::search::MAX_EXTRA_II;
 use mapzero_arch::{Cgra, PeId};
 use mapzero_dfg::Dfg;
+use std::cell::OnceCell;
 use std::time::Duration;
 
 /// Weight of the label-agreement term relative to the routing cost.
@@ -68,12 +70,17 @@ pub fn compute_labels(problem: &Problem<'_>) -> Labels {
     Labels { edge_distance, centrality }
 }
 
+/// Labels are computed once per instance, on the first problem annealed
+/// (the lowest schedulable II, as LISA infers once per kernel), and
+/// reused across IIs.
+#[derive(Default)]
 struct LabelShaper {
-    labels: Labels,
+    labels: OnceCell<Labels>,
 }
 
 impl CostShaper for LabelShaper {
     fn extra_cost(&self, problem: &Problem<'_>, assignment: &[PeId]) -> f64 {
+        let labels = self.labels.get_or_init(|| compute_labels(problem));
         let dfg = problem.dfg();
         let cgra = problem.cgra();
         let mut cost = 0.0;
@@ -81,19 +88,19 @@ impl CostShaper for LabelShaper {
             let a = cgra.pe(assignment[e.src.index()]);
             let b = cgra.pe(assignment[e.dst.index()]);
             let dist = (a.row.abs_diff(b.row) + a.col.abs_diff(b.col)) as f64;
-            cost += (dist - self.labels.edge_distance[i]).abs();
+            cost += (dist - labels.edge_distance[i]).abs();
         }
         let (cr, cc) = ((cgra.rows() - 1) as f64 / 2.0, (cgra.cols() - 1) as f64 / 2.0);
         for u in dfg.node_ids() {
             let p = cgra.pe(assignment[u.index()]);
             let off_center = (p.row as f64 - cr).abs() + (p.col as f64 - cc).abs();
-            cost += self.labels.centrality[u.index()] * off_center;
+            cost += labels.centrality[u.index()] * off_center;
         }
         LABEL_WEIGHT * cost
     }
 }
 
-/// The LISA-style mapper. It anneals with the default [`SaConfig`].
+/// The LISA-style mapper: SA over the default II window, label-guided.
 #[derive(Debug, Clone, Default)]
 pub struct LisaMapper;
 
@@ -108,29 +115,8 @@ impl Mapper for LisaMapper {
         cgra: &Cgra,
         time_limit: Duration,
     ) -> Result<MapReport, MapError> {
-        let sa = SaConfig::default();
-        let mii = Problem::mii(dfg, cgra)?;
-        // Labels are computed once per instance at MII (as LISA infers
-        // once per kernel); the shaper reuses them across IIs.
-        let labels = match Problem::new(dfg, cgra, mii) {
-            Ok(p) => compute_labels(&p),
-            Err(_) => {
-                // MII unschedulable: fall back to the first feasible II
-                // purely for label computation.
-                let mut found = None;
-                for ii in mii..=mii + sa.max_extra_ii {
-                    if let Ok(p) = Problem::new(dfg, cgra, ii) {
-                        found = Some(compute_labels(&p));
-                        break;
-                    }
-                }
-                found.ok_or_else(|| {
-                    MapError::NoSchedule(format!("no feasible II for {}", dfg.name()))
-                })?
-            }
-        };
-        let shaper = LabelShaper { labels };
-        run_annealing_mapper("LISA", &sa, &shaper, dfg, cgra, time_limit)
+        let shaper = LabelShaper::default();
+        run_annealing_mapper("LISA", MAX_EXTRA_II, &shaper, dfg, cgra, time_limit)
     }
 }
 

@@ -7,12 +7,14 @@
 //! reported as `backtracks` for Fig. 10.
 
 use crate::cost::{evaluate, random_assignment};
-use mapzero_core::mapping::{MapError, MapReport, Mapper, Mapping};
+use mapzero_core::mapping::{MapError, MapReport, Mapper};
 use mapzero_core::problem::Problem;
+use mapzero_core::search::{self, Attempt, MAX_EXTRA_II};
+use mapzero_core::supervise::Budget;
 use mapzero_arch::{Cgra, PeId};
 use mapzero_dfg::Dfg;
 use mapzero_nn::SeedRng;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Initial temperature.
 const T_START: f64 = 300.0;
@@ -25,28 +27,17 @@ const MOVES_PER_STEP: usize = 100;
 /// Restarts with fresh random placements before giving up on an II.
 const RESTARTS: usize = 2;
 
-/// Annealing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SaConfig {
-    /// How many IIs above MII to try.
-    pub max_extra_ii: u32,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for SaConfig {
-    fn default() -> Self {
-        SaConfig {
-            max_extra_ii: 4,
-            seed: 0,
-        }
-    }
-}
-
-/// The annealing mapper.
-#[derive(Debug, Clone, Default)]
+/// The annealing mapper, trying IIs from MII to MII + `max_extra_ii`
+/// ([`MAX_EXTRA_II`] by default).
+#[derive(Debug, Clone)]
 pub struct SaMapper {
-    config: SaConfig,
+    max_extra_ii: u32,
+}
+
+impl Default for SaMapper {
+    fn default() -> Self {
+        SaMapper { max_extra_ii: MAX_EXTRA_II }
+    }
 }
 
 /// Extra cost terms layered on top of the routing cost; the plain SA
@@ -64,40 +55,41 @@ impl CostShaper for NoShaping {
 }
 
 impl SaMapper {
-    /// Create with the given configuration.
+    /// A mapper trying IIs from MII to MII + `max_extra_ii`.
     #[must_use]
-    pub fn new(config: SaConfig) -> Self {
-        SaMapper { config }
+    pub fn new(max_extra_ii: u32) -> Self {
+        SaMapper { max_extra_ii }
     }
 }
 
-/// One annealing run on a fixed-II problem. Returns `(best evaluation,
-/// annealing steps, proposals, timed_out)`.
+/// One annealing run on a fixed-II problem, until a valid placement,
+/// the end of the cooling schedule or an exhausted `budget`. Annealing
+/// steps count as backtracks and proposals as explored placements.
 pub(crate) fn anneal(
     problem: &Problem<'_>,
     shaper: &dyn CostShaper,
     rng: &mut SeedRng,
-    deadline: Instant,
-) -> (Option<Mapping>, u64, u64, bool) {
+    budget: &Budget,
+) -> Attempt {
     let _span = mapzero_obs::span!("sa.anneal");
-    let mut annealings = 0u64;
-    let mut proposals = 0u64;
-
-    for _restart in 0..=RESTARTS {
+    let mut attempt = Attempt::default();
+    'restarts: for _restart in 0..=RESTARTS {
         let mut current = random_assignment(problem, rng);
         let mut current_eval = evaluate(problem, &current);
         let mut current_cost = current_eval.cost() + shaper.extra_cost(problem, &current);
         if current_eval.is_valid() {
-            return (current_eval.mapping, annealings, proposals, false);
+            attempt.mapping = current_eval.mapping;
+            break;
         }
         let mut temperature = T_START;
         while temperature > T_MIN {
-            if Instant::now() > deadline {
-                return (None, annealings, proposals, true);
+            if budget.exhausted() {
+                attempt.timed_out = true;
+                break 'restarts;
             }
-            annealings += 1;
+            attempt.backtracks += 1;
             for _ in 0..MOVES_PER_STEP {
-                proposals += 1;
+                attempt.explored += 1;
                 let mut candidate = current.clone();
                 perturb(problem, &mut candidate, rng);
                 let eval = evaluate(problem, &candidate);
@@ -111,14 +103,17 @@ pub(crate) fn anneal(
                     current_cost = cost;
                     current_eval = eval;
                     if current_eval.is_valid() {
-                        return (current_eval.mapping.clone(), annealings, proposals, false);
+                        attempt.mapping = current_eval.mapping;
+                        break 'restarts;
                     }
                 }
             }
             temperature *= ALPHA;
         }
     }
-    (None, annealings, proposals, false)
+    mapzero_obs::counter!("sa.annealings", attempt.backtracks);
+    mapzero_obs::counter!("sa.proposals", attempt.explored);
+    attempt
 }
 
 /// Move a random node to a free capable PE of its slot, or swap two
@@ -167,57 +162,23 @@ fn perturb(problem: &Problem<'_>, assignment: &mut [PeId], rng: &mut SeedRng) {
     }
 }
 
-/// Shared II-search driver for the annealing-family mappers.
+/// The annealing-family `Mapper::map`: one anneal per II, climbed by
+/// [`search::map_climbing`], with one RNG stream across IIs.
 pub(crate) fn run_annealing_mapper(
     name: &str,
-    config: &SaConfig,
+    max_extra_ii: u32,
     shaper: &dyn CostShaper,
     dfg: &Dfg,
     cgra: &Cgra,
     time_limit: Duration,
 ) -> Result<MapReport, MapError> {
-    let start = Instant::now();
     let capture = mapzero_obs::RunCapture::begin();
-    let deadline = start + time_limit;
-    let mii = Problem::mii(dfg, cgra)?;
-    let mut rng = SeedRng::new(config.seed ^ dfg.name().len() as u64);
-    let mut annealings = 0u64;
-    let mut proposals = 0u64;
-    let mut timed_out = false;
-    let mut mapping = None;
-    for ii in mii..=mii + config.max_extra_ii {
-        let problem = match Problem::new(dfg, cgra, ii) {
-            Ok(p) => p,
-            Err(MapError::NoSchedule(_)) => continue,
-            Err(e) => return Err(e),
-        };
-        let (m, a, p, t) = anneal(&problem, shaper, &mut rng, deadline);
-        annealings += a;
-        proposals += p;
-        timed_out |= t;
-        if m.is_some() {
-            mapping = m;
-            break;
-        }
-        if timed_out {
-            break;
-        }
-    }
-    mapzero_obs::counter!("sa.annealings", annealings);
-    mapzero_obs::counter!("sa.proposals", proposals);
-    Ok(MapReport {
-        mapper: name.to_owned(),
-        engine: name.to_owned(),
-        kernel: dfg.name().to_owned(),
-        fabric: cgra.name().to_owned(),
-        mii,
-        mapping,
-        elapsed: start.elapsed(),
-        backtracks: annealings,
-        explored: proposals,
-        timed_out,
-        telemetry: capture.map(mapzero_obs::RunCapture::finish),
-    })
+    let mut rng = SeedRng::new(dfg.name().len() as u64);
+    let report =
+        search::map_climbing(name, dfg, cgra, max_extra_ii, time_limit, |problem, slice| {
+            anneal(problem, shaper, &mut rng, slice)
+        })?;
+    Ok(MapReport { telemetry: capture.map(mapzero_obs::RunCapture::finish), ..report })
 }
 
 impl Mapper for SaMapper {
@@ -231,7 +192,7 @@ impl Mapper for SaMapper {
         cgra: &Cgra,
         time_limit: Duration,
     ) -> Result<MapReport, MapError> {
-        run_annealing_mapper("SA", &self.config, &NoShaping, dfg, cgra, time_limit)
+        run_annealing_mapper("SA", self.max_extra_ii, &NoShaping, dfg, cgra, time_limit)
     }
 }
 
@@ -270,20 +231,44 @@ mod tests {
         let cgra = presets::hrea();
         let dfg = suite::by_name("arf").unwrap();
         let mut mapper = SaMapper::default();
-        let start = Instant::now();
-        let report = mapper.map(&dfg, &cgra, Duration::from_millis(100)).unwrap();
+        let start = std::time::Instant::now();
+        let outcome = mapper.map(&dfg, &cgra, Duration::from_millis(100));
         assert!(start.elapsed() < Duration::from_secs(20));
-        assert!(report.timed_out || report.mapping.is_some());
+        match outcome {
+            Ok(report) => assert!(report.mapping.is_some(), "{report:?}"),
+            Err(MapError::Timeout { best_partial }) => assert!(best_partial.explored > 0),
+            Err(e) => panic!("expected a mapping or a Timeout, got {e}"),
+        }
+    }
+
+    /// The climb splits the clock: an II whose anneal cannot finish
+    /// within its share is cut, and the IIs above it still run. II 1
+    /// cannot map, so an anneal there runs its whole cooling schedule.
+    /// The clock is half of that; a climb that handed the first II the
+    /// whole deadline would spend it all at II 1 and map nothing.
+    #[test]
+    fn a_cut_ii_leaves_the_clock_to_the_next() {
+        let dfg = crate::fanin5();
+        let cgra = presets::simple_mesh(3, 3);
+        let first = Problem::new(&dfg, &cgra, 1).unwrap();
+        let start = std::time::Instant::now();
+        let full = anneal(&first, &NoShaping, &mut SeedRng::new(0), &Budget::unlimited());
+        let full_anneal = start.elapsed();
+        assert!(full.mapping.is_none() && !full.timed_out, "II 1 is infeasible");
+        let report = SaMapper::default().map(&dfg, &cgra, full_anneal / 2).unwrap();
+        assert_eq!(report.mii, 1);
+        let mapping = report.mapping.expect("an II above 1 maps");
+        assert!(mapping.ii > 1);
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
+        assert!(report.timed_out, "II 1 ended on its share of the clock");
     }
 
     #[test]
-    fn seeded_runs_are_deterministic() {
+    fn runs_are_deterministic() {
         let cgra = presets::hrea();
         let dfg = suite::by_name("sum").unwrap();
-        let mut a = SaMapper::new(SaConfig { seed: 9, ..Default::default() });
-        let mut b = SaMapper::new(SaConfig { seed: 9, ..Default::default() });
-        let ra = a.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
-        let rb = b.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+        let ra = SaMapper::default().map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+        let rb = SaMapper::default().map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
         assert_eq!(ra.mapping, rb.mapping);
         assert_eq!(ra.backtracks, rb.backtracks);
     }

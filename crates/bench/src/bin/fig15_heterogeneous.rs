@@ -24,11 +24,9 @@ fn main() {
     for name in mode.kernels() {
         let dfg = mapzero_dfg::suite::by_name(name).expect("kernel exists");
         h.progress(format_args!("running {name}"));
-        let mut ilp = ExactMapper::default();
+        let mut ilp = ExactMapper;
         let r_ilp = run_or_fail(&mut ilp, &dfg, &cgra, limit);
-        let r_mz = compiler
-            .map_with_limit(&dfg, &cgra, limit)
-            .expect("heterogeneous fabric supports all op classes");
+        let r_mz = run_or_fail(&mut compiler, &dfg, &cgra, limit);
         let fmt_ii = |ii: Option<u32>| ii.map_or_else(|| "-".to_owned(), |v| v.to_string());
         let ii_ratio = match (r_ilp.achieved_ii(), r_mz.achieved_ii()) {
             (Some(a), Some(b)) => format!("{:.2}", f64::from(a) / f64::from(b)),

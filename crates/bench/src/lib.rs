@@ -18,14 +18,15 @@ use mapzero_arch::Cgra;
 use mapzero_baselines::{ExactMapper, LisaMapper, SaMapper};
 use mapzero_core::network::NetConfig;
 use mapzero_core::{
-    AgentConfig, Compiler, MapReport, MapZeroConfig, Mapper, MctsConfig, TrainConfig,
+    AgentConfig, Compiler, MapError, MapReport, MapZeroConfig, Mapper, MctsConfig, Problem,
+    TrainConfig,
 };
 use mapzero_dfg::Dfg;
 use std::fmt::Display;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,47 +178,38 @@ pub fn run_all_mappers(
     cgra: &Cgra,
     limit: Duration,
 ) -> Vec<MapReport> {
-    let mut out = Vec::with_capacity(4);
-    let mut ilp = ExactMapper::default();
-    out.push(run_or_fail(&mut ilp, dfg, cgra, limit));
-    let mut sa = SaMapper::default();
-    out.push(run_or_fail(&mut sa, dfg, cgra, limit));
-    let mut lisa = LisaMapper;
-    out.push(run_or_fail(&mut lisa, dfg, cgra, limit));
-    out.push(
-        mapzero
-            .map_with_limit(dfg, cgra, limit)
-            .unwrap_or_else(|_| failed_report("MapZero", dfg, cgra)),
-    );
-    out
+    let mappers: [&mut dyn Mapper; 4] =
+        [&mut ExactMapper, &mut SaMapper::default(), &mut LisaMapper, mapzero];
+    mappers.into_iter().map(|m| run_or_fail(m, dfg, cgra, limit)).collect()
 }
 
-/// Run one mapper, turning structural errors into failed reports so the
-/// tables always have a row.
+/// Run one mapper, turning every error into a report so the tables
+/// always have a row. A timeout keeps its MII, seconds and work counts
+/// and reads `timed_out`; a structural error is a row with MII 0 and no
+/// work.
 pub fn run_or_fail(
     mapper: &mut dyn Mapper,
     dfg: &Dfg,
     cgra: &Cgra,
     limit: Duration,
 ) -> MapReport {
-    let name = mapper.name().to_owned();
-    mapper
-        .map(dfg, cgra, limit)
-        .unwrap_or_else(|_| failed_report(&name, dfg, cgra))
-}
-
-fn failed_report(name: &str, dfg: &Dfg, cgra: &Cgra) -> MapReport {
+    let start = Instant::now();
+    let partial = match mapper.map(dfg, cgra, limit) {
+        Ok(report) => return report,
+        Err(MapError::Timeout { best_partial }) => Some(best_partial),
+        Err(_) => None,
+    };
     MapReport {
-        mapper: name.to_owned(),
-        engine: name.to_owned(),
+        mapper: mapper.name().to_owned(),
+        engine: mapper.name().to_owned(),
         kernel: dfg.name().to_owned(),
         fabric: cgra.name().to_owned(),
-        mii: 0,
+        mii: partial.map_or(0, |_| Problem::mii(dfg, cgra).unwrap_or(0)),
         mapping: None,
-        elapsed: Duration::ZERO,
-        backtracks: 0,
-        explored: 0,
-        timed_out: false,
+        elapsed: partial.map_or(Duration::ZERO, |_| start.elapsed()),
+        backtracks: partial.map_or(0, |p| p.backtracks),
+        explored: partial.map_or(0, |p| p.explored),
+        timed_out: partial.is_some(),
         telemetry: None,
     }
 }
@@ -362,5 +354,20 @@ mod tests {
         assert_eq!(reports.len(), 4);
         let names: Vec<&str> = reports.iter().map(|r| r.mapper.as_str()).collect();
         assert_eq!(names, ["ILP", "SA", "LISA", "MapZero"]);
+    }
+
+    #[test]
+    fn timeouts_keep_their_mii_seconds_and_work() {
+        // 54 nodes cannot map in 20 ms with any engine.
+        let dfg = mapzero_dfg::suite::by_name("arf").unwrap();
+        let cgra = mapzero_arch::presets::hrea();
+        let limit = Duration::from_millis(20);
+        let mut compiler = Compiler::new(MapZeroConfig::fast_test());
+        for r in run_all_mappers(&mut compiler, &dfg, &cgra, limit) {
+            assert!(r.mapping.is_none() && r.timed_out, "{}: {r:?}", r.mapper);
+            assert_eq!(r.mii, Problem::mii(&dfg, &cgra).unwrap(), "{}", r.mapper);
+            assert!(r.elapsed >= limit, "{}: {:?}", r.mapper, r.elapsed);
+            assert!(r.explored > 0, "{}: no work reported", r.mapper);
+        }
     }
 }

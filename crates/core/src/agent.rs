@@ -98,6 +98,19 @@ pub struct EpisodeResult {
     pub routed_edges: u64,
 }
 
+impl From<EpisodeResult> for search::Attempt {
+    fn from(episode: EpisodeResult) -> Self {
+        search::Attempt {
+            mapping: episode.mapping,
+            backtracks: episode.backtracks,
+            explored: episode.steps,
+            peak_placed: episode.peak_placed,
+            routed_edges: episode.routed_edges,
+            timed_out: episode.timed_out,
+        }
+    }
+}
+
 /// The MapZero placement agent.
 pub struct MapZeroAgent<'n> {
     net: &'n MapZeroNet,
@@ -157,8 +170,9 @@ impl<'n> MapZeroAgent<'n> {
             let cheap_mode = backtracks >= mcts_backtrack_cutoff;
             self.rank_state(&mut mcts, env, cheap_mode, budget, &mut probs_scratch)
         });
-        mapzero_obs::counter!("agent.backtracks", walk.backtracks);
-        mapzero_obs::counter!("agent.steps", walk.steps);
+        let attempt = walk.attempt;
+        mapzero_obs::counter!("agent.backtracks", attempt.backtracks);
+        mapzero_obs::counter!("agent.steps", attempt.explored);
         let pe_count = problem.cgra().pe_count();
         let trajectory = walk
             .path
@@ -174,14 +188,14 @@ impl<'n> MapZeroAgent<'n> {
             })
             .collect();
         EpisodeResult {
-            mapping: walk.mapping,
-            backtracks: walk.backtracks,
-            steps: walk.steps,
+            mapping: attempt.mapping,
+            backtracks: attempt.backtracks,
+            steps: attempt.explored,
             total_reward: walk.total_reward,
             trajectory,
-            timed_out: walk.timed_out,
-            peak_placed: walk.peak_placed,
-            routed_edges: walk.routed_edges,
+            timed_out: attempt.timed_out,
+            peak_placed: attempt.peak_placed,
+            routed_edges: attempt.routed_edges,
         }
     }
 

@@ -1,8 +1,5 @@
-//! The user-facing compiler: the II search loop around the agent.
-//!
-//! "we set MapZero and all the baseline compilers to start with MII and
-//! gradually increase the target II if mapping fails under the current
-//! II" (§4.2).
+//! The user-facing compiler: the agent inside the shared II search
+//! ([`crate::search::IiSearch`]), the same climb every baseline runs.
 //!
 //! The compiler doubles as the *supervisor* of the pipeline (see
 //! DESIGN.md §Robustness): every mapping attempt runs under a shared
@@ -12,17 +9,18 @@
 //! [`MapError::Timeout`] with partial-progress statistics.
 
 use crate::agent::{AgentConfig, MapZeroAgent};
-use crate::mapping::{MapError, MapReport, Mapper, PartialMapStats};
+use crate::mapping::{MapError, MapReport, Mapper};
 use crate::mcts::PredictCache;
 use crate::network::{MapZeroNet, NetConfig};
 use crate::problem::Problem;
+use crate::search::{Attempt, IiBounds, IiSearch, MAX_EXTRA_II};
 use crate::supervise::{isolated, Budget};
 use crate::train::{TrainConfig, TrainError, Trainer, TrainingMetrics};
 use mapzero_arch::Cgra;
 use mapzero_dfg::Dfg;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Compiler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +49,7 @@ impl Default for MapZeroConfig {
         MapZeroConfig {
             net: NetConfig::default(),
             agent: AgentConfig::default(),
-            max_extra_ii: 4,
+            max_extra_ii: MAX_EXTRA_II,
             attempts_per_ii: 2,
             time_limit: Duration::from_secs(300),
             expansion_budget: None,
@@ -81,17 +79,6 @@ impl MapZeroConfig {
 /// when a fallback mapper is installed; the rest is the fallback's
 /// guaranteed slot.
 const PRIMARY_SHARE: f64 = 0.7;
-
-/// Requested II range for one mapping call, intersected with the
-/// compiler's own search window (`mii ..= mii + max_extra_ii`). Used by
-/// the serve layer to honor per-request `ii_min`/`ii_max` directives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IiBounds {
-    /// Lowest II to try (clamped up to MII; `None` = start at MII).
-    pub min: Option<u32>,
-    /// Highest II to try (`None` = the compiler's default ceiling).
-    pub max: Option<u32>,
-}
 
 /// The MapZero compiler. Caches one network per action-space size, so
 /// fabrics with equal PE counts share weights (§4.5).
@@ -289,26 +276,25 @@ impl Compiler {
     /// Map under an explicit [`Budget`] and II window — the full
     /// supervised pipeline, and the serve layer's entry point:
     ///
-    /// 1. The II search runs attempts under per-attempt slices of the
-    ///    budget; each attempt is panic-isolated (a fault in routing or
-    ///    search becomes [`MapError::Internal`], not an unwind).
+    /// 1. The II search ([`IiSearch`]) runs attempts under per-attempt
+    ///    slices of the budget; each attempt is panic-isolated (a fault
+    ///    in routing or search becomes [`MapError::Internal`], not an
+    ///    unwind).
     /// 2. When a fallback engine is installed, the primary only gets
     ///    `PRIMARY_SHARE` of the deadline; on primary failure the
     ///    fallback runs under whatever deadline remains, and the
     ///    report's `engine` field records who produced the mapping.
     /// 3. A budget that expires with no mapping from either engine is
-    ///    an error: [`MapError::Timeout`] carrying [`PartialMapStats`]
-    ///    (best II, peak nodes placed, routed edges, backtracks,
-    ///    explored states).
+    ///    an error: [`MapError::Timeout`] carrying
+    ///    [`PartialMapStats`](crate::PartialMapStats) (best II, peak
+    ///    nodes placed, routed edges, backtracks, explored states).
     /// 4. With telemetry enabled (see [`mapzero_obs`]), the whole call
     ///    runs under a `compile.map` span and a run capture, and the
     ///    returned report carries per-phase budget attribution in
     ///    `MapReport::telemetry`.
     ///
-    /// `bounds` is intersected with the compiler's own window
-    /// `mii ..= mii + max_extra_ii`; an empty intersection is
-    /// [`MapError::NoSchedule`] (the request asked for an II this
-    /// kernel/fabric pair cannot satisfy).
+    /// `bounds` is intersected with the compiler's own window (see
+    /// [`IiSearch::new`]).
     ///
     /// # Errors
     /// Same contract as [`Compiler::map`], plus `NoSchedule` for an
@@ -365,20 +351,7 @@ impl Compiler {
         budget: &Budget,
         bounds: IiBounds,
     ) -> Result<MapReport, MapError> {
-        let start = Instant::now();
-        let mii = Problem::mii(dfg, cgra)?;
-        // Intersect the request's II window with the compiler's own.
-        let ii_lo = mii.max(bounds.min.unwrap_or(mii));
-        let ii_hi = (mii + self.config.max_extra_ii).min(bounds.max.unwrap_or(u32::MAX));
-        if ii_lo > ii_hi {
-            return Err(MapError::NoSchedule(format!(
-                "requested II window {:?}..={:?} excludes the feasible range {}..={}",
-                bounds.min,
-                bounds.max,
-                mii,
-                mii + self.config.max_extra_ii
-            )));
-        }
+        let search = IiSearch::new(dfg, cgra, self.config.max_extra_ii, bounds)?;
         self.ensure_net(cgra);
 
         // Reserve the tail of the deadline for the fallback engine, so
@@ -389,71 +362,32 @@ impl Compiler {
             _ => budget.clone(),
         };
 
-        let mut stats =
-            PartialMapStats { total_nodes: dfg.node_count(), ..PartialMapStats::default() };
-        let mut timed_out = false;
-        let mut primary_exhausted = false;
-        let mut mapping = None;
-        {
-            let Some(net) = self.nets.get(&cgra.pe_count()) else {
-                return Err(MapError::Internal("network missing after ensure_net".to_owned()));
-            };
-            let agent = match &self.shared_cache {
-                Some(cache) => MapZeroAgent::with_shared_cache(
-                    net,
-                    self.config.agent,
-                    Arc::clone(cache),
-                ),
-                None => MapZeroAgent::new(net, self.config.agent),
-            };
-            'outer: for ii in ii_lo..=ii_hi {
-                // Candidate sets depend on the schedule's slacks, so
-                // they are rebuilt per II candidate (the II bump path).
-                let problem = match Problem::new(dfg, cgra, ii) {
-                    Ok(p) => p.with_candidate_pruning(),
-                    Err(MapError::NoSchedule(_)) => continue,
-                    Err(e) => return Err(e),
-                };
-                // Split the remaining budget across the remaining II
-                // candidates so an unroutable MII cannot starve higher
-                // IIs.
-                let remaining_iis = ii_hi - ii + 1;
-                for _attempt in 0..self.config.attempts_per_ii {
-                    if primary_budget.exhausted() {
-                        timed_out = true;
-                        primary_exhausted = true;
-                        break 'outer;
-                    }
-                    let slice = match primary_budget.remaining_time() {
-                        Some(remaining) => {
-                            let per =
-                                remaining / remaining_iis / self.config.attempts_per_ii as u32;
-                            primary_budget.slice(per.max(remaining / 8))
-                        }
-                        None => primary_budget.clone(),
-                    };
-                    let result = isolated("mapping attempt", || {
-                        crate::failpoint!("compile.attempt");
-                        agent.run_episode_budgeted(&problem, &slice)
-                    })?;
-                    stats.backtracks += result.backtracks;
-                    stats.explored += result.steps;
-                    stats.nodes_placed = stats.nodes_placed.max(result.peak_placed);
-                    stats.routed_edges = stats.routed_edges.max(result.routed_edges);
-                    timed_out |= result.timed_out;
-                    if let Some(m) = result.mapping {
-                        stats.best_ii = Some(m.ii);
-                        mapping = Some(m);
-                        break 'outer;
-                    }
-                }
+        let Some(net) = self.nets.get(&cgra.pe_count()) else {
+            return Err(MapError::Internal("network missing after ensure_net".to_owned()));
+        };
+        let agent = match &self.shared_cache {
+            Some(cache) => {
+                MapZeroAgent::with_shared_cache(net, self.config.agent, Arc::clone(cache))
             }
-        }
+            None => MapZeroAgent::new(net, self.config.agent),
+        };
+        let mut climb = search.climb(
+            Problem::with_candidate_pruning,
+            self.config.attempts_per_ii,
+            &primary_budget,
+            |problem, slice| {
+                isolated("mapping attempt", || {
+                    crate::failpoint!("compile.attempt");
+                    agent.run_episode_budgeted(problem, slice)
+                })
+                .map(Attempt::from)
+            },
+        )?;
 
         // Graceful degradation: give the fallback engine the remaining
         // deadline when the primary came up empty.
         let mut engine = "MapZero".to_owned();
-        if mapping.is_none() {
+        if climb.mapping.is_none() {
             if let Some(fb) = self.fallback.as_mut() {
                 let slot = budget
                     .remaining_time()
@@ -461,22 +395,22 @@ impl Compiler {
                 if !slot.is_zero() {
                     match fb.map(dfg, cgra, slot) {
                         Ok(rep) => {
-                            stats.backtracks += rep.backtracks;
-                            stats.explored += rep.explored;
+                            climb.stats.backtracks += rep.backtracks;
+                            climb.stats.explored += rep.explored;
                             if let Some(m) = rep.mapping {
-                                stats.best_ii = Some(m.ii);
-                                stats.nodes_placed = dfg.node_count();
-                                stats.routed_edges = dfg.edge_count() as u64;
+                                climb.stats.best_ii = Some(m.ii);
+                                climb.stats.nodes_placed = dfg.node_count();
+                                climb.stats.routed_edges = dfg.edge_count() as u64;
                                 engine = fb.name().to_owned();
-                                mapping = Some(m);
+                                climb.mapping = Some(m);
                             }
                         }
                         // Both engines timed out: keep whichever
                         // engine's partial progress went further, so
                         // the Timeout error reports the true best.
                         Err(MapError::Timeout { best_partial }) => {
-                            timed_out = true;
-                            stats.absorb_better(&best_partial);
+                            climb.timed_out = true;
+                            climb.stats.absorb_better(&best_partial);
                         }
                         // Other fallback failures (unmappable per the
                         // fallback's own model, internal faults) do not
@@ -486,24 +420,7 @@ impl Compiler {
                 }
             }
         }
-
-        if mapping.is_none() && (primary_exhausted || budget.exhausted()) {
-            return Err(MapError::Timeout { best_partial: stats });
-        }
-
-        Ok(MapReport {
-            mapper: "MapZero".to_owned(),
-            engine,
-            kernel: dfg.name().to_owned(),
-            fabric: cgra.name().to_owned(),
-            mii,
-            mapping,
-            elapsed: start.elapsed(),
-            backtracks: stats.backtracks,
-            explored: stats.explored,
-            timed_out,
-            telemetry: None,
-        })
+        search.report(climb, "MapZero", &engine, budget)
     }
 }
 
@@ -525,7 +442,7 @@ impl Mapper for Compiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::Mapping;
+    use crate::mapping::{Mapping, PartialMapStats};
     use crate::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;

@@ -22,8 +22,9 @@
 //! 7. [`train`] / [`replay`] / [`augment`] — self-play training with
 //!    prioritized replay, symmetry augmentation and curriculum
 //!    pre-training;
-//! 8. [`compiler`] — the user-facing II search loop (start at MII, bump
-//!    on failure) shared by MapZero and the baseline mappers.
+//! 8. [`search`] / [`compiler`] — the II search (start at MII, bump on
+//!    failure) that MapZero and the baseline mappers share, and the
+//!    user-facing compiler.
 //!
 //! # Example
 //!
@@ -66,12 +67,13 @@ pub mod viz;
 pub use agent::{AgentConfig, MapZeroAgent};
 pub use candidates::{CandidateMap, CandidateState};
 pub use checkpoint::{CheckpointError, CheckpointStore, LoadedGeneration};
-pub use compiler::{Compiler, IiBounds, MapZeroConfig};
+pub use compiler::{Compiler, MapZeroConfig};
 pub use failpoint::{FailAction, FailScope};
 pub use env::{MapEnv, StepOutcome};
 pub use mapping::{MapError, MapReport, Mapper, Mapping, PartialMapStats, Placement};
 pub use mcts::{Mcts, MctsConfig, PredictCache};
 pub use network::{MapZeroNet, NetConfig, Prediction};
 pub use problem::Problem;
+pub use search::IiBounds;
 pub use supervise::Budget;
 pub use train::{TrainConfig, TrainError, Trainer, TrainingMetrics};

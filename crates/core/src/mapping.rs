@@ -242,12 +242,14 @@ pub trait Mapper {
     /// "LISA").
     fn name(&self) -> &str;
 
-    /// Attempt to map `dfg` onto `cgra` within `time_limit`, starting at
-    /// MII and increasing the target II on failure.
+    /// Attempt to map `dfg` onto `cgra` within `time_limit`, climbing II
+    /// from MII through [`crate::search::IiSearch`].
     ///
     /// # Errors
-    /// Returns [`MapError`] when the instance is structurally
-    /// unmappable (e.g. required op class unsupported).
+    /// [`MapError::Timeout`] with the work done when the limit ran out
+    /// with no mapping (every II tried in time is an `Ok` report
+    /// without one); [`MapError::Unmappable`] when a required op class
+    /// has no capable PE; [`MapError::Internal`] for a contained panic.
     fn map(&mut self, dfg: &Dfg, cgra: &Cgra, time_limit: Duration)
         -> Result<MapReport, MapError>;
 }

@@ -36,7 +36,7 @@ use crate::journal::Journal;
 use crate::queue::{Job, JobQueue, QueueConfig, SubmitError};
 use crate::slo::{Anomaly, RequestRecord, SloConfig, SloTable};
 use crate::wire::{MapRequest, MapResponse, Outcome};
-use mapzero_baselines::{SaConfig, SaMapper};
+use mapzero_baselines::SaMapper;
 use mapzero_core::failpoint::{self, FailScope};
 use mapzero_core::mapping::MapError;
 use mapzero_core::mcts::PredictCache;
@@ -620,11 +620,8 @@ fn build_compiler(shared: &Shared) -> Compiler {
     let mut compiler = Compiler::new(shared.config.compiler)
         .with_shared_cache(Arc::clone(&shared.cache));
     if shared.config.hedge {
-        let sa = SaConfig {
-            max_extra_ii: shared.config.compiler.max_extra_ii,
-            ..SaConfig::default()
-        };
-        compiler = compiler.with_fallback(Box::new(SaMapper::new(sa)));
+        let sa = SaMapper::new(shared.config.compiler.max_extra_ii);
+        compiler = compiler.with_fallback(Box::new(sa));
     }
     compiler
 }

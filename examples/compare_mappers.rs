@@ -15,29 +15,40 @@ fn main() {
     let kernels = ["sum", "mac", "conv2", "accumulate"];
 
     let mut mapzero = Compiler::new(MapZeroConfig::fast_test());
-    let mut ilp = ExactMapper::default();
+    let mut ilp = ExactMapper;
     let mut sa = SaMapper::default();
     let mut lisa = LisaMapper;
 
     println!("fabric: {}  (time limit {limit:?} per attempt)\n", cgra.name());
     println!(
-        "{:<12} {:<9} {:>4} {:>5} {:>10} {:>12}",
+        "{:<12} {:<9} {:>4} {:>7} {:>10} {:>12}",
         "kernel", "mapper", "MII", "II", "time", "backtracks*"
     );
     for name in kernels {
         let dfg = suite::by_name(name).expect("kernel exists");
-        let mut reports: Vec<MapReport> = Vec::new();
-        reports.push(mapzero.map(&dfg, &cgra).expect("mappable"));
-        for mapper in [&mut ilp as &mut dyn Mapper, &mut sa, &mut lisa] {
-            reports.push(mapper.map(&dfg, &cgra, limit).expect("mappable"));
-        }
-        for r in reports {
-            let ii = r
-                .achieved_ii()
-                .map_or_else(|| "--".to_owned(), |ii| ii.to_string());
+        let mii = Problem::mii(&dfg, &cgra).expect("HyCube supports every op class");
+        let mappers: [&mut dyn Mapper; 4] = [&mut mapzero, &mut ilp, &mut sa, &mut lisa];
+        for mapper in mappers {
+            // Every engine shares one contract: a report, or a Timeout
+            // carrying the work it did before the clock ran out.
+            let (ii, elapsed, backtracks) = match mapper.map(&dfg, &cgra, limit) {
+                Ok(r) => {
+                    let ii = r.achieved_ii().map_or_else(|| "--".to_owned(), |ii| ii.to_string());
+                    (ii, r.elapsed, r.backtracks)
+                }
+                Err(MapError::Timeout { best_partial }) => {
+                    ("timeout".to_owned(), limit, best_partial.backtracks)
+                }
+                Err(e) => panic!("{name} with {}: {e}", mapper.name()),
+            };
             println!(
-                "{:<12} {:<9} {:>4} {:>5} {:>10.1?} {:>12}",
-                r.kernel, r.mapper, r.mii, ii, r.elapsed, r.backtracks
+                "{:<12} {:<9} {:>4} {:>7} {:>10.1?} {:>12}",
+                name,
+                mapper.name(),
+                mii,
+                ii,
+                elapsed,
+                backtracks
             );
         }
         println!();

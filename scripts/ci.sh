@@ -30,6 +30,9 @@ MAPZERO_TRACE="$trace" cargo run --release -q --example traced_mapping
 test -s "$trace" || { echo "telemetry smoke: empty trace at $trace" >&2; exit 1; }
 cargo run --release -q -p mapzero-obs --bin trace_summary -- --check "$trace"
 
+echo "==> engine smoke (MapZero, ILP, SA and LISA through the one Mapper trait and II search)"
+cargo run --release -q --example compare_mappers
+
 echo "==> chaos smoke (failpoint injection + kill/resume + torn-write proptest)"
 # Fixed seed so the torn-write property exercises the same offsets on
 # every CI run; local `just chaos` uses the same seed.

@@ -56,7 +56,7 @@ fn fabric_metrics_predict_mappability() {
         .finish();
     assert!(diameter(&dense) < diameter(&sparse));
     let dfg = suite::by_name("mac").unwrap();
-    let mut mapper = ExactMapper::default();
+    let mut mapper = ExactMapper;
     let on_sparse = Mapper::map(&mut mapper, &dfg, &sparse, LIMIT).unwrap();
     let on_dense = Mapper::map(&mut mapper, &dfg, &dense, LIMIT).unwrap();
     if let (Some(a), Some(b)) = (on_sparse.achieved_ii(), on_dense.achieved_ii()) {

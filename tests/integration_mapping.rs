@@ -26,7 +26,7 @@ fn exact_mapper_reaches_mii_on_every_small_kernel_and_fabric() {
     for (cgra, slack) in fabrics {
         for name in kernels {
             let dfg = suite::by_name(name).unwrap();
-            let mut mapper = ExactMapper::default();
+            let mut mapper = ExactMapper;
             let report = mapper.map(&dfg, &cgra, LIMIT).unwrap();
             let mapping = report
                 .mapping
@@ -75,7 +75,7 @@ fn mapzero_handles_temporal_mapping_ii_greater_than_one() {
 fn heterogeneous_fabric_respects_capabilities_end_to_end() {
     let dfg = suite::by_name("mac").unwrap();
     let cgra = presets::heterogeneous();
-    let mut mapper = ExactMapper::default();
+    let mut mapper = ExactMapper;
     let report = mapper.map(&dfg, &cgra, LIMIT).unwrap();
     let mapping = report.mapping.expect("mac maps on the Fig. 14 fabric");
     assert_valid(&dfg, &cgra, &mapping, "mac on the Fig. 14 fabric");
@@ -92,7 +92,7 @@ fn heterogeneous_fabric_respects_capabilities_end_to_end() {
 fn adres_row_bus_holds_in_full_pipeline() {
     let dfg = suite::by_name("conv2").unwrap();
     let cgra = presets::adres();
-    let mut mapper = ExactMapper::default();
+    let mut mapper = ExactMapper;
     let report = mapper.map(&dfg, &cgra, LIMIT).unwrap();
     let mapping = report.mapping.expect("conv2 maps on ADRES");
     // Both validators re-check the bus constraint independently.
@@ -106,7 +106,7 @@ fn all_mappers_agree_on_achievable_ii_for_tiny_kernel() {
     let mut results = Vec::new();
     let mut mapzero = Compiler::new(MapZeroConfig::fast_test());
     results.push(mapzero.map(&dfg, &cgra).unwrap());
-    let mut ilp = ExactMapper::default();
+    let mut ilp = ExactMapper;
     results.push(Mapper::map(&mut ilp, &dfg, &cgra, LIMIT).unwrap());
     let mut sa = SaMapper::default();
     results.push(Mapper::map(&mut sa, &dfg, &cgra, LIMIT).unwrap());

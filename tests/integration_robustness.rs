@@ -106,6 +106,36 @@ fn one_second_budget_returns_structured_result_in_time() {
     }
 }
 
+/// One timeout contract for every engine: arf (54 nodes) cannot map on
+/// HReA in 50 ms, and each engine says so as a `Timeout` carrying the
+/// work it did, within the deadline plus one engine step (an annealing
+/// step of 100 proposals is the coarsest).
+#[test]
+fn every_engine_reports_a_tiny_deadline_as_a_timeout_with_its_work() {
+    let dfg = suite::by_name("arf").unwrap();
+    let cgra = presets::hrea();
+    let deadline = Duration::from_millis(50);
+    let engines: [Box<dyn Mapper>; 4] = [
+        Box::new(ExactMapper),
+        Box::new(SaMapper::default()),
+        Box::new(LisaMapper),
+        Box::new(Compiler::new(MapZeroConfig::fast_test())),
+    ];
+    for mut engine in engines {
+        let start = Instant::now();
+        let outcome = engine.map(&dfg, &cgra, deadline);
+        let elapsed = start.elapsed();
+        let name = engine.name();
+        assert!(elapsed <= deadline + Duration::from_millis(150), "{name} took {elapsed:?}");
+        let Err(MapError::Timeout { best_partial }) = outcome else {
+            panic!("{name}: expected Timeout, got {outcome:?}");
+        };
+        assert_eq!(best_partial.total_nodes, dfg.node_count(), "{name}");
+        assert_eq!(best_partial.best_ii, None, "{name}");
+        assert!(best_partial.explored > 0, "{name}: no work counted: {best_partial:?}");
+    }
+}
+
 /// Graceful degradation: when the primary engine's budget is too small
 /// to do anything, the SA fallback still produces a mapping and the
 /// report credits it.

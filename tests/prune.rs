@@ -9,6 +9,7 @@
 //! budget.
 
 use mapzero::arch::{CgraBuilder, Interconnect, RoutingStyle};
+use mapzero::core::search::{IiBounds, IiSearch};
 use mapzero::core::validate;
 use mapzero::core::{MapEnv, MapZeroAgent, MapZeroNet, Placement};
 use mapzero::dfg::Edge;
@@ -422,8 +423,8 @@ fn pruning_shrinks_the_offered_actions_on_the_16x16_baseline() {
 
 /// Table-2 smoke at equal (deterministic) budget: the agent in the
 /// fail-first order of [`Problem::with_candidate_pruning`] must not lose
-/// any kernel it maps in schedule order, trying II upward from MII as
-/// the compiler does, and every fail-first mapping must pass the full
+/// any kernel it maps in schedule order, both climbing II through the
+/// compiler's driver, and every fail-first mapping must pass the full
 /// validator.
 #[test]
 fn pruning_never_loses_a_kernel_at_equal_budget() {
@@ -432,22 +433,18 @@ fn pruning_never_loses_a_kernel_at_equal_budget() {
     let net = MapZeroNet::new(cgra.pe_count(), config.net);
     for dfg in suite::small() {
         let arm = |fail_first: bool| -> Option<Mapping> {
+            let order =
+                if fail_first { Problem::with_candidate_pruning } else { std::convert::identity };
             let agent = MapZeroAgent::new(&net, config.agent);
             let budget = Budget::unlimited().with_expansion_cap(6_000);
-            let mii = Problem::mii(&dfg, &cgra).ok()?;
-            for ii in mii..=mii + config.max_extra_ii {
-                let Ok(problem) = Problem::new(&dfg, &cgra, ii) else { continue };
-                let problem = if fail_first { problem.with_candidate_pruning() } else { problem };
-                for _ in 0..config.attempts_per_ii {
-                    if budget.exhausted() {
-                        return None;
-                    }
-                    if let Some(mapping) = agent.run_episode_budgeted(&problem, &budget).mapping {
-                        return Some(mapping);
-                    }
-                }
-            }
-            None
+            let search =
+                IiSearch::new(&dfg, &cgra, config.max_extra_ii, IiBounds::default()).ok()?;
+            let climb = search
+                .climb(order, config.attempts_per_ii, &budget, |problem, slice| {
+                    Ok(agent.run_episode_budgeted(problem, slice).into())
+                })
+                .ok()?;
+            climb.mapping
         };
         let fail_first = arm(true);
         let schedule_order = arm(false);

@@ -9,16 +9,17 @@
 //! return the same mapping after the same number of backtracks and
 //! placement steps.
 
-use mapzero::baselines::ExactConfig;
 use mapzero::core::agent::{AgentConfig, MapZeroAgent};
 use mapzero::core::network::{MapZeroNet, NetConfig};
+use mapzero::core::search::{IiBounds, IiSearch, MAX_EXTRA_II};
 use mapzero::prelude::*;
 use std::time::Duration;
 
 const LIMIT: Duration = Duration::from_secs(60);
 
-/// The systematic agent over the exact mapper's II ladder: the first
-/// mapping found, with backtracks and steps summed over every II tried.
+/// The systematic agent climbing the exact mapper's II ladder through
+/// the same driver: the first mapping found, with backtracks and steps
+/// summed over every II tried.
 fn systematic_agent(dfg: &Dfg, cgra: &Cgra) -> (Option<Mapping>, u64, u64) {
     let net = MapZeroNet::new(cgra.pe_count(), NetConfig::tiny());
     let config = AgentConfig {
@@ -27,23 +28,14 @@ fn systematic_agent(dfg: &Dfg, cgra: &Cgra) -> (Option<Mapping>, u64, u64) {
         ..AgentConfig::default()
     };
     let agent = MapZeroAgent::new(&net, config);
-    let mii = Problem::mii(dfg, cgra).unwrap();
-    let (mut backtracks, mut steps) = (0, 0);
-    for ii in mii..=mii + ExactConfig::default().max_extra_ii {
-        let problem = match Problem::new(dfg, cgra, ii) {
-            Ok(p) => p,
-            Err(MapError::NoSchedule(_)) => continue,
-            Err(e) => panic!("{}: {e}", dfg.name()),
-        };
-        let result = agent.run_episode(&problem, LIMIT);
-        assert!(!result.timed_out, "{} on {} timed out", dfg.name(), cgra.name());
-        backtracks += result.backtracks;
-        steps += result.steps;
-        if result.mapping.is_some() {
-            return (result.mapping, backtracks, steps);
-        }
-    }
-    (None, backtracks, steps)
+    let search = IiSearch::new(dfg, cgra, MAX_EXTRA_II, IiBounds::default()).unwrap();
+    let climb = search
+        .climb(std::convert::identity, 1, &Budget::with_deadline(LIMIT), |problem, slice| {
+            Ok(agent.run_episode_budgeted(problem, slice).into())
+        })
+        .unwrap();
+    assert!(!climb.timed_out, "{} on {} timed out", dfg.name(), cgra.name());
+    (climb.mapping, climb.stats.backtracks, climb.stats.explored)
 }
 
 #[test]
@@ -59,7 +51,7 @@ fn exact_mapper_and_systematic_agent_walk_the_same_tree() {
         for name in kernels {
             let dfg = suite::by_name(name).unwrap();
             let what = format!("{name} on {}", cgra.name());
-            let report = ExactMapper::default().map(&dfg, cgra, LIMIT).unwrap();
+            let report = ExactMapper.map(&dfg, cgra, LIMIT).unwrap();
             assert!(!report.timed_out, "{what}: exact mapper timed out");
             let (mapping, backtracks, steps) = systematic_agent(&dfg, cgra);
             assert_eq!(mapping, report.mapping, "{what}: mapping");
