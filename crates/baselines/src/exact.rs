@@ -19,11 +19,10 @@
 
 use mapzero_core::mapping::{MapError, MapReport, Mapper};
 use mapzero_core::problem::Problem;
-use mapzero_core::search::{self, Attempt, Ranked, MAX_EXTRA_II};
+use mapzero_core::search::{self, Attempt, IiBounds, Ranked};
 use mapzero_core::supervise::Budget;
 use mapzero_arch::Cgra;
 use mapzero_dfg::Dfg;
-use std::time::Duration;
 
 /// The exact branch-and-bound mapper.
 #[derive(Debug, Clone, Default)]
@@ -48,26 +47,29 @@ impl Mapper for ExactMapper {
         &mut self,
         dfg: &Dfg,
         cgra: &Cgra,
-        time_limit: Duration,
+        budget: &Budget,
+        window: IiBounds,
     ) -> Result<MapReport, MapError> {
-        search::map_climbing("ILP", dfg, cgra, MAX_EXTRA_II, time_limit, attempt)
+        search::map_climbing("ILP", dfg, cgra, budget, window, attempt)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapzero_core::search::{IiBounds, IiSearch};
+    use mapzero_core::search::IiSearch;
     use mapzero_core::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
+    use std::time::Duration;
 
     #[test]
     fn maps_small_kernels_optimally() {
         let cgra = presets::hrea();
         let mut mapper = ExactMapper;
         for dfg in suite::small() {
-            let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+            let budget = Budget::with_deadline(Duration::from_secs(60));
+            let report = mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
             let mapping = report
                 .mapping
                 .as_ref()
@@ -82,7 +84,8 @@ mod tests {
         let cgra = presets::hycube();
         let dfg = suite::by_name("mac").unwrap();
         let mut mapper = ExactMapper;
-        let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+        let budget = Budget::with_deadline(Duration::from_secs(60));
+        let report = mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
         let mapping = report.mapping.expect("mac maps on HyCube");
         assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
         assert_eq!(mapping.ii, report.mii);
@@ -98,7 +101,8 @@ mod tests {
         // stop on the clock) and map at II=2.
         let dfg = crate::fanin5();
         let cgra = presets::simple_mesh(3, 3);
-        let report = ExactMapper.map(&dfg, &cgra, Duration::from_secs(30)).unwrap();
+        let budget = Budget::with_deadline(Duration::from_secs(30));
+        let report = ExactMapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
         assert_eq!(report.mii, 1);
         let mapping = report.mapping.expect("maps at II 2");
         assert_eq!(mapping.ii, 2);
@@ -145,7 +149,8 @@ mod tests {
     fn times_out_on_large_kernel_with_tiny_budget() {
         let dfg = suite::by_name("arf").unwrap();
         let cgra = presets::hrea();
-        match ExactMapper.map(&dfg, &cgra, Duration::from_millis(50)) {
+        let budget = Budget::with_deadline(Duration::from_millis(50));
+        match ExactMapper.map(&dfg, &cgra, &budget, IiBounds::default()) {
             Ok(report) => assert!(report.mapping.is_some(), "{report:?}"),
             Err(MapError::Timeout { best_partial }) => assert!(best_partial.explored > 0),
             Err(e) => panic!("expected a mapping or a Timeout, got {e}"),

@@ -16,10 +16,14 @@
 //!   mesh-class topologies — reproducing the behaviour reported in
 //!   §4.2.
 //!
-//! All baselines implement the shared [`mapzero_core::Mapper`] trait and
-//! climb II through MapZero's driver, [`mapzero_core::search::IiSearch`]:
-//! one attempt per II with its share of the clock, and
-//! [`mapzero_core::MapError::Timeout`] when the clock runs out unmapped.
+//! All three are unit structs behind the one engine contract,
+//! [`mapzero_core::Mapper::map`]: they map under the caller's
+//! [`mapzero_core::Budget`] and II window, and climb II through
+//! MapZero's driver, [`mapzero_core::search::IiSearch`]: one attempt per
+//! II with its share of the clock, and
+//! [`mapzero_core::MapError::Timeout`] when the budget runs out
+//! unmapped. They poll the budget's expansion cap but never charge it;
+//! only MapZero's MCTS draws on that pool.
 
 mod exact;
 mod lisa;

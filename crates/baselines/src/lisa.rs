@@ -16,11 +16,11 @@
 use crate::sa::{run_annealing_mapper, CostShaper};
 use mapzero_core::mapping::{MapError, MapReport, Mapper};
 use mapzero_core::problem::Problem;
-use mapzero_core::search::MAX_EXTRA_II;
+use mapzero_core::search::IiBounds;
+use mapzero_core::supervise::Budget;
 use mapzero_arch::{Cgra, PeId};
 use mapzero_dfg::Dfg;
 use std::cell::OnceCell;
-use std::time::Duration;
 
 /// Weight of the label-agreement term relative to the routing cost.
 const LABEL_WEIGHT: f64 = 12.0;
@@ -113,10 +113,11 @@ impl Mapper for LisaMapper {
         &mut self,
         dfg: &Dfg,
         cgra: &Cgra,
-        time_limit: Duration,
+        budget: &Budget,
+        window: IiBounds,
     ) -> Result<MapReport, MapError> {
         let shaper = LabelShaper::default();
-        run_annealing_mapper("LISA", MAX_EXTRA_II, &shaper, dfg, cgra, time_limit)
+        run_annealing_mapper("LISA", &shaper, dfg, cgra, budget, window)
     }
 }
 
@@ -126,6 +127,7 @@ mod tests {
     use mapzero_core::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
+    use std::time::Duration;
 
     #[test]
     fn labels_have_expected_shape() {
@@ -144,7 +146,8 @@ mod tests {
         let cgra = presets::hycube();
         let dfg = suite::by_name("sum").unwrap();
         let mut mapper = LisaMapper;
-        let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+        let budget = Budget::with_deadline(Duration::from_secs(60));
+        let report = mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
         let mapping = report.mapping.expect("sum should map via LISA on HyCube");
         assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
@@ -156,9 +159,10 @@ mod tests {
         let cgra = presets::hycube();
         let dfg = suite::by_name("mac").unwrap();
         let mut lisa = LisaMapper;
-        let mut sa = crate::SaMapper::default();
-        let rl = lisa.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
-        let rs = sa.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+        let mut sa = crate::SaMapper;
+        let budget = Budget::with_deadline(Duration::from_secs(60));
+        let rl = lisa.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
+        let rs = sa.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
         assert!(rl.mapping.is_some());
         assert!(rs.mapping.is_some());
     }

@@ -9,12 +9,11 @@
 use crate::cost::{evaluate, random_assignment};
 use mapzero_core::mapping::{MapError, MapReport, Mapper};
 use mapzero_core::problem::Problem;
-use mapzero_core::search::{self, Attempt, MAX_EXTRA_II};
+use mapzero_core::search::{self, Attempt, IiBounds};
 use mapzero_core::supervise::Budget;
 use mapzero_arch::{Cgra, PeId};
 use mapzero_dfg::Dfg;
 use mapzero_nn::SeedRng;
-use std::time::Duration;
 
 /// Initial temperature.
 const T_START: f64 = 300.0;
@@ -27,18 +26,9 @@ const MOVES_PER_STEP: usize = 100;
 /// Restarts with fresh random placements before giving up on an II.
 const RESTARTS: usize = 2;
 
-/// The annealing mapper, trying IIs from MII to MII + `max_extra_ii`
-/// ([`MAX_EXTRA_II`] by default).
-#[derive(Debug, Clone)]
-pub struct SaMapper {
-    max_extra_ii: u32,
-}
-
-impl Default for SaMapper {
-    fn default() -> Self {
-        SaMapper { max_extra_ii: MAX_EXTRA_II }
-    }
-}
+/// The annealing mapper over the default II window.
+#[derive(Debug, Clone, Default)]
+pub struct SaMapper;
 
 /// Extra cost terms layered on top of the routing cost; the plain SA
 /// uses none, LISA adds its label guidance.
@@ -54,17 +44,10 @@ impl CostShaper for NoShaping {
     }
 }
 
-impl SaMapper {
-    /// A mapper trying IIs from MII to MII + `max_extra_ii`.
-    #[must_use]
-    pub fn new(max_extra_ii: u32) -> Self {
-        SaMapper { max_extra_ii }
-    }
-}
-
 /// One annealing run on a fixed-II problem, until a valid placement,
-/// the end of the cooling schedule or an exhausted `budget`. Annealing
-/// steps count as backtracks and proposals as explored placements.
+/// the end of the cooling schedule or an exhausted `budget`, which is
+/// polled before every proposal. Annealing steps count as backtracks
+/// and proposals as explored placements.
 pub(crate) fn anneal(
     problem: &Problem<'_>,
     shaper: &dyn CostShaper,
@@ -83,12 +66,14 @@ pub(crate) fn anneal(
         }
         let mut temperature = T_START;
         while temperature > T_MIN {
-            if budget.exhausted() {
-                attempt.timed_out = true;
-                break 'restarts;
-            }
-            attempt.backtracks += 1;
-            for _ in 0..MOVES_PER_STEP {
+            for proposal in 0..MOVES_PER_STEP {
+                if budget.exhausted() {
+                    attempt.timed_out = true;
+                    break 'restarts;
+                }
+                if proposal == 0 {
+                    attempt.backtracks += 1;
+                }
                 attempt.explored += 1;
                 let mut candidate = current.clone();
                 perturb(problem, &mut candidate, rng);
@@ -166,18 +151,17 @@ fn perturb(problem: &Problem<'_>, assignment: &mut [PeId], rng: &mut SeedRng) {
 /// [`search::map_climbing`], with one RNG stream across IIs.
 pub(crate) fn run_annealing_mapper(
     name: &str,
-    max_extra_ii: u32,
     shaper: &dyn CostShaper,
     dfg: &Dfg,
     cgra: &Cgra,
-    time_limit: Duration,
+    budget: &Budget,
+    window: IiBounds,
 ) -> Result<MapReport, MapError> {
     let capture = mapzero_obs::RunCapture::begin();
     let mut rng = SeedRng::new(dfg.name().len() as u64);
-    let report =
-        search::map_climbing(name, dfg, cgra, max_extra_ii, time_limit, |problem, slice| {
-            anneal(problem, shaper, &mut rng, slice)
-        })?;
+    let report = search::map_climbing(name, dfg, cgra, budget, window, |problem, slice| {
+        anneal(problem, shaper, &mut rng, slice)
+    })?;
     Ok(MapReport { telemetry: capture.map(mapzero_obs::RunCapture::finish), ..report })
 }
 
@@ -190,9 +174,10 @@ impl Mapper for SaMapper {
         &mut self,
         dfg: &Dfg,
         cgra: &Cgra,
-        time_limit: Duration,
+        budget: &Budget,
+        window: IiBounds,
     ) -> Result<MapReport, MapError> {
-        run_annealing_mapper("SA", self.max_extra_ii, &NoShaping, dfg, cgra, time_limit)
+        run_annealing_mapper("SA", &NoShaping, dfg, cgra, budget, window)
     }
 }
 
@@ -202,13 +187,15 @@ mod tests {
     use mapzero_core::validate::check_mapping;
     use mapzero_arch::presets;
     use mapzero_dfg::suite;
+    use std::time::Duration;
 
     #[test]
     fn maps_tiny_kernel() {
         let cgra = presets::hrea();
         let dfg = suite::by_name("sum").unwrap();
-        let mut mapper = SaMapper::default();
-        let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+        let mut mapper = SaMapper;
+        let budget = Budget::with_deadline(Duration::from_secs(60));
+        let report = mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
         let mapping = report.mapping.expect("sum should map via SA");
         assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
     }
@@ -219,8 +206,9 @@ mod tests {
         // random shot on a crossbar.
         let cgra = presets::hycube();
         let dfg = suite::by_name("mac").unwrap();
-        let mut mapper = SaMapper::default();
-        let report = mapper.map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+        let mut mapper = SaMapper;
+        let budget = Budget::with_deadline(Duration::from_secs(60));
+        let report = mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
         assert!(report.mapping.is_some());
         // Either an immediate lucky hit (0) or counted annealings.
         assert!(report.explored >= report.backtracks);
@@ -230,9 +218,10 @@ mod tests {
     fn respects_time_limit() {
         let cgra = presets::hrea();
         let dfg = suite::by_name("arf").unwrap();
-        let mut mapper = SaMapper::default();
+        let mut mapper = SaMapper;
         let start = std::time::Instant::now();
-        let outcome = mapper.map(&dfg, &cgra, Duration::from_millis(100));
+        let budget = Budget::with_deadline(Duration::from_millis(100));
+        let outcome = mapper.map(&dfg, &cgra, &budget, IiBounds::default());
         assert!(start.elapsed() < Duration::from_secs(20));
         match outcome {
             Ok(report) => assert!(report.mapping.is_some(), "{report:?}"),
@@ -255,7 +244,8 @@ mod tests {
         let full = anneal(&first, &NoShaping, &mut SeedRng::new(0), &Budget::unlimited());
         let full_anneal = start.elapsed();
         assert!(full.mapping.is_none() && !full.timed_out, "II 1 is infeasible");
-        let report = SaMapper::default().map(&dfg, &cgra, full_anneal / 2).unwrap();
+        let budget = Budget::with_deadline(full_anneal / 2);
+        let report = SaMapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
         assert_eq!(report.mii, 1);
         let mapping = report.mapping.expect("an II above 1 maps");
         assert!(mapping.ii > 1);
@@ -263,12 +253,42 @@ mod tests {
         assert!(report.timed_out, "II 1 ended on its share of the clock");
     }
 
+    /// Charges one unit of `budget` per cost evaluation: once for each
+    /// restart's initial placement, once per proposal.
+    struct ChargesPerCost<'b>(&'b Budget);
+
+    impl CostShaper for ChargesPerCost<'_> {
+        fn extra_cost(&self, _problem: &Problem<'_>, _assignment: &[PeId]) -> f64 {
+            self.0.charge(1);
+            0.0
+        }
+    }
+
+    /// The budget is polled before every proposal, not once per
+    /// annealing step: with a cap of 150 charges the anneal stops after
+    /// 149 proposals (one charge went to the initial placement), not at
+    /// the end of the second 100-proposal step.
+    #[test]
+    fn an_exhausted_budget_stops_the_anneal_within_one_proposal() {
+        let dfg = crate::fanin5();
+        let cgra = presets::simple_mesh(3, 3);
+        let problem = Problem::new(&dfg, &cgra, 1).unwrap();
+        let budget = Budget::unlimited().with_expansion_cap(150);
+        let attempt =
+            anneal(&problem, &ChargesPerCost(&budget), &mut SeedRng::new(0), &budget);
+        assert!(attempt.mapping.is_none() && attempt.timed_out, "II 1 is infeasible");
+        assert_eq!(attempt.explored, 149);
+        assert_eq!(budget.spent(), 150);
+        assert_eq!(attempt.backtracks, 2, "two annealing steps began");
+    }
+
     #[test]
     fn runs_are_deterministic() {
         let cgra = presets::hrea();
         let dfg = suite::by_name("sum").unwrap();
-        let ra = SaMapper::default().map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
-        let rb = SaMapper::default().map(&dfg, &cgra, Duration::from_secs(60)).unwrap();
+        let budget = Budget::with_deadline(Duration::from_secs(60));
+        let ra = SaMapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
+        let rb = SaMapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
         assert_eq!(ra.mapping, rb.mapping);
         assert_eq!(ra.backtracks, rb.backtracks);
     }

@@ -18,8 +18,8 @@ use mapzero_arch::Cgra;
 use mapzero_baselines::{ExactMapper, LisaMapper, SaMapper};
 use mapzero_core::network::NetConfig;
 use mapzero_core::{
-    AgentConfig, Compiler, MapError, MapReport, MapZeroConfig, Mapper, MctsConfig, Problem,
-    TrainConfig,
+    AgentConfig, Budget, Compiler, IiBounds, MapError, MapReport, MapZeroConfig, Mapper,
+    MctsConfig, Problem, TrainConfig,
 };
 use mapzero_dfg::Dfg;
 use std::fmt::Display;
@@ -179,7 +179,7 @@ pub fn run_all_mappers(
     limit: Duration,
 ) -> Vec<MapReport> {
     let mappers: [&mut dyn Mapper; 4] =
-        [&mut ExactMapper, &mut SaMapper::default(), &mut LisaMapper, mapzero];
+        [&mut ExactMapper, &mut SaMapper, &mut LisaMapper, mapzero];
     mappers.into_iter().map(|m| run_or_fail(m, dfg, cgra, limit)).collect()
 }
 
@@ -194,7 +194,7 @@ pub fn run_or_fail(
     limit: Duration,
 ) -> MapReport {
     let start = Instant::now();
-    let partial = match mapper.map(dfg, cgra, limit) {
+    let partial = match mapper.map(dfg, cgra, &Budget::with_deadline(limit), IiBounds::default()) {
         Ok(report) => return report,
         Err(MapError::Timeout { best_partial }) => Some(best_partial),
         Err(_) => None,

@@ -4,9 +4,9 @@
 //! The compiler doubles as the *supervisor* of the pipeline (see
 //! DESIGN.md §Robustness): every mapping attempt runs under a shared
 //! [`Budget`] and inside a panic-isolation boundary, and when the
-//! primary engine runs out of budget an optional fallback mapper gets
-//! the remaining deadline before the compiler reports
-//! [`MapError::Timeout`] with partial-progress statistics.
+//! primary engine runs out of budget an optional fallback mapper climbs
+//! the same II window under the remaining deadline before the compiler
+//! reports [`MapError::Timeout`] with partial-progress statistics.
 
 use crate::agent::{AgentConfig, MapZeroAgent};
 use crate::mapping::{MapError, MapReport, Mapper};
@@ -105,10 +105,10 @@ impl Compiler {
         Compiler { config, nets: HashMap::new(), fallback: None, shared_cache: None }
     }
 
-    /// Install a fallback mapper (typically the SA baseline) that runs
-    /// under the remaining deadline when MapZero itself fails or times
-    /// out. The report's `engine` field records who actually produced
-    /// the mapping.
+    /// Install a fallback mapper (typically the SA baseline) that climbs
+    /// the same II window under the remaining deadline when MapZero
+    /// itself fails or times out. The report's `engine` field records
+    /// who actually produced the mapping.
     #[must_use]
     pub fn with_fallback(mut self, fallback: Box<dyn Mapper + Send>) -> Self {
         self.fallback = Some(fallback);
@@ -256,7 +256,8 @@ impl Compiler {
         self.map_with_limit(dfg, cgra, self.config.time_limit)
     }
 
-    /// Map with an explicit wall-clock budget.
+    /// Map with an explicit wall-clock budget, over the compiler's own
+    /// II window.
     ///
     /// # Errors
     /// Same contract as [`Compiler::map`].
@@ -266,84 +267,11 @@ impl Compiler {
         cgra: &Cgra,
         time_limit: Duration,
     ) -> Result<MapReport, MapError> {
-        let mut budget = Budget::with_deadline(time_limit);
-        if let Some(cap) = self.config.expansion_budget {
-            budget = budget.with_expansion_cap(cap);
-        }
-        self.map_request(dfg, cgra, &budget, IiBounds::default())
+        Mapper::map(self, dfg, cgra, &Budget::with_deadline(time_limit), IiBounds::default())
     }
 
-    /// Map under an explicit [`Budget`] and II window — the full
-    /// supervised pipeline, and the serve layer's entry point:
-    ///
-    /// 1. The II search ([`IiSearch`]) runs attempts under per-attempt
-    ///    slices of the budget; each attempt is panic-isolated (a fault
-    ///    in routing or search becomes [`MapError::Internal`], not an
-    ///    unwind).
-    /// 2. When a fallback engine is installed, the primary only gets
-    ///    `PRIMARY_SHARE` of the deadline; on primary failure the
-    ///    fallback runs under whatever deadline remains, and the
-    ///    report's `engine` field records who produced the mapping.
-    /// 3. A budget that expires with no mapping from either engine is
-    ///    an error: [`MapError::Timeout`] carrying
-    ///    [`PartialMapStats`](crate::PartialMapStats) (best II, peak
-    ///    nodes placed, routed edges, backtracks, explored states).
-    /// 4. With telemetry enabled (see [`mapzero_obs`]), the whole call
-    ///    runs under a `compile.map` span and a run capture, and the
-    ///    returned report carries per-phase budget attribution in
-    ///    `MapReport::telemetry`.
-    ///
-    /// `bounds` is intersected with the compiler's own window (see
-    /// [`IiSearch::new`]).
-    ///
-    /// # Errors
-    /// Same contract as [`Compiler::map`], plus `NoSchedule` for an
-    /// empty II window.
-    pub fn map_request(
-        &mut self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        budget: &Budget,
-        bounds: IiBounds,
-    ) -> Result<MapReport, MapError> {
-        let _span = mapzero_obs::span!("compile.map");
-        let capture = mapzero_obs::RunCapture::begin();
-        let result = self.map_attempts(dfg, cgra, budget, bounds);
-        match &result {
-            Ok(report) if report.engine == report.mapper => {
-                mapzero_obs::counter!("compile.success");
-            }
-            Ok(_) => mapzero_obs::counter!("compile.fallback_success"),
-            Err(e) => {
-                let name = match e {
-                    MapError::Unmappable(_) => "compile.err.unmappable",
-                    MapError::NoSchedule(_) => "compile.err.no_schedule",
-                    MapError::Timeout { .. } => "compile.err.timeout",
-                    MapError::Diverged { .. } => "compile.err.diverged",
-                    MapError::Internal(_) => "compile.err.internal",
-                };
-                mapzero_obs::metrics::registry().counter(name).inc();
-                if let MapError::Timeout { best_partial } = e {
-                    mapzero_obs::gauge!(
-                        "compile.partial.nodes_placed",
-                        best_partial.nodes_placed as u64
-                    );
-                    mapzero_obs::gauge!(
-                        "compile.partial.routed_edges",
-                        best_partial.routed_edges
-                    );
-                }
-            }
-        }
-        result.map(|mut report| {
-            report.telemetry = capture.map(mapzero_obs::RunCapture::finish);
-            report
-        })
-    }
-
-    /// The unsupervised body of [`Compiler::map_request`] — the
-    /// wrapper adds the run-level telemetry capture and outcome
-    /// counters around it.
+    /// The unsupervised body of [`Mapper::map`] — the trait method adds
+    /// the run-level telemetry capture and outcome counters around it.
     fn map_attempts(
         &mut self,
         dfg: &Dfg,
@@ -384,39 +312,38 @@ impl Compiler {
             },
         )?;
 
-        // Graceful degradation: give the fallback engine the remaining
-        // deadline when the primary came up empty.
+        // Graceful degradation: the fallback engine climbs the same
+        // window under the caller's deadline. It never draws on the
+        // MCTS expansion pool, so it does not inherit the cap that may
+        // have starved the primary.
         let mut engine = "MapZero".to_owned();
         if climb.mapping.is_none() {
             if let Some(fb) = self.fallback.as_mut() {
-                let slot = budget
-                    .remaining_time()
-                    .unwrap_or(self.config.time_limit);
-                if !slot.is_zero() {
-                    match fb.map(dfg, cgra, slot) {
-                        Ok(rep) => {
-                            climb.stats.backtracks += rep.backtracks;
-                            climb.stats.explored += rep.explored;
-                            if let Some(m) = rep.mapping {
-                                climb.stats.best_ii = Some(m.ii);
-                                climb.stats.nodes_placed = dfg.node_count();
-                                climb.stats.routed_edges = dfg.edge_count() as u64;
-                                engine = fb.name().to_owned();
-                                climb.mapping = Some(m);
-                            }
+                let deadline =
+                    budget.deadline().map_or_else(Budget::unlimited, Budget::from_deadline_at);
+                match fb.map(dfg, cgra, &deadline, search.window()) {
+                    Ok(rep) => {
+                        climb.stats.backtracks += rep.backtracks;
+                        climb.stats.explored += rep.explored;
+                        if let Some(m) = rep.mapping {
+                            climb.stats.best_ii = Some(m.ii);
+                            climb.stats.nodes_placed = dfg.node_count();
+                            climb.stats.routed_edges = dfg.edge_count() as u64;
+                            engine = fb.name().to_owned();
+                            climb.mapping = Some(m);
                         }
-                        // Both engines timed out: keep whichever
-                        // engine's partial progress went further, so
-                        // the Timeout error reports the true best.
-                        Err(MapError::Timeout { best_partial }) => {
-                            climb.timed_out = true;
-                            climb.stats.absorb_better(&best_partial);
-                        }
-                        // Other fallback failures (unmappable per the
-                        // fallback's own model, internal faults) do not
-                        // improve on the primary's diagnosis.
-                        Err(_) => {}
                     }
+                    // Both engines timed out: keep whichever engine's
+                    // partial progress went further, so the Timeout
+                    // error reports the true best.
+                    Err(MapError::Timeout { best_partial }) => {
+                        climb.timed_out = true;
+                        climb.stats.absorb_better(&best_partial);
+                    }
+                    // Other fallback failures (unmappable per the
+                    // fallback's own model, internal faults) do not
+                    // improve on the primary's diagnosis.
+                    Err(_) => {}
                 }
             }
         }
@@ -424,6 +351,27 @@ impl Compiler {
     }
 }
 
+/// The full supervised pipeline, and the serve layer's entry point:
+///
+/// 1. `config.expansion_budget`, when set, caps the expansions the
+///    call's MCTS may charge to `budget` (a cap the caller already set
+///    is never loosened).
+/// 2. The II search ([`IiSearch`]) runs attempts under per-attempt
+///    slices of the budget over the compiler's window intersected with
+///    `window`; each attempt is panic-isolated (a fault in routing or
+///    search becomes [`MapError::Internal`], not an unwind).
+/// 3. When a fallback engine is installed, the primary only gets
+///    `PRIMARY_SHARE` of the deadline; on primary failure the fallback
+///    climbs the primary's window under whatever deadline remains, and
+///    the report's `engine` field records who produced the mapping.
+/// 4. A budget that expires with no mapping from either engine is an
+///    error: [`MapError::Timeout`] carrying
+///    [`PartialMapStats`](crate::PartialMapStats) (best II, peak nodes
+///    placed, routed edges, backtracks, explored states).
+/// 5. With telemetry enabled (see [`mapzero_obs`]), the whole call runs
+///    under a `compile.map` span and a run capture, and the returned
+///    report carries per-phase budget attribution in
+///    `MapReport::telemetry`.
 impl Mapper for Compiler {
     fn name(&self) -> &str {
         "MapZero"
@@ -433,9 +381,46 @@ impl Mapper for Compiler {
         &mut self,
         dfg: &Dfg,
         cgra: &Cgra,
-        time_limit: Duration,
+        budget: &Budget,
+        window: IiBounds,
     ) -> Result<MapReport, MapError> {
-        self.map_with_limit(dfg, cgra, time_limit)
+        let _span = mapzero_obs::span!("compile.map");
+        let capture = mapzero_obs::RunCapture::begin();
+        let budget = match self.config.expansion_budget {
+            Some(cap) => budget.clone().with_expansion_cap(cap),
+            None => budget.clone(),
+        };
+        let result = self.map_attempts(dfg, cgra, &budget, window);
+        match &result {
+            Ok(report) if report.engine == report.mapper => {
+                mapzero_obs::counter!("compile.success");
+            }
+            Ok(_) => mapzero_obs::counter!("compile.fallback_success"),
+            Err(e) => {
+                let name = match e {
+                    MapError::Unmappable(_) => "compile.err.unmappable",
+                    MapError::NoSchedule(_) => "compile.err.no_schedule",
+                    MapError::Timeout { .. } => "compile.err.timeout",
+                    MapError::Diverged { .. } => "compile.err.diverged",
+                    MapError::Internal(_) => "compile.err.internal",
+                };
+                mapzero_obs::metrics::registry().counter(name).inc();
+                if let MapError::Timeout { best_partial } = e {
+                    mapzero_obs::gauge!(
+                        "compile.partial.nodes_placed",
+                        best_partial.nodes_placed as u64
+                    );
+                    mapzero_obs::gauge!(
+                        "compile.partial.routed_edges",
+                        best_partial.routed_edges
+                    );
+                }
+            }
+        }
+        result.map(|mut report| {
+            report.telemetry = capture.map(mapzero_obs::RunCapture::finish);
+            report
+        })
     }
 }
 
@@ -543,7 +528,8 @@ mod tests {
             &mut self,
             _dfg: &Dfg,
             _cgra: &Cgra,
-            _limit: Duration,
+            _budget: &Budget,
+            _window: IiBounds,
         ) -> Result<MapReport, MapError> {
             self.called.store(true, std::sync::atomic::Ordering::Relaxed);
             Err(MapError::Unmappable("stub".into()))
@@ -562,7 +548,8 @@ mod tests {
             &mut self,
             dfg: &Dfg,
             _cgra: &Cgra,
-            _limit: Duration,
+            _budget: &Budget,
+            _window: IiBounds,
         ) -> Result<MapReport, MapError> {
             Err(MapError::Timeout {
                 best_partial: PartialMapStats {
@@ -603,22 +590,13 @@ mod tests {
         let cgra = presets::hrea();
         let mut compiler = Compiler::new(MapZeroConfig::fast_test());
         let dfg = suite::by_name("sum").unwrap();
-        let err = compiler
-            .map_request(
-                &dfg,
-                &cgra,
-                &Budget::unlimited(),
-                IiBounds { min: Some(50), max: Some(60) },
-            )
-            .unwrap_err();
+        let unlimited = Budget::unlimited();
+        let window = IiBounds { min: Some(50), max: Some(60) };
+        let err = Mapper::map(&mut compiler, &dfg, &cgra, &unlimited, window).unwrap_err();
         assert!(matches!(err, MapError::NoSchedule(_)), "{err:?}");
         // A max below MII is likewise empty.
-        let err = compiler
-            .map_request(&dfg, &cgra, &Budget::unlimited(), IiBounds {
-                min: None,
-                max: Some(0),
-            })
-            .unwrap_err();
+        let window = IiBounds { min: None, max: Some(0) };
+        let err = Mapper::map(&mut compiler, &dfg, &cgra, &unlimited, window).unwrap_err();
         assert!(matches!(err, MapError::NoSchedule(_)), "{err:?}");
     }
 
@@ -627,12 +605,8 @@ mod tests {
         let cgra = presets::hrea();
         let mut compiler = Compiler::new(MapZeroConfig::fast_test());
         let dfg = suite::by_name("sum").unwrap();
-        let report = compiler
-            .map_request(&dfg, &cgra, &Budget::unlimited(), IiBounds {
-                min: Some(2),
-                max: None,
-            })
-            .unwrap();
+        let window = IiBounds { min: Some(2), max: None };
+        let report = Mapper::map(&mut compiler, &dfg, &cgra, &Budget::unlimited(), window).unwrap();
         let mapping = report.mapping.expect("sum maps at II >= 2");
         assert!(mapping.ii >= 2, "ii_min must floor the search, got {}", mapping.ii);
         assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));

@@ -1,5 +1,6 @@
 //! The mapping result IR shared by MapZero and the baseline mappers.
 
+use crate::{search::IiBounds, supervise::Budget};
 use mapzero_arch::{Cgra, PeId};
 use mapzero_dfg::{Dfg, NodeId};
 use serde::{Deserialize, Serialize};
@@ -236,22 +237,32 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// Common interface implemented by MapZero and every baseline mapper.
+/// The one way into every engine: MapZero's [`crate::Compiler`] and
+/// every baseline map under the caller's [`Budget`] and II window.
 pub trait Mapper {
     /// Human-readable name used in reports ("MapZero", "ILP", "SA",
     /// "LISA").
     fn name(&self) -> &str;
 
-    /// Attempt to map `dfg` onto `cgra` within `time_limit`, climbing II
-    /// from MII through [`crate::search::IiSearch`].
+    /// Attempt to map `dfg` onto `cgra` under `budget`, climbing II
+    /// through [`crate::search::IiSearch`] over the engine's own window
+    /// intersected with `window`. Every engine polls the budget; only
+    /// MapZero's MCTS charges its expansion pool.
     ///
     /// # Errors
-    /// [`MapError::Timeout`] with the work done when the limit ran out
-    /// with no mapping (every II tried in time is an `Ok` report
-    /// without one); [`MapError::Unmappable`] when a required op class
-    /// has no capable PE; [`MapError::Internal`] for a contained panic.
-    fn map(&mut self, dfg: &Dfg, cgra: &Cgra, time_limit: Duration)
-        -> Result<MapReport, MapError>;
+    /// [`MapError::Timeout`] with the work done when the budget ran out
+    /// with no mapping, before the first attempt included (every II
+    /// tried in time is an `Ok` report without one);
+    /// [`MapError::NoSchedule`] for an empty window;
+    /// [`MapError::Unmappable`] when a required op class has no capable
+    /// PE; [`MapError::Internal`] for a contained panic.
+    fn map(
+        &mut self,
+        dfg: &Dfg,
+        cgra: &Cgra,
+        budget: &Budget,
+        window: IiBounds,
+    ) -> Result<MapReport, MapError>;
 }
 
 #[cfg(test)]

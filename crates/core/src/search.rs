@@ -23,7 +23,7 @@ use crate::problem::Problem;
 use crate::supervise::Budget;
 use mapzero_arch::{Cgra, PeId};
 use mapzero_dfg::Dfg;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A ranking hook's verdict on a newly visited state.
 pub enum Ranked<T> {
@@ -198,9 +198,10 @@ fn path<T>(frames: Vec<Frame<T>>) -> Vec<PathStep<T>> {
 /// ([`crate::MapZeroConfig::max_extra_ii`]).
 pub const MAX_EXTRA_II: u32 = 4;
 
-/// Requested II range for one mapping call, intersected with the
-/// engine's own window (`mii ..= mii + max_extra_ii`). Used by the serve
-/// layer to honor per-request `ii_min`/`ii_max` directives.
+/// Requested II range for one [`Mapper::map`](crate::Mapper::map) call,
+/// intersected with the engine's own window (`mii ..= mii +
+/// max_extra_ii`): a serve request's `ii_min`/`ii_max`, or the window
+/// the compiler hands its fallback ([`IiSearch::window`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IiBounds {
     /// Lowest II to try (clamped up to MII; `None` = start at MII).
@@ -280,6 +281,13 @@ impl<'a> IiSearch<'a> {
             )));
         }
         Ok(IiSearch { dfg, cgra, start, mii, lo, hi })
+    }
+
+    /// The IIs this search climbs, as bounds another engine's search
+    /// can be narrowed to (the compiler's fallback climbs this window).
+    #[must_use]
+    pub fn window(&self) -> IiBounds {
+        IiBounds { min: Some(self.lo), max: Some(self.hi) }
     }
 
     /// Climb the window from its lowest II, giving `engine` up to
@@ -374,7 +382,8 @@ impl<'a> IiSearch<'a> {
 }
 
 /// A baseline's whole [`Mapper::map`](crate::Mapper::map): one attempt
-/// per II in schedule order under a `time_limit` budget.
+/// per II in schedule order over `mii ..= mii + MAX_EXTRA_II`
+/// intersected with `window`, under `budget`.
 ///
 /// # Errors
 /// As [`IiSearch::new`] and [`IiSearch::report`].
@@ -382,16 +391,15 @@ pub fn map_climbing(
     name: &str,
     dfg: &Dfg,
     cgra: &Cgra,
-    max_extra_ii: u32,
-    time_limit: Duration,
+    budget: &Budget,
+    window: IiBounds,
     mut engine: impl FnMut(&Problem<'_>, &Budget) -> Attempt,
 ) -> Result<MapReport, MapError> {
-    let search = IiSearch::new(dfg, cgra, max_extra_ii, IiBounds::default())?;
-    let budget = Budget::with_deadline(time_limit);
-    let climb = search.climb(std::convert::identity, 1, &budget, |problem, slice| {
+    let search = IiSearch::new(dfg, cgra, MAX_EXTRA_II, window)?;
+    let climb = search.climb(std::convert::identity, 1, budget, |problem, slice| {
         Ok(engine(problem, slice))
     })?;
-    search.report(climb, name, name, &budget)
+    search.report(climb, name, name, budget)
 }
 
 #[cfg(test)]
@@ -399,6 +407,7 @@ mod tests {
     use super::*;
     use mapzero_arch::presets;
     use mapzero_dfg::{suite, DfgBuilder, Opcode};
+    use std::time::Duration;
 
     fn mapping_at(ii: u32) -> Mapping {
         Mapping { ii, placements: Vec::new(), routes: Vec::new() }

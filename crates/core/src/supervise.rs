@@ -87,10 +87,11 @@ impl Budget {
         self.deadline
     }
 
-    /// Cap the total number of charged expansions.
+    /// Cap the total number of charged expansions. A cap already set
+    /// is never loosened: the smaller of the two holds.
     #[must_use]
     pub fn with_expansion_cap(mut self, cap: u64) -> Self {
-        self.max_expansions = Some(cap);
+        self.max_expansions = Some(self.max_expansions.map_or(cap, |own| own.min(cap)));
         self
     }
 
@@ -209,6 +210,16 @@ mod tests {
         b.charge(10);
         assert!(b.drained());
         assert!(b.exhausted());
+    }
+
+    #[test]
+    fn a_second_cap_keeps_the_smaller() {
+        let tight = Budget::unlimited().with_expansion_cap(4).with_expansion_cap(10);
+        let loose = Budget::unlimited().with_expansion_cap(10).with_expansion_cap(4);
+        for b in [tight, loose] {
+            b.charge(4);
+            assert!(b.drained());
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::slo::{Anomaly, RequestRecord, SloConfig, SloTable};
 use crate::wire::{MapRequest, MapResponse, Outcome};
 use mapzero_baselines::SaMapper;
 use mapzero_core::failpoint::{self, FailScope};
-use mapzero_core::mapping::MapError;
+use mapzero_core::mapping::{MapError, Mapper};
 use mapzero_core::mcts::PredictCache;
 use mapzero_core::network::MapZeroNet;
 use mapzero_core::supervise::Budget;
@@ -620,8 +620,7 @@ fn build_compiler(shared: &Shared) -> Compiler {
     let mut compiler = Compiler::new(shared.config.compiler)
         .with_shared_cache(Arc::clone(&shared.cache));
     if shared.config.hedge {
-        let sa = SaMapper::new(shared.config.compiler.max_extra_ii);
-        compiler = compiler.with_fallback(Box::new(sa));
+        compiler = compiler.with_fallback(Box::new(SaMapper));
     }
     compiler
 }
@@ -887,17 +886,12 @@ fn process_job(shared: &Shared, compiler: &mut Compiler, job: &Job<QueuedRequest
     mapzero_core::failpoint!("serve.worker.pre_map");
 
     install_net(shared, compiler, req.cgra.pe_count());
-    let mut budget = deadline.map_or_else(Budget::unlimited, Budget::from_deadline_at);
-    // The compiler's expansion cap bounds each request's work, composed
-    // with the wall-clock deadline.
-    if let Some(cap) = shared.config.compiler.expansion_budget {
-        budget = budget.with_expansion_cap(cap);
-    }
+    let budget = deadline.map_or_else(Budget::unlimited, Budget::from_deadline_at);
     let bounds = IiBounds { min: req.ii_min, max: req.ii_max };
 
     let mut retries: u32 = 0;
     let result = loop {
-        let attempt = compiler.map_request(&req.dfg, &req.cgra, &budget, bounds);
+        let attempt = Mapper::map(compiler, &req.dfg, &req.cgra, &budget, bounds);
         match attempt {
             Err(MapError::Internal(_))
                 if retries < shared.config.max_retries && !budget.exhausted() =>

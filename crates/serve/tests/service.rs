@@ -163,6 +163,23 @@ fn hedged_fallback_rescues_a_starved_primary() {
 }
 
 #[test]
+fn hedged_fallback_stays_inside_the_request_ii_window() {
+    let _g = serial();
+    let mut config = ServeConfig { hedge: true, ..ServeConfig::fast_test() };
+    config.compiler.expansion_budget = Some(1);
+    let service = MapService::start(config);
+    // `sum` maps at II 1; the SA lane rescuing the starved primary must
+    // climb the request's window, not its own from MII.
+    let mut req = request("hedged-window", "acme", "sum");
+    req.ii_min = Some(2);
+    let responses = service.process_batch(vec![req]);
+    assert_eq!(responses[0].outcome, Outcome::Mapped, "{:?}", responses[0].error);
+    assert_eq!(responses[0].engine.as_deref(), Some("SA"));
+    assert!(responses[0].achieved_ii.is_some_and(|ii| ii >= 2), "{:?}", responses[0].achieved_ii);
+    service.shutdown();
+}
+
+#[test]
 fn per_request_telemetry_delta_is_attached() {
     let _g = serial();
     let was = mapzero_obs::enabled();

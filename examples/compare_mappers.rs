@@ -16,7 +16,7 @@ fn main() {
 
     let mut mapzero = Compiler::new(MapZeroConfig::fast_test());
     let mut ilp = ExactMapper;
-    let mut sa = SaMapper::default();
+    let mut sa = SaMapper;
     let mut lisa = LisaMapper;
 
     println!("fabric: {}  (time limit {limit:?} per attempt)\n", cgra.name());
@@ -31,7 +31,9 @@ fn main() {
         for mapper in mappers {
             // Every engine shares one contract: a report, or a Timeout
             // carrying the work it did before the clock ran out.
-            let (ii, elapsed, backtracks) = match mapper.map(&dfg, &cgra, limit) {
+            let budget = Budget::with_deadline(limit);
+            let outcome = mapper.map(&dfg, &cgra, &budget, IiBounds::default());
+            let (ii, elapsed, backtracks) = match outcome {
                 Ok(r) => {
                     let ii = r.achieved_ii().map_or_else(|| "--".to_owned(), |ii| ii.to_string());
                     (ii, r.elapsed, r.backtracks)

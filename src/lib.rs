@@ -38,6 +38,12 @@
 //! assert_eq!(mapping.ii, report.mii); // minimal initiation interval
 //! ```
 
+// Every Rust block of the README compiles (and the unmarked ones run)
+// as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use mapzero_arch as arch;
 pub use mapzero_baselines as baselines;
 pub use mapzero_core as core;
@@ -50,8 +56,8 @@ pub mod prelude {
     pub use mapzero_arch::{presets, Capability, Cgra, CgraBuilder, Interconnect, PeId};
     pub use mapzero_baselines::{ExactMapper, LisaMapper, SaMapper};
     pub use mapzero_core::{
-        Budget, Compiler, MapError, MapReport, MapZeroConfig, Mapper, Mapping, PartialMapStats,
-        Problem, TrainConfig, TrainError, Trainer,
+        Budget, Compiler, IiBounds, MapError, MapReport, MapZeroConfig, Mapper, Mapping,
+        PartialMapStats, Problem, TrainConfig, TrainError, Trainer,
     };
     pub use mapzero_dfg::{suite, Dfg, DfgBuilder, NodeId, OpClass, Opcode};
 }

@@ -57,8 +57,9 @@ fn fabric_metrics_predict_mappability() {
     assert!(diameter(&dense) < diameter(&sparse));
     let dfg = suite::by_name("mac").unwrap();
     let mut mapper = ExactMapper;
-    let on_sparse = Mapper::map(&mut mapper, &dfg, &sparse, LIMIT).unwrap();
-    let on_dense = Mapper::map(&mut mapper, &dfg, &dense, LIMIT).unwrap();
+    let budget = Budget::with_deadline(LIMIT);
+    let on_sparse = Mapper::map(&mut mapper, &dfg, &sparse, &budget, IiBounds::default()).unwrap();
+    let on_dense = Mapper::map(&mut mapper, &dfg, &dense, &budget, IiBounds::default()).unwrap();
     if let (Some(a), Some(b)) = (on_sparse.achieved_ii(), on_dense.achieved_ii()) {
         assert!(b <= a, "denser fabric must not be worse: {b} vs {a}");
     }

@@ -27,7 +27,8 @@ fn exact_mapper_reaches_mii_on_every_small_kernel_and_fabric() {
         for name in kernels {
             let dfg = suite::by_name(name).unwrap();
             let mut mapper = ExactMapper;
-            let report = mapper.map(&dfg, &cgra, LIMIT).unwrap();
+            let budget = Budget::with_deadline(LIMIT);
+            let report = mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
             let mapping = report
                 .mapping
                 .unwrap_or_else(|| panic!("{name} on {}", cgra.name()));
@@ -76,7 +77,8 @@ fn heterogeneous_fabric_respects_capabilities_end_to_end() {
     let dfg = suite::by_name("mac").unwrap();
     let cgra = presets::heterogeneous();
     let mut mapper = ExactMapper;
-    let report = mapper.map(&dfg, &cgra, LIMIT).unwrap();
+    let budget = Budget::with_deadline(LIMIT);
+    let report = mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
     let mapping = report.mapping.expect("mac maps on the Fig. 14 fabric");
     assert_valid(&dfg, &cgra, &mapping, "mac on the Fig. 14 fabric");
     for u in dfg.node_ids() {
@@ -93,7 +95,8 @@ fn adres_row_bus_holds_in_full_pipeline() {
     let dfg = suite::by_name("conv2").unwrap();
     let cgra = presets::adres();
     let mut mapper = ExactMapper;
-    let report = mapper.map(&dfg, &cgra, LIMIT).unwrap();
+    let budget = Budget::with_deadline(LIMIT);
+    let report = mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap();
     let mapping = report.mapping.expect("conv2 maps on ADRES");
     // Both validators re-check the bus constraint independently.
     assert_valid(&dfg, &cgra, &mapping, "conv2 on ADRES");
@@ -106,12 +109,11 @@ fn all_mappers_agree_on_achievable_ii_for_tiny_kernel() {
     let mut results = Vec::new();
     let mut mapzero = Compiler::new(MapZeroConfig::fast_test());
     results.push(mapzero.map(&dfg, &cgra).unwrap());
-    let mut ilp = ExactMapper;
-    results.push(Mapper::map(&mut ilp, &dfg, &cgra, LIMIT).unwrap());
-    let mut sa = SaMapper::default();
-    results.push(Mapper::map(&mut sa, &dfg, &cgra, LIMIT).unwrap());
-    let mut lisa = LisaMapper;
-    results.push(Mapper::map(&mut lisa, &dfg, &cgra, LIMIT).unwrap());
+    let baselines: [&mut dyn Mapper; 3] = [&mut ExactMapper, &mut SaMapper, &mut LisaMapper];
+    for mapper in baselines {
+        let budget = Budget::with_deadline(LIMIT);
+        results.push(mapper.map(&dfg, &cgra, &budget, IiBounds::default()).unwrap());
+    }
     for r in &results {
         let m = r.mapping.as_ref().unwrap_or_else(|| panic!("{} failed", r.mapper));
         assert_valid(&dfg, &cgra, m, &r.mapper);

@@ -80,7 +80,7 @@ fn one_second_budget_returns_structured_result_in_time() {
     );
     let cgra = presets::simple_mesh(4, 4);
     let mut compiler =
-        Compiler::new(MapZeroConfig::fast_test()).with_fallback(Box::new(SaMapper::default()));
+        Compiler::new(MapZeroConfig::fast_test()).with_fallback(Box::new(SaMapper));
 
     let start = Instant::now();
     let result = compiler.map_with_limit(&dfg, &cgra, Duration::from_secs(1));
@@ -108,22 +108,18 @@ fn one_second_budget_returns_structured_result_in_time() {
 
 /// One timeout contract for every engine: arf (54 nodes) cannot map on
 /// HReA in 50 ms, and each engine says so as a `Timeout` carrying the
-/// work it did, within the deadline plus one engine step (an annealing
-/// step of 100 proposals is the coarsest).
+/// work it did, within the deadline plus one engine step (the annealers
+/// poll the budget before every proposal, the exact mapper before every
+/// placement and MapZero's MCTS before every simulation).
 #[test]
 fn every_engine_reports_a_tiny_deadline_as_a_timeout_with_its_work() {
     let dfg = suite::by_name("arf").unwrap();
     let cgra = presets::hrea();
     let deadline = Duration::from_millis(50);
-    let engines: [Box<dyn Mapper>; 4] = [
-        Box::new(ExactMapper),
-        Box::new(SaMapper::default()),
-        Box::new(LisaMapper),
-        Box::new(Compiler::new(MapZeroConfig::fast_test())),
-    ];
-    for mut engine in engines {
+    for mut engine in all_engines() {
         let start = Instant::now();
-        let outcome = engine.map(&dfg, &cgra, deadline);
+        let outcome =
+            engine.map(&dfg, &cgra, &Budget::with_deadline(deadline), IiBounds::default());
         let elapsed = start.elapsed();
         let name = engine.name();
         assert!(elapsed <= deadline + Duration::from_millis(150), "{name} took {elapsed:?}");
@@ -136,6 +132,80 @@ fn every_engine_reports_a_tiny_deadline_as_a_timeout_with_its_work() {
     }
 }
 
+fn all_engines() -> [Box<dyn Mapper>; 4] {
+    [
+        Box::new(ExactMapper),
+        Box::new(SaMapper),
+        Box::new(LisaMapper),
+        Box::new(Compiler::new(MapZeroConfig::fast_test())),
+    ]
+}
+
+/// One window contract for every engine: asked for exactly MII + 1,
+/// no engine maps at MII (where `mac` maps on HReA) or above MII + 1.
+#[test]
+fn every_engine_stays_inside_the_requested_window() {
+    let dfg = suite::by_name("mac").unwrap();
+    let cgra = presets::hrea();
+    let mii = Problem::mii(&dfg, &cgra).unwrap();
+    let window = IiBounds { min: Some(mii + 1), max: Some(mii + 1) };
+    for mut engine in all_engines() {
+        let name = engine.name().to_owned();
+        let budget = Budget::with_deadline(Duration::from_secs(30));
+        match engine.map(&dfg, &cgra, &budget, window) {
+            Ok(report) => {
+                if let Some(m) = report.mapping {
+                    assert_eq!(m.ii, mii + 1, "{name} mapped outside the window");
+                    assert_eq!(check_mapping(&dfg, &cgra, &m, m.ii), Ok(()), "{name}");
+                }
+            }
+            Err(MapError::Timeout { .. }) => {}
+            Err(e) => panic!("{name}: {e}"),
+        }
+    }
+}
+
+/// A budget drained before the call is a `Timeout` from every engine,
+/// with no attempt run.
+#[test]
+fn every_engine_times_out_on_a_drained_budget_without_an_attempt() {
+    let dfg = suite::by_name("mac").unwrap();
+    let cgra = presets::hrea();
+    for mut engine in all_engines() {
+        let budget = Budget::unlimited().with_expansion_cap(0);
+        let outcome = engine.map(&dfg, &cgra, &budget, IiBounds::default());
+        let name = engine.name();
+        let Err(MapError::Timeout { best_partial }) = outcome else {
+            panic!("{name}: expected Timeout, got {outcome:?}");
+        };
+        assert_eq!((best_partial.backtracks, best_partial.explored), (0, 0), "{name}");
+        assert_eq!(best_partial.nodes_placed, 0, "{name}");
+    }
+}
+
+/// The fallback rescuing a starved primary climbs the request's window:
+/// each kernel maps at MII on HReA, and asked for MII + 1 ..= MII + 2
+/// the SA fallback must map inside that window.
+#[test]
+fn sa_fallback_climbs_the_requested_window() {
+    let cgra = presets::hrea();
+    let config = MapZeroConfig { expansion_budget: Some(1), ..MapZeroConfig::fast_test() };
+    let mut compiler = Compiler::new(config).with_fallback(Box::new(SaMapper));
+    for kernel in ["sum", "mac", "conv2", "accumulate"] {
+        let dfg = suite::by_name(kernel).unwrap();
+        let mii = Problem::mii(&dfg, &cgra).unwrap();
+        let window = IiBounds { min: Some(mii + 1), max: Some(mii + 2) };
+        let budget = Budget::with_deadline(Duration::from_secs(60));
+        let report = Mapper::map(&mut compiler, &dfg, &cgra, &budget, window)
+            .unwrap_or_else(|e| panic!("{kernel}: {e}"));
+        assert_eq!(report.engine, "SA", "{kernel}");
+        let mapping = report.mapping.unwrap_or_else(|| panic!("{kernel}: no mapping"));
+        let ii = mapping.ii;
+        assert!((mii + 1..=mii + 2).contains(&ii), "{kernel}: II {ii} (MII {mii})");
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()), "{kernel}");
+    }
+}
+
 /// Graceful degradation: when the primary engine's budget is too small
 /// to do anything, the SA fallback still produces a mapping and the
 /// report credits it.
@@ -145,7 +215,7 @@ fn sa_fallback_maps_when_primary_budget_is_exhausted() {
     let dfg = suite::by_name("sum").unwrap();
     // 1 expansion: the primary cannot finish a single MCTS decision.
     let config = MapZeroConfig { expansion_budget: Some(1), ..MapZeroConfig::fast_test() };
-    let mut compiler = Compiler::new(config).with_fallback(Box::new(SaMapper::default()));
+    let mut compiler = Compiler::new(config).with_fallback(Box::new(SaMapper));
     let report = compiler.map(&dfg, &cgra).expect("SA maps `sum` easily");
     assert_eq!(report.engine, "SA");
     assert_eq!(report.mapper, "MapZero");

@@ -71,7 +71,8 @@ proptest! {
             _ => presets::hrea(),
         };
         let mut mapper = ExactMapper;
-        let outcome = Mapper::map(&mut mapper, &dfg, &cgra, std::time::Duration::from_secs(5));
+        let budget = Budget::with_deadline(std::time::Duration::from_secs(5));
+        let outcome = Mapper::map(&mut mapper, &dfg, &cgra, &budget, IiBounds::default());
         // A run that ends on the clock is a Timeout, with nothing to check.
         if let Err(MapError::Timeout { .. }) = outcome {
             return Ok(());
@@ -138,8 +139,9 @@ proptest! {
     #[test]
     fn sa_mapping_when_found_is_valid(dfg in dfg_strategy()) {
         let cgra = presets::hycube();
-        let mut mapper = SaMapper::default();
-        let outcome = Mapper::map(&mut mapper, &dfg, &cgra, std::time::Duration::from_secs(3));
+        let mut mapper = SaMapper;
+        let budget = Budget::with_deadline(std::time::Duration::from_secs(3));
+        let outcome = Mapper::map(&mut mapper, &dfg, &cgra, &budget, IiBounds::default());
         // A run that ends on the clock is a Timeout, with nothing to check.
         if let Err(MapError::Timeout { .. }) = outcome {
             return Ok(());

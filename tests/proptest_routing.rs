@@ -329,7 +329,8 @@ proptest! {
         );
         let cgra = presets::simple_mesh(4, 4);
         let mut mapper = ExactMapper;
-        let outcome = Mapper::map(&mut mapper, &dfg, &cgra, std::time::Duration::from_secs(5));
+        let budget = Budget::with_deadline(std::time::Duration::from_secs(5));
+        let outcome = Mapper::map(&mut mapper, &dfg, &cgra, &budget, IiBounds::default());
         // A run that ends on the clock is a Timeout, with nothing to permute.
         if let Err(MapError::Timeout { .. }) = outcome {
             return Ok(());

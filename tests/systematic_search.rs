@@ -51,7 +51,8 @@ fn exact_mapper_and_systematic_agent_walk_the_same_tree() {
         for name in kernels {
             let dfg = suite::by_name(name).unwrap();
             let what = format!("{name} on {}", cgra.name());
-            let report = ExactMapper.map(&dfg, cgra, LIMIT).unwrap();
+            let budget = Budget::with_deadline(LIMIT);
+            let report = ExactMapper.map(&dfg, cgra, &budget, IiBounds::default()).unwrap();
             assert!(!report.timed_out, "{what}: exact mapper timed out");
             let (mapping, backtracks, steps) = systematic_agent(&dfg, cgra);
             assert_eq!(mapping, report.mapping, "{what}: mapping");
