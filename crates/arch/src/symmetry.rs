@@ -5,8 +5,9 @@
 //!
 //! A [`Transform`] permutes PE ids; it is *valid* for a fabric when the
 //! permutation is a graph automorphism that also preserves PE
-//! capabilities (so the transformed mapping is feasible iff the original
-//! was).
+//! capabilities and, on a fabric whose rows share a memory bus, maps
+//! rows to rows (so the transformed mapping is feasible iff the
+//! original was).
 
 use crate::{Cgra, PeId};
 use std::collections::BTreeSet;
@@ -62,14 +63,22 @@ impl Transform {
     }
 
     /// True if the induced permutation is an automorphism of the fabric
-    /// graph that preserves capabilities.
+    /// graph that preserves capabilities and, when rows share a memory
+    /// bus, keeps every row's PEs in one row: a transform that turns
+    /// rows into columns would put two same-slot memory ops of one row
+    /// on distinct buses, or two of distinct rows on one.
     #[must_use]
     pub fn is_valid_for(self, cgra: &Cgra) -> bool {
         let Some(perm) = self.permutation(cgra) else {
             return false;
         };
+        let row_of = |p: PeId| cgra.pe(p).row;
         for p in cgra.pe_ids() {
             let ip = perm[p.index()];
+            let row_start = cgra.at(row_of(p), 0);
+            if cgra.row_shared_mem_bus() && row_of(ip) != row_of(perm[row_start.index()]) {
+                return false;
+            }
             if cgra.pe(p).capability != cgra.pe(ip).capability {
                 return false;
             }
@@ -181,6 +190,18 @@ mod tests {
             assert!(!seen[p.index()]);
             seen[p.index()] = true;
         }
+    }
+
+    #[test]
+    fn row_bus_fabrics_keep_rows_together() {
+        // ADRES is a square mesh with uniform PEs, so only its row bus
+        // rules out the transposing rotations.
+        assert_eq!(
+            valid_transforms(&presets::adres()),
+            vec![Transform::Identity, Transform::FlipH, Transform::FlipV, Transform::Rot180]
+        );
+        let plain = CgraBuilder::new("8x8", 8, 8).interconnect(Interconnect::Mesh).finish();
+        assert!(Transform::Rot90.is_valid_for(&plain));
     }
 
     #[test]

@@ -90,11 +90,6 @@ fn set_bit(words: &mut [u64], i: usize) {
     words[i / 64] |= 1u64 << (i % 64);
 }
 
-#[inline]
-fn clear_bit(words: &mut [u64], i: usize) {
-    words[i / 64] &= !(1u64 << (i % 64));
-}
-
 /// Static capability filter as node-major bitsets of
 /// `pe_count.div_ceil(64)` words: bit `p` of node `u` is set iff PE `p`'s
 /// functional unit supports `u`'s opcode.
@@ -141,14 +136,23 @@ impl CandidateMap {
             .max()
             .unwrap_or(0);
         let max_bound = diameter + 1;
+        // Each pair sets its bit at its own distance; a prefix OR over
+        // the bounds then makes table `b` hold every pair within `b`.
         let mut fwd = vec![vec![0u64; pe_count * words]; max_bound as usize + 1];
         let mut rev = vec![vec![0u64; pe_count * words]; max_bound as usize + 1];
         for (p, row) in dist.iter().enumerate() {
             for (q, d) in row.iter().enumerate() {
                 let Some(d) = *d else { continue };
-                for b in d.min(max_bound)..=max_bound {
-                    set_bit(&mut fwd[b as usize][p * words..(p + 1) * words], q);
-                    set_bit(&mut rev[b as usize][q * words..(q + 1) * words], p);
+                let b = d.min(max_bound) as usize;
+                set_bit(&mut fwd[b][p * words..(p + 1) * words], q);
+                set_bit(&mut rev[b][q * words..(q + 1) * words], p);
+            }
+        }
+        for table in [&mut fwd, &mut rev] {
+            for b in 1..table.len() {
+                let (lower, upper) = table.split_at_mut(b);
+                for (w, &l) in upper[0].iter_mut().zip(&lower[b - 1]) {
+                    *w |= l;
                 }
             }
         }
@@ -200,34 +204,30 @@ impl CandidateMap {
     /// is order-independent: arc consistency has a unique largest
     /// fixpoint).
     fn arc_consistency(&mut self) {
-        let n = self.constraints.len();
         let words = self.words;
-        let mut scratch = vec![0u64; words];
         let mut changed = true;
         while changed {
             changed = false;
-            for u in 0..n {
+            for u in 0..self.constraints.len() {
                 for ci in 0..self.constraints[u].len() {
                     let c = self.constraints[u][ci];
-                    let other = c.other as usize;
-                    for p in 0..self.pe_count {
-                        if !test_bit(&self.sets[u * words..(u + 1) * words], p) {
-                            continue;
-                        }
-                        let reach = self.reach(c, p);
-                        let other_set = &self.sets[other * words..(other + 1) * words];
-                        for (w, s) in scratch.iter_mut().zip(other_set) {
-                            *w = *s;
-                        }
-                        for (w, r) in scratch.iter_mut().zip(reach) {
-                            *w &= *r;
-                        }
-                        if c.same_slot {
-                            clear_bit(&mut scratch, p);
-                        }
-                        if scratch.iter().all(|&w| w == 0) {
-                            clear_bit(&mut self.sets[u * words..(u + 1) * words], p);
-                            changed = true;
+                    let other = c.other as usize * words;
+                    for k in 0..words {
+                        let mut bits = self.sets[u * words + k];
+                        while bits != 0 {
+                            let bit = bits & bits.wrapping_neg();
+                            bits &= !bit;
+                            let reach = self.reach(c, k * 64 + bit.trailing_zeros() as usize);
+                            // A support: a candidate of `other` within
+                            // reach, on another PE if they share a slot.
+                            let supported = (0..words).any(|j| {
+                                let own = if c.same_slot && j == k { bit } else { 0 };
+                                self.sets[other + j] & reach[j] & !own != 0
+                            });
+                            if !supported {
+                                self.sets[u * words + k] &= !bit;
+                                changed = true;
+                            }
                         }
                     }
                 }
@@ -379,6 +379,13 @@ impl CandidateState {
         }
     }
 
+    /// The removals of the most recent [`Self::on_place`] frame, as
+    /// `(node, word, cleared bits)`; every node named is unplaced.
+    pub(crate) fn last_removals(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        let start = self.frames.last().map_or(self.trail.len(), |&(start, _)| start);
+        self.trail[start..].iter().map(|r| (r.node as usize, r.word as usize, r.cleared))
+    }
+
     /// True when some unplaced node has an empty live set: no
     /// conflict-free completion exists from this state. A `false` here
     /// still leaves exclusivity to check ([`MapEnv::doomed`](crate::env::MapEnv::doomed)).
@@ -513,5 +520,99 @@ mod tests {
         for u in dfg.node_ids() {
             assert!(map.candidate_count(u) > 0, "node {u} lost all candidates");
         }
+    }
+
+    /// The build as first written: one table bit per bound per pair, and
+    /// a fixpoint that copies the other end's set into scratch for every
+    /// candidate. Returns `(fwd, rev, sets)`; the constraints are the
+    /// map's own, which both versions build the same way.
+    fn reference_build(
+        cgra: &mapzero_arch::Cgra,
+        dfg: &Dfg,
+        constraints: &[Vec<Constraint>],
+    ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>, Vec<u64>) {
+        let pe_count = cgra.pe_count();
+        let words = pe_count.div_ceil(64);
+        let dist = mapzero_arch::analysis::shortest_paths(cgra);
+        let max_bound = dist.iter().flatten().filter_map(|d| *d).max().unwrap_or(0) + 1;
+        let mut fwd = vec![vec![0u64; pe_count * words]; max_bound as usize + 1];
+        let mut rev = vec![vec![0u64; pe_count * words]; max_bound as usize + 1];
+        for (p, row) in dist.iter().enumerate() {
+            for (q, d) in row.iter().enumerate() {
+                let Some(d) = *d else { continue };
+                for b in d.min(max_bound)..=max_bound {
+                    set_bit(&mut fwd[b as usize][p * words..(p + 1) * words], q);
+                    set_bit(&mut rev[b as usize][q * words..(q + 1) * words], p);
+                }
+            }
+        }
+        let mut sets = capability_sets(dfg, cgra);
+        let mut scratch = vec![0u64; words];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (u, incident) in constraints.iter().enumerate() {
+                for c in incident {
+                    let other = c.other as usize;
+                    for p in 0..pe_count {
+                        if !test_bit(&sets[u * words..(u + 1) * words], p) {
+                            continue;
+                        }
+                        let table = if c.forward { &fwd } else { &rev };
+                        let reach = &table[c.bound as usize][p * words..(p + 1) * words];
+                        let other_set = &sets[other * words..(other + 1) * words];
+                        for ((w, s), r) in scratch.iter_mut().zip(other_set).zip(reach) {
+                            *w = s & r;
+                        }
+                        if c.same_slot {
+                            scratch[p / 64] &= !(1u64 << (p % 64));
+                        }
+                        if scratch.iter().all(|&w| w == 0) {
+                            sets[u * words + p / 64] &= !(1u64 << (p % 64));
+                            changed = true;
+                        }
+                    }
+                }
+            }
+        }
+        (fwd, rev, sets)
+    }
+
+    #[test]
+    fn build_matches_the_per_bound_scan_and_the_scratch_fixpoint() {
+        // Fabrics of one, two and four words, the row-bus and
+        // circuit-switched presets, and IIs above the MII so bounds and
+        // slots differ. The fixpoint prunes only where capabilities
+        // differ across PEs: the heterogeneous preset and a 10×10 mesh
+        // whose memory ops fit column 0 only.
+        let mut memory_column = mapzero_arch::CgraBuilder::new("mem-column", 10, 10)
+            .interconnect(mapzero_arch::Interconnect::Mesh)
+            .all_capabilities(mapzero_arch::Capability::COMPUTE);
+        for row in 0..10 {
+            memory_column = memory_column.capability(row, 0, mapzero_arch::Capability::ALL);
+        }
+        let cases = [
+            ("arf", presets::hrea(), 0),
+            ("cap", presets::adres(), 0),
+            ("mults1", presets::hycube(), 1),
+            ("stencil_u", presets::heterogeneous(), 0),
+            ("stencil_u", presets::heterogeneous(), 1),
+            ("h2v2", memory_column.finish(), 0),
+            ("filter_u", presets::baseline16(), 0),
+        ];
+        let mut pruned = 0;
+        for (kernel, cgra, extra) in cases {
+            let dfg = mapzero_dfg::suite::by_name(kernel).unwrap();
+            let ii = Problem::mii(&dfg, &cgra).unwrap() + extra;
+            let problem = Problem::new(&dfg, &cgra, ii).unwrap();
+            let map = CandidateMap::build(&dfg, &cgra, problem.schedule());
+            let (fwd, rev, sets) = reference_build(&cgra, &dfg, &map.constraints);
+            let case = format!("{kernel} on {} at II {ii}", cgra.name());
+            assert_eq!(map.fwd, fwd, "{case}: forward reach tables");
+            assert_eq!(map.rev, rev, "{case}: reverse reach tables");
+            assert_eq!(map.sets, sets, "{case}: arc-consistent sets");
+            pruned += usize::from(sets != capability_sets(&dfg, &cgra));
+        }
+        assert_eq!(pruned, 3, "the three uneven-capability cases exercise the fixpoint");
     }
 }

@@ -32,11 +32,13 @@ pub struct StepOutcome {
 }
 
 /// What one step appended, for [`MapEnv::undo`]: the lengths of the
-/// ledger journal and the hop arena before it, and its reward.
+/// ledger journal, the hop arena and the lost witnesses before it, and
+/// its reward.
 #[derive(Debug, Clone, Copy)]
 struct StepRecord {
     checkpoint: crate::ledger::Checkpoint,
     hops_len: usize,
+    lost_len: usize,
     reward: f64,
 }
 
@@ -49,6 +51,201 @@ enum EdgeRoute {
     Routed { start: u32, len: u32 },
     /// Both endpoints placed, but no route exists.
     Failed,
+}
+
+/// "No node" and "no witness" in [`Witnesses`].
+const NONE: u32 = u32::MAX;
+
+/// True when `u` is a memory op on a fabric whose rows share one
+/// memory bus, so it also needs its row's bus free.
+fn on_bus(problem: &Problem<'_>, u: NodeId) -> bool {
+    problem.cgra().row_shared_mem_bus() && problem.dfg().node(u).opcode.class() == OpClass::Memory
+}
+
+/// Watched witnesses for [`MapEnv::doomed`], after the watched literals
+/// of SAT solvers.
+///
+/// Every unplaced node either has a *witness* — a PE of its live set
+/// whose FU is free in the node's modulo slot and, for a memory op on a
+/// row-bus fabric, whose row bus is free there too — or is *lost*: no
+/// such PE exists. A step only takes FUs and buses and clears live
+/// bits, so a lost node stays lost until that step is undone; an undo
+/// only frees them and restores bits, so every witness stays valid
+/// across it. A step therefore re-finds the witness of the nodes that
+/// watch what it took, and an undo relinks the node it unplaces and the
+/// nodes its step lost, restoring nothing else.
+///
+/// The nodes watching one `(slot, PE)` form a doubly linked list
+/// threaded through flat per-node arrays, so a clone copies a few
+/// vectors.
+#[derive(Debug, Clone)]
+struct Witnesses {
+    pes: usize,
+    /// Per node: its witness PE, or `NONE` while lost. A placed node
+    /// keeps the witness it had, for the undo that unplaces it.
+    witness: Vec<u32>,
+    /// Per `(slot, PE)`, at `slot * pes + pe`: the first node watching
+    /// it, or `NONE`.
+    head: Vec<u32>,
+    /// Per node: the next and previous node on its watch list.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// `(node, the witness it lost)`, in step order.
+    lost: Vec<(u32, u32)>,
+    /// Lost nodes that are unplaced.
+    lost_unplaced: usize,
+}
+
+impl Witnesses {
+    /// Witnesses for a fresh environment: nodes that start lost stay
+    /// lost for good.
+    fn new(problem: &Problem<'_>, ledger: &Ledger, cands: &CandidateState) -> Self {
+        let n = problem.node_count();
+        let pes = problem.cgra().pe_count();
+        let mut watch = Witnesses {
+            pes,
+            witness: vec![NONE; n],
+            head: vec![NONE; problem.ii() as usize * pes],
+            next: vec![NONE; n],
+            prev: vec![NONE; n],
+            lost: Vec::new(),
+            lost_unplaced: 0,
+        };
+        for w in 0..n {
+            watch.rewatch(problem, ledger, cands, w);
+        }
+        watch
+    }
+
+    /// The watch-list index of `(slot of w, pe)`.
+    fn cell(&self, problem: &Problem<'_>, w: usize, pe: u32) -> usize {
+        problem.schedule().modulo_slot(NodeId(w as u32)) as usize * self.pes + pe as usize
+    }
+
+    fn link(&mut self, w: usize, cell: usize) {
+        let head = self.head[cell];
+        self.next[w] = head;
+        self.prev[w] = NONE;
+        if head != NONE {
+            self.prev[head as usize] = w as u32;
+        }
+        self.head[cell] = w as u32;
+    }
+
+    fn unlink(&mut self, w: usize, cell: usize) {
+        let (next, prev) = (self.next[w], self.prev[w]);
+        if prev == NONE {
+            self.head[cell] = next;
+        } else {
+            self.next[prev as usize] = next;
+        }
+        if next != NONE {
+            self.prev[next as usize] = prev;
+        }
+    }
+
+    /// Give the unlinked, unplaced node `w` a witness of the current
+    /// state (the lowest free PE of its live set), or record it as lost.
+    fn rewatch(
+        &mut self,
+        problem: &Problem<'_>,
+        ledger: &Ledger,
+        cands: &CandidateState,
+        w: usize,
+    ) {
+        let node = NodeId(w as u32);
+        let slot = problem.schedule().modulo_slot(node);
+        let (live, fu, bus) = (cands.live_set(node), ledger.fu_busy(slot), ledger.bus_busy(slot));
+        let bus_mask = if on_bus(problem, node) { u64::MAX } else { 0 };
+        let found = live
+            .iter()
+            .zip(fu)
+            .zip(bus)
+            .map(|((&l, &f), &b)| l & !f & !(b & bus_mask))
+            .enumerate()
+            .find(|&(_, word)| word != 0);
+        match found {
+            Some((k, word)) => {
+                let pe = (k * 64) as u32 + word.trailing_zeros();
+                self.witness[w] = pe;
+                self.link(w, slot as usize * self.pes + pe as usize);
+            }
+            None => {
+                self.lost.push((w as u32, self.witness[w]));
+                self.witness[w] = NONE;
+                self.lost_unplaced += 1;
+            }
+        }
+    }
+
+    /// Restore the invariant after `u` was placed on `pe`: the ledger
+    /// has claimed its FU (and row bus) and `cands` holds the step's
+    /// trail frame. Re-finds the witness of exactly the nodes watching
+    /// `pe`'s FU, the memory ops watching a PE of the row whose bus was
+    /// claimed, and the nodes whose witness bit the frame cleared.
+    fn on_step(
+        &mut self,
+        problem: &Problem<'_>,
+        ledger: &Ledger,
+        cands: &CandidateState,
+        u: NodeId,
+        pe: PeId,
+    ) {
+        let ui = u.index();
+        match self.witness[ui] {
+            NONE => self.lost_unplaced -= 1,
+            p => self.unlink(ui, self.cell(problem, ui, p)),
+        }
+        let slot = problem.schedule().modulo_slot(u) as usize;
+        // Every node watching the FU just taken: detach the whole list.
+        let mut w = std::mem::replace(&mut self.head[slot * self.pes + pe.index()], NONE);
+        while w != NONE {
+            let next = self.next[w as usize];
+            self.rewatch(problem, ledger, cands, w as usize);
+            w = next;
+        }
+        if on_bus(problem, u) {
+            let cgra = problem.cgra();
+            let row = cgra.pe(pe).row;
+            for col in 0..cgra.cols() {
+                let cell = slot * self.pes + cgra.at(row, col).index();
+                let mut w = self.head[cell];
+                while w != NONE {
+                    let next = self.next[w as usize];
+                    if on_bus(problem, NodeId(w)) {
+                        self.unlink(w as usize, cell);
+                        self.rewatch(problem, ledger, cands, w as usize);
+                    }
+                    w = next;
+                }
+            }
+        }
+        for (w, k, cleared) in cands.last_removals() {
+            let p = self.witness[w];
+            if p != NONE && p as usize / 64 == k && cleared & (1u64 << (p % 64)) != 0 {
+                self.unlink(w, self.cell(problem, w, p));
+                self.rewatch(problem, ledger, cands, w);
+            }
+        }
+    }
+
+    /// Undo [`Self::on_step`] for `u`, whose step found `lost.len()` at
+    /// `lost_len`: relink the nodes that step lost at their old
+    /// witnesses, and `u` at its own.
+    fn on_undo(&mut self, problem: &Problem<'_>, u: NodeId, lost_len: usize) {
+        while self.lost.len() > lost_len {
+            let Some((w, p)) = self.lost.pop() else { break };
+            let w = w as usize;
+            self.witness[w] = p;
+            self.link(w, self.cell(problem, w, p));
+            self.lost_unplaced -= 1;
+        }
+        let ui = u.index();
+        match self.witness[ui] {
+            NONE => self.lost_unplaced += 1,
+            p => self.link(ui, self.cell(problem, ui, p)),
+        }
+    }
 }
 
 /// The placement environment over one [`Problem`].
@@ -76,6 +273,8 @@ pub struct MapEnv<'a> {
     total_reward: f64,
     /// Live candidate sets (forward checking).
     cands: CandidateState,
+    /// One witness per unplaced node, for [`MapEnv::doomed`].
+    watch: Witnesses,
 }
 
 impl<'a> MapEnv<'a> {
@@ -84,9 +283,12 @@ impl<'a> MapEnv<'a> {
     pub fn new(problem: &'a Problem<'a>) -> Self {
         let n = problem.node_count();
         let e = problem.dfg().edge_count();
+        let ledger = Ledger::new(problem.cgra(), problem.ii());
+        let cands = CandidateState::new(problem.candidates());
+        let watch = Witnesses::new(problem, &ledger, &cands);
         MapEnv {
             problem,
-            ledger: Ledger::new(problem.cgra(), problem.ii()),
+            ledger,
             placements: vec![None; n],
             edges: vec![EdgeRoute::Pending; e],
             hops: Vec::new(),
@@ -95,7 +297,8 @@ impl<'a> MapEnv<'a> {
             cursor: 0,
             history: Vec::with_capacity(n),
             total_reward: 0.0,
-            cands: CandidateState::new(problem.candidates()),
+            cands,
+            watch,
         }
     }
 
@@ -152,13 +355,19 @@ impl<'a> MapEnv<'a> {
     /// neighbours: the sum of Manhattan distances to every placed
     /// parent and child. Unplaced neighbours are ignored, and every PE
     /// scores 0 when no node is current. The neighbours' positions are
-    /// collected once, here; the returned closure scores one PE per
-    /// call, so one decision ranks all its candidates with one scan of
-    /// the DFG.
-    pub fn neighbour_distance(&self) -> impl Fn(PeId) -> usize + 'a {
+    /// collected once, here, into `anchors` (cleared first, so a caller
+    /// can reuse it); the returned closure scores one PE per call, so
+    /// one decision ranks all its candidates with one scan of the DFG.
+    pub fn neighbour_distance<'b>(
+        &self,
+        anchors: &'b mut Vec<(usize, usize)>,
+    ) -> impl Fn(PeId) -> usize + 'b
+    where
+        'a: 'b,
+    {
         let cgra = self.problem.cgra();
         let dfg = self.problem.dfg();
-        let mut anchors: Vec<(usize, usize)> = Vec::new();
+        anchors.clear();
         if let Some(u) = self.current_node() {
             for e in dfg.in_edges(u).chain(dfg.out_edges(u)) {
                 let other = if e.src == u { e.dst } else { e.src };
@@ -168,6 +377,7 @@ impl<'a> MapEnv<'a> {
                 }
             }
         }
+        let anchors = &*anchors;
         move |pe| {
             let info = cgra.pe(pe);
             anchors
@@ -199,44 +409,49 @@ impl<'a> MapEnv<'a> {
         self.ledger.slice_occupancy(slot)
     }
 
-    /// True when `u` is a memory op on a fabric whose rows share one
-    /// memory bus, so it also needs its row's bus free.
-    fn on_bus(&self, u: NodeId) -> bool {
-        self.problem.cgra().row_shared_mem_bus()
-            && self.problem.dfg().node(u).opcode.class() == OpClass::Memory
-    }
-
     /// Word `k` of the legal-action bitset of node `u`: capable, functional
     /// unit free in the node's modulo slice, and (on ADRES) memory bus
     /// free.
     fn legal_word(&self, u: NodeId, k: usize) -> u64 {
         let slot = self.problem.schedule().modulo_slot(u);
         let mut word = self.problem.capable(u)[k] & !self.ledger.fu_busy(slot)[k];
-        if self.on_bus(u) {
+        if on_bus(self.problem, u) {
             word &= !self.ledger.bus_busy(slot)[k];
         }
         word
     }
 
-    /// The action bitset of the current node (empty when done): the
-    /// legal actions, intersected with the live candidate set when
-    /// `search` is set. The legal actions pruned away are counted as
-    /// `search.prune.masked_actions`.
-    fn action_words(&self, search: bool) -> Vec<u64> {
-        let words = self.problem.words();
-        let Some(u) = self.current_node() else { return vec![0; words] };
-        let mut out: Vec<u64> = (0..words).map(|k| self.legal_word(u, k)).collect();
-        if search {
-            let mut removed = 0u64;
-            for (w, live) in out.iter_mut().zip(self.cands.live_set(u)) {
-                removed += u64::from((*w & !live).count_ones());
-                *w &= live;
+    /// Feed `f` each word `k` of the current node's action bitset, for
+    /// every `k` (nothing when done): the legal actions, intersected
+    /// with the live candidate set when `search` is set. The legal
+    /// actions pruned away are counted as `search.prune.masked_actions`.
+    fn action_words(&self, search: bool, mut f: impl FnMut(usize, u64)) {
+        let Some(u) = self.current_node() else { return };
+        let live = self.cands.live_set(u);
+        let mut removed = 0u64;
+        for (k, &l) in live.iter().enumerate() {
+            let mut word = self.legal_word(u, k);
+            if search {
+                removed += u64::from((word & !l).count_ones());
+                word &= l;
             }
-            if removed > 0 {
-                mapzero_obs::counter!("search.prune.masked_actions", removed);
-            }
+            f(k, word);
         }
-        out
+        if removed > 0 {
+            mapzero_obs::counter!("search.prune.masked_actions", removed);
+        }
+    }
+
+    /// The action bitset as a boolean mask over PEs.
+    fn mask(&self, search: bool) -> Vec<bool> {
+        let mut mask = vec![false; self.problem.cgra().pe_count()];
+        self.action_words(search, |k, word| for_each_bit(k, word, |pe| mask[pe.index()] = true));
+        mask
+    }
+
+    /// Append the action bitset's PEs to `out`, ascending.
+    fn push_actions(&self, search: bool, out: &mut Vec<PeId>) {
+        self.action_words(search, |k, word| for_each_bit(k, word, |pe| out.push(pe)));
     }
 
     /// The boolean action mask over PEs for the current node: capable,
@@ -244,13 +459,15 @@ impl<'a> MapEnv<'a> {
     /// memory bus free. All-false when done.
     #[must_use]
     pub fn action_mask(&self) -> Vec<bool> {
-        bool_mask(&self.action_words(false), self.problem.cgra().pe_count())
+        self.mask(false)
     }
 
     /// Legal actions as PE ids.
     #[must_use]
     pub fn legal_actions(&self) -> Vec<PeId> {
-        pe_ids(&self.action_words(false))
+        let mut out = Vec::new();
+        self.push_actions(false, &mut out);
+        out
     }
 
     /// True when some unplaced node has no live candidate left that is
@@ -260,27 +477,12 @@ impl<'a> MapEnv<'a> {
     /// within its node's capable set, so a current node with no search
     /// action makes the state doomed.
     ///
-    /// The live sets carry the distance bounds only; exclusivity is read
-    /// here from the ledger, one AND per word against the slot's FU-busy
-    /// bitset (and its bus-busy bitset for memory ops on row-bus
-    /// fabrics). `order[cursor..]` is exactly the set of unplaced nodes.
+    /// O(1): a distance bound emptied a live set
+    /// ([`CandidateState::doomed`]), or an unplaced node has no witness
+    /// left (see `Witnesses`, kept up to date by `step` and `undo`).
     #[must_use]
     pub fn doomed(&self) -> bool {
-        let cands = &self.cands;
-        if cands.doomed() {
-            return true;
-        }
-        let schedule = self.problem.schedule();
-        self.problem.order()[self.cursor..].iter().any(|&w| {
-            let slot = schedule.modulo_slot(w);
-            let (live, fu) = (cands.live_set(w), self.ledger.fu_busy(slot));
-            if self.on_bus(w) {
-                let bus = self.ledger.bus_busy(slot);
-                live.iter().zip(fu).zip(bus).all(|((&l, &f), &b)| l & !f & !b == 0)
-            } else {
-                live.iter().zip(fu).all(|(&l, &f)| l & !f == 0)
-            }
-        })
+        self.cands.doomed() || self.watch.lost_unplaced > 0
     }
 
     /// [`MapEnv::action_mask`] intersected with the current node's live
@@ -288,14 +490,23 @@ impl<'a> MapEnv<'a> {
     /// `search.prune.masked_actions`.
     #[must_use]
     pub fn search_mask(&self) -> Vec<bool> {
-        bool_mask(&self.action_words(true), self.problem.cgra().pe_count())
+        self.mask(true)
     }
 
     /// Legal actions restricted to the current node's live candidate
     /// set.
     #[must_use]
     pub fn search_actions(&self) -> Vec<PeId> {
-        pe_ids(&self.action_words(true))
+        let mut out = Vec::new();
+        self.search_actions_into(&mut out);
+        out
+    }
+
+    /// [`MapEnv::search_actions`] into a reused buffer, which is cleared
+    /// first.
+    pub fn search_actions_into(&self, out: &mut Vec<PeId>) {
+        out.clear();
+        self.push_actions(true, out);
     }
 
     /// Place the current node on `pe`, route every edge whose endpoints
@@ -320,10 +531,11 @@ impl<'a> MapEnv<'a> {
         let record = StepRecord {
             checkpoint: self.ledger.checkpoint(),
             hops_len: self.hops.len(),
+            lost_len: self.watch.lost.len(),
             reward: 0.0,
         };
         assert!(self.ledger.claim_fu(pe, slot, u), "mask guaranteed a free FU");
-        if self.on_bus(u) {
+        if on_bus(self.problem, u) {
             assert!(
                 self.ledger.claim_membus(cgra.pe(pe).row, slot),
                 "mask guaranteed a free bus"
@@ -332,6 +544,9 @@ impl<'a> MapEnv<'a> {
         let placement = Placement { pe, time };
         self.placements[u.index()] = Some(placement);
         self.cands.on_place(self.problem.candidates(), u, pe);
+        // Routing claims only registers and switches, so the witnesses
+        // can settle before it.
+        self.watch.on_step(self.problem, &self.ledger, &self.cands, u, pe);
 
         // Route every edge whose endpoints are now both placed. Those
         // are exactly the edges incident to `u` with the other end
@@ -396,6 +611,7 @@ impl<'a> MapEnv<'a> {
         self.ledger.undo_to(record.checkpoint);
         self.total_reward -= record.reward;
         self.cands.on_undo();
+        self.watch.on_undo(self.problem, u, record.lost_len);
         Some(u)
     }
 
@@ -427,22 +643,13 @@ impl<'a> MapEnv<'a> {
     }
 }
 
-/// A bitset over PE ids as a boolean mask of `pe_count` entries.
-fn bool_mask(words: &[u64], pe_count: usize) -> Vec<bool> {
-    (0..pe_count).map(|p| words[p / 64] & (1u64 << (p % 64)) != 0).collect()
-}
-
-/// The set bits of a bitset over PE ids, ascending.
-fn pe_ids(words: &[u64]) -> Vec<PeId> {
-    let mut out = Vec::with_capacity(words.iter().map(|w| w.count_ones() as usize).sum());
-    for (k, &word) in words.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            out.push(PeId((k * 64) as u32 + w.trailing_zeros()));
-            w &= w - 1;
-        }
+/// Call `f` on each PE whose bit is set in word `k` of a bitset over PE
+/// ids, ascending.
+fn for_each_bit(k: usize, mut word: u64, mut f: impl FnMut(PeId)) {
+    while word != 0 {
+        f(PeId((k * 64) as u32 + word.trailing_zeros()));
+        word &= word - 1;
     }
-    out
 }
 
 #[cfg(test)]
@@ -601,8 +808,10 @@ mod tests {
         assert!(!env.cands.doomed(), "no distance bound emptied a set");
         assert_eq!(env.search_mask(), vec![false; 3]);
         assert!(env.doomed());
+        assert_eq!(env.watch.lost, vec![(d.0, 1)], "the sink lost its last witness, PE 1");
         env.undo();
         assert!(!env.doomed());
+        assert!(env.watch.lost.is_empty());
     }
 
     #[test]
@@ -652,14 +861,15 @@ mod tests {
         let problem = Problem::new(&dfg, &cgra, 1).unwrap();
         assert_eq!(problem.order(), &[na, nb, nc, nd]);
         let mut env = MapEnv::new(&problem);
+        let mut anchors = Vec::new();
         assert!(
-            (0..16).all(|pe| env.neighbour_distance()(PeId(pe)) == 0),
+            (0..16).all(|pe| env.neighbour_distance(&mut anchors)(PeId(pe)) == 0),
             "c is unplaced"
         );
         env.step(cgra.at(0, 0));
         env.step(cgra.at(0, 3));
         assert_eq!(env.current_node(), Some(nc));
-        let dist = env.neighbour_distance();
+        let dist = env.neighbour_distance(&mut anchors);
         // |r - 0| + |c - 0| + |r - 0| + |c - 3|
         assert_eq!(dist(cgra.at(0, 0)), 3);
         assert_eq!(dist(cgra.at(0, 2)), 3);
@@ -752,6 +962,109 @@ mod tests {
             }
             assert!(routed > 0 && failed > 0, "{kernel}: routed {routed}, failed {failed}");
             assert!(max_depth >= 10, "{kernel}: the walk only reached depth {max_depth}");
+        }
+    }
+
+    /// The dead-state check as a full scan: some unplaced node has no
+    /// live PE whose FU (and, for a memory op on a row-bus fabric, row
+    /// bus) is free in its slot.
+    fn scan_doomed(env: &MapEnv<'_>) -> bool {
+        let schedule = env.problem.schedule();
+        env.cands.doomed()
+            || env.problem.order()[env.cursor..].iter().any(|&w| {
+                let slot = schedule.modulo_slot(w);
+                let (fu, bus) = (env.ledger.fu_busy(slot), env.ledger.bus_busy(slot));
+                let on_bus = on_bus(env.problem, w);
+                env.cands.live_set(w).iter().enumerate().all(|(k, &l)| {
+                    l & !fu[k] & !(if on_bus { bus[k] } else { 0 }) == 0
+                })
+            })
+    }
+
+    /// The watch lists hold exactly the unplaced nodes that have a
+    /// witness, each once and at its own `(slot, witness)`; every
+    /// witness is a free live PE; `lost_unplaced` counts the rest.
+    fn check_witnesses(env: &MapEnv<'_>) {
+        let watch = &env.watch;
+        let n = env.problem.node_count();
+        let mut seen = vec![false; n];
+        for (cell, &head) in watch.head.iter().enumerate() {
+            let (mut w, mut prev) = (head, NONE);
+            while w != NONE {
+                let wi = w as usize;
+                assert!(!seen[wi], "node {w} is on two watch lists");
+                seen[wi] = true;
+                assert_eq!(watch.prev[wi], prev, "node {w}: broken back link");
+                assert_eq!(watch.cell(env.problem, wi, watch.witness[wi]), cell);
+                (prev, w) = (w, watch.next[wi]);
+            }
+        }
+        let mut lost = 0;
+        for (w, (&linked, &p)) in seen.iter().zip(&watch.witness).enumerate() {
+            let node = NodeId(w as u32);
+            let unplaced = env.placement(node).is_none();
+            assert_eq!(linked, unplaced && p != NONE, "node {w} linkage");
+            if !linked {
+                lost += usize::from(unplaced);
+                continue;
+            }
+            let p = p as usize;
+            let slot = env.problem.schedule().modulo_slot(node);
+            let bit = |words: &[u64]| words[p / 64] & (1u64 << (p % 64)) != 0;
+            assert!(bit(env.cands.live_set(node)), "node {w}: witness {p} not live");
+            assert!(!bit(env.ledger.fu_busy(slot)), "node {w}: witness {p} FU busy");
+            if on_bus(env.problem, node) {
+                assert!(!bit(env.ledger.bus_busy(slot)), "node {w}: witness {p} bus held");
+            }
+        }
+        assert_eq!(watch.lost_unplaced, lost, "lost_unplaced");
+    }
+
+    /// Seeded step/undo walks whose steps take any legal PE, live or
+    /// not, from doomed states too, and which now and then continue on
+    /// a clone: after every operation `doomed()` equals a full scan and
+    /// the watch lists are consistent. Covers the 16x16 baseline at
+    /// II 1 and 2 (one and several slots) and the ADRES row bus; each
+    /// walk must step a non-live PE, undo past a lost witness, continue
+    /// on a clone and reach both doomed and live states.
+    #[test]
+    fn witness_doomed_matches_a_full_scan() {
+        for (kernel, cgra, at_ii) in [
+            ("stencil_u", presets::baseline16(), Some(1)),
+            ("stencil_u", presets::baseline16(), Some(2)),
+            ("mulul", presets::adres(), None),
+        ] {
+            let dfg = mapzero_dfg::suite::by_name(kernel).expect("kernel exists");
+            let ii = at_ii.unwrap_or_else(|| Problem::mii(&dfg, &cgra).unwrap());
+            let problem = Problem::new(&dfg, &cgra, ii).unwrap().with_candidate_pruning();
+            let mut env = MapEnv::new(&problem);
+            let mut rng = mapzero_nn::SeedRng::new(0x5eed);
+            let (mut non_live, mut relinked, mut doomed, mut clones) = (0, 0, 0, 0);
+            for op in 0..400 {
+                let legal = env.legal_actions();
+                if rng.below(4) == 0 || env.done() || legal.is_empty() {
+                    let lost = env.watch.lost.len();
+                    env.undo();
+                    relinked += usize::from(env.watch.lost.len() < lost);
+                } else {
+                    let search = env.search_actions();
+                    let pe = legal[rng.below(legal.len())];
+                    non_live += usize::from(!search.contains(&pe));
+                    env.step(pe);
+                }
+                if rng.below(16) == 0 {
+                    env = env.clone();
+                    clones += 1;
+                }
+                check_witnesses(&env);
+                assert_eq!(env.doomed(), scan_doomed(&env), "{kernel} II {ii}: op {op}");
+                doomed += usize::from(env.doomed());
+            }
+            let label = format!("{kernel} II {ii}");
+            assert!(non_live > 0, "{label}: no step took a non-live PE");
+            assert!(relinked > 0, "{label}: no undo relinked a lost witness");
+            assert!(doomed > 0 && doomed < 400, "{label}: {doomed} of 400 states doomed");
+            assert!(clones > 0, "{label}: the walk never continued on a clone");
         }
     }
 

@@ -230,6 +230,17 @@ pub struct Mcts<'n> {
     rng: mapzero_nn::SeedRng,
     observer: Observer,
     cache: Arc<Mutex<PredictCache>>,
+    playout_scratch: PlayoutScratch,
+}
+
+/// The buffers [`Mcts`]'s greedy playouts rank into, reused across
+/// steps and playouts.
+#[derive(Default)]
+struct PlayoutScratch {
+    actions: Vec<PeId>,
+    anchors: Vec<(usize, usize)>,
+    /// Per search action: `(neighbour distance, jittered position, PE)`.
+    keys: Vec<(usize, usize, PeId)>,
 }
 
 /// Normalize an environment step reward to roughly [−1, 0].
@@ -308,6 +319,7 @@ impl<'n> Mcts<'n> {
             rng,
             observer: Observer::new(),
             cache,
+            playout_scratch: PlayoutScratch::default(),
         }
     }
 
@@ -726,24 +738,33 @@ impl<'n> Mcts<'n> {
                 mapzero_obs::counter!("search.prune.dead_state");
                 return (acc - 1.0).clamp(-1.0, 1.0);
             }
-            let legal = env.search_actions();
+            let scratch = &mut self.playout_scratch;
+            env.search_actions_into(&mut scratch.actions);
             if env.current_node().is_none() {
                 // `!env.done()` at the loop head guarantees a current
                 // node; treat a violation as a dead-end playout.
                 debug_assert!(false, "playout env has no current node");
                 return (acc - 1.0).clamp(-1.0, 1.0);
             }
-            let dist = env.neighbour_distance();
-            let jitter = self.rng.below(legal.len());
-            let mut ranked: Vec<(usize, PeId)> = legal.iter().copied().enumerate().collect();
-            ranked.sort_by_key(|&(i, pe)| (dist(pe), (i + jitter) % legal.len()));
+            // Rank by distance to the placed neighbours, ties broken by
+            // the position in PE order rotated by a random jitter. Each
+            // key is computed once; the positions are distinct, so the
+            // unstable sort is a total order.
+            let len = scratch.actions.len();
+            let jitter = self.rng.below(len);
+            let dist = env.neighbour_distance(&mut scratch.anchors);
+            scratch.keys.clear();
+            scratch.keys.extend(
+                scratch.actions.iter().enumerate().map(|(i, &pe)| (dist(pe), (i + jitter) % len, pe)),
+            );
+            scratch.keys.sort_unstable();
             // Router-aware greedy: try the nearest candidates and keep
             // the first that routes cleanly; accept the final failure
             // only when every candidate conflicts.
-            let tries = ranked.len().min(4);
+            let tries = len.min(4);
             let mut outcome = None;
-            for (k, &(_, pe)) in ranked.iter().take(tries).enumerate() {
-                let o = env.step(pe);
+            for k in 0..tries {
+                let o = env.step(scratch.keys[k].2);
                 if o.failed_routes == 0 || k + 1 == tries {
                     outcome = Some(o);
                     break;
@@ -751,8 +772,9 @@ impl<'n> Mcts<'n> {
                 env.undo();
             }
             let Some(outcome) = outcome else {
-                // `tries >= 1` because `legal` is non-empty, so the loop
-                // always records an outcome; fail the playout otherwise.
+                // `tries >= 1` because a state that is not doomed has a
+                // search action, so the loop always records an outcome;
+                // fail the playout otherwise.
                 debug_assert!(false, "no playout candidate was tried");
                 return (acc - 1.0).clamp(-1.0, 1.0);
             };

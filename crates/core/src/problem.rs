@@ -166,11 +166,6 @@ impl<'a> Problem<'a> {
         self.fingerprint
     }
 
-    /// Bitset words per PE set.
-    pub(crate) fn words(&self) -> usize {
-        self.words
-    }
-
     /// PEs whose functional unit supports `u`'s opcode, as a bitset.
     pub(crate) fn capable(&self, u: NodeId) -> &[u64] {
         &self.capable[u.index() * self.words..(u.index() + 1) * self.words]

@@ -79,7 +79,8 @@ struct Frame<T> {
 /// candidates apart degrades into systematic search. NaN scores order
 /// by [`f32::total_cmp`] instead of panicking.
 pub fn rank(env: &MapEnv<'_>, candidates: Vec<PeId>, score: impl Fn(PeId) -> f32) -> Vec<PeId> {
-    let dist = env.neighbour_distance();
+    let mut anchors = Vec::new();
+    let dist = env.neighbour_distance(&mut anchors);
     let mut keyed: Vec<(f32, usize, PeId)> =
         candidates.into_iter().map(|pe| (score(pe), dist(pe), pe)).collect();
     keyed.sort_unstable_by(|a, b| {
@@ -294,8 +295,9 @@ impl<'a> IiSearch<'a> {
     /// `attempts` tries per II, and stop at the first mapping. An II that
     /// cannot be modulo scheduled is skipped, and an exhausted `budget`
     /// before an attempt cuts the climb. Each attempt gets an even share
-    /// of what is left per remaining II and attempt, but never less
-    /// than an eighth, so an unroutable low II cannot starve the rest.
+    /// of what is left over the attempts left in the climb, but never
+    /// less than an eighth, so an unroutable low II cannot starve the
+    /// rest, and the last attempt gets all that is left.
     ///
     /// `order` sets each problem's placement order once per II:
     /// [`Problem::with_candidate_pruning`] for fail-first (the compiler)
@@ -320,16 +322,17 @@ impl<'a> IiSearch<'a> {
                 Err(e) => return Err(e),
             };
             let remaining_iis = self.hi - ii + 1;
-            for _ in 0..attempts {
+            for done in 0..attempts {
                 if budget.exhausted() {
                     climb.timed_out = true;
                     climb.cut = true;
                     return Ok(climb);
                 }
+                // Attempts left in the climb, this one included: the
+                // last one gets all that is left.
+                let left_attempts = remaining_iis * attempts as u32 - done as u32;
                 let slice = match budget.remaining_time() {
-                    Some(left) => {
-                        budget.slice((left / remaining_iis / attempts as u32).max(left / 8))
-                    }
+                    Some(left) => budget.slice((left / left_attempts).max(left / 8)),
                     None => budget.clone(),
                 };
                 let attempt = engine(&problem, &slice)?;
@@ -444,11 +447,10 @@ mod tests {
         let budget = Budget::with_deadline(Duration::from_secs(100));
         let (climb, seen) = fake_climb(&search, 3, &budget, |_| work());
         // By hand, with 100 s left at every attempt (the fake returns at
-        // once): max(100 s / IIs left / 3, 100 s / 8) for 5, 4, 3, 2 and
-        // 1 IIs left.
-        let per_ii = [12.5, 12.5, 12.5, 100.0 / 6.0, 100.0 / 3.0];
-        let expected: Vec<(u32, f64)> = (0..5u32)
-            .flat_map(|k| std::iter::repeat_n((mii + k, per_ii[k as usize]), 3))
+        // once): max(100 s / attempts left, 100 s / 8) for 15, 14, ..., 1
+        // attempts left, three per II.
+        let expected: Vec<(u32, f64)> = (0..15u32)
+            .map(|k| (mii + k / 3, (100.0 / f64::from(15 - k)).max(12.5)))
             .collect();
         assert_eq!(seen.len(), expected.len());
         for ((ii, slice), (want_ii, want_s)) in seen.iter().zip(&expected) {

@@ -46,12 +46,22 @@ echo "==> pruning soundness oracle and oracle walks under release codegen (two f
 for seed in 20261019 20261020; do
     PROPTEST_SEED=$seed cargo test --release -q --test prune
 done
+# The candidate-map build against its per-bound, scratch-copy original.
+cargo test --release -q -p mapzero-core --lib build_matches_the_per_bound_scan
 
-echo "==> router and step-journal oracles under release codegen (fixed proptest seed)"
+echo "==> largest-kernel deadline under release codegen"
+# huf_u on the 16x16 baseline under 10 ms: the candidate-map build is
+# not charged to the budget yet, and takes ~50 ms of the test's margin
+# in the debug run above against ~5 ms here.
+cargo test --release -q --test integration_robustness largest_kernel_on_the_16x16_baseline_times_out_in_time
+
+echo "==> router, step-journal and watch-list oracles under release codegen (fixed proptest seed)"
 # Routes checked against the validator both ways, scratch reuse against
-# a fresh thread, and step/undo walks against a fresh replay.
+# a fresh thread, step/undo walks against a fresh replay, and the
+# incremental dead-state check against a full scan.
 PROPTEST_SEED=20261025 cargo test --release -q --test proptest_routing
 PROPTEST_SEED=20261025 cargo test --release -q -p mapzero-core --lib step_undo_route_store
+cargo test --release -q -p mapzero-core --lib witness_doomed_matches_a_full_scan
 
 echo "==> shared prediction cache under release codegen (cross-thread and chaos isolation)"
 # Several workers read and write the one locked cache while others die.

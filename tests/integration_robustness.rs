@@ -106,14 +106,14 @@ fn one_second_budget_returns_structured_result_in_time() {
     }
 }
 
-/// One timeout contract for every engine: arf (54 nodes) cannot map on
-/// HReA in 50 ms, and each engine says so as a `Timeout` carrying the
-/// work it did, within the deadline plus one engine step (the annealers
-/// poll the budget before every proposal, the exact mapper before every
-/// placement and MapZero's MCTS before every simulation).
+/// One timeout contract for every engine: jpegdct_u (255 nodes) cannot
+/// map on HReA in 50 ms, and each engine says so as a `Timeout` carrying
+/// the work it did, within the deadline plus one engine step (the
+/// annealers poll the budget before every proposal, the exact mapper
+/// before every placement and MapZero's MCTS before every simulation).
 #[test]
 fn every_engine_reports_a_tiny_deadline_as_a_timeout_with_its_work() {
-    let dfg = suite::by_name("arf").unwrap();
+    let dfg = suite::by_name("jpegdct_u").unwrap();
     let cgra = presets::hrea();
     let deadline = Duration::from_millis(50);
     for mut engine in all_engines() {
@@ -130,6 +130,29 @@ fn every_engine_reports_a_tiny_deadline_as_a_timeout_with_its_work() {
         assert_eq!(best_partial.best_ii, None, "{name}");
         assert!(best_partial.explored > 0, "{name}: no work counted: {best_partial:?}");
     }
+}
+
+/// A legal but large request stays inside its deadline: huf_u (592
+/// nodes, the suite's largest kernel) on the 16×16 baseline under a
+/// 10 ms limit returns a structured `Timeout` within the deadline plus
+/// the margin the other robustness tests allow, although the first
+/// attempt's candidate-map build is not charged to the budget.
+#[test]
+fn largest_kernel_on_the_16x16_baseline_times_out_in_time() {
+    let dfg = suite::by_name("huf_u").unwrap();
+    assert_eq!(dfg.node_count(), 592);
+    let cgra = presets::baseline16();
+    let mut compiler = Compiler::new(MapZeroConfig::fast_test());
+    let deadline = Duration::from_millis(10);
+    let start = Instant::now();
+    let outcome = compiler.map_with_limit(&dfg, &cgra, deadline);
+    let elapsed = start.elapsed();
+    assert!(elapsed <= deadline + Duration::from_millis(150), "took {elapsed:?}");
+    let Err(MapError::Timeout { best_partial }) = outcome else {
+        panic!("expected Timeout, got {outcome:?}");
+    };
+    assert_eq!(best_partial.total_nodes, 592);
+    assert_eq!(best_partial.best_ii, None);
 }
 
 fn all_engines() -> [Box<dyn Mapper>; 4] {

@@ -351,3 +351,38 @@ proptest! {
         }
     }
 }
+
+/// ADRES's rows share a memory bus, so only transforms that map rows to
+/// rows are its symmetries: two loads in one slot on rows 0 and 1 of
+/// column 0 are valid, and stay valid under every transform
+/// `valid_transforms` keeps (a quarter turn would put both on row 0's
+/// bus).
+#[test]
+fn adres_symmetries_keep_same_slot_loads_on_distinct_buses() {
+    use mapzero::arch::symmetry::{valid_transforms, Transform};
+    let mut b = DfgBuilder::new("two-loads");
+    b.node(Opcode::Load);
+    b.node(Opcode::Load);
+    let dfg = b.finish().expect("two isolated loads");
+    let cgra = presets::adres();
+    let at = |row, col| CorePlacement { pe: cgra.at(row, col), time: 0 };
+    let mapping = Mapping { ii: 1, placements: vec![at(0, 0), at(1, 0)], routes: Vec::new() };
+    assert_eq!(check_mapping(&dfg, &cgra, &mapping, 1), Ok(()));
+    let moved = |t: Transform| {
+        let perm = t.permutation(&cgra).expect("ADRES is square");
+        let mut moved = mapping.clone();
+        for p in &mut moved.placements {
+            p.pe = perm[p.pe.index()];
+        }
+        moved
+    };
+    assert!(check_mapping(&dfg, &cgra, &moved(Transform::Rot90), 1).is_err());
+    let transforms = valid_transforms(&cgra);
+    assert_eq!(
+        transforms,
+        [Transform::Identity, Transform::FlipH, Transform::FlipV, Transform::Rot180]
+    );
+    for t in transforms {
+        assert_eq!(check_mapping(&dfg, &cgra, &moved(t), 1), Ok(()), "{t:?}");
+    }
+}

@@ -228,38 +228,50 @@ proptest! {
 /// exclusivity does most of the pruning: stencil_u on the 16×16 baseline
 /// at II 1 (all 141 nodes share one modulo slot, so every placement
 /// takes a PE from every unplaced node) and mulul on ADRES at MII (28
-/// memory ops over 8 row buses). A seeded walk of 200 step/undo
-/// operations, stepping from doomed states too, checks the masks, PE
-/// lists and doomed flag at every state.
+/// memory ops over 8 row buses), both in fail-first order; stencil_u at
+/// MII + 1, where the doomed check watches PEs of several slots; and
+/// stencil_u on the heterogeneous fabric in schedule order, as
+/// `Problem::new` builds it for the exact mapper (the one fabric here
+/// whose fail-first order differs from it). A seeded walk of 200
+/// step/undo operations, stepping from doomed states too and continuing
+/// on a clone of the environment taken at operation 100, checks the
+/// masks, PE lists and doomed flag at every state.
 #[test]
 fn oracle_walks_hold_on_full_size_kernels() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    for (kernel, cgra, at_ii) in [
-        ("stencil_u", presets::baseline16(), Some(1)),
-        ("mulul", presets::adres(), None),
+    for (kernel, cgra, extra_ii, fail_first) in [
+        ("stencil_u", presets::baseline16(), 0, true),
+        ("mulul", presets::adres(), 0, true),
+        ("stencil_u", presets::baseline16(), 1, true),
+        ("stencil_u", presets::heterogeneous(), 0, false),
     ] {
         let dfg = suite::by_name(kernel).expect("kernel exists");
-        let ii = at_ii.unwrap_or_else(|| Problem::mii(&dfg, &cgra).unwrap());
-        let problem = Problem::new(&dfg, &cgra, ii).unwrap().with_candidate_pruning();
+        let ii = Problem::mii(&dfg, &cgra).unwrap() + extra_ii;
+        let problem = Problem::new(&dfg, &cgra, ii).unwrap();
+        let problem = if fail_first { problem.with_candidate_pruning() } else { problem };
+        let case = format!("{kernel} at II {ii}, fail-first {fail_first}");
         let oracle = Oracle::new(&problem);
         let mut env = MapEnv::new(&problem);
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let (mut doomed_states, mut max_depth) = (0usize, 0usize);
         for op in 0..200 {
+            if op == 100 {
+                env = env.clone();
+            }
             let (legal, live) = oracle.masks(&env);
             let search: Vec<bool> = legal.iter().zip(&live).map(|(l, c)| *l && *c).collect();
-            assert_eq!(env.action_mask(), legal, "{kernel}: legal mask at op {op}");
-            assert_eq!(env.search_mask(), search, "{kernel}: search mask at op {op}");
+            assert_eq!(env.action_mask(), legal, "{case}: legal mask at op {op}");
+            assert_eq!(env.search_mask(), search, "{case}: search mask at op {op}");
             let ids = |mask: &[bool]| -> Vec<PeId> {
                 (0..mask.len()).filter(|&p| mask[p]).map(|p| PeId(p as u32)).collect()
             };
             let (legal_ids, search_ids) = (ids(&legal), ids(&search));
-            assert_eq!(env.legal_actions(), legal_ids, "{kernel}: legal ids at op {op}");
-            assert_eq!(env.search_actions(), search_ids, "{kernel}: search ids at op {op}");
+            assert_eq!(env.legal_actions(), legal_ids, "{case}: legal ids at op {op}");
+            assert_eq!(env.search_actions(), search_ids, "{case}: search ids at op {op}");
             let doomed = env.doomed();
-            assert_eq!(doomed, oracle.doomed(&env), "{kernel}: doomed at op {op}");
+            assert_eq!(doomed, oracle.doomed(&env), "{case}: doomed at op {op}");
             doomed_states += usize::from(doomed);
             max_depth = max_depth.max(env.placed_count());
             let pool = if search_ids.is_empty() { legal_ids } else { search_ids };
@@ -269,8 +281,8 @@ fn oracle_walks_hold_on_full_size_kernels() {
                 env.step(pool[rng.gen_range(0..pool.len())]);
             }
         }
-        assert!(doomed_states > 0, "{kernel}: the walk never reached a doomed state");
-        assert!(max_depth >= 50, "{kernel}: the walk only reached depth {max_depth}");
+        assert!(doomed_states > 0, "{case}: the walk never reached a doomed state");
+        assert!(max_depth >= 50, "{case}: the walk only reached depth {max_depth}");
     }
 }
 
