@@ -115,7 +115,10 @@ impl BenchMode {
                     mcts_backtrack_cutoff: 256,
                     ..AgentConfig::default()
                 },
-                attempts_per_ii: 2,
+                // The episode already restarts into the plain walk when
+                // the guided one spends its cap; a second attempt would
+                // replay both.
+                attempts_per_ii: 1,
                 pretrain: None,
                 ..MapZeroConfig::fast_test()
             },

@@ -30,7 +30,11 @@ pub struct AgentConfig {
     /// After this many backtracks the episode stops paying for MCTS on
     /// fresh states and decides by the distance heuristic alone — the
     /// systematic-search fallback for states the model keeps
-    /// misjudging. `u64::MAX` never falls back.
+    /// misjudging. A walk that then spends `backtrack_budget` without a
+    /// mapping restarts from the root as the plain systematic walk
+    /// (cutoff 0) with a fresh `backtrack_budget`, so the episode runs
+    /// both the guided and the exact mapper's order. `0` is the plain
+    /// walk alone; `u64::MAX` never falls back or restarts.
     pub mcts_backtrack_cutoff: u64,
     /// Record `(state, π, reward)` steps for training.
     pub collect_trajectory: bool,
@@ -79,9 +83,11 @@ pub struct TrajectoryStep {
 pub struct EpisodeResult {
     /// The mapping, when the episode succeeded.
     pub mapping: Option<Mapping>,
-    /// Backtracking operations performed (Fig. 9).
+    /// Backtracking operations performed (Fig. 9), summed over the
+    /// guided walk and the plain walk when the episode restarted.
     pub backtracks: u64,
-    /// Placement actions taken (including undone ones).
+    /// Placement actions taken (including undone ones), summed over both
+    /// walks when the episode restarted.
     pub steps: u64,
     /// Cumulative environment reward.
     pub total_reward: f64,
@@ -161,13 +167,41 @@ impl<'n> MapZeroAgent<'n> {
     /// backtrack walks down that stored ranking instead of re-searching,
     /// so backtracking costs no network call (§3.6.2: "timely remediate
     /// ... with little time overhead").
+    ///
+    /// A guided walk that crosses `mcts_backtrack_cutoff` and then spends
+    /// its backtrack cap without a mapping, a proof or a timeout restarts
+    /// from the root as the plain systematic walk (cutoff 0, the exact
+    /// mapper's search) with a fresh cap under the same `budget`
+    /// (counted as `agent.restarts`). The episode then reports the plain
+    /// walk's outcome, with backtracks and steps summed over both walks
+    /// and the larger peak.
     #[must_use]
     pub fn run_episode_budgeted(&self, problem: &Problem<'_>, budget: &Budget) -> EpisodeResult {
-        let AgentConfig { backtrack_budget, mcts_backtrack_cutoff, .. } = self.config;
+        let cutoff = self.config.mcts_backtrack_cutoff;
+        let (guided, exhausted) = self.walk(problem, budget, cutoff);
+        let spent_cap = guided.mapping.is_none() && !guided.timed_out && !exhausted;
+        if !(spent_cap && cutoff > 0 && guided.backtracks >= cutoff) {
+            return guided;
+        }
+        mapzero_obs::counter!("agent.restarts");
+        let (plain, _) = self.walk(problem, budget, 0);
+        EpisodeResult {
+            backtracks: guided.backtracks + plain.backtracks,
+            steps: guided.steps + plain.steps,
+            peak_placed: guided.peak_placed.max(plain.peak_placed),
+            ..plain
+        }
+    }
+
+    /// One depth-first walk from the root that ranks states by MCTS (or
+    /// the greedy policy) until `cutoff` backtracks and by the systematic
+    /// distance order after; also whether it exhausted its root.
+    fn walk(&self, problem: &Problem<'_>, budget: &Budget, cutoff: u64) -> (EpisodeResult, bool) {
         let mut mcts = Mcts::with_cache(self.net, self.config.mcts, Arc::clone(&self.cache));
         let mut probs_scratch: Vec<f32> = Vec::new();
-        let walk = search::depth_first(problem, budget, backtrack_budget, |env, backtracks| {
-            let cheap_mode = backtracks >= mcts_backtrack_cutoff;
+        let cap = self.config.backtrack_budget;
+        let walk = search::depth_first(problem, budget, cap, |env, backtracks| {
+            let cheap_mode = backtracks >= cutoff;
             self.rank_state(&mut mcts, env, cheap_mode, budget, &mut probs_scratch)
         });
         let attempt = walk.attempt;
@@ -187,7 +221,7 @@ impl<'n> MapZeroAgent<'n> {
                 Some(TrajectoryStep { observation, policy, reward: step.reward })
             })
             .collect();
-        EpisodeResult {
+        let episode = EpisodeResult {
             mapping: attempt.mapping,
             backtracks: attempt.backtracks,
             steps: attempt.explored,
@@ -196,7 +230,8 @@ impl<'n> MapZeroAgent<'n> {
             timed_out: attempt.timed_out,
             peak_placed: attempt.peak_placed,
             routed_edges: attempt.routed_edges,
-        }
+        };
+        (episode, walk.exhausted)
     }
 
     /// Rank the candidates of a newly visited state: by MCTS visit
@@ -334,6 +369,95 @@ mod tests {
                 );
                 assert!(step.observation.mask[hot[0]], "target on a masked PE");
             }
+        }
+    }
+
+    /// What an episode found and did, trajectory aside.
+    fn outcome(r: &EpisodeResult) -> (Option<Mapping>, u64, u64, bool, usize, u64) {
+        (r.mapping.clone(), r.backtracks, r.steps, r.timed_out, r.peak_placed, r.routed_edges)
+    }
+
+    fn restarts() -> u64 {
+        mapzero_obs::metrics::registry().counter("agent.restarts").get()
+    }
+
+    /// `cap` on the 4x4 mesh at II 4: the guided walk (cutoff 16) spends
+    /// a 64-backtrack cap, and the plain walk maps within it.
+    fn restart_instance() -> (mapzero_dfg::Dfg, mapzero_arch::Cgra, AgentConfig) {
+        let config = AgentConfig {
+            backtrack_budget: 64,
+            mcts_backtrack_cutoff: 16,
+            ..AgentConfig::fast_test()
+        };
+        (suite::by_name("cap").unwrap(), presets::simple_mesh(4, 4), config)
+    }
+
+    #[test]
+    fn a_guided_walk_that_spends_its_cap_restarts_the_plain_walk() {
+        let (dfg, cgra, config) = restart_instance();
+        let problem = Problem::new(&dfg, &cgra, 4).unwrap();
+        let net = agent_net(16);
+        let budget = Budget::with_deadline(Duration::from_secs(60));
+        let agent = MapZeroAgent::new(&net, config);
+        let (guided, exhausted) = agent.walk(&problem, &budget, config.mcts_backtrack_cutoff);
+        assert!(guided.mapping.is_none() && !guided.timed_out && !exhausted);
+        assert_eq!(guided.backtracks, config.backtrack_budget, "the guided walk spends its cap");
+
+        let plain_config = AgentConfig { mcts_backtrack_cutoff: 0, ..config };
+        let plain = MapZeroAgent::new(&net, plain_config).run_episode_budgeted(&problem, &budget);
+        let expected = plain.mapping.expect("the plain walk maps within the cap");
+        assert!(plain.backtracks <= config.backtrack_budget);
+
+        let before = restarts();
+        let episode = agent.run_episode_budgeted(&problem, &budget);
+        assert!(restarts() > before, "the restart is counted");
+        assert_eq!(episode.backtracks, config.backtrack_budget + plain.backtracks);
+        assert_eq!(episode.steps, guided.steps + plain.steps);
+        assert_eq!(episode.peak_placed, problem.node_count());
+        let mapping = episode.mapping.expect("the restart maps");
+        assert_eq!(mapping, expected);
+        assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
+    }
+
+    #[test]
+    fn no_restart_without_a_cutoff_on_the_clock_or_after_a_proof() {
+        let net = agent_net(16);
+        let unlimited = || Budget::with_deadline(Duration::from_secs(60));
+        let (dfg, cgra, config) = restart_instance();
+        let spends_cap = Problem::new(&dfg, &cgra, 4).unwrap();
+        // `sum` on the heterogeneous fabric at II 1: the walk exhausts
+        // its root after 26 backtracks, past a cutoff of 4.
+        let sum = suite::by_name("sum").unwrap();
+        let hetero = presets::heterogeneous();
+        let proof = Problem::new(&sum, &hetero, 1).unwrap();
+        let proof_config = AgentConfig { mcts_backtrack_cutoff: 4, ..config };
+        let (walk, exhausted) = MapZeroAgent::new(&net, proof_config).walk(&proof, &unlimited(), 4);
+        assert!(exhausted && walk.mapping.is_none() && walk.backtracks == 26);
+        // `matmul` on the 4x4 mesh at II 2: 114 expansions run out right
+        // after the first backtrack, so the walk stops past a cutoff of 1.
+        let matmul = suite::by_name("matmul").unwrap();
+        let cut = Problem::new(&matmul, &cgra, 2).unwrap();
+        let cut_config = AgentConfig { mcts_backtrack_cutoff: 1, ..config };
+        let cut_budget = || unlimited().with_expansion_cap(114);
+        let (walk, _) = MapZeroAgent::new(&net, cut_config).walk(&cut, &cut_budget(), 1);
+        assert!(walk.timed_out && walk.backtracks >= 1, "the cap no longer cuts past the cutoff");
+
+        let zero = || Budget::with_deadline(Duration::ZERO);
+        let cases: [(AgentConfig, &Problem<'_>, &dyn Fn() -> Budget); 6] = [
+            (AgentConfig { mcts_backtrack_cutoff: u64::MAX, ..config }, &spends_cap, &unlimited),
+            (AgentConfig { mcts_backtrack_cutoff: 0, ..config }, &spends_cap, &unlimited),
+            (config, &spends_cap, &zero),
+            (cut_config, &cut, &cut_budget),
+            (proof_config, &proof, &unlimited),
+            // The root empties on the cap's last backtrack: still a proof.
+            (AgentConfig { backtrack_budget: 26, ..proof_config }, &proof, &unlimited),
+        ];
+        for (config, problem, budget) in cases {
+            let agent = MapZeroAgent::new(&net, config);
+            let (walk, _) = agent.walk(problem, &budget(), config.mcts_backtrack_cutoff);
+            let episode = agent.run_episode_budgeted(problem, &budget());
+            assert!(episode.backtracks <= config.backtrack_budget, "{config:?}");
+            assert_eq!(outcome(&episode), outcome(&walk), "{config:?}");
         }
     }
 

@@ -31,7 +31,12 @@ pub struct MapZeroConfig {
     pub agent: AgentConfig,
     /// How many IIs above MII to try before giving up.
     pub max_extra_ii: u32,
-    /// Mapping episodes per II before moving to the next II.
+    /// Mapping episodes per II before moving to the next II. An episode
+    /// is deterministic, so a second one at the same II repeats the
+    /// first unless the clock cut it short. One episode already runs both
+    /// walks when `agent.mcts_backtrack_cutoff` is finite: the guided
+    /// walk, then the plain systematic walk if the guided one spends its
+    /// backtrack cap.
     pub attempts_per_ii: usize,
     /// Default wall-clock budget when using [`Compiler::map`].
     pub time_limit: Duration,

@@ -59,6 +59,9 @@ pub struct PathStep<T> {
 pub struct Walk<T> {
     /// What the search found and did.
     pub attempt: Attempt,
+    /// The root ran out of candidates: every subtree was searched to
+    /// the end, so no state of the walk's tree completes a mapping.
+    pub exhausted: bool,
     /// Cumulative environment reward of the final state.
     pub total_reward: f64,
     /// The placements of the final state, one per depth, root first.
@@ -123,6 +126,7 @@ pub fn depth_first<T>(
     let mut backtracks = 0u64;
     let mut steps = 0u64;
     let mut timed_out = false;
+    let mut exhausted = false;
     let mut peak_placed = 0usize;
 
     while !env.done() {
@@ -143,6 +147,7 @@ pub fn depth_first<T>(
                             routed_edges: problem.dfg().edge_count() as u64,
                             timed_out: false,
                         },
+                        exhausted: false,
                         total_reward: env.total_reward(),
                         path: path(frames),
                     };
@@ -159,6 +164,10 @@ pub fn depth_first<T>(
                 frames.pop();
                 continue;
             }
+            // A frame is left only once empty, and a failed step is kept
+            // only past the allowance, which never returns to the root:
+            // an empty root frame closes the whole tree.
+            exhausted = depth == 0;
             break;
         };
         let outcome = env.step(action);
@@ -182,6 +191,7 @@ pub fn depth_first<T>(
             routed_edges: env.routed_edge_count(),
             timed_out,
         },
+        exhausted,
         total_reward: env.total_reward(),
         path: path(frames),
     }

@@ -310,12 +310,19 @@ proptest! {
         );
         prop_assert_eq!(query(&cgra, ledger), fresh);
     }
+}
+
+proptest! {
+    // About ten cases per fabric: the larger fabrics cost more per map
+    // than the 4x4 mesh this test once ran 128 cases on.
+    #![proptest_config(ProptestConfig::with_cases(80))]
 
     /// A valid mapping stays valid under every fabric symmetry: permute
     /// the placements and every route hop by a verified automorphism
-    /// and re-validate.
+    /// and re-validate. Each case draws one of the seven presets or the
+    /// 4x4 mesh, so every fabric's transform set is exercised.
     #[test]
-    fn mappings_are_invariant_under_fabric_automorphisms(seed in 0u64..50) {
+    fn mappings_are_invariant_under_fabric_automorphisms(seed in 0u64..50, fabric in 0usize..8) {
         use mapzero::arch::symmetry::valid_transforms;
         let dfg = mapzero::dfg::random::random_dfg(
             "sym",
@@ -327,12 +334,18 @@ proptest! {
                 seed,
             },
         );
-        let cgra = presets::simple_mesh(4, 4);
+        let cgra = presets::table1()
+            .into_iter()
+            .chain([presets::heterogeneous(), presets::simple_mesh(4, 4)])
+            .nth(fabric)
+            .expect("eight fabrics");
         let mut mapper = ExactMapper;
         let budget = Budget::with_deadline(std::time::Duration::from_secs(5));
         let outcome = Mapper::map(&mut mapper, &dfg, &cgra, &budget, IiBounds::default());
-        // A run that ends on the clock is a Timeout, with nothing to permute.
-        if let Err(MapError::Timeout { .. }) = outcome {
+        // A run that ends on the clock is a Timeout, and a kernel the
+        // heterogeneous fabric cannot execute is Unmappable: neither has
+        // a mapping to permute.
+        if let Err(MapError::Timeout { .. } | MapError::Unmappable(_)) = outcome {
             return Ok(());
         }
         let Some(mapping) = outcome.unwrap().mapping else { return Ok(()); };

@@ -10,8 +10,10 @@
 //! placement steps.
 
 use mapzero::core::agent::{AgentConfig, MapZeroAgent};
+use mapzero::core::mcts::MctsConfig;
 use mapzero::core::network::{MapZeroNet, NetConfig};
 use mapzero::core::search::{IiBounds, IiSearch, MAX_EXTRA_II};
+use mapzero::core::validate::check_mapping;
 use mapzero::prelude::*;
 use std::time::Duration;
 
@@ -60,4 +62,36 @@ fn exact_mapper_and_systematic_agent_walk_the_same_tree() {
             assert_eq!(steps, report.explored, "{what}: explored");
         }
     }
+}
+
+/// Fig. 13's 16×16 filter_u under the quick figure agent (24
+/// simulations, MCTS for the first 256 backtracks, a 50,000-backtrack
+/// cap): the guided walk spends its cap at II 1, and the episode's
+/// restart of the plain walk maps it there, at MII.
+#[test]
+fn guided_walk_that_spends_its_cap_restarts_into_a_mapping_at_mii() {
+    let dfg = suite::by_name("filter_u").unwrap();
+    let cgra = presets::baseline16();
+    let config = MapZeroConfig {
+        agent: AgentConfig {
+            mcts: MctsConfig {
+                simulations: 24,
+                expansion_cap: 32,
+                playout_step_limit: 96,
+                ..MctsConfig::default()
+            },
+            backtrack_budget: 50_000,
+            mcts_backtrack_cutoff: 256,
+            ..AgentConfig::default()
+        },
+        attempts_per_ii: 1,
+        ..MapZeroConfig::fast_test()
+    };
+    let mut compiler = Compiler::new(config);
+    let budget = Budget::with_deadline(LIMIT);
+    let report = Mapper::map(&mut compiler, &dfg, &cgra, &budget, IiBounds::default()).unwrap();
+    let mapping = report.mapping.expect("filter_u maps");
+    assert_eq!((mapping.ii, report.mii), (1, 1));
+    assert!(report.backtracks > 50_000, "the guided walk spent its cap first");
+    assert_eq!(check_mapping(&dfg, &cgra, &mapping, mapping.ii), Ok(()));
 }
